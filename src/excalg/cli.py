@@ -276,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deep", action="store_true")
 
     p = sub.add_parser("magic-square", help="dimension table or a single entry")
-    p.add_argument("--table", action="store_true")
-    p.add_argument("--build", nargs=2, metavar=("A", "B"))
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--table", action="store_true")
+    what.add_argument("--build", nargs=2, metavar=("A", "B"))
     p.add_argument("--verify", choices=("auto", "full", "sampled"), default="auto")
     p.add_argument("--deep", action="store_true")
     p.add_argument("--constants", action="store_true")

@@ -27,6 +27,7 @@ from .linalg import (
     zero_vec,
 )
 from .scalar import I, ONE, ZERO, Scalar, sc
+from .tensor import StructureTensor
 
 STANDARD = "standard"
 SPLIT = "split"
@@ -74,7 +75,7 @@ class CompAlgebra:
     conjugation but not a composition algebra.
     """
 
-    __slots__ = ("dim", "table", "conj_signs", "gram", "name")
+    __slots__ = ("dim", "table", "conj_signs", "gram", "name", "tensor")
 
     def __init__(self, table, conj_signs=None, name: str = "", check: bool = True):
         d = len(table)
@@ -82,6 +83,10 @@ class CompAlgebra:
         self.table = tuple(
             tuple(tuple(sc(x) for x in cell) for cell in row) for row in table
         )
+        self.tensor = StructureTensor(d, (
+            (i, j, k, c) for i, row in enumerate(self.table)
+            for j, cell in enumerate(row) for k, c in enumerate(cell)
+        ))
         self.conj_signs = tuple(
             conj_signs if conj_signs is not None else [1] + [-1] * (d - 1)
         )
@@ -127,19 +132,7 @@ class CompAlgebra:
     # -- coordinate-level operations --------------------------------------
 
     def mul_coords(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
-        d = self.dim
-        out = zero_vec(d)
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            row = self.table[i]
-            for j, yj in enumerate(y):
-                if yj.is_zero():
-                    continue
-                c = xi * yj
-                cell = row[j]
-                out = [o + c * t if not t.is_zero() else o for o, t in zip(out, cell)]
-        return out
+        return self.tensor.product(x, y)
 
     def conj_coords(self, x: Sequence[Scalar]) -> List[Scalar]:
         return [sc(s) * v for s, v in zip(self.conj_signs, x)]

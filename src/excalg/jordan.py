@@ -22,7 +22,6 @@ from .linalg import (
     Subspace,
     is_zero_vec,
     rank as mat_rank,
-    solve,
     unit_vec,
     vec_add,
     vec_dot,
@@ -30,6 +29,7 @@ from .linalg import (
     zero_vec,
 )
 from .scalar import ONE, ZERO, Scalar, sc
+from .tensor import StructureTensor
 
 _OFF_SLOTS = ((0, 1), (0, 2), (1, 2))
 
@@ -44,6 +44,10 @@ class JordanAlgebra:
         self.name = name or f"H3(a={self.a})"
         self._table: Dict[Tuple[int, int], List[Scalar]] = {}
         self._build_table()
+        self.tensor = StructureTensor(self.dim, (
+            (i, j, k, c) for (i, j), cell in self._table.items()
+            for k, c in enumerate(cell)
+        ))
         self.trace_vec = [ONE, ONE, ONE] + [ZERO] * (3 * self.a)
         self.trace_gram = Matrix(
             [
@@ -129,17 +133,7 @@ class JordanAlgebra:
         return list(self._table[(i, j)])
 
     def product_coords(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
-        out = zero_vec(self.dim)
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(y):
-                if yj.is_zero():
-                    continue
-                c = xi * yj
-                cell = self._table[(i, j)]
-                out = [o + c * t if not t.is_zero() else o for o, t in zip(out, cell)]
-        return out
+        return self.tensor.product(x, y)
 
     def element(self, coords: Sequence) -> "JordanElement":
         return JordanElement(self, [sc(c) for c in coords])
@@ -335,27 +329,20 @@ def _pair(alg: JordanAlgebra, x, y) -> Scalar:
     return vec_dot(list(x), alg.trace_gram.apply(list(y)))
 
 
-_NODES = Matrix(
-    [[ONE, sc(t), sc(t) ** 2, sc(t) ** 3] for t in (-1, 0, 1, 2)]
-)
-
-
 def adjugate(x: JordanElement) -> JordanElement:
     """The gradient of the cubic determinant at x, re-expressed in the
     algebra via the trace pairing.
 
-    Each directional derivative is the linear coefficient of the cubic
-    t -> Det(x + tE), recovered by solving the Vandermonde system on the
-    nodes -1, 0, 1, 2.
+    Each directional derivative is the linear coefficient c1 of the cubic
+    f(t) = Det(x + tE).  On the nodes -1, 0, 1, 2 the Vandermonde system
+    has the fixed solution row c1 = (-2f(-1) - 3f(0) + 6f(1) - f(2)) / 6.
     """
     alg = x.algebra
     ctx = _LineContext(x)
     grad = []
     for e in range(alg.dim):
-        values = _det_along_line(ctx, e)
-        coeffs = solve(_NODES, values)
-        assert coeffs is not None
-        grad.append(coeffs[1])
+        fm1, f0, f1, f2 = _det_along_line(ctx, e)
+        grad.append((f1 * sc(6) - fm1 * sc(2) - f0 * sc(3) - f2) / sc(6))
     return JordanElement(alg, alg.trace_gram_inv.apply(grad))
 
 

@@ -19,6 +19,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,6 +37,7 @@ from .linalg import (
     zero_vec,
 )
 from .scalar import ONE, ZERO, Scalar, sc
+from .tensor import StructureTensor
 
 _FLOAT_EXACT = 1 << 53
 
@@ -107,21 +109,16 @@ class SCAlgebra:
             out[k] = v
         return out
 
+    @cached_property
+    def tensor(self) -> StructureTensor:
+        """The sparse integer bracket tensor, built on first use."""
+        return StructureTensor(self.dim, (
+            (i, j, k, v) for (i, j), comp in self.bracket.items()
+            for k, v in comp.items()
+        ))
+
     def bracket_coords(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
-        out = zero_vec(self.dim)
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(y):
-                if yj.is_zero():
-                    continue
-                comp = self.bracket.get((i, j))
-                if not comp:
-                    continue
-                c = xi * yj
-                for k, v in comp.items():
-                    out[k] = out[k] + c * v
-        return out
+        return self.tensor.product(x, y)
 
     def ad_matrix(self, x: Sequence[Scalar]) -> Matrix:
         cols = [self.bracket_coords(x, unit_vec(self.dim, j)) for j in range(self.dim)]
@@ -164,11 +161,26 @@ class SCAlgebra:
 
     @staticmethod
     def from_json(data: dict) -> "SCAlgebra":
+        """Parse the to_json format; a payload that breaks its schema
+        raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("structure constants must be a JSON object")
+        d, entries = data.get("dim"), data.get("entries")
+        if type(d) is not int or d < 1 or not isinstance(entries, list):
+            raise ValueError("need a positive integer 'dim' and a list 'entries'")
         bracket: BracketTable = {}
-        for i, j, coeffs in data["entries"]:
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == 3):
+                raise ValueError(f"entry {entry!r} is not [i, j, coefficients]")
+            i, j, coeffs = entry
+            if type(i) is not int or type(j) is not int or not (0 <= i < d and 0 <= j < d):
+                raise ValueError(f"index pair ({i!r}, {j!r}) is outside range({d})")
+            if not (isinstance(coeffs, list) and len(coeffs) == d
+                    and all(isinstance(c, str) for c in coeffs)):
+                raise ValueError(f"entry ({i}, {j}) needs {d} coefficient strings")
             comp = {k: Scalar.parse(c) for k, c in enumerate(coeffs)}
             bracket[(i, j)] = {k: v for k, v in comp.items() if not v.is_zero()}
-        return SCAlgebra(data["dim"], bracket, skew=data.get("skew", True))
+        return SCAlgebra(d, bracket, skew=data.get("skew", True))
 
     def __repr__(self):
         return f"SCAlgebra({self.name or ''} dim={self.dim})"
@@ -466,7 +478,8 @@ def killing_gram_int(g: SCAlgebra) -> np.ndarray:
     """Killing form Gram matrix of the integer-scaled bracket (int64)."""
     c, _, maxabs = g.dense_tensor()
     d = g.dim
-    if d * maxabs * maxabs >= _FLOAT_EXACT:
+    # each Gram entry sums d^2 products of two constants
+    if d * d * maxabs * maxabs >= _FLOAT_EXACT:
         raise ValueError("structure constants too large for exact float contraction")
     left = c.reshape(d, d * d)
     right = c.transpose(0, 2, 1).reshape(d, d * d)

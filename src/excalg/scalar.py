@@ -128,29 +128,35 @@ class Scalar:
         return "RATIONAL" if self.im == 0 else "GAUSSIAN"
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def is_rational(self) -> bool:
         return self.im == 0
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other):
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Scalar(self.re + o.re, self.im + o.im)
+    def __add__(self, o):
+        if type(o) is not Scalar:
+            o = _coerce(o)
+            if o is NotImplemented:
+                return NotImplemented
+        if not self.im and not o.im:
+            return _make(self.re + o.re, _Q0)
+        return _make(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
-    def __sub__(self, other):
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Scalar(self.re - o.re, self.im - o.im)
+    def __sub__(self, o):
+        if type(o) is not Scalar:
+            o = _coerce(o)
+            if o is NotImplemented:
+                return NotImplemented
+        if not self.im and not o.im:
+            return _make(self.re - o.re, _Q0)
+        return _make(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = _coerce(other)
@@ -158,13 +164,14 @@ class Scalar:
             return NotImplemented
         return Scalar(o.re - self.re, o.im - self.im)
 
-    def __mul__(self, other):
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if self.im == 0 and o.im == 0:
-            return Scalar(self.re * o.re)
-        return Scalar(
+    def __mul__(self, o):
+        if type(o) is not Scalar:
+            o = _coerce(o)
+            if o is NotImplemented:
+                return NotImplemented
+        if not self.im and not o.im:
+            return _make(self.re * o.re, _Q0)
+        return _make(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
         )
@@ -211,10 +218,11 @@ class Scalar:
 
     # -- comparisons / hashing ------------------------------------------
 
-    def __eq__(self, other):
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    def __eq__(self, o):
+        if type(o) is not Scalar:
+            o = _coerce(o)
+            if o is NotImplemented:
+                return NotImplemented
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
@@ -250,6 +258,20 @@ def _parse_q(text: str):
 
 def _fmt_q(q) -> str:
     return f"{q.numerator}/{q.denominator}"
+
+
+_new = object.__new__
+_set_re = Scalar.re.__set__
+_set_im = Scalar.im.__set__
+
+
+def _make(re, im) -> Scalar:
+    """A Scalar from parts that already have the rational type _Q; unlike
+    Scalar(re, im) it does not pass them through _Q again."""
+    s = _new(Scalar)
+    _set_re(s, re)
+    _set_im(s, im)
+    return s
 
 
 def _coerce(value):

@@ -1,0 +1,84 @@
+"""Sparse exact structure tensors: the bilinear product of an algebra given
+by structure constants over Q or Q(i).
+
+The tensor keeps, for each basis pair (i, j) with a nonzero product, the
+integer triples (k, re, im) of den * c_ij^k, where den is one common
+denominator of all constants.  A product clears the denominators of each
+input with one lcm, sums c_ij^k x_i y_j in Python integers (exact at any
+size, so no overflow bound is needed) and divides once per output
+coordinate.  The results are the same canonical Scalars that Scalar
+arithmetic gives.
+"""
+
+from __future__ import annotations
+
+from math import lcm
+from typing import Iterable, List, Sequence, Tuple
+
+from .scalar import _Q, _Q0, ZERO, Scalar, _make
+
+
+class StructureTensor:
+    """c_ij^k as sparse integer cells over one common denominator: cells[i][j]
+    is a tuple of (k, re, im) with c_ij^k = (re + im i) / den."""
+
+    __slots__ = ("dim", "den", "cells", "rational")
+
+    def __init__(self, dim: int, entries: Iterable[Tuple[int, int, int, Scalar]]):
+        """Build from (i, j, k, c_ij^k) entries; zero constants are dropped."""
+        nonzero = [(i, j, k, c) for i, j, k, c in entries if c]
+        den = lcm(1, *(q.denominator for *_, c in nonzero for q in (c.re, c.im)))
+        rows = [dict() for _ in range(dim)]
+        for i, j, k, c in nonzero:
+            rows[i].setdefault(j, []).append(
+                (k, _scaled(c.re, den), _scaled(c.im, den))
+            )
+        self.dim = dim
+        self.den = den
+        self.cells = [
+            [tuple(row.get(j, ())) for j in range(dim)] for row in rows
+        ]
+        self.rational = all(not c.im for *_, c in nonzero)
+
+    def product(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
+        """The coordinates of x * y, i.e. sum_ijk c_ij^k x_i y_j e_k."""
+        xs, dx, x_rat = _cleared(x)
+        ys, dy, y_rat = _cleared(y)
+        den = self.den * dx * dy
+        re = [0] * self.dim
+        cells = self.cells
+        if self.rational and x_rat and y_rat:
+            for i, a, _ in xs:
+                row = cells[i]
+                for j, b, _ in ys:
+                    ab = a * b
+                    for k, c, _ in row[j]:
+                        re[k] += ab * c
+            return [_make(_Q(v, den), _Q0) if v else ZERO for v in re]
+        im = [0] * self.dim
+        for i, a, b in xs:
+            row = cells[i]
+            for j, c, e in ys:
+                # (a + bi)(c + ei) = p + qi, then times each constant r + si
+                p = a * c - b * e
+                q = a * e + b * c
+                for k, r, s in row[j]:
+                    re[k] += p * r - q * s
+                    im[k] += p * s + q * r
+        return [
+            _make(_Q(u, den), _Q(v, den)) if u or v else ZERO
+            for u, v in zip(re, im)
+        ]
+
+
+def _scaled(q, den: int) -> int:
+    return q.numerator * (den // q.denominator)
+
+
+def _cleared(v: Sequence[Scalar]):
+    """(nonzero coordinates as (index, re, im) integers, their common
+    denominator, whether every coordinate is rational)."""
+    nz = [(i, s.re, s.im) for i, s in enumerate(v) if s.re or s.im]
+    den = lcm(1, *(q.denominator for _, re, im in nz for q in (re, im)))
+    out = [(i, _scaled(re, den), _scaled(im, den)) for i, re, im in nz]
+    return out, den, all(not im for _, _, im in out)

@@ -45,6 +45,13 @@ class TestTables:
         code, out = run_cli(capsys, "mul-table", "--algebra", "sextonion")
         assert code == 0 and json.loads(out)["dim"] == 6
 
+    def test_magic_square_needs_table_or_build(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["magic-square"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("usage:") and "--table --build" in err
+
     def test_magic_square_table(self, capsys):
         code, out = run_cli(capsys, "--format", "text", "magic-square", "--table")
         assert code == 0
@@ -81,6 +88,24 @@ class TestVerifyFile:
         code, out = run_cli(capsys, "verify", str(path), "--mode", "full")
         assert code == 1
         assert not json.loads(out)["passed"]
+
+    @pytest.mark.parametrize(
+        "payload",
+        # each payload is skew, so only the schema check can reject it
+        [
+            {"dim": 3, "entries": [[0, 3, ["1/1", "0/1", "0/1"]], [3, 0, ["-1/1", "0/1", "0/1"]]]},
+            {"dim": 3, "entries": [[0, 1, ["0/1", "0/1", "0/1", "1/1"]], [1, 0, ["0/1", "0/1", "0/1", "-1/1"]]]},
+            {"dim": 3, "entries": [[0, 1, ["0/1", "1/1"]], [1, 0, ["0/1", "-1/1"]]]},
+            [[0, 1, ["0/1", "0/1", "1/1"]], [1, 0, ["0/1", "0/1", "-1/1"]]],
+        ],
+        ids=["index-out-of-range", "list-too-long", "list-too-short", "top-level-list"],
+    )
+    def test_malformed_constants_exit_two(self, capsys, tmp_path, payload):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(payload))
+        code = cli.main(["verify", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ")
 
 
 class TestGradingAndDims:

@@ -197,6 +197,14 @@ class TestDerivedAndKilling:
         der = ll.derivations(octonions)
         assert ll.derived_dimension(der) == 14
 
+    def test_killing_guard_bounds_the_full_contraction(self):
+        # d * max^2 = 2^52 is below 2^53, but each Gram entry sums
+        # d^2 = 16 products of size 2^50, so the float contraction is unsafe
+        big = sc(2 ** 25)
+        g = ll.SCAlgebra(4, {(0, 1): {2: big}, (1, 0): {2: -big}}, skew=True)
+        with pytest.raises(ValueError):
+            ll.killing_gram_int(g)
+
     def test_abelian_derived_zero(self):
         g = ll.SCAlgebra(2, {}, skew=True)
         assert ll.derived_dimension(g) == 0

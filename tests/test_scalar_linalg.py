@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from excalg import intlin
 from excalg import linalg as la
-from excalg.scalar import I, ONE, Scalar, ZERO, sc
+from excalg.scalar import I, ONE, Scalar, ZERO, _make, sc
 
 rationals = st.builds(
     lambda n, d: Scalar.rational(n, d),
@@ -55,6 +55,30 @@ class TestScalar:
     def test_pow(self):
         assert sc(2) ** 5 == sc(32)
         assert (ONE + I) ** 2 == sc(2) * I
+
+    @given(st.one_of(rationals, scalars), st.one_of(rationals, scalars))
+    @settings(max_examples=60, deadline=None)
+    def test_fast_paths_match_part_arithmetic(self, a, b):
+        # + - * and == on Scalars against the same formulas on the parts
+        assert a + b == Scalar(a.re + b.re, a.im + b.im)
+        assert a - b == Scalar(a.re - b.re, a.im - b.im)
+        assert a * b == Scalar(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+        assert -a == Scalar(-a.re, -a.im)
+        assert (a == b) == (a.re == b.re and a.im == b.im)
+        assert a.is_zero() == (a.re == 0 and a.im == 0)
+        assert a + 2 == 2 + a == Scalar(a.re + 2, a.im)
+        assert a * 3 == 3 * a == Scalar(3 * a.re, 3 * a.im)
+
+    @given(scalars)
+    @settings(max_examples=40, deadline=None)
+    def test_make_matches_constructor(self, a):
+        made = _make(a.re, a.im)
+        built = Scalar(a.re, a.im)
+        assert made == built and hash(made) == hash(built)
+        assert str(made) == str(built) and made.field == built.field
+        with pytest.raises(AttributeError):
+            made.re = built.im
+        assert made == built
 
 
 class TestMatrix:
