@@ -153,7 +153,7 @@ def _cmd_magic_square(req: CommandRequest) -> int:
 
 
 def _cmd_grading(req: CommandRequest) -> int:
-    family = req.flags["type"][0].upper()
+    family = req.flags["type"][:1].upper()
     rank = int(req.flags["type"][1:])
     rs = rd.build_root_system(family, rank)
     node = int(req.flags["node"])

@@ -47,7 +47,7 @@ class NotSubalgebra(ValueError):
 
 
 class NeedsExtension(ValueError):
-    """Raised when a construction requires irrational scalars."""
+    """Raised when a construction or an eigen-decomposition leaves Q(i)."""
 
 
 # Oriented lines of the Fano plane, matching the invariant three-form

@@ -67,24 +67,6 @@ _PRIMES = _primes_below(1 << 30, 64)
 _FLOAT_EXACT = 1 << 53
 
 
-def scalar_rows_to_int_rows(rows: Sequence[Sequence[Scalar]]) -> List[List[int]]:
-    """Clear denominators row by row; row scaling preserves the kernel."""
-    out = []
-    for row in rows:
-        dens = []
-        for x in row:
-            if not x.is_rational():
-                raise ValueError("integer fast path requires rational entries")
-            dens.append(int(x.re.denominator))
-        g = 1
-        for d in dens:
-            g = g * d // math.gcd(g, d)
-        out.append(
-            [int(x.re.numerator) * (g // int(x.re.denominator)) for x in row]
-        )
-    return out
-
-
 def _mod_p_rref(a: np.ndarray, p: int):
     """Reduced row echelon form mod p.
 
@@ -172,7 +154,7 @@ def _rational_reconstruct(v: int, modulus: int) -> Optional[tuple[int, int]]:
 
 
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    g, inv = 0, pow(m1 % m2, -1, m2)
+    inv = pow(m1 % m2, -1, m2)
     t = ((r2 - r1) * inv) % m2
     return r1 + m1 * t, m1 * m2
 
@@ -262,13 +244,11 @@ def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> List[List[Scalar]]:
                 entries[pc] = rec
             if not ok:
                 break
-            lcm = 1
-            for _, d in entries.values():
-                lcm = lcm * d // math.gcd(lcm, d)
+            scale = math.lcm(1, *(d for _, d in entries.values()))
             col = [0] * ncols
-            col[f] = lcm
+            col[f] = scale
             for pc, (num, den) in entries.items():
-                col[pc] = num * (lcm // den)
+                col[pc] = num * (scale // den)
             basis.append(col)
         if not ok:
             continue

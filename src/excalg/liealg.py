@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,24 +25,22 @@ import numpy as np
 
 from . import forms as fm
 from . import intlin
+from .composition import NeedsExtension
 from .linalg import (
     Matrix,
     Subspace,
     is_zero_vec,
     kernel,
+    solve,
     unit_vec,
     vec_add,
     vec_scale,
     zero_vec,
 )
-from .scalar import ONE, ZERO, Scalar, sc
-from .tensor import StructureTensor
+from .scalar import I, ONE, ZERO, Scalar, sc
+from .tensor import StructureTensor, _cleared, rational_ints
 
 _FLOAT_EXACT = 1 << 53
-
-
-class NeedsExtension(ValueError):
-    """Raised when an eigen-decomposition leaves the ground field."""
 
 
 BracketTable = Dict[Tuple[int, int], Dict[int, Scalar]]
@@ -132,21 +129,12 @@ class SCAlgebra:
         if self._tensor_cache is not None:
             return self._tensor_cache
         d = self.dim
-        denom = 1
-        for comp in self.bracket.values():
-            for v in comp.values():
-                if not v.is_rational():
-                    raise ValueError("dense tensor requires rational constants")
-                q = int(v.re.denominator)
-                denom = denom * q // math.gcd(denom, q)
+        cells = [(i, j, k) for (i, j), comp in self.bracket.items() for k in comp]
+        ints, denom = rational_ints(self.bracket[i, j][k] for i, j, k in cells)
         c = np.zeros((d, d, d), dtype=np.float64)
-        maxabs = 0
-        for (i, j), comp in self.bracket.items():
-            for k, v in comp.items():
-                val = int(v.re.numerator) * (denom // int(v.re.denominator))
-                maxabs = max(maxabs, abs(val))
-                c[i, j, k] = float(val)
-        self._tensor_cache = (c, denom, maxabs)
+        for cell, val in zip(cells, ints):
+            c[cell] = float(val)
+        self._tensor_cache = (c, denom, max(map(abs, ints), default=0))
         return self._tensor_cache
 
     # -- serialization -------------------------------------------------------
@@ -197,6 +185,8 @@ def commutator_closure_algebra(
     through float64), and the coordinate change is a single k x k inverse.
     """
     n = len(matrices)
+    if n == 0:
+        return SCAlgebra(0, {}, skew=True, matrices=[], name=name, cartan=cartan)
     all_rational = all(
         matrices[0].rows == m.rows
         and all(x.is_rational() for row in m.entries for x in row)
@@ -230,22 +220,8 @@ def _flatten(m: Matrix) -> List[Scalar]:
 def _closure_int(matrices: List[Matrix], name: str, cartan) -> SCAlgebra:
     n = len(matrices)
     size = matrices[0].rows
-    denom = 1
-    for m in matrices:
-        for row in m.entries:
-            for x in row:
-                q = int(x.re.denominator)
-                denom = denom * q // math.gcd(denom, q)
-    ints = np.array(
-        [
-            [
-                [int(x.re.numerator) * (denom // int(x.re.denominator)) for x in row]
-                for row in m.entries
-            ]
-            for m in matrices
-        ],
-        dtype=np.int64,
-    )
+    nums, denom = rational_ints(x for m in matrices for row in m.entries for x in row)
+    ints = np.array(nums, dtype=np.int64).reshape(n, size, size)
     flat = ints.reshape(n, size * size).T  # (size^2, n), columns = basis
     # pick coordinate rows S with flat[S] invertible (certified mod p)
     red, pivots = intlin._mod_p_rref(flat.T.copy() % intlin._PRIMES[0], intlin._PRIMES[0])
@@ -289,17 +265,10 @@ def _closure_int(matrices: List[Matrix], name: str, cartan) -> SCAlgebra:
 
 def _closure_verify(flat, denom, bracket, index_pairs, stack, n):
     # scale coordinates to integers columnwise and verify with one product
-    cols = []
-    for (i, j) in index_pairs:
-        comp = bracket.get((i, j), {})
-        dens = [int(v.re.denominator) for v in comp.values()] or [1]
-        g = 1
-        for q in dens:
-            g = g * q // math.gcd(g, q)
-        col = [0] * n
-        for k, v in comp.items():
-            col[k] = int(v.re.numerator) * (g // int(v.re.denominator))
-        cols.append((col, g))
+    cols = [
+        rational_ints(bracket.get(pair, {}).get(k, ZERO) for k in range(n))
+        for pair in index_pairs
+    ]
     coords_int = np.array([c for c, _ in cols], dtype=object).T
     scales = np.array([g for _, g in cols], dtype=object)
     lhs = (flat.astype(object) @ coords_int) * denom
@@ -355,8 +324,6 @@ def derivations(algebra, commutative: bool = False, name: str = "") -> SCAlgebra
         Matrix([[v[var(a, b)] for b in range(d)] for a in range(d)])
         for v in basis_vectors
     ]
-    if not matrices:
-        return SCAlgebra(0, {}, skew=True, matrices=[], name=name or "der")
     out = commutator_closure_algebra(matrices, name=name or "der")
     report = jacobi_check(out, mode="full")
     if not report.passed:
@@ -371,13 +338,9 @@ def _sparse_kernel(rows: List[Dict[int, Scalar]], ncols: int) -> List[List[Scala
     if ncols > 150 and all_rational:
         int_rows = []
         for row in rows:
-            dens = [int(v.re.denominator) for v in row.values()]
-            g = 1
-            for q in dens:
-                g = g * q // math.gcd(g, q)
             dense = [0] * ncols
-            for k, v in row.items():
-                dense[k] = int(v.re.numerator) * (g // int(v.re.denominator))
+            for k, v in zip(row, rational_ints(row.values())[0]):
+                dense[k] = v
             int_rows.append(dense)
         return intlin.int_kernel(int_rows, ncols)
     dense_rows = []
@@ -522,8 +485,6 @@ def stabilizer_in_gl(n: int, form: fm.KForm) -> SCAlgebra:
         Matrix([[v[a * n + b] for b in range(n)] for a in range(n)])
         for v in ker.basis
     ]
-    if not matrices:
-        return SCAlgebra(0, {}, skew=True, matrices=[], name="stab")
     return commutator_closure_algebra(matrices, name="stab")
 
 
@@ -552,8 +513,6 @@ def _charpoly(m: Matrix) -> List[Scalar]:
         (Matrix.identity(s).scale(t) - m).det() for t in pts
     ]
     vander = Matrix([[t ** k if k else ONE for k in range(s + 1)] for t in pts])
-    from .linalg import solve
-
     coeffs = solve(vander, vals)
     assert coeffs is not None
     return coeffs
@@ -568,12 +527,15 @@ def _poly_eval(coeffs: List[Scalar], x: Scalar) -> Scalar:
 
 def _rational_eigenvalues(m: Matrix) -> Optional[List[Scalar]]:
     """All eigenvalues when they lie in Q(i) (counted with multiplicity);
-    None when some root leaves the field.  Candidates are divisor-bounded
-    rationals and small Gaussian integers."""
-    s = m.rows
+    None when some root leaves the field.
+
+    Rational root theorem over Z[i]: once the zero roots are split off and
+    the denominators cleared, every root of a_n x^n + ... + a_0 in Q(i) is
+    p/q with p | a_0 and q | a_n."""
     coeffs = _charpoly(m)
-    roots: List[Scalar] = []
-    current = coeffs
+    zeros = next(k for k, c in enumerate(coeffs) if c)
+    current = coeffs[zeros:]
+    roots = [ZERO] * zeros
 
     def deflate(cs, r):
         # synthetic division by (x - r); cs low-first
@@ -586,27 +548,48 @@ def _rational_eigenvalues(m: Matrix) -> Optional[List[Scalar]]:
         assert acc.is_zero()
         return out
 
-    candidates: List[Scalar] = [ZERO]
-    for a in range(-12, 13):
-        for b in range(-12, 13):
-            if a or b:
-                candidates.append(Scalar.rational(a) + Scalar.rational(b) * sc("i"))
-    for num in (1, 2, 3, 5):
-        for den in (2, 3, 4, 6):
-            candidates.append(Scalar.rational(num, den))
-            candidates.append(Scalar.rational(-num, den))
-    while len(current) > 1:
-        lead_zero = all(c.is_zero() for c in current[1:])
-        found = None
-        for cand in candidates:
-            if _poly_eval(current, cand).is_zero():
-                found = cand
-                break
-        if found is None:
-            return None
-        roots.append(found)
-        current = deflate(current, found)
-    return roots
+    ints = _cleared(current)[0]
+    a0, an = (Scalar(re, im) for _, re, im in (ints[0], ints[-1]))
+    candidates = {p / q for p in _gaussian_divisors(a0) for q in _gaussian_divisors(an)}
+    for r in candidates:
+        while len(current) > 1 and not _poly_eval(current, r):
+            roots.append(r)
+            current = deflate(current, r)
+    return roots if len(current) == 1 else None
+
+
+def _gaussian_divisors(z: Scalar) -> List[Scalar]:
+    """Every divisor in Z[i] of the nonzero Gaussian integer z: the products
+    of its prime factors, found by trial division of its norm, times the
+    four units."""
+    divisors = [ONE, -ONE, I, -I]
+    norm, p = int(z.re * z.re + z.im * z.im), 2
+    while norm > 1:
+        if p * p > norm:
+            p = norm
+        if norm % p:
+            p += 1
+            continue
+        while norm % p == 0:
+            norm //= p
+        for prime in _gaussian_primes_over(p):
+            powers, q = [], z / prime
+            while _cleared([q])[1] == 1:  # q is a Gaussian integer
+                z, q = q, q / prime
+                powers.append(powers[-1] * prime if powers else prime)
+            divisors += [d * t for d in divisors for t in powers]
+    return divisors
+
+
+def _gaussian_primes_over(p: int) -> List[Scalar]:
+    """The Gaussian primes dividing the rational prime p, up to units."""
+    if p == 2:
+        return [ONE + I]
+    if p % 4 == 3:
+        return [sc(p)]
+    x = next(x for x in range(1, p) if math.isqrt(p - x * x) ** 2 == p - x * x)
+    y = math.isqrt(p - x * x)
+    return [Scalar.gaussian(x, y), Scalar.gaussian(x, -y)]
 
 
 def weight_decomposition(
@@ -621,7 +604,6 @@ def weight_decomposition(
         raise ValueError("algebra carries no designated Cartan")
     h_mats = []
     for h in g.cartan:
-        m = Matrix.zero(module.dim, module.dim)
         acc = [[ZERO] * module.dim for _ in range(module.dim)]
         for i, c in enumerate(h):
             if c.is_zero():
@@ -638,12 +620,10 @@ def weight_decomposition(
     for hm in h_mats:
         refined: List[Tuple[tuple, List[List[Scalar]]]] = []
         for weight, basis in spaces:
-            bmat = Matrix.from_cols(basis)
-            span = Subspace(module.dim, basis)
             restricted_cols = []
             for b in basis:
                 img = hm.apply(b)
-                coords = _coords_in(span, basis, img)
+                coords = solve(Matrix.from_cols(basis), img)
                 if coords is None:
                     raise NeedsExtension("family does not preserve the subspace")
                 restricted_cols.append(coords)
@@ -669,12 +649,6 @@ def weight_decomposition(
         spaces = refined
     out = [(w, len(b)) for w, b in spaces]
     return sorted(out, key=lambda t: tuple(str(x) for x in t[0]))
-
-
-def _coords_in(span: Subspace, basis: List[List[Scalar]], v) -> Optional[List[Scalar]]:
-    from .linalg import solve
-
-    return solve(Matrix.from_cols(basis), list(v))
 
 
 # -- Cartan matrices from roots ---------------------------------------------------
@@ -735,37 +709,32 @@ def cartan_matrix_from_roots(roots: Sequence[tuple]) -> Matrix:
             simple.append(r)
     simple.sort(key=lambda r: tuple(str(x) for x in r))
 
-    def string_pairing(alpha, beta):
-        # beta-string through alpha: alpha - p beta ... alpha + q beta
-        p = 0
-        cur = alpha
-        while True:
-            cur = tuple(x - y for x, y in zip(cur, beta))
-            if cur in root_set:
-                p += 1
-            else:
-                break
-        q = 0
-        cur = alpha
-        while True:
-            cur = add(cur, beta)
-            if cur in root_set:
-                q += 1
-            else:
-                break
-        return p - q
-
     n = len(simple)
     ent = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            ent[i][j] = sc(2) if i == j else sc(string_pairing(simple[i], simple[j]))
+            ent[i][j] = (
+                sc(2) if i == j else sc(string_pairing(simple[i], simple[j], root_set))
+            )
     m = Matrix(ent)
     for i in range(n):
         for j in range(n):
             if i != j and not m[i, j].is_rational():
                 raise ValueError("input is not a root system")
     return m
+
+
+def string_pairing(alpha: tuple, beta: tuple, root_set) -> int:
+    """p - q for the beta-string alpha - p beta, ..., alpha + q beta through
+    alpha inside root_set."""
+
+    def steps(delta):
+        n, cur = 0, tuple(x + y for x, y in zip(alpha, delta))
+        while cur in root_set:
+            n, cur = n + 1, tuple(x + y for x, y in zip(cur, delta))
+        return n
+
+    return steps(tuple(-y for y in beta)) - steps(beta)
 
 
 def cartan_matrices_equivalent(a: Matrix, b: Matrix) -> bool:

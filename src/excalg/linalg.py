@@ -364,11 +364,10 @@ class Subspace:
         # null space of the stacked dual description: x in both spans
         # <=> x = B1^T a = B2^T b; solve [B1^T | -B2^T] null space.
         n = self.ambient
-        d1, d2 = self.dim, self.dim2(other)
+        d1, d2 = self.dim, other.dim
         if d1 == 0 or d2 == 0:
             return Subspace.zero(n)
         cols = d1 + d2
-        m = Matrix.zero(n, cols)
         ent = [[ZERO] * cols for _ in range(n)]
         for j, v in enumerate(self.basis):
             for i in range(n):
@@ -385,9 +384,6 @@ class Subspace:
                     x = vec_add(x, vec_scale(w[j], v))
             spans.append(x)
         return Subspace(n, spans)
-
-    def dim2(self, other: "Subspace") -> int:
-        return other.dim
 
     def __eq__(self, other):
         return (

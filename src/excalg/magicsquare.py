@@ -27,10 +27,12 @@ from .jordan import jordan_algebra
 from .liealg import (
     ModuleRep,
     SCAlgebra,
+    commutator_closure_algebra,
     derivations,
     derived_dimension,
     jacobi_check,
     killing_nondegenerate,
+    string_pairing,
 )
 from .linalg import (
     Matrix,
@@ -38,7 +40,6 @@ from .linalg import (
     kernel,
     solve,
     unit_vec,
-    vec_add,
     zero_vec,
 )
 from .scalar import ONE, ZERO, Scalar, sc
@@ -162,7 +163,6 @@ def triality_algebra(key: str) -> TrialityAlgebra:
     for v in basis_vectors:
         mats = []
         for c in range(3):
-            m = Matrix.zero(d, d)
             acc = [[ZERO] * d for _ in range(d)]
             for r, x in enumerate(v[c * s : (c + 1) * s]):
                 if x.is_zero():
@@ -174,33 +174,15 @@ def triality_algebra(key: str) -> TrialityAlgebra:
                             acc[p][q] = acc[p][q] + x * mm[p, q]
             mats.append(Matrix(acc))
         triples.append(tuple(mats))
-    if not triples:
-        return TrialityAlgebra(alg, SCAlgebra(0, {}, skew=True, name=f"tri({key})"), [])
-
-    def flatten(t):
-        out = []
-        for c in range(3):
-            for r in range(d):
-                out.extend(t[c].entries[r])
-        return out
-
-    from .linalg import span_coordinate_map
-
-    flat = [flatten(t) for t in triples]
-    to_span_coords = span_coordinate_map(flat)
-    bracket: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-    for i, ti in enumerate(triples):
-        for j in range(i + 1, len(triples)):
-            tj = triples[j]
-            comm = tuple(ti[c] @ tj[c] - tj[c] @ ti[c] for c in range(3))
-            coords = to_span_coords(flatten(comm))
-            if coords is None:
-                raise AssertionError("triality kernel not closed under brackets")
-            comp = {k: v for k, v in enumerate(coords) if not v.is_zero()}
-            if comp:
-                bracket[(i, j)] = comp
-                bracket[(j, i)] = {k: -v for k, v in comp.items()}
-    sca = SCAlgebra(len(triples), bracket, skew=True, name=f"tri({key})")
+    # the componentwise bracket is the commutator of block-diagonal matrices
+    blocks = [
+        Matrix([
+            [ZERO] * (c * d) + row + [ZERO] * ((2 - c) * d)
+            for c in range(3) for row in t[c].entries
+        ])
+        for t in triples
+    ]
+    sca = commutator_closure_algebra(blocks, name=f"tri({key})")
     return TrialityAlgebra(alg, sca, triples)
 
 
@@ -847,16 +829,13 @@ def vector_model_g2() -> TraceFreeModel:
     x0^2 minus the sum of the three hyperbolic products.
     """
     from . import forms as fm
-    from .liealg import ModuleRep, jacobi_check as _jacobi
+    from .liealg import ModuleRep, _jacobi_witness, jacobi_check as _jacobi
 
     one = ONE
 
     def residual(g, i, j, k, coord):
-        ei, ej, ek = unit_vec(14, i), unit_vec(14, j), unit_vec(14, k)
-        s = g.bracket_coords(g.bracket_coords(ei, ej), ek)
-        s = vec_add(s, g.bracket_coords(g.bracket_coords(ej, ek), ei))
-        s = vec_add(s, g.bracket_coords(g.bracket_coords(ek, ei), ej))
-        return s[coord]
+        s = _jacobi_witness(g, i, j, k)
+        return ZERO if s is None else s[coord]
 
     r0 = residual(_build_vector_model(one, ZERO, one), 8, 9, 11, 9)
     r1 = residual(_build_vector_model(one, one, one), 8, 9, 11, 9)
@@ -1058,26 +1037,6 @@ def g2_models_crosscheck() -> G2ModelsReport:
 def _short_long_split(roots):
     """Partition roots by squared length, computed from root strings."""
     root_set = {tuple(r) for r in roots}
-
-    def string_len(alpha, beta):
-        p = 0
-        cur = alpha
-        while True:
-            cur = tuple(x - y for x, y in zip(cur, beta))
-            if cur in root_set:
-                p += 1
-            else:
-                break
-        q = 0
-        cur = alpha
-        while True:
-            cur = tuple(x + y for x, y in zip(cur, beta))
-            if cur in root_set:
-                q += 1
-            else:
-                break
-        return p - q
-
     # <alpha, beta-check> values distinguish lengths: a root is long iff
     # |<beta, alpha-check>| <= 1 for all roots beta
     shorts, longs = [], []
@@ -1086,6 +1045,6 @@ def _short_long_split(roots):
         for beta in root_set:
             if beta == alpha or beta == tuple(-x for x in alpha):
                 continue
-            biggest = max(biggest, abs(string_len(beta, alpha)))
+            biggest = max(biggest, abs(string_pairing(beta, alpha, root_set)))
         (longs if biggest <= 1 else shorts).append(alpha)
     return shorts, longs

@@ -251,8 +251,10 @@ def _parse_q(text: str):
     if t == "-":
         return -_Q1
     if "/" in t:
-        num, den = t.split("/")
-        return _Q(int(num), int(den))
+        num, den = (int(x) for x in t.split("/"))
+        if not den:
+            raise ValueError(f"zero denominator in {text!r}")
+        return _Q(num, den)
     return _Q(int(t))
 
 

@@ -75,6 +75,18 @@ def _scaled(q, den: int) -> int:
     return q.numerator * (den // q.denominator)
 
 
+def rational_ints(values: Iterable[Scalar]) -> Tuple[List[int], int]:
+    """(nums, den) with values[k] == nums[k] / den, den the lcm of the
+    denominators; raises ValueError on a Gaussian entry."""
+    qs = []
+    for v in values:
+        if v.im:
+            raise ValueError("integer fast path requires rational entries")
+        qs.append(v.re)
+    den = lcm(1, *(q.denominator for q in qs))
+    return [_scaled(q, den) for q in qs], den
+
+
 def _cleared(v: Sequence[Scalar]):
     """(nonzero coordinates as (index, re, im) integers, their common
     denominator, whether every coordinate is rational)."""

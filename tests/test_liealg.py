@@ -1,5 +1,6 @@
 import pytest
 
+from excalg import composition
 from excalg import forms as fm
 from excalg import liealg as ll
 from excalg import threeform as tf
@@ -91,6 +92,29 @@ class TestJacobi:
                     assert ll._jacobi_witness(g, i, j, k) is None
 
 
+def _elementary(n, i, j):
+    return Matrix([[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)])
+
+
+class TestCommutatorClosure:
+    def test_open_family_rejected_on_the_generic_path(self):
+        # [E01, E10] = E00 - E11 lies outside the span
+        family = [_elementary(2, 0, 1), _elementary(2, 1, 0)]
+        with pytest.raises(ValueError):
+            ll.commutator_closure_algebra(family)
+
+    def test_open_family_rejected_on_the_integer_path(self):
+        # the 20 off-diagonal units of gl5: [E_ij, E_ji] is diagonal
+        family = [_elementary(5, i, j) for i in range(5) for j in range(5) if i != j]
+        assert len(family) >= 16
+        with pytest.raises(ValueError):
+            ll.commutator_closure_algebra(family)
+
+    def test_empty_family(self):
+        g = ll.commutator_closure_algebra([], name="empty")
+        assert g.dim == 0 and g.name == "empty" and g.matrices == []
+
+
 class TestStabilizerInGl:
     def test_associative_form(self, octonions):
         stab = ll.stabilizer_in_gl(7, associative_form(octonions))
@@ -125,6 +149,21 @@ class TestWeights:
         module = ll.ModuleRep(2, [Matrix([[0, 1], [2, 0]]), Matrix.zero(2, 2)])
         with pytest.raises(ll.NeedsExtension):
             ll.weight_decomposition(g, module)
+        assert composition.NeedsExtension is ll.NeedsExtension
+
+    @pytest.mark.parametrize(
+        "diagonal",
+        [[sc(13)], [sc(7), sc(1) / sc(5)], [sc(13) * I, sc(2)]],
+        ids=["13", "7-and-1/5", "13i-and-2"],
+    )
+    def test_eigenvalues_off_the_small_grid(self, diagonal):
+        # roots found by the rational root theorem over Z[i], not a fixed
+        # list of small Gaussian integers and fractions
+        n = len(diagonal)
+        h = Matrix([[diagonal[r] if r == c else 0 for c in range(n)] for r in range(n)])
+        g = ll.SCAlgebra(1, {}, skew=True, cartan=[[sc(1)]])
+        wd = ll.weight_decomposition(g, ll.ModuleRep(n, [h]))
+        assert sorted(wd, key=str) == sorted((((x,), 1) for x in diagonal), key=str)
 
     def test_missing_cartan(self):
         g = ll.SCAlgebra(2, {}, skew=True)
@@ -133,6 +172,15 @@ class TestWeights:
 
 
 class TestCartanMatrix:
+    def test_string_pairing(self):
+        # A2: alpha + beta is a root, so the beta-string through alpha has
+        # p = 0, q = 1
+        a, b = (sc(1), sc(0)), (sc(0), sc(1))
+        ab = (sc(1), sc(1))
+        roots = {a, b, ab} | {tuple(-x for x in r) for r in (a, b, ab)}
+        assert ll.string_pairing(a, b, roots) == -1
+        assert ll.string_pairing(ab, b, roots) == 1
+
     def test_a1(self):
         roots = [(sc(2),), (sc(-2),)]
         assert ll.cartan_matrix_from_roots(roots).entries == [[sc(2)]]

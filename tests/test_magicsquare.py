@@ -5,7 +5,7 @@ from excalg.liealg import (
     jacobi_check,
     killing_nondegenerate,
 )
-from excalg.linalg import unit_vec
+from excalg.linalg import Matrix, unit_vec
 from excalg.scalar import sc
 
 
@@ -45,6 +45,19 @@ class TestTriality:
                     for v in parts[b].basis:
                         br = tri.algebra.bracket_coords(list(u), list(v))
                         assert all(x.is_zero() for x in br)
+
+    @pytest.mark.parametrize("key", ["c", "h"])
+    def test_bracket_is_componentwise_commutator(self, key):
+        tri = ms.triality_algebra(key)
+        for i, ti in enumerate(tri.triples):
+            for j, tj in enumerate(tri.triples):
+                comp = tri.algebra.basis_bracket(i, j)
+                for c in range(3):
+                    expected = ti[c] @ tj[c] - tj[c] @ ti[c]
+                    combo = Matrix.zero(expected.rows, expected.cols)
+                    for k, v in comp.items():
+                        combo = combo + tri.triples[k][c].scale(v)
+                    assert combo == expected
 
     def test_jacobi(self):
         for key in ("c", "h", "o"):
