@@ -100,7 +100,11 @@ def _cmd_verify(req: CommandRequest) -> int:
         print(f"{len(results) - failures}/{len(results)} criteria passed")
         return 1 if failures else 0
     with open(target, "r", encoding="utf8") as fh:
-        sca = ll.SCAlgebra.from_json(json.load(fh))
+        data = json.load(fh)
+    # what `derive --constants` and `magic-square --build --constants` print
+    if isinstance(data, dict) and "structure_constants" in data:
+        data = data["structure_constants"]
+    sca = ll.SCAlgebra.from_json(data)
     mode = req.flags.get("mode", "full")
     report = ll.jacobi_check(
         sca, mode=mode, samples=int(req.flags.get("samples", 100000)), seed=req.seed

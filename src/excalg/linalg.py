@@ -82,10 +82,6 @@ class Matrix:
         return Matrix([unit_vec(n, j) for j in range(n)])
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "Matrix":
-        return Matrix(rows)
-
-    @staticmethod
     def from_cols(cols: Sequence[Sequence]) -> "Matrix":
         cols = [list(c) for c in cols]
         return Matrix([[c[i] for c in cols] for i in range(len(cols[0]))])
@@ -255,10 +251,6 @@ def random_invertible(
             return m
 
 
-def random_vector(n: int, rng, height: int = 5, gaussian: bool = False) -> Vector:
-    return [rand_scalar(rng, height, gaussian) for _ in range(n)]
-
-
 def _rref(rows: List[List[Scalar]]) -> tuple[List[List[Scalar]], List[int]]:
     """In-place reduced row echelon form; returns surviving rows and pivots.
 
@@ -350,9 +342,6 @@ class Subspace:
                 residue = [x - c * y for x, y in zip(residue, row)]
         return coords if is_zero_vec(residue) else None
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
-
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
@@ -405,27 +394,20 @@ def gram_matrix(bilinear: Matrix, vectors: Sequence[Sequence[Scalar]]) -> Matrix
 
 
 def span_coordinate_map(spanning: Sequence[Sequence[Scalar]]):
-    """Exact coordinates in a fixed independent spanning list, solving the
-    change of basis once.
+    """Exact coordinates in a fixed independent spanning list.
 
-    Reading coordinates off the echelon form is O(dim) per vector; the
-    precomputed conversion matrix then returns coefficients with respect to
-    the original spanning vectors.  Returns a callable vector -> coords or
-    None (when the vector is outside the span).
+    The echelon basis is the identity on its pivot coordinates, so the
+    spanning vectors restricted to the pivots form the k x k change of
+    basis; it is inverted once, and each vector then costs one echelon
+    read-off and one k x k mat-vec.  Returns a callable vector -> coords
+    or None (when the vector is outside the span); raises ValueError when
+    the spanning vectors are dependent.
     """
     vectors = [list(v) for v in spanning]
-    n = len(vectors[0])
-    span = Subspace(n, vectors)
+    span = Subspace(len(vectors[0]), vectors)
     if span.dim != len(vectors):
         raise ValueError("spanning vectors are dependent")
-    given = Matrix.from_cols(vectors)
-    conv_cols = []
-    for b in span.basis:
-        c = solve(given, list(b))
-        if c is None:
-            raise AssertionError("echelon basis escaped its own span")
-        conv_cols.append(c)
-    conv = Matrix.from_cols(conv_cols)
+    conv = Matrix([[v[p] for v in vectors] for p in span._pivots]).inverse()
 
     def coords(v) -> Optional[Vector]:
         ech = span.coordinates_of(v)

@@ -6,12 +6,13 @@ The bracket on tri(A) + tri(B) + sum_i A_i (x) B_i is assembled from
 (i) componentwise commutators, (ii) the natural actions on the tensor
 slots, (iii) slot product maps with a fixed conjugation pattern, and
 (iv) maps Lambda^2 A_i -> tri(A) paired with the bilinear form of the
-other side.  The last family is where sign conventions hide: we compute a
-basis of ALL tri-equivariant maps Lambda^2 A_i -> tri(A) exactly, attach
-one unknown coefficient per basis element, solve the linear system that
-the Jacobi identity induces on a structured generating set of triples,
-and then re-verify the identity globally.  Calibration is therefore a
-consistency proof, not a fit.
+other side.  The last family is where sign conventions hide.  Its maps
+are built from the triality projections and the ideals of tri(A) (see
+equivariant_pair_maps) and certified equivariant exactly against the
+whole basis of tri(A).  (v) One unknown coefficient per map is solved from
+the linear system that the Jacobi identity induces on a structured
+generating set of triples, and the identity is then re-verified globally.
+Calibration is therefore a consistency proof, not a fit.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from .composition import CompAlgebra, canonical_octonions, named_algebra
 from .forms import KForm
@@ -34,15 +37,18 @@ from .liealg import (
     killing_nondegenerate,
     string_pairing,
 )
+from .intlin import checked_int_matmul
 from .linalg import (
     Matrix,
     Subspace,
     kernel,
     solve,
+    span_coordinate_map,
     unit_vec,
     zero_vec,
 )
 from .scalar import ONE, ZERO, Scalar, sc
+from .tensor import rational_ints
 
 
 class CalibrationFailed(RuntimeError):
@@ -234,83 +240,91 @@ def _lambda2_action(proj: Matrix, pairs, idx) -> Dict[int, Dict[int, Scalar]]:
     return cols
 
 
+def _iota(gram: Matrix, a: int, b: int) -> List[Scalar]:
+    """iota(e_a ^ e_b) = <e_a, .> e_b - <e_b, .> e_a in so(A), flattened."""
+    d = gram.rows
+    return [
+        (gram[a, c] if r == b else ZERO) - (gram[b, c] if r == a else ZERO)
+        for r in range(d) for c in range(d)
+    ]
+
+
 @lru_cache(maxsize=None)
 def equivariant_pair_maps(key: str, slot: int) -> List[List[List[Scalar]]]:
     """A basis of the tri(A)-equivariant maps Lambda^2 A_slot -> tri(A).
 
     Returned as matrices over the pair basis: psi[h][k] is the tri
-    coordinate vector assigned to the k-th pair e_a ^ e_b.  Equivariance is
-    imposed against a generating set of tri, which is sufficient for the
-    subalgebra it generates; the set is grown to the full basis when
-    generation fails (abelian tri).
+    coordinate vector assigned to the k-th pair xi_k = e_a ^ e_b.
+
+    With pi the projection of the slot and iota the so(A)-equivariant
+    identification of Lambda^2 A with so(A): an abelian tri (A = C) acts
+    trivially on Lambda^2 A, so the coordinate maps are a basis.  Otherwise
+    each ideal J of tri (the three sp1 of tri(H), or all of tri(O), where
+    pi is an isomorphism) with pi(J) != 0 gives psi_J = (pi|_J)^-1 of the
+    pi(J)-component of iota, read off one coordinate map onto the stacked
+    images pi(J).  Every map is certified against every basis element of
+    tri by _certify_equivariant.
     """
     tri = triality_algebra(key)
     p = tri.dim
     if p == 0:
         return []
-    d = tri.base.dim
-    pairs, idx = _pair_index(d)
-    npairs = len(pairs)
-
-    gens = _generating_indices(tri.algebra)
-    rows: List[Dict[int, Scalar]] = []
-    for g in gens:
-        proj = tri.projection(slot, g)
-        act = _lambda2_action(proj, pairs, idx)
-        ad_g = {
-            s: tri.algebra.basis_bracket(g, s) for s in range(p)
-        }
-        for k in range(npairs):
-            # psi(g . xi_k) - [g, psi(xi_k)] = 0, coordinates in tri
-            col_action = {}
-            for kk, coeff in act.get(k, {}).items():
-                col_action[kk] = coeff
-            for out_coord in range(p):
-                row: Dict[int, Scalar] = {}
-                for kk, coeff in col_action.items():
-                    row[kk * p + out_coord] = row.get(kk * p + out_coord, ZERO) + coeff
-                # [g, psi(xi_k)]_out = sum_s psi(xi_k)_s [g, t_s]_out
-                for s in range(p):
-                    c = ad_g[s].get(out_coord, ZERO)
-                    if not c.is_zero():
-                        row[k * p + s] = row.get(k * p + s, ZERO) - c
-                if row:
-                    rows.append(row)
-    from .liealg import _sparse_kernel
-
-    basis = _sparse_kernel(rows, npairs * p)
-    out = []
-    for v in basis:
-        out.append([[v[k * p + s] for s in range(p)] for k in range(npairs)])
-    return out
+    pairs, _ = _pair_index(tri.base.dim)
+    if not tri.algebra.bracket:
+        maps = [
+            [unit_vec(p, s) if kk == k else zero_vec(p) for kk in range(len(pairs))]
+            for k in range(len(pairs))
+            for s in range(p)
+        ]
+    else:
+        flat = Matrix([
+            [x for row in tri.projection(slot, s).entries for x in row] for s in range(p)
+        ])
+        ideals = [J for J in tri_ideal_split(key) if J.dim] or [Subspace.full(p)]
+        kept = [(Matrix.from_cols(J.basis), Matrix(J.basis) @ flat) for J in ideals]
+        kept = [(basis, image) for basis, image in kept if not image.is_zero()]
+        coords = span_coordinate_map([v for _, image in kept for v in image.entries])
+        maps = [[] for _ in kept]
+        for a, b in pairs:
+            c = coords(_iota(tri.base.gram, a, b))
+            if c is None:
+                raise CalibrationFailed(f"iota(e{a} ^ e{b}) lies outside pi(tri)")
+            offset = 0
+            for psi, (basis, _) in zip(maps, kept):
+                psi.append(basis.apply(c[offset : offset + basis.cols]))
+                offset += basis.cols
+    _certify_equivariant(key, slot, maps)
+    return maps
 
 
-def _generating_indices(tri_sc: SCAlgebra) -> List[int]:
-    """Indices of basis elements generating the algebra, or the whole basis
-    when small/abelian."""
-    p = tri_sc.dim
-    if p <= 4:
-        return list(range(p))
-    # iterated left-normed brackets of the generators span the generated
-    # subalgebra, so closing under ad of the generators suffices
-    for attempt in range(4):
-        rng = random.Random(attempt)
-        picks = sorted(rng.sample(range(p), 2))
-        gens = [unit_vec(p, i) for i in picks]
-        space = Subspace(p, gens)
-        frontier = [list(b) for b in space.basis]
-        while frontier and space.dim < p:
-            new = []
-            for g in gens:
-                for v in frontier:
-                    b = tri_sc.bracket_coords(g, v)
-                    if not space.contains(b):
-                        new.append(b)
-                        space = space.add(Subspace(p, [b]))
-            frontier = new
-        if space.dim == p:
-            return picks
-    return list(range(p))
+def _certify_equivariant(key: str, slot: int, maps: List[List[List[Scalar]]]) -> None:
+    """Raise CalibrationFailed unless psi(t . xi_k) = [t, psi(xi_k)] for every
+    map psi, every basis element t of tri and every pair xi_k.
+
+    That is Psi A_t = ad_t Psi with A_t the action of t on Lambda^2 A,
+    checked in integers: A_t and ad_t over one common denominator, Psi over
+    its own."""
+    tri = triality_algebra(key)
+    p = tri.dim
+    pairs, idx = _pair_index(tri.base.dim)
+    n = len(pairs)
+    act = [[[ZERO] * n for _ in range(n)] for _ in range(p)]  # act[t][kk][k]
+    for t in range(p):
+        for k, col in _lambda2_action(tri.projection(slot, t), pairs, idx).items():
+            for kk, v in col.items():
+                act[t][kk][k] = v
+    ad = [[tri.algebra.basis_product(t, s) for s in range(p)] for t in range(p)]  # ad[t][s][o]
+    nums, _ = rational_ints(x for m in act + ad for row in m for x in row)
+    ints = np.array(nums, dtype=np.int64)
+    act_all = ints[: p * n * n].reshape(p, n, n).transpose(1, 0, 2).reshape(n, p * n)
+    ad_all = ints[p * n * n :].reshape(p, p, p).transpose(0, 2, 1).reshape(p * p, p)
+    for psi in maps:
+        nums, _ = rational_ints(x for v in psi for x in v)
+        psi_int = np.array(nums, dtype=np.int64).reshape(n, p).T
+        lhs = checked_int_matmul(psi_int, act_all).reshape(p, p, n).transpose(1, 0, 2)
+        rhs = checked_int_matmul(ad_all, psi_int).reshape(p, p, n)
+        if not np.array_equal(lhs, rhs):
+            raise CalibrationFailed(f"a map Lambda^2 {key}_{slot} -> tri({key}) is not equivariant")
 
 
 # -- the two-parameter construction ----------------------------------------------
@@ -768,8 +782,6 @@ class TraceFreeModel:
 
 
 def _build_vector_model(c1: Scalar, c2: Scalar, c3: Scalar) -> SCAlgebra:
-    from .linalg import span_coordinate_map
-
     sl3 = _sl3_basis()
     coords_sl3 = span_coordinate_map(
         [[m[i, j] for i in range(3) for j in range(3)] for m in sl3]

@@ -106,9 +106,6 @@ class RootSystem:
     def dimension(self) -> int:
         return len(self.roots) + self.rank
 
-    def positive_roots(self) -> List[Root]:
-        return sorted(r for r in self.roots if _is_positive(r))
-
     def symmetrizer(self) -> List[Fraction]:
         """d_i with d_i a_ij = d_j a_ji; d is proportional to the squared
         root lengths."""

@@ -73,6 +73,18 @@ class TestVerifyFile:
         code, out = run_cli(capsys, "verify", str(path), "--mode", "full")
         assert code == 0 and json.loads(out)["passed"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("derive", "--algebra", "H", "--constants"), ("magic-square", "--build", "c", "c", "--constants")],
+        ids=["derive", "magic-square"],
+    )
+    def test_reads_saved_command_output(self, capsys, tmp_path, argv):
+        _, out = run_cli(capsys, *argv)
+        path = tmp_path / "saved.json"
+        path.write_text(out)
+        code, out = run_cli(capsys, "verify", str(path))
+        assert code == 0 and json.loads(out)["passed"]
+
     def test_corrupted_fails(self, capsys, tmp_path):
         code, out = run_cli(capsys, "derive", "--algebra", "O", "--constants")
         constants = json.loads(out)["structure_constants"]
@@ -97,8 +109,9 @@ class TestVerifyFile:
             {"dim": 3, "entries": [[0, 1, ["0/1", "0/1", "0/1", "1/1"]], [1, 0, ["0/1", "0/1", "0/1", "-1/1"]]]},
             {"dim": 3, "entries": [[0, 1, ["0/1", "1/1"]], [1, 0, ["0/1", "-1/1"]]]},
             [[0, 1, ["0/1", "0/1", "1/1"]], [1, 0, ["0/1", "0/1", "-1/1"]]],
+            {"structure_constants": {"dim": 3, "entries": [[0, 3, ["1/1", "0/1", "0/1"]], [3, 0, ["-1/1", "0/1", "0/1"]]]}},
         ],
-        ids=["index-out-of-range", "list-too-long", "list-too-short", "top-level-list"],
+        ids=["index-out-of-range", "list-too-long", "list-too-short", "top-level-list", "wrapped-index-out-of-range"],
     )
     def test_malformed_constants_exit_two(self, capsys, tmp_path, payload):
         path = tmp_path / "malformed.json"

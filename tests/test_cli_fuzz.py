@@ -122,6 +122,23 @@ def test_argv_exit_codes(argv):
     exit_code(argv)
 
 
+# names that build tri(H), tri(O) or a larger algebra would take seconds each
+HEAVY_KEYS = {"h", "o", "sedenion", "sextonion", "split-c", "split-h", "split-o"}
+build_key = st.sampled_from(["r", "c", "R", "C"]) | junk.filter(
+    lambda s: s.strip().lower() not in HEAVY_KEYS
+)
+
+
+@settings(FUZZ, max_examples=20)
+@given(build_key, build_key)
+@example("c", "c")
+@example("r", " c")
+def test_magic_square_build_exit_codes(a, b):
+    code = exit_code(["magic-square", "--build", a, b])
+    if {a, b} <= {"r", "c", "R", "C"}:
+        assert code == 0
+
+
 @FUZZ
 @given(st.one_of(payloads(), json_any), st.sampled_from(["full", "sampled"]), st.integers(0, 5))
 @example({"dim": 1, "entries": [[0, 0, ["1/0"]]]}, "full", 0)  # ZeroDivisionError escaped

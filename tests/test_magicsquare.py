@@ -5,8 +5,8 @@ from excalg.liealg import (
     jacobi_check,
     killing_nondegenerate,
 )
-from excalg.linalg import Matrix, unit_vec
-from excalg.scalar import sc
+from excalg.linalg import Matrix, Subspace, unit_vec
+from excalg.scalar import ONE, ZERO, sc
 
 
 class TestTriality:
@@ -64,12 +64,62 @@ class TestTriality:
             assert jacobi_check(ms.triality_algebra(key).algebra, "full").passed
 
 
+def _wedge_action(proj, d):
+    """cols[k][kk]: coefficient of xi_kk in t . xi_k, where t acts on
+    xi_k = e_a ^ e_b as proj e_a ^ e_b + e_a ^ proj e_b."""
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+
+    def wedge(x, y):
+        return [x[a] * y[b] - x[b] * y[a] for a, b in pairs]
+
+    cols = []
+    for a, b in pairs:
+        ea, eb = unit_vec(d, a), unit_vec(d, b)
+        left, right = wedge(proj.apply(ea), eb), wedge(ea, proj.apply(eb))
+        cols.append([u + v for u, v in zip(left, right)])
+    return cols
+
+
 class TestEquivariantMaps:
     def test_hom_dimensions(self):
         expected = {"r": 0, "c": 2, "h": 2, "o": 1}
         for key, dim in expected.items():
             for slot in (1, 2, 3):
                 assert len(ms.equivariant_pair_maps(key, slot)) == dim
+
+    @pytest.mark.parametrize(
+        "key,slot", [("c", 1), ("c", 2), ("c", 3), ("h", 1), ("h", 2), ("h", 3), ("o", 1)]
+    )
+    def test_maps_are_equivariant_and_independent(self, key, slot):
+        tri = ms.triality_algebra(key)
+        p, d = tri.dim, tri.base.dim
+        maps = ms.equivariant_pair_maps(key, slot)
+        n = d * (d - 1) // 2
+        for t in range(p):
+            cols = _wedge_action(tri.projection(slot, t), d)
+            for psi in maps:
+                for k in range(n):
+                    # psi(t . xi_k) against [t, psi(xi_k)]
+                    lhs = [ZERO] * p
+                    for kk, c in enumerate(cols[k]):
+                        if not c.is_zero():
+                            lhs = [x + c * y for x, y in zip(lhs, psi[kk])]
+                    rhs = [ZERO] * p
+                    for s, c in enumerate(psi[k]):
+                        for o, v in tri.algebra.basis_bracket(t, s).items():
+                            rhs[o] = rhs[o] + c * v
+                    assert lhs == rhs
+        flat = [[x for row in psi for x in row] for psi in maps]
+        assert Subspace(n * p, flat).dim == len(maps)
+
+    @pytest.mark.parametrize("key", ["h", "o"])
+    def test_certificate_rejects_a_changed_entry(self, key):
+        maps = ms.equivariant_pair_maps(key, 1)
+        ms._certify_equivariant(key, 1, maps)
+        bad = [[list(v) for v in psi] for psi in maps]
+        bad[0][0][0] = bad[0][0][0] + ONE
+        with pytest.raises(ms.CalibrationFailed):
+            ms._certify_equivariant(key, 1, bad)
 
 
 class TestTitsTable:

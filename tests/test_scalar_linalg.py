@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from excalg import intlin
 from excalg import linalg as la
-from excalg.scalar import I, ONE, Scalar, ZERO, _make, sc
+from excalg.scalar import I, ONE, Scalar, ZERO, _make, rand_scalar, sc
 
 rationals = st.builds(
     lambda n, d: Scalar.rational(n, d),
@@ -156,6 +156,31 @@ class TestSubspace:
         coords = la.span_coordinate_map(vs)
         assert coords([1, 2, 1]) == [sc(1), sc(1)]
         assert coords([1, 0, 0]) is None
+
+    @pytest.mark.parametrize("gaussian", [False, True], ids=["rational", "gaussian"])
+    def test_span_coordinate_map_matches_solve(self, gaussian):
+        checked = outside_seen = 0
+        for seed in range(20):
+            rng = random.Random(seed)
+            n = rng.randint(2, 7)
+            k = rng.randint(1, n - 1)
+            draw = lambda: [rand_scalar(rng, 4, gaussian) for _ in range(n)]
+            vectors = [draw() for _ in range(k)]
+            given_cols = la.Matrix.from_cols(vectors)
+            if la.rank(given_cols) < k:
+                continue
+            coords = la.span_coordinate_map(vectors)
+            weights = [rand_scalar(rng, 4, gaussian) for _ in range(k)]
+            inside = [sum((w * v[i] for w, v in zip(weights, vectors)), ZERO) for i in range(n)]
+            assert coords(inside) == la.solve(given_cols, inside) == weights
+            other = draw()
+            expected = la.solve(given_cols, other)
+            assert coords(other) == expected
+            outside_seen += expected is None
+            with pytest.raises(ValueError):
+                la.span_coordinate_map(vectors + [inside])
+            checked += 1
+        assert checked >= 15 and outside_seen >= 10
 
 
 class TestIntKernel:
