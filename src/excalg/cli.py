@@ -95,7 +95,7 @@ def _cmd_verify(req: CommandRequest) -> int:
         def echo(line):
             print(line, flush=True)
 
-        results = acc.run_all(seed=req.seed, deep=req.flags.get("deep", False), echo=echo)
+        results = acc.run_all(seed=req.seed, echo=echo)
         failures = sum(1 for r in results if not r.passed)
         print(f"{len(results) - failures}/{len(results)} criteria passed")
         return 1 if failures else 0
@@ -139,10 +139,7 @@ def _cmd_magic_square(req: CommandRequest) -> int:
         _emit(req, data, render)
         return 0
     a, b = req.flags["build"]
-    verify = req.flags.get("verify", "auto")
-    if req.flags.get("deep"):
-        verify = "full"
-    entry = ms.vinberg_build(a.lower(), b.lower(), verify=verify, seed=req.seed)
+    entry = ms.vinberg_build(a.lower(), b.lower(), seed=req.seed)
     data = {
         "pair": list(entry.pair),
         "name": entry.algebra.name,
@@ -277,14 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra", help="'all' or a structure-constant JSON file")
     p.add_argument("--mode", choices=("full", "sampled"), default="full")
     p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--deep", action="store_true")
 
     p = sub.add_parser("magic-square", help="dimension table or a single entry")
     what = p.add_mutually_exclusive_group(required=True)
     what.add_argument("--table", action="store_true")
     what.add_argument("--build", nargs=2, metavar=("A", "B"))
-    p.add_argument("--verify", choices=("auto", "full", "sampled"), default="auto")
-    p.add_argument("--deep", action="store_true")
     p.add_argument("--constants", action="store_true")
 
     p = sub.add_parser("grading", help="integer or cyclic grading by a node")

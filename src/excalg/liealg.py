@@ -5,12 +5,11 @@ verification (exhaustive or sampled), stabilizer subalgebras of trivectors
 inside gl_n, weight decompositions relative to a designated commuting
 family, and Cartan matrix extraction from an abstract root list.
 
-Exhaustive Jacobi checking is the performance hotspot.  Structure constants
-are exact rationals; verification scales them to integers and contracts the
-structure tensor through float64 matrix products whose intermediate values
-are proven to stay below 2**53, so the floating point arithmetic is exact
-integer arithmetic.  Triples are independent, so the contraction is free to
-run on BLAS threads; all algebra values are immutable and shareable.
+Jacobi verification and the Killing form are sparse joins over the integer
+cells of the structure tensor (den * c as Gaussian integers).  The Jacobi
+residual is summed on integer keys in int64 when a bound on every partial
+sum stays below 2**63, and in Python integers otherwise, so it is exact over
+Q and Q(i) at any size.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ from .linalg import (
 )
 from .scalar import I, ONE, ZERO, Scalar, sc
 from .tensor import StructureTensor, _cleared, rational_ints
-
-_FLOAT_EXACT = 1 << 53
 
 
 BracketTable = Dict[Tuple[int, int], Dict[int, Scalar]]
@@ -75,7 +72,6 @@ class SCAlgebra:
         self.unital = unital
         self.matrices = matrices
         self.name = name
-        self._tensor_cache = None
         if skew:
             self._check_skew()
         self.cartan = None
@@ -120,22 +116,6 @@ class SCAlgebra:
     def ad_matrix(self, x: Sequence[Scalar]) -> Matrix:
         cols = [self.bracket_coords(x, unit_vec(self.dim, j)) for j in range(self.dim)]
         return Matrix.from_cols(cols)
-
-    # -- integer tensor ----------------------------------------------------
-
-    def dense_tensor(self) -> tuple[np.ndarray, int, int]:
-        """(C, scale, maxabs): C is the float64 structure tensor scaled to
-        integers; cached."""
-        if self._tensor_cache is not None:
-            return self._tensor_cache
-        d = self.dim
-        cells = [(i, j, k) for (i, j), comp in self.bracket.items() for k in comp]
-        ints, denom = rational_ints(self.bracket[i, j][k] for i, j, k in cells)
-        c = np.zeros((d, d, d), dtype=np.float64)
-        for cell, val in zip(cells, ints):
-            c[cell] = float(val)
-        self._tensor_cache = (c, denom, max(map(abs, ints), default=0))
-        return self._tensor_cache
 
     # -- serialization -------------------------------------------------------
 
@@ -378,79 +358,150 @@ def jacobi_check(
     seed: int = 0,
 ) -> JacobiReport:
     """Verify the Jacobi identity on all basis triples (full) or on seeded
-    random triples (sampled).  Reports the first failing triple, if any."""
+    random triples (sampled).  Reports the first failing triple, if any:
+    the lexicographically first in full mode, the first drawn in sampled
+    mode."""
     if not g.skew:
         raise ValueError("jacobi_check requires the skew flag")
     d = g.dim
     if d == 0:
         return JacobiReport(True, 0)
-    c, _, maxabs = g.dense_tensor()
-    if 3 * d * maxabs * maxabs >= _FLOAT_EXACT:
-        raise ValueError("structure constants too large for exact float check")
-    cmat = c.reshape(d, d * d)
-    cflat = c.reshape(d * d, d)
+    cells = _Cells(g)
     if mode == "full":
-        # Jacobi holds iff ad is a homomorphism: for every basis element i,
-        # ad([e_i, e_j]) = [ad e_i, ad e_j] for all j.  Each side is one
-        # GEMM over the structure tensor.
-        ct = np.ascontiguousarray(c.transpose(1, 0, 2)).reshape(d, d * d)
-        checked = 0
         for i in range(d):
-            ci = c[i]
-            lhs = (ci @ cmat).reshape(d, d, d)  # sum_m C[i,j,m] C[m,k,l]
-            t1 = (cflat @ ci).reshape(d, d, d)  # sum_m C[j,k,m] C[i,m,l]
-            # sum_m C[i,k,m] C[j,m,l], produced in (k,j,l) layout
-            t2 = (ci @ ct).reshape(d, d, d)
-            diff = lhs - t1 + t2.transpose(1, 0, 2)
-            checked += d * d
-            if diff.any():
-                idx = np.argwhere(diff)[0]
-                wit = _jacobi_witness(g, i, int(idx[0]), int(idx[1]))
-                return JacobiReport(False, checked, (i, int(idx[0]), int(idx[1]), wit))
-        return JacobiReport(True, checked)
+            key = _first_nonzero(*cells.row_residual(i))
+            if key is not None:
+                j, k = key // (d * d), key // d % d
+                return JacobiReport(False, (i + 1) * d * d, (i, j, k, _jacobi_witness(g, i, j, k)))
+        return JacobiReport(True, d ** 3)
     if mode == "sampled":
         rng = np.random.default_rng(seed)
-        ii = rng.integers(0, d, size=samples)
-        jj = rng.integers(0, d, size=samples)
-        kk = rng.integers(0, d, size=samples)
-        buf = np.zeros((samples, d))
-        # sum_m C[a,b,m] C[m,x,l], grouped by the middle index x so each
-        # group is one small matmul against the slice C[:,x,:]
-        for (aa, bb, xx) in ((ii, jj, kk), (jj, kk, ii), (kk, ii, jj)):
-            v = c[aa, bb, :]
-            order = np.argsort(xx, kind="stable")
-            sx = xx[order]
-            bounds = np.flatnonzero(np.diff(sx)) + 1
-            for grp in np.split(order, bounds):
-                if grp.size == 0:
-                    continue
-                x = int(xx[grp[0]])
-                buf[grp] += v[grp] @ c[:, x, :]
-        bad = np.flatnonzero(buf.any(axis=1))
-        if bad.size:
-            t = int(bad[0])
-            wit = _jacobi_witness(g, int(ii[t]), int(jj[t]), int(kk[t]))
-            return JacobiReport(
-                False, samples, (int(ii[t]), int(jj[t]), int(kk[t]), wit)
-            )
-        return JacobiReport(True, samples)
+        ii, jj, kk = (rng.integers(0, d, size=samples) for _ in range(3))
+        terms = [cells.triple_term(*t) for t in ((ii, jj, kk), (jj, kk, ii), (kk, ii, jj))]
+        key = _first_nonzero(*(np.concatenate(part) for part in zip(*terms)))
+        if key is None:
+            return JacobiReport(True, samples)
+        triple = tuple(int(x[key // d]) for x in (ii, jj, kk))
+        return JacobiReport(False, samples, (*triple, _jacobi_witness(g, *triple)))
     raise ValueError(f"unknown mode {mode!r}")
 
 
+class _Cells:
+    """The nonzero cells C[a,b,m] of g.tensor as arrays: pair a*d + b,
+    output m and value (re, im) rows, in pair order; and the cells with
+    a < b sorted by the key m*d*d + a*d + b.
+
+    With T[a,b,c,l] = sum_m C[a,b,m] C[m,c,l], the coefficient of e_l in
+    [[e_a, e_b], e_c], the Jacobi residual of (a, b, c) is T[a,b,c] +
+    T[b,c,a] + T[c,a,b]: at most 3d products per entry, each below
+    2 * max^2 in absolute value, so int64 is exact when 6 d max^2 < 2**63;
+    otherwise the values are Python integers."""
+
+    def __init__(self, g: SCAlgebra):
+        d = self.d = g.dim
+        flat = [
+            (a * d + b, m, re, im)
+            for a, row in enumerate(g.tensor.cells)
+            for b, cell in enumerate(row)
+            for m, re, im in cell
+        ]
+        biggest = max((abs(x) for f in flat for x in f[2:]), default=0)
+        dtype = np.int64 if 6 * d * biggest * biggest < 1 << 63 else object
+        self.pair = np.array([f[0] for f in flat], dtype=np.int64)
+        self.out = np.array([f[1] for f in flat], dtype=np.int64)
+        self.val = np.array([f[2:] for f in flat], dtype=dtype).reshape(-1, 2)
+        upper = np.flatnonzero(self.pair // d < self.pair % d)
+        by_out = self.out[upper] * d * d + self.pair[upper]
+        order = np.argsort(by_out)
+        self.upper, self.upper_key = upper[order], by_out[order]
+
+    def row_residual(self, i: int):
+        """Keys (j*d + k)*d + l and values of the terms of R[i,j,k,l] for
+        i < j < k.
+
+        A skew bracket makes the residual alternating in (i, j, k), so these
+        triples decide all d^3, and the lexicographically first failing
+        triple is among them.  Row i's cells (i, s, m) with s > i meet row
+        m's cells (m, t, l) with t > i: in T[i,s,t,l] at (s, t, l) when
+        t > s, and in T[s,i,t,l] = -C[i,s,m] C[m,t,l] at (t, s, l) when
+        t < s.  The third term T[j,k,i,l] = -sum_m C[j,k,m] C[i,m,l] joins
+        row i's cells (i, m, l) with the cells (j, k, m), i < j < k."""
+        d, pair, out, val = self.d, self.pair, self.out, self.val
+        lo, mid, hi = np.searchsorted(pair, [i * d, i * d + i + 1, i * d + d])
+        e = np.arange(mid, hi)
+        s, m = pair[e] % d, out[e]
+        own, f = _span(pair, m * d + i + 1, m * d + d)
+        s, t = s[own], pair[f] % d
+        keys = (np.minimum(s, t) * d + np.maximum(s, t)) * d + out[f]
+        vals = np.sign(t - s)[:, None] * _mul(val[e[own]], val[f])
+        e = np.arange(lo, hi)
+        m = pair[e] % d
+        own, f = _span(self.upper_key, m * d * d + (i + 1) * d, (m + 1) * d * d)
+        c, e = self.upper[f], e[own]
+        return (
+            np.concatenate((keys, pair[c] * d + out[e])),
+            np.concatenate((vals, -_mul(val[c], val[e]))),
+        )
+
+    def triple_term(self, a, b, c):
+        """Keys n*d + l and values of the terms of T[a_n, b_n, c_n, l]."""
+        d = self.d
+        own, e = _span(self.pair, a * d + b, a * d + b + 1)
+        q = self.out[e] * d + c[own]
+        own2, f = _span(self.pair, q, q + 1)
+        return own[own2] * d + self.out[f], _mul(self.val[e[own2]], self.val[f])
+
+
+def _span(keys: np.ndarray, lo, hi):
+    """(n, position) for every position of a sorted key in [lo[n], hi[n])."""
+    lo, hi = np.searchsorted(keys, lo), np.searchsorted(keys, hi)
+    counts = hi - lo
+    owner = np.repeat(np.arange(len(lo)), counts)
+    return owner, np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+
+
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise products of Gaussian integers stored as (re, im) rows."""
+    return np.stack(
+        (x[:, 0] * y[:, 0] - x[:, 1] * y[:, 1], x[:, 0] * y[:, 1] + x[:, 1] * y[:, 0]),
+        axis=1,
+    )
+
+
+def _first_nonzero(keys: np.ndarray, vals: np.ndarray) -> Optional[int]:
+    """The smallest key whose values sum to a nonzero (re, im), if any."""
+    if not keys.size:
+        return None
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    sums = np.add.reduceat(vals[order], starts, axis=0)
+    bad = np.flatnonzero((sums != 0).any(axis=1))
+    return int(keys[starts[bad[0]]]) if bad.size else None
+
+
 def killing_gram_int(g: SCAlgebra) -> np.ndarray:
-    """Killing form Gram matrix of the integer-scaled bracket (int64)."""
-    c, _, maxabs = g.dense_tensor()
-    d = g.dim
-    # each Gram entry sums d^2 products of two constants
-    if d * d * maxabs * maxabs >= _FLOAT_EXACT:
-        raise ValueError("structure constants too large for exact float contraction")
-    left = c.reshape(d, d * d)
-    right = c.transpose(0, 2, 1).reshape(d, d * d)
-    k = left @ right.T
-    out = np.empty((d, d), dtype=np.int64)
-    np.rint(k, k)
-    out[:] = k
-    return out
+    """Killing form Gram matrix K[i,j] = sum_ab C[i,a,b] C[j,b,a] of the
+    integer-scaled bracket den * c, joined on (a, b) and summed in Python
+    integers.  Returned as int64: an entry that does not fit, or a Gaussian
+    constant, raises ValueError."""
+    t = g.tensor
+    if not t.rational:
+        raise ValueError("the integer Killing form requires rational constants")
+    by_pair: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    for i, row in enumerate(t.cells):
+        for a, cell in enumerate(row):
+            for b, c, _ in cell:
+                by_pair.setdefault((a, b), []).append((i, c))
+    k = np.zeros((g.dim, g.dim), dtype=object)
+    for (a, b), left in by_pair.items():
+        for j, y in by_pair.get((b, a), ()):
+            for i, x in left:
+                k[i, j] += x * y
+    try:
+        return k.astype(np.int64)
+    except OverflowError:
+        raise ValueError("a Killing form entry does not fit in int64") from None
 
 
 def killing_nondegenerate(g: SCAlgebra) -> bool:

@@ -192,20 +192,18 @@ def triality_algebra(key: str) -> TrialityAlgebra:
     return TrialityAlgebra(alg, sca, triples)
 
 
-def tri_ideal_split(key: str) -> List[Subspace]:
+@lru_cache(maxsize=None)
+def tri_ideal_split(key: str) -> Tuple[Subspace, Subspace, Subspace]:
     """The three subspaces of tri with one component zero; for the
     four-dimensional algebra these are the three commuting ideals."""
     tri = triality_algebra(key)
     d = tri.base.dim
-    out = []
-    for c in range(3):
-        rows = []
-        for r in range(tri.dim):
-            m = tri.triples[r][c]
-            rows.append([m[a, b] for a in range(d) for b in range(d)])
-        constraint = Matrix.from_cols(rows)
-        out.append(kernel(constraint))
-    return out
+    return tuple(
+        kernel(Matrix.from_cols([
+            [t[c][a, b] for a in range(d) for b in range(d)] for t in tri.triples
+        ]))
+        for c in range(3)
+    )
 
 
 def _pair_index(d: int):
@@ -337,6 +335,7 @@ class MagicSquareAlgebra:
     tri_dims: Tuple[int, int]
     slot_dim: int
     calibration: Dict[str, Scalar]
+    checked: int  # basis triples covered by the final Jacobi check
 
     @property
     def dim(self) -> int:
@@ -373,6 +372,12 @@ class _Assembler:
             for h in range(len(self.psi_b[i])):
                 self.unknowns.append(("B", i, h))
         self.uindex = {u: k for k, u in enumerate(self.unknowns)}
+        # the nonzero basis products as (index, value) pairs
+        self.prod_a, self.prod_b = (
+            [[[(k, v) for k, v in enumerate(alg.basis_product(x, y)) if v]
+              for y in range(alg.dim)] for x in range(alg.dim)]
+            for alg in (self.alg_a, self.alg_b)
+        )
         # precompute slot actions of the tri bases
         self.act_a = [
             [self.tri_a.projection(i, r) for r in range(self.pa)] for i in SLOT_PROJ
@@ -410,67 +415,38 @@ class _Assembler:
             i, a, b = tp[1], tp[2], tp[3]
             j, c, d = tq[1], tq[2], tq[3]
             if i == j:
-                qb = self.alg_b.gram[b, d]
-                if not qb.is_zero() and a != c:
-                    key = (a, c) if a < c else (c, a)
-                    sign = ONE if a < c else sc(-1)
-                    k = self.idx_a[key]
-                    for h, psi in enumerate(self.psi_a[i]):
-                        u = self.uindex[("A", i, h)]
-                        vec = psi[k]
-                        dst = lin.setdefault(u, {})
-                        for s, v in enumerate(vec):
+                # psi(e_a ^ e_c) <e_b, e_d> in tri(A), psi(e_b ^ e_d) <e_a, e_c> in tri(B)
+                for side, x, y, q, idx, psis, off in (
+                    ("A", a, c, self.alg_b.gram[b, d], self.idx_a, self.psi_a[i], 0),
+                    ("B", b, d, self.alg_a.gram[a, c], self.idx_b, self.psi_b[i], self.pa),
+                ):
+                    if q.is_zero() or x == y:
+                        continue
+                    k, q = idx[(min(x, y), max(x, y))], (q if x < y else -q)
+                    for h, psi in enumerate(psis):
+                        dst = lin.setdefault(self.uindex[(side, i, h)], {})
+                        for s, v in enumerate(psi[k]):
                             if not v.is_zero():
-                                val = sign * qb * v
-                                dst[s] = dst.get(s, ZERO) + val
-                qa = self.alg_a.gram[a, c]
-                if not qa.is_zero() and b != d:
-                    key = (b, d) if b < d else (d, b)
-                    sign = ONE if b < d else sc(-1)
-                    k = self.idx_b[key]
-                    for h, psi in enumerate(self.psi_b[i]):
-                        u = self.uindex[("B", i, h)]
-                        vec = psi[k]
-                        dst = lin.setdefault(u, {})
-                        for s, v in enumerate(vec):
-                            if not v.is_zero():
-                                val = sign * qa * v
-                                dst[self.pa + s] = dst.get(self.pa + s, ZERO) + val
+                                dst[off + s] = dst.get(off + s, ZERO) + q * v
                 return const, lin
-            # cross-slot products with the conjugation pattern
-            sign = ONE
+            # cross-slot products with the conjugation pattern, conj(e_a) = s_a e_a:
+            # (0,1) -> slot 2: e_a e_c (x) e_b e_d, (0,2) -> slot 1: -conj(e_a) e_c
+            # (x) conj(e_b) e_d, (1,2) -> slot 0: e_c conj(e_a) (x) e_d conj(e_b)
+            sign = 1
             if i > j:
                 i, j, a, b, c, d = j, i, c, d, a, b
-                sign = sc(-1)
-            if (i, j) == (0, 1):
-                pa = self.alg_a.mul_coords(unit_vec(self.da, a), unit_vec(self.da, c))
-                pb = self.alg_b.mul_coords(unit_vec(self.db, b), unit_vec(self.db, d))
-                target = 2
-                factor = sign
-            elif (i, j) == (0, 2):
-                pa = self.alg_a.mul_coords(
-                    self.alg_a.conj_coords(unit_vec(self.da, a)), unit_vec(self.da, c)
-                )
-                pb = self.alg_b.mul_coords(
-                    self.alg_b.conj_coords(unit_vec(self.db, b)), unit_vec(self.db, d)
-                )
-                target = 1
-                factor = -sign
-            else:  # (1, 2)
-                pa = self.alg_a.mul_coords(
-                    unit_vec(self.da, c), self.alg_a.conj_coords(unit_vec(self.da, a))
-                )
-                pb = self.alg_b.mul_coords(
-                    unit_vec(self.db, d), self.alg_b.conj_coords(unit_vec(self.db, b))
-                )
-                target = 0
-                factor = sign
-            for ai, av in enumerate(pa):
-                if av.is_zero():
-                    continue
-                for bi, bv in enumerate(pb):
-                    if bv.is_zero():
-                        continue
+                sign = -1
+            if i == 0:
+                pa, pb = self.prod_a[a][c], self.prod_b[b][d]
+            else:
+                pa, pb = self.prod_a[c][a], self.prod_b[d][b]
+            if j == 2:
+                sign *= self.alg_a.conj_signs[a] * self.alg_b.conj_signs[b]
+                if i == 0:
+                    sign = -sign
+            factor, target = sc(sign), 3 - i - j
+            for ai, av in pa:
+                for bi, bv in pb:
                     kidx = self.slot_index(target, ai, bi)
                     const[kidx] = const.get(kidx, ZERO) + factor * av * bv
             return const, lin
@@ -482,20 +458,12 @@ class _Assembler:
             flip = sc(-1)
         side, r = tp
         i, a, b = tq[1], tq[2], tq[3]
-        if side == "ta":
-            proj = self.act_a[i][r]
-            for ap in range(self.da):
-                v = proj[ap, a]
-                if not v.is_zero():
-                    kidx = self.slot_index(i, ap, b)
-                    const[kidx] = const.get(kidx, ZERO) + flip * v
-        else:
-            proj = self.act_b[i][r]
-            for bp in range(self.db):
-                v = proj[bp, b]
-                if not v.is_zero():
-                    kidx = self.slot_index(i, a, bp)
-                    const[kidx] = const.get(kidx, ZERO) + flip * v
+        proj = (self.act_a if side == "ta" else self.act_b)[i][r]
+        for x in range(proj.rows):
+            v = proj[x, a if side == "ta" else b]
+            if not v.is_zero():
+                kidx = self.slot_index(i, x, b) if side == "ta" else self.slot_index(i, a, x)
+                const[kidx] = const.get(kidx, ZERO) + flip * v
         return const, lin
 
 
@@ -617,33 +585,25 @@ def _assemble(asm, lam) -> SCAlgebra:
     return SCAlgebra(asm.dim, bracket, skew=True, name=name)
 
 
-def vinberg_build(
-    key_a: str,
-    key_b: str,
-    verify: str = "auto",
-    seed: int = 0,
-    samples: int = 100000,
-) -> MagicSquareAlgebra:
+def vinberg_build(key_a: str, key_b: str, seed: int = 0) -> MagicSquareAlgebra:
     """Assemble the Lie algebra attached to a pair of composition algebras.
 
     The coupling constants are solved from the Jacobi identity on a
     structured generating set of triples; the identity is then re-verified
-    globally (exhaustively up to dimension 133, on 10^5 seeded triples
-    beyond), and any failing triple is fed back into the linear system
-    until the verification closes.  ``verify="full"`` forces the exhaustive
-    check regardless of dimension."""
+    exhaustively on every basis triple, and any failing triple is fed back
+    into the linear system until the verification closes."""
+    for key in (key_a, key_b):
+        if key not in ALGEBRA_ORDER:
+            raise ValueError(f"unknown algebra {key!r}, expected one of {ALGEBRA_ORDER}")
     asm = _Assembler(key_a, key_b)
     rng = random.Random(seed)
     nun = len(asm.unknowns)
-    mode = "full" if (verify == "full" or asm.dim <= 133) else "sampled"
     rows: List[List[Scalar]] = []
     rhs: List[Scalar] = []
     if nun:
         _add_triple_equations(asm, rows, rhs, _calibration_triples(asm, rng))
     lam = [ZERO] * nun
-    sca = None
-    verified = False
-    for attempt in range(6):
+    for _ in range(6):
         if rows:
             sol = solve(Matrix(rows), rhs)
             if sol is None:
@@ -652,9 +612,8 @@ def vinberg_build(
                 )
             lam = sol
         sca = _assemble(asm, lam)
-        report = jacobi_check(sca, mode=mode, samples=samples, seed=seed)
+        report = jacobi_check(sca)
         if report.passed:
-            verified = True
             break
         if not nun:
             raise CalibrationFailed("coupling-free bracket fails the Jacobi identity")
@@ -663,7 +622,7 @@ def vinberg_build(
             tuple(rng.randrange(asm.dim) for _ in range(3)) for _ in range(60)
         ]
         _add_triple_equations(asm, rows, rhs, extra)
-    if not verified:
+    else:
         raise CalibrationFailed(
             f"calibration did not close for {key_a},{key_b}"
         )
@@ -673,6 +632,7 @@ def vinberg_build(
         (asm.pa, asm.pb),
         asm.slot,
         {str(u): lam[k] for k, u in enumerate(asm.unknowns)},
+        report.checked,
     )
 
 

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from excalg import composition
@@ -62,10 +65,65 @@ class TestDerivations:
             assert all(m[i, 0].is_zero() for i in range(8))
 
 
+def corrupted(g, key, factor):
+    """g with one constant of the bracket at key scaled, kept skew."""
+    bad = {k: dict(v) for k, v in g.bracket.items()}
+    comp = bad[key]
+    k0 = max(comp)
+    comp[k0] = comp[k0] * factor
+    bad[(key[1], key[0])] = {k: -v for k, v in comp.items()}
+    return ll.SCAlgebra(g.dim, bad, skew=True)
+
+
+def gaussian_gl2(h_weight=2):
+    """sl2 in the basis i*h, e, f plus a central z, with Gaussian constants
+    and a denominator; a Lie algebra only for h_weight = 2."""
+    hw = sc(h_weight) * I
+    br = {}
+
+    def setb(i, j, comp):
+        br[(i, j)] = comp
+        br[(j, i)] = {k: -v for k, v in comp.items()}
+
+    setb(0, 1, {1: hw})
+    setb(0, 2, {2: -sc(2) * I})
+    setb(1, 2, {0: -I, 3: sc("1/2") + I})
+    return ll.SCAlgebra(4, br, skew=True)
+
+
+def plain_jacobi(g):
+    """(passed, checked, witness) by the plain Scalar path over every triple
+    in lexicographic order."""
+    d = g.dim
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                residual = ll._jacobi_witness(g, i, j, k)
+                if residual is not None:
+                    return False, (i + 1) * d * d, (i, j, k, residual)
+    return True, d ** 3, None
+
+
+def matches_plain_path(g):
+    """The sparse check's full report equals plain_jacobi, and its sampled
+    report names the first failing draw of the same generator."""
+    rep = ll.jacobi_check(g, "full")
+    assert (rep.passed, rep.checked, rep.witness) == plain_jacobi(g)
+    for seed in (0, 1):
+        sampled = ll.jacobi_check(g, "sampled", samples=300, seed=seed)
+        rng = np.random.default_rng(seed)
+        draws = list(zip(*(rng.integers(0, g.dim, size=300).tolist() for _ in range(3))))
+        failing = [t for t in draws if ll._jacobi_witness(g, *t) is not None]
+        assert sampled.checked == 300 and sampled.passed == (not failing)
+        if failing:
+            assert sampled.witness == (*failing[0], ll._jacobi_witness(g, *failing[0]))
+    return rep
+
+
 class TestJacobi:
     def test_full_pass(self, octonions):
         der = ll.derivations(octonions)
-        assert ll.jacobi_check(der, "full").passed
+        assert matches_plain_path(der).passed
 
     def test_negative_control(self, octonions):
         der = ll.derivations(octonions)
@@ -84,12 +142,26 @@ class TestJacobi:
         assert not sampled.passed
 
     def test_fast_path_matches_exact_on_small_algebra(self):
-        g = so3()
-        assert ll.jacobi_check(g, "full").passed
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    assert ll._jacobi_witness(g, i, j, k) is None
+        assert matches_plain_path(so3()).passed
+
+    def test_corruptions_match_plain_path(self, octonions):
+        der = ll.derivations(octonions)
+        keys = [k for k in sorted(der.bracket) if k[0] < k[1]]
+        for key in keys[:: len(keys) // 5][:5]:
+            assert not matches_plain_path(corrupted(der, key, sc(3))).passed
+
+    def test_gaussian_algebra(self):
+        assert matches_plain_path(gaussian_gl2()).passed
+        assert not matches_plain_path(gaussian_gl2(h_weight=3)).passed
+
+    def test_constants_past_int64_take_python_integers(self):
+        big = sc(2 ** 40)
+        br = {k: {t: v * big for t, v in c.items()} for k, c in so3().bracket.items()}
+        assert ll._Cells(ll.SCAlgebra(3, br)).val.dtype == object
+        assert matches_plain_path(ll.SCAlgebra(3, br)).passed
+        br[(0, 1)] = {0: big, 2: big}  # [[e0, e1], e2] gains [e0, e2] = -2^80 e1
+        br[(1, 0)] = {0: -big, 2: -big}
+        assert not matches_plain_path(ll.SCAlgebra(3, br)).passed
 
 
 def _elementary(n, i, j):
@@ -240,18 +312,58 @@ class TestRepresentationDecomposition:
         assert v_image.add(g2_image).dim == 21
 
 
+def random_skew_algebra(rng, d, height):
+    br = {}
+    for i in range(d):
+        for j in range(i + 1, d):
+            comp = {k: sc(rng.randint(-height, height)) for k in range(d)}
+            br[(i, j)] = comp
+            br[(j, i)] = {k: -v for k, v in comp.items()}
+    return ll.SCAlgebra(d, br, skew=True)
+
+
+def killing_reference(g):
+    """den^2 trace(ad e_i ad e_j) in Python integers from the Scalar ad matrices."""
+    den = g.tensor.den
+    ads = [g.ad_matrix(unit_vec(g.dim, i)) for i in range(g.dim)]
+    out = []
+    for x in ads:
+        row = []
+        for y in ads:
+            xy = x @ y
+            t = sum((xy[r, r] for r in range(g.dim)), sc(0)) * sc(den * den)
+            assert t.is_rational() and t.re.denominator == 1
+            row.append(int(t.re))
+        out.append(row)
+    return out
+
+
 class TestDerivedAndKilling:
     def test_semisimple_full_derived(self, octonions):
         der = ll.derivations(octonions)
         assert ll.derived_dimension(der) == 14
 
-    def test_killing_guard_bounds_the_full_contraction(self):
-        # d * max^2 = 2^52 is below 2^53, but each Gram entry sums
-        # d^2 = 16 products of size 2^50, so the float contraction is unsafe
+    def test_killing_is_exact_on_large_constants(self):
+        # constants of 2^25 once made a float contraction unsafe; the join
+        # sums in Python integers and matches trace(ad ad) exactly
         big = sc(2 ** 25)
         g = ll.SCAlgebra(4, {(0, 1): {2: big}, (1, 0): {2: -big}}, skew=True)
+        assert ll.killing_gram_int(g).tolist() == killing_reference(g)
+        rng = random.Random(7)
+        for d, height in ((2, 3), (3, 2 ** 29), (4, 2 ** 29), (5, 7)):
+            g = random_skew_algebra(rng, d, height)
+            assert ll.killing_gram_int(g).tolist() == killing_reference(g)
+
+    def test_killing_int64_guard(self):
+        # [e0, e1] = c e1 has K[0, 0] = c^2, which fits int64 up to c = 3037000499
+        def gram(c):
+            return ll.killing_gram_int(
+                ll.SCAlgebra(2, {(0, 1): {1: sc(c)}, (1, 0): {1: sc(-c)}}, skew=True)
+            )
+
+        assert gram(3037000499).tolist() == [[3037000499 ** 2, 0], [0, 0]]
         with pytest.raises(ValueError):
-            ll.killing_gram_int(g)
+            gram(3037000500)
 
     def test_abelian_derived_zero(self):
         g = ll.SCAlgebra(2, {}, skew=True)

@@ -1,5 +1,6 @@
 import pytest
 
+from excalg import cli
 from excalg import magicsquare as ms
 from excalg.liealg import (
     jacobi_check,
@@ -138,9 +139,19 @@ class TestTitsTable:
 class TestVinberg:
     def test_small_entries(self):
         for (a, b, dim) in (("r", "r", 3), ("c", "r", 8), ("c", "c", 16), ("h", "r", 21)):
-            entry = ms.vinberg_build(a, b, verify="full")
-            assert entry.dim == dim
+            entry = ms.vinberg_build(a, b)
+            assert entry.dim == dim and entry.checked == dim ** 3
             assert killing_nondegenerate(entry.algebra)
+
+    def test_unknown_key_rejected_before_any_work(self, monkeypatch, capsys):
+        def no_work(key):
+            raise AssertionError("triality algebra built for an invalid key")
+
+        monkeypatch.setattr(ms, "triality_algebra", no_work)
+        with pytest.raises(ValueError):
+            ms.vinberg_build(" h", "r")
+        assert cli.main(["magic-square", "--build", " c", "r"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_symmetry_pairs(self):
         rep = ms.square_symmetry_check("c", "h")
@@ -149,7 +160,7 @@ class TestVinberg:
         assert rep.symmetric
 
     def test_rank_one_entry_is_simple_rank_one(self):
-        entry = ms.vinberg_build("r", "r", verify="full")
+        entry = ms.vinberg_build("r", "r")
         g = entry.algebra
         from excalg.liealg import (
             SCAlgebra,
