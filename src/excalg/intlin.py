@@ -1,32 +1,41 @@
-"""Certified fast kernels for large integer matrices.
+"""Certified exact kernels of rational systems.
 
-The generic exact solver in :mod:`excalg.linalg` is fine up to a few hundred
-columns.  Derivation algebras of the larger Jordan algebras need kernels of
-systems with ~700 unknowns and ~10000 sparse equations, which is out of reach
-for naive rational elimination.  This module computes such kernels by
+Rational input uses the modular path with exact verification; Q(i) input
+uses Fraction elimination in :mod:`excalg.linalg`.  Every rational
+elimination of the package (``linalg._rref`` and with it ``rank``,
+``kernel``, ``solve``, ``inverse`` and ``Subspace``, the sparse kernels and
+the commutator closures of :mod:`excalg.liealg`) clears denominators row by
+row and calls :func:`int_kernel` or :func:`int_rref`.  Both read one
+certified kernel, which
 
-1. discovering the pivot/free structure modulo a word-sized prime (after an
-   exact random row compression that keeps every product below 2**53 so the
-   matmul can run through BLAS),
-2. lifting the modular kernel to Q by rational reconstruction (with CRT over
+1. discovers the pivot/free structure modulo a word-sized prime, after
+   reducing the entries mod p when they are too large for the float bound
+   and an exact random row compression that keeps every product below 2**53
+   so the matmul can run through BLAS,
+2. lifts the modular kernel to Q by rational reconstruction (with CRT over
    several primes when single-prime reconstruction fails), and
-3. verifying A @ K == 0 in exact integer arithmetic.
+3. verifies A @ K == 0 exactly (in float64 when provably exact, in Python
+   integers otherwise).
 
-The result is exact, not heuristic: modular rank is a lower bound for the
-rational rank, so pivot count + verified kernel vectors certify the kernel
-dimension; the verification step certifies membership.  Failures at any
-stage retry with fresh randomness and more primes.
+The result is exact, not heuristic.  Row operations and reduction mod p
+never raise the rank of a prefix of columns, so a prime's pivots are never
+more, and never earlier, than the rational pivots; the verified kernel
+vectors, one per free column, then prove that the modular pivots are the
+rational ones.  A prime whose pivots are fewer or later is passed over, and
+failures at any stage retry with fresh randomness and more primes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from typing import List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .scalar import Scalar
+from .scalar import ONE, ZERO, Scalar
+from .tensor import rational_ints
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -52,17 +61,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _primes_below(start: int, count: int) -> List[int]:
-    out: List[int] = []
+def _primes_below(start: int) -> Iterator[int]:
+    """The primes below start, in decreasing order."""
     n = start
-    while len(out) < count:
+    while True:
         n -= 1
         if _is_prime(n):
-            out.append(n)
-    return out
+            yield n
 
 
-_PRIMES = _primes_below(1 << 30, 64)
+_PRIMES = list(itertools.islice(_primes_below(1 << 30), 64))
 
 _FLOAT_EXACT = 1 << 53
 
@@ -123,12 +131,7 @@ def _compress(a: np.ndarray, rng: random.Random) -> np.ndarray:
     bound = float(m) * (rmax - 1) * max(amax, 1)
     if bound >= _FLOAT_EXACT:
         raise ValueError("entries too large for exact float compression")
-    c = r.astype(np.float64) @ a.astype(np.float64)
-    out = np.asarray(c, dtype=np.float64)
-    res = np.empty(out.shape, dtype=np.int64)
-    np.rint(out, out)
-    res[:] = out
-    return res
+    return np.rint(r.astype(np.float64) @ a.astype(np.float64)).astype(np.int64)
 
 
 def _rational_reconstruct(v: int, modulus: int) -> Optional[tuple[int, int]]:
@@ -153,128 +156,141 @@ def _rational_reconstruct(v: int, modulus: int) -> Optional[tuple[int, int]]:
     return num // g, den // g
 
 
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    inv = pow(m1 % m2, -1, m2)
-    t = ((r2 - r1) * inv) % m2
-    return r1 + m1 * t, m1 * m2
-
-
 def checked_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer product of int64 arrays, via float64 when provably safe."""
     amax = int(np.abs(a).max()) if a.size else 0
     bmax = int(np.abs(b).max()) if b.size else 0
     inner = a.shape[1]
     if amax * bmax * inner < _FLOAT_EXACT:
-        c = a.astype(np.float64) @ b.astype(np.float64)
-        out = np.empty(c.shape, dtype=np.int64)
-        np.rint(c, c)
-        out[:] = c
-        return out
-    return np.array(
-        a.astype(object) @ b.astype(object), dtype=object
-    )
+        return np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    return a.astype(object) @ b.astype(object)
 
 
-def _verify_kernel(a: np.ndarray, kernel_cols: List[List[int]]) -> bool:
-    if not kernel_cols:
-        return True
-    k = np.array(kernel_cols, dtype=object).T
-    kmax = max(max(abs(x) for x in col) for col in kernel_cols)
-    amax = int(np.abs(a).max()) if a.size else 0
-    if amax * kmax * a.shape[1] < _FLOAT_EXACT:
-        kf = k.astype(np.float64)
-        prod = a.astype(np.float64) @ kf
-        return not prod.any()
-    prod = a.astype(object) @ k
-    return not np.asarray(prod != 0).any()
+def int_array(values) -> np.ndarray:
+    """Integers as an int64 array, or as an object array of Python
+    integers when one does not fit."""
+    if isinstance(values, np.ndarray):
+        return values
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def cleared_matrix(
+    rows: Sequence[Iterable[Tuple[int, Scalar]]], ncols: int, reverse: bool = False
+) -> np.ndarray:
+    """The integer matrix of rational rows, each given as (column, value)
+    pairs and multiplied by the lcm of its denominators, so the row space is
+    unchanged; a Q(i) value raises ValueError.  With ``reverse`` column j
+    is written to ncols - 1 - j."""
+    at_row, at_col, nums = [], [], []
+    for r, row in enumerate(rows):
+        items = [(j, x) for j, x in row if x]
+        at_row += [r] * len(items)
+        at_col += [ncols - 1 - j if reverse else j for j, _ in items]
+        nums += rational_ints(x for _, x in items)[0]
+    values = int_array(nums)
+    a = np.zeros((len(rows), ncols), dtype=values.dtype)
+    a[at_row, at_col] = values
+    return a
 
 
 def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> List[List[Scalar]]:
-    """Exact rational kernel basis (canonical echelon form) of integer rows.
+    """Exact rational kernel basis of integer rows (lists or a 2-D array,
+    entries of any size).
 
-    Returns one vector per free column, with a 1 in the free coordinate, as
-    in :func:`excalg.linalg.kernel`.
+    Returns one vector per free column f of the reduced row echelon form, in
+    increasing f, with a 1 at f, zeros at the other free columns and -R[r][f]
+    at the pivot of row r: the vectors :func:`excalg.linalg.kernel` builds
+    from the reduced rows before it echelons them.
     """
-    a_full = np.array(
-        [list(r) for r in rows] if rows else np.zeros((0, ncols)),
-        dtype=np.int64,
-    ).reshape(len(rows), ncols)
-    if a_full.size and int(np.abs(a_full).max()) >= (1 << 29):
-        raise ValueError("entries too large for the integer fast path")
+    free, basis = _certified_kernel(rows, ncols)
+    return [
+        [Scalar.rational(x, col[f]) if x else ZERO for x in col]
+        for f, col in zip(free, basis)
+    ]
+
+
+def int_rref(
+    rows: Sequence[Sequence[int]], ncols: int
+) -> Tuple[List[List[Scalar]], List[int]]:
+    """Exact reduced row echelon form of integer rows: the nonzero rows and
+    the pivot columns, read off the kernel of :func:`int_kernel`.  The row
+    of pivot p is e_p - sum_f v_f[p] e_f over the kernel vectors v_f."""
+    free, basis = _certified_kernel(rows, ncols)
+    free_set = set(free)
+    pivots = [j for j in range(ncols) if j not in free_set]
+    reduced = {p: [ONE if j == p else ZERO for j in range(ncols)] for p in pivots}
+    for f, col in zip(free, basis):
+        for p in pivots:
+            if p > f:
+                break
+            if col[p]:
+                reduced[p][f] = Scalar.rational(-col[p], col[f])
+    return list(reduced.values()), pivots
+
+
+def _certified_kernel(
+    rows: Sequence[Sequence[int]], ncols: int
+) -> Tuple[List[int], List[List[int]]]:
+    """The free columns and, for each, the kernel vector scaled to integers
+    (its entry at the free column is the scale), verified exactly."""
+    a_full = int_array(rows).reshape(len(rows), ncols)
+    amax = int(np.abs(a_full).max()) if a_full.size else 0
+    # reduce mod p first when an entry is past the float bound of _compress
+    big = a_full.dtype == object or amax >= _PRIMES[-1]
+    # Each number to lift is a ratio of minors below 2**height (Hadamard).
+    # It takes about 2 * height / 29 primes with the right pivots, and the
+    # primes with wrong ones divide a nonzero minor, so there are fewer.
+    height = min(a_full.shape) * (amax * ncols).bit_length()
+    primes = itertools.chain(_PRIMES, _primes_below(_PRIMES[-1]))
     rng = random.Random(0xE8)
 
-    residues = None  # per-entry CRT residues of the candidate kernel
+    residues = None  # -R[r][free[k]] modulo the product of the primes used
     modulus = 1
     pivots_ref: Optional[List[int]] = None
-    for attempt, p in enumerate(_PRIMES):
-        a = _compress(a_full, rng) if a_full.size else a_full
-        red, pivots = _mod_p_rref(a.copy() % p, p)
-        if pivots_ref is None or len(pivots) > len(pivots_ref):
+    for p in itertools.islice(primes, len(_PRIMES) + height // 7):
+        a = (a_full % p).astype(np.int64) if big else a_full
+        red, pivots = _mod_p_rref(_compress(a, rng) if a.size else a, p)
+        # more pivots, then earlier ones, are closer to the rational pivots
+        if pivots_ref is None or (-len(pivots), pivots) < (-len(pivots_ref), pivots_ref):
             pivots_ref, residues, modulus = pivots, None, 1
         if pivots != pivots_ref:
             continue
-        free = [j for j in range(ncols) if j not in set(pivots)]
-        cand = {}
-        for f in free:
-            col = {}
-            for r, pc in enumerate(pivots):
-                col[pc] = (-int(red[r, f])) % p
-            cand[f] = col
+        pivot_set = set(pivots)
+        free = [j for j in range(ncols) if j not in pivot_set]
+        cand = -red[: len(pivots)][:, free] % p
         if residues is None:
-            residues, modulus = cand, p
+            residues, modulus = cand.astype(object), p
         else:
-            for f in free:
-                for pc in cand[f]:
-                    residues[f][pc], _ = _crt_pair(
-                        residues[f][pc], modulus, cand[f][pc], p
-                    )
+            inv = pow(modulus, -1, p)
+            residues = residues + modulus * ((cand - residues) * inv % p)
             modulus *= p
-        # attempt reconstruction with the accumulated modulus
-        basis: List[List[Scalar]] = []
-        ok = True
-        for f in free:
-            v = [0] * ncols
-            dens: List[int] = []
-            entries = {}
-            for pc, res in residues[f].items():
-                rec = _rational_reconstruct(res, modulus)
-                if rec is None:
-                    ok = False
-                    break
-                entries[pc] = rec
-            if not ok:
-                break
-            scale = math.lcm(1, *(d for _, d in entries.values()))
-            col = [0] * ncols
-            col[f] = scale
-            for pc, (num, den) in entries.items():
-                col[pc] = num * (scale // den)
-            basis.append(col)
-        if not ok:
+        basis = _lift(residues, modulus, pivots, free, ncols)
+        if basis is None:
             continue
-        if _verify_kernel(a_full, basis):
-            out = []
-            for f, col in zip(free, basis):
-                scale = col[f]
-                out.append([Scalar.rational(x, scale) for x in col])
-            return out
+        if not basis or not checked_int_matmul(a_full, int_array(basis).T).any():
+            return free, basis
     raise ArithmeticError("integer kernel lifting failed; system too ill-conditioned")
 
 
-def int_rank_lower_bound(rows: Sequence[Sequence[int]], ncols: int) -> int:
-    """A certified lower bound for the rational rank (rank modulo a prime)."""
-    if not rows:
-        return 0
-    a = np.array([list(r) for r in rows], dtype=np.int64)
-    best = 0
-    rng = random.Random(0x52)
-    for p in _PRIMES[:2]:
-        c = _compress(a, rng)
-        _, pivots = _mod_p_rref(c.copy() % p, p)
-        best = max(best, len(pivots))
-    return best
-
-
-def has_full_rank(rows: Sequence[Sequence[int]], n: int) -> bool:
-    """True when an n-column integer matrix provably has rank n."""
-    return int_rank_lower_bound(rows, n) == n
+def _lift(residues, modulus: int, pivots: List[int], free: List[int], ncols: int):
+    """Integer kernel vectors from residues[r, k] = -R[r][free[k]] mod
+    modulus, each scaled by the lcm of its denominators, or None when a
+    reconstruction fails."""
+    basis = []
+    for k, f in enumerate(free):
+        entries = []
+        for r in np.flatnonzero(residues[:, k]):
+            rec = _rational_reconstruct(int(residues[r, k]), modulus)
+            if rec is None:
+                return None
+            entries.append((pivots[r], *rec))
+        scale = math.lcm(1, *(den for _, _, den in entries))
+        col = [0] * ncols
+        col[f] = scale
+        for pc, num, den in entries:
+            col[pc] = num * (scale // den)
+        basis.append(col)
+    return basis

@@ -28,6 +28,7 @@ from .composition import NeedsExtension
 from .linalg import (
     Matrix,
     Subspace,
+    _rref,
     is_zero_vec,
     kernel,
     solve,
@@ -64,7 +65,7 @@ class SCAlgebra:
         self.dim = dim
         table: BracketTable = {}
         for (i, j), comp in bracket.items():
-            cleaned = {k: sc(v) for k, v in comp.items() if not sc(v).is_zero()}
+            cleaned = {k: s for k, v in comp.items() if not (s := sc(v)).is_zero()}
             if cleaned:
                 table[(i, j)] = cleaned
         self.bracket = table
@@ -160,101 +161,52 @@ def commutator_closure_algebra(
     """Express pairwise commutators of a commutator-closed matrix family in
     its own span and return the structure-constant algebra.
 
-    Rational families take a batched exact integer path: commutators and
-    coordinates are integer matrix products (checked against 2**53 when run
-    through float64), and the coordinate change is a single k x k inverse.
+    One exact elimination of the columns [M_0 .. M_n-1 | [M_i, M_j], i < j]
+    (matrices flattened) decides everything: the family is independent when
+    its n columns are pivots, closed when no commutator column is, and the
+    reduced rows hold the coordinates.  Rational families form the
+    commutators as integer matrix products (checked against 2**53 when run
+    through float64) and take the certified modular path; Q(i) families use
+    Scalar products and Fraction elimination.
     """
     n = len(matrices)
     if n == 0:
         return SCAlgebra(0, {}, skew=True, matrices=[], name=name, cartan=cartan)
-    all_rational = all(
-        matrices[0].rows == m.rows
-        and all(x.is_rational() for row in m.entries for x in row)
-        for m in matrices
-    )
-    if all_rational and n >= 16:
-        return _closure_int(matrices, name, cartan)
-    from .linalg import span_coordinate_map
-
-    coords = span_coordinate_map([_flatten(m) for m in matrices])
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    scale = ONE
+    if all(x.is_rational() for m in matrices for row in m.entries for x in row):
+        nums, den = rational_ints(x for m in matrices for row in m.entries for x in row)
+        ints = intlin.int_array(nums).reshape(n, matrices[0].rows, matrices[0].cols)
+        comms = [
+            intlin.checked_int_matmul(ints[i], ints[j])
+            - intlin.checked_int_matmul(ints[j], ints[i])
+            for i, j in pairs
+        ]
+        # ints holds den * M_i and comms den^2 * [M_i, M_j], so the reduced
+        # rows hold den times the coordinates
+        columns = np.concatenate([ints.reshape(n, -1)] + [c.reshape(1, -1) for c in comms])
+        reduced, pivots = intlin.int_rref(columns.T, n + len(pairs))
+        scale = Scalar.rational(1, den)
+    else:
+        columns = [_flatten(m) for m in matrices] + [
+            _flatten(matrices[i] @ matrices[j] - matrices[j] @ matrices[i]) for i, j in pairs
+        ]
+        reduced, pivots = _rref([list(row) for row in zip(*columns)])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix family is linearly dependent")
+    if len(pivots) > n:
+        raise ValueError("matrix family is not closed under commutators")
     bracket: BracketTable = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            comm = matrices[i] @ matrices[j] - matrices[j] @ matrices[i]
-            cs = coords(_flatten(comm))
-            if cs is None:
-                raise ValueError("matrix family is not closed under commutators")
-            comp = {k: v for k, v in enumerate(cs) if not v.is_zero()}
-            if comp:
-                bracket[(i, j)] = comp
-                bracket[(j, i)] = {k: -v for k, v in comp.items()}
-    return SCAlgebra(
-        len(matrices), bracket, skew=True, matrices=matrices, name=name, cartan=cartan
-    )
+    for c, (i, j) in enumerate(pairs, n):
+        comp = {k: reduced[k][c] * scale for k in range(n) if reduced[k][c]}
+        if comp:
+            bracket[(i, j)] = comp
+            bracket[(j, i)] = {k: -v for k, v in comp.items()}
+    return SCAlgebra(n, bracket, skew=True, matrices=matrices, name=name, cartan=cartan)
 
 
 def _flatten(m: Matrix) -> List[Scalar]:
     return [m[i, j] for i in range(m.rows) for j in range(m.cols)]
-
-
-def _closure_int(matrices: List[Matrix], name: str, cartan) -> SCAlgebra:
-    n = len(matrices)
-    size = matrices[0].rows
-    nums, denom = rational_ints(x for m in matrices for row in m.entries for x in row)
-    ints = np.array(nums, dtype=np.int64).reshape(n, size, size)
-    flat = ints.reshape(n, size * size).T  # (size^2, n), columns = basis
-    # pick coordinate rows S with flat[S] invertible (certified mod p)
-    red, pivots = intlin._mod_p_rref(flat.T.copy() % intlin._PRIMES[0], intlin._PRIMES[0])
-    if len(pivots) != n:
-        raise ValueError("matrix family is linearly dependent")
-    sel = pivots
-    bsel = Matrix(
-        [[Scalar.rational(int(flat[s, j]), denom) for j in range(n)] for s in sel]
-    )
-    bsel_inv = bsel.inverse()
-    comms = []
-    index_pairs = []
-    for i in range(n):
-        mi = ints[i]
-        for j in range(i + 1, n):
-            cm = intlin.checked_int_matmul(mi, ints[j]) - intlin.checked_int_matmul(
-                ints[j], mi
-            )
-            comms.append(cm.reshape(size * size))
-            index_pairs.append((i, j))
-    bracket: BracketTable = {}
-    if comms:
-        stack = np.array(comms, dtype=object).T  # (size^2, npairs)
-        coords_sel = stack[np.array(sel)]
-        for col, (i, j) in enumerate(index_pairs):
-            rhs = [
-                Scalar.rational(int(coords_sel[r, col]), denom * denom)
-                for r in range(n)
-            ]
-            cs = bsel_inv.apply(rhs)
-            comp = {k: v for k, v in enumerate(cs) if not v.is_zero()}
-            if comp:
-                bracket[(i, j)] = comp
-                bracket[(j, i)] = {k: -v for k, v in comp.items()}
-        # exact residual check: stacked basis times coords reproduces comms
-        _closure_verify(flat, denom, bracket, index_pairs, stack, n)
-    return SCAlgebra(
-        n, bracket, skew=True, matrices=matrices, name=name, cartan=cartan
-    )
-
-
-def _closure_verify(flat, denom, bracket, index_pairs, stack, n):
-    # scale coordinates to integers columnwise and verify with one product
-    cols = [
-        rational_ints(bracket.get(pair, {}).get(k, ZERO) for k in range(n))
-        for pair in index_pairs
-    ]
-    coords_int = np.array([c for c, _ in cols], dtype=object).T
-    scales = np.array([g for _, g in cols], dtype=object)
-    lhs = (flat.astype(object) @ coords_int) * denom
-    rhs = stack * scales[None, :]
-    if not (lhs == rhs).all():
-        raise ValueError("matrix family is not closed under commutators")
 
 
 # -- derivations ------------------------------------------------------------------
@@ -312,25 +264,17 @@ def derivations(algebra, commutative: bool = False, name: str = "") -> SCAlgebra
 
 
 def _sparse_kernel(rows: List[Dict[int, Scalar]], ncols: int) -> List[List[Scalar]]:
-    """Kernel of a sparse system; routes big rational systems through the
-    certified integer path."""
-    all_rational = all(v.is_rational() for row in rows for v in row.values())
-    if ncols > 150 and all_rational:
-        int_rows = []
-        for row in rows:
-            dense = [0] * ncols
-            for k, v in zip(row, rational_ints(row.values())[0]):
-                dense[k] = v
-            int_rows.append(dense)
-        return intlin.int_kernel(int_rows, ncols)
-    dense_rows = []
-    for row in rows:
-        r = zero_vec(ncols)
-        for k, v in row.items():
-            r[k] = v
-        dense_rows.append(r)
-    ker = kernel(Matrix(dense_rows)) if dense_rows else Subspace.full(ncols)
-    return [list(v) for v in ker.basis]
+    """The echelon basis of the kernel of a sparse system, as in
+    ``kernel(...).basis``.
+
+    Rational rows go to the certified integer path on the column-reversed
+    system, whose free columns are the echelon pivots of the kernel; rows
+    with a Q(i) entry take the Fraction elimination."""
+    if any(v.im for row in rows for v in row.values()):
+        dense = [[row.get(k, ZERO) for k in range(ncols)] for row in rows]
+        return kernel(Matrix(dense)).basis
+    a = intlin.cleared_matrix([row.items() for row in rows], ncols, reverse=True)
+    return [v[::-1] for v in reversed(intlin.int_kernel(a, ncols))]
 
 
 # -- Jacobi verification ------------------------------------------------------------
@@ -505,13 +449,14 @@ def killing_gram_int(g: SCAlgebra) -> np.ndarray:
 
 
 def killing_nondegenerate(g: SCAlgebra) -> bool:
-    k = killing_gram_int(g)
-    return intlin.has_full_rank(k.tolist(), g.dim)
+    """True when the Killing form has an empty (verified) kernel."""
+    return not intlin.int_kernel(killing_gram_int(g), g.dim)
 
 
 def derived_dimension(g: SCAlgebra) -> int:
-    """Dimension of the span of all basis brackets (certified lower bound
-    equals the true value when it reaches dim g)."""
+    """Dimension of the span of all basis brackets, exact: rational
+    brackets use the modular path with exact verification, Q(i) brackets
+    Fraction elimination."""
     rows = []
     for comp in g.bracket.values():
         row = zero_vec(g.dim)

@@ -1,9 +1,10 @@
 """Exact dense linear algebra over Q and Q(i).
 
-Matrices hold Scalar entries; rank, kernel, and solve are computed by
-fraction-free-ish Gaussian elimination in exact arithmetic.  Subspaces are
-canonicalized to reduced row echelon form, so subspace equality is plain
-syntactic equality of bases.
+Matrices hold Scalar entries; rank, kernel, and solve are computed by exact
+elimination.  Rational input uses the modular path with exact verification
+(:mod:`excalg.intlin`); Q(i) input uses Fraction elimination.  Subspaces
+are canonicalized to reduced row echelon form, so subspace equality is
+plain syntactic equality of bases.
 
 Everything here is immutable-after-construction and pure; results never
 alias their inputs.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, List, Optional, Sequence
 
+from . import intlin
 from .scalar import ONE, ZERO, Scalar, rand_scalar, sc
 
 Vector = List[Scalar]
@@ -252,15 +254,29 @@ def random_invertible(
 
 
 def _rref(rows: List[List[Scalar]]) -> tuple[List[List[Scalar]], List[int]]:
-    """In-place reduced row echelon form; returns surviving rows and pivots.
+    """Reduced row echelon form; returns the nonzero rows and the pivots.
+
+    Rational rows are cleared to integers and read off their certified
+    kernel (:func:`excalg.intlin.int_rref`); rows with a Q(i) entry take
+    the Fraction elimination.
+    """
+    if not rows:
+        return [], []
+    if any(x.im for row in rows for x in row):
+        return _rref_fraction(rows)
+    ncols = len(rows[0])
+    return intlin.int_rref(
+        intlin.cleared_matrix([enumerate(row) for row in rows], ncols), ncols
+    )
+
+
+def _rref_fraction(rows: List[List[Scalar]]) -> tuple[List[List[Scalar]], List[int]]:
+    """Reduced row echelon form by Fraction elimination over Q(i).
 
     Incremental reduction: each row is reduced against the pivots found so
     far, then inserted if it contributes a new pivot.  Keeping the working
     set at the current rank makes tall sparse systems cheap.
     """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
     pivots: List[int] = []
     reduced: List[List[Scalar]] = []
     for row in rows:

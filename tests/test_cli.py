@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -62,6 +63,25 @@ class TestDerive:
     def test_octonions(self, capsys):
         code, out = run_cli(capsys, "derive", "--algebra", "O")
         assert code == 0 and json.loads(out)["derivation_dim"] == 14
+
+
+class TestOutputPin:
+    # SHA-256 of stdout, recorded before every rational elimination moved to
+    # the certified modular path; the JSON must stay byte-identical
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("derive", "--algebra", "O", "--constants"),
+             "492bc4e1535602ccdd94a00f998c51f5bc3505127667cfdf02c64983161b9633"),
+            (("magic-square", "--build", "h", "h", "--constants"),
+             "9aa230ac4fdd8b95e4449a1a91528e1c261a211ac551e4c24ba41c3ea8ebe223"),
+        ],
+        ids=["derive-O", "magic-square-h-h"],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestVerifyFile:

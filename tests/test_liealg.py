@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from excalg import composition
+from excalg import intlin
 from excalg import forms as fm
 from excalg import liealg as ll
 from excalg import threeform as tf
@@ -170,10 +171,28 @@ def _elementary(n, i, j):
 
 class TestCommutatorClosure:
     def test_open_family_rejected_on_the_generic_path(self):
-        # [E01, E10] = E00 - E11 lies outside the span
-        family = [_elementary(2, 0, 1), _elementary(2, 1, 0)]
-        with pytest.raises(ValueError):
-            ll.commutator_closure_algebra(family)
+        # [E01, E10] = E00 - E11 lies outside the span; with i E10 the
+        # family is Gaussian and takes the Scalar path
+        for scale in (ONE, I):
+            family = [_elementary(2, 0, 1), _elementary(2, 1, 0).scale(scale)]
+            with pytest.raises(ValueError):
+                ll.commutator_closure_algebra(family)
+
+    def test_gaussian_family(self):
+        # sl2 with X = i E01: [H, X] = 2X, [H, Y] = -2Y, [X, Y] = iH
+        h = _elementary(2, 0, 0) - _elementary(2, 1, 1)
+        g = ll.commutator_closure_algebra([h, _elementary(2, 0, 1).scale(I), _elementary(2, 1, 0)])
+        assert g.bracket[(0, 1)] == {1: sc(2)}
+        assert g.bracket[(0, 2)] == {2: sc(-2)}
+        assert g.bracket[(1, 2)] == {0: I}
+
+    def test_family_dependent_modulo_the_first_prime(self):
+        # independent over Q, dependent modulo p0, closed: [M1, M2] = M2 - M1
+        p0 = intlin._PRIMES[0]
+        family = [Matrix([[1, 1], [0, 0]]), Matrix([[1, 1 + p0], [0, 0]])]
+        g = ll.commutator_closure_algebra(family)
+        assert g.dim == 2
+        assert g.bracket == {(0, 1): {0: sc(-1), 1: ONE}, (1, 0): {0: ONE, 1: sc(-1)}}
 
     def test_open_family_rejected_on_the_integer_path(self):
         # the 20 off-diagonal units of gl5: [E_ij, E_ji] is diagonal
@@ -364,6 +383,14 @@ class TestDerivedAndKilling:
         assert gram(3037000499).tolist() == [[3037000499 ** 2, 0], [0, 0]]
         with pytest.raises(ValueError):
             gram(3037000500)
+
+    def test_killing_rank_is_exact(self, monkeypatch):
+        # a Gram matrix with determinant p0 * p1: singular modulo the first
+        # two primes, nondegenerate over Q
+        p0, p1 = intlin._PRIMES[:2]
+        gram = np.array([[1, 1], [1, 1 + p0 * p1]], dtype=np.int64)
+        monkeypatch.setattr(ll, "killing_gram_int", lambda g: gram)
+        assert ll.killing_nondegenerate(ll.SCAlgebra(2, {}, skew=True))
 
     def test_abelian_derived_zero(self):
         g = ll.SCAlgebra(2, {}, skew=True)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from excalg import intlin
+from excalg import liealg as ll
 from excalg import linalg as la
 from excalg.scalar import I, ONE, Scalar, ZERO, _make, rand_scalar, sc
 
@@ -183,16 +184,148 @@ class TestSubspace:
         assert checked >= 15 and outside_seen >= 10
 
 
+def _free_column_basis(rows, ncols):
+    """Kernel vectors read off the Fraction reduced row echelon form."""
+    reduced, pivots = la._rref_fraction(rows) if rows else ([], [])
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = la.unit_vec(ncols, f)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][f]
+        basis.append(v)
+    return basis
+
+
 class TestIntKernel:
     def test_matches_pure_solver(self):
+        # int_kernel's vectors are the Fraction reference's free-column
+        # vectors, and the column-reversed sparse path gives the echelon
+        # basis of kernel(), entry for entry
         rng = random.Random(5)
-        rows = [[rng.randint(-4, 4) for _ in range(30)] for _ in range(80)]
-        fast = intlin.int_kernel(rows, 30)
-        pure = la.kernel(la.Matrix(rows))
-        assert la.Subspace(30, fast) == pure
+        systems = [[[rng.randint(-4, 4) for _ in range(30)] for _ in range(80)]]
+        for rank in (20, 7):
+            gens = [[rng.randint(-4, 4) for _ in range(30)] for _ in range(rank)]
+            combos = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(80)]
+            systems.append(
+                [[sum(c * g[j] for c, g in zip(cs, gens)) for j in range(30)] for cs in combos]
+            )
+        for rows in systems:
+            scalars = [[sc(x) for x in row] for row in rows]
+            assert intlin.int_kernel(rows, 30) == _free_column_basis(scalars, 30)
+            sparse = [{j: v for j, v in enumerate(row) if v} for row in scalars]
+            assert ll._sparse_kernel(sparse, 30) == la.kernel(la.Matrix(rows)).basis
+        assert len(intlin.int_kernel(systems[2], 30)) == 23
 
     def test_rank_certificate(self):
-        rows = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
-        assert intlin.int_rank_lower_bound(rows, 3) == 2
-        assert not intlin.has_full_rank(rows, 3)
-        assert intlin.has_full_rank([[1, 0], [1, 1]], 2)
+        # exact ranks from the verified kernel, also for a full-rank matrix
+        # that is singular modulo the first two primes
+        p0, p1 = intlin._PRIMES[:2]
+        cases = [
+            ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 2),
+            ([[1, 0], [1, 1]], 2),
+            ([[1, 1], [1, 1 + p0 * p1]], 2),
+        ]
+        for rows, rank in cases:
+            n = len(rows[0])
+            assert n - len(intlin.int_kernel(rows, n)) == rank
+            assert la.rank(la.Matrix(rows)) == rank
+
+    def test_prime_with_later_pivots_is_passed_over(self):
+        # modulo p0 the first column vanishes and the pivots move from
+        # (0, 1) to (1, 2): as many pivots, but later, so p0 must lose
+        p0 = intlin._PRIMES[0]
+        rows = [[p0, 0, 1], [0, 1, 0]]
+        assert intlin.int_kernel(rows, 3) == [[Scalar.rational(-1, p0), ZERO, ONE]]
+        assert intlin.int_rref(rows, 3)[1] == [0, 1]
+
+
+# entries for the differential tests: small rationals and integers past the
+# int64 and float bounds
+_entries = st.one_of(
+    st.just(ZERO),
+    st.builds(lambda n, d: Scalar.rational(n, d), st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(lambda s, e, d: Scalar.rational(s * (1 << e) + 1, d),
+              st.sampled_from((-1, 1)), st.sampled_from((40, 70)), st.integers(1, 3)),
+)
+
+
+@st.composite
+def _rational_rows(draw):
+    """Rows of a rational matrix: empty, 1x1, tall or wide, with zero rows,
+    duplicate rows, or a pair of rows that differ by a multiple of the first
+    prime (dependent modulo that prime, independent over Q)."""
+    m = draw(st.integers(0, 6))
+    n = 1 if m == 1 and draw(st.booleans()) else draw(st.integers(1, 6))
+    rows = [[draw(_entries) for _ in range(n)] for _ in range(m)]
+    if rows:
+        twist = draw(st.sampled_from(("none", "zero", "duplicate", "mod p0")))
+        r = draw(st.integers(0, m - 1))
+        if twist == "zero":
+            rows.append([ZERO] * n)
+        elif twist == "duplicate":
+            rows.append(list(rows[r]))
+        elif twist == "mod p0":
+            j = draw(st.integers(0, n - 1))
+            row = list(rows[r])
+            row[j] = row[j] + intlin._PRIMES[0]
+            rows.append(row)
+        rows = draw(st.permutations(rows))
+    return [list(row) for row in rows]
+
+
+class TestCertifiedElimination:
+    @given(_rational_rows(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fraction_reference(self, rows, data):
+        n = len(rows[0]) if rows else 0
+        m = la.Matrix(rows)
+        reduced, pivots = la._rref_fraction(rows) if rows else ([], [])
+        assert la.rank(m) == len(pivots)
+        assert la.Subspace(n, rows).basis == reduced
+        if rows:
+            assert la.kernel(m).basis == la._rref_fraction(_free_column_basis(rows, n))[0]
+            rhs = [data.draw(_entries) for _ in rows]
+            aug_red, aug_piv = la._rref_fraction([r + [b] for r, b in zip(rows, rhs)])
+            expected = None
+            if n not in aug_piv:
+                expected = [ZERO] * n
+                for r, p in enumerate(aug_piv):
+                    expected[p] = aug_red[r][n]
+            assert la.solve(m, rhs) == expected
+        if rows and len(rows) == n:
+            aug_red, aug_piv = la._rref_fraction(
+                [r + la.unit_vec(n, i) for i, r in enumerate(rows)]
+            )
+            if aug_piv == list(range(n)):
+                assert m.inverse() == la.Matrix([r[n:] for r in aug_red])
+            else:
+                with pytest.raises(ValueError):
+                    m.inverse()
+
+    def test_heights_past_the_first_64_primes(self):
+        # the inverse of a 12 x 12 matrix of 100-bit integers has about
+        # 2300-bit numerators times denominators: more than 64 primes hold
+        rng = random.Random(11)
+        rows = [[sc(rng.randrange(1 << 100)) for _ in range(12)] for _ in range(12)]
+        aug_red, aug_piv = la._rref_fraction([r + la.unit_vec(12, i) for i, r in enumerate(rows)])
+        assert aug_piv == list(range(12))
+        assert la.Matrix(rows).inverse() == la.Matrix([r[12:] for r in aug_red])
+
+    def test_rational_input_never_takes_the_fraction_loop(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("rational rows reached the Fraction loop")
+
+        monkeypatch.setattr(la, "_rref_fraction", refuse)
+        m = la.Matrix([[1, 2, 3], [2, 4, 6], [1, 0, Scalar.rational(1, 2)]])
+        assert la.rank(m) == 2
+        assert la.kernel(m).dim == 1
+        assert la.solve(m, [sc(1), sc(2), sc(0)]) is not None
+        assert la.Matrix([[1, 2], [3, 4]]).inverse() == la.Matrix(
+            [[-2, 1], [Scalar.rational(3, 2), Scalar.rational(-1, 2)]]
+        )
+        assert la.Subspace(3, m.entries).dim == 2
+        assert la.span_coordinate_map([[sc(1), sc(1)], [sc(0), sc(1)]])([sc(2), sc(5)]) == [
+            sc(2), sc(3)
+        ]
+        with pytest.raises(AssertionError):
+            la.rank(la.Matrix([[I, ONE]]))
