@@ -12,11 +12,13 @@ Scalar literal coefficients, e.g. ``e[1,2,5]+e[1,3,6]-2*e[1,4,7]``.
 
 from __future__ import annotations
 
+import itertools
 import re as _re
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .linalg import Matrix, Subspace, rank as mat_rank
-from .scalar import ONE, ZERO, Scalar, sc
+from .scalar import _Q, ONE, ZERO, Scalar, _make, sc
+from .tensor import _cleared
 
 IndexTuple = Tuple[int, ...]
 
@@ -289,7 +291,12 @@ def contract_basis(i: int, a: KForm) -> KForm:
 
 
 def pullback(g: Matrix, a: KForm) -> KForm:
-    """The form x -> a(gx, ..., gx); pullbacks compose contravariantly."""
+    """The form x -> a(gx, ..., gx); pullbacks compose contravariantly.
+
+    Each e^J pulls back to (row_j1 g) ^ ... ^ (row_jk g) = sum_I det(g[J, I])
+    e^I.  The minors are expanded along their first row in the Gaussian
+    integers of g cleared to one denominator den, with a cleared likewise,
+    and each coefficient is divided once by den_a * den^k."""
     n = a.n
     if g.rows != n or g.cols != n:
         raise ValueError("matrix shape does not match ambient dimension")
@@ -297,20 +304,45 @@ def pullback(g: Matrix, a: KForm) -> KForm:
         raise ValueError("pullback requires an invertible matrix")
     if a.k == 0:
         return a
-    out = KForm.zero(a.k, n)
-    rows = g.entries
-    for idx, c in a.terms.items():
-        # a_J e^J pulls back to a_J (row_{j1} g) ^ ... ^ (row_{jk} g)
-        one_forms = [
-            KForm(1, n, {(col + 1,): rows[j - 1][col] for col in range(n)
-                         if not rows[j - 1][col].is_zero()})
-            for j in idx
-        ]
-        term = one_forms[0]
-        for f in one_forms[1:]:
-            term = wedge(term, f)
-        out = out + term.scale(c)
-    return out
+    cells, den, _ = _cleared([x for row in g.entries for x in row])
+    entries = [[(0, 0)] * n for _ in range(n)]
+    for t, x, y in cells:
+        entries[t // n][t % n] = (x, y)
+    minors = {(): {(): (1, 0)}}
+
+    def minors_of(rows: tuple) -> Dict[tuple, Tuple[int, int]]:
+        """det(g[rows, I]) for every I of size len(rows), times den^len(rows)."""
+        if rows not in minors:
+            head, sub = entries[rows[0]], minors_of(rows[1:])
+            out = {}
+            for I in itertools.combinations(range(n), len(rows)):
+                re = im = 0
+                for t, i in enumerate(I):
+                    x, y = head[i]
+                    if x or y:
+                        u, v = sub[I[:t] + I[t + 1:]]
+                        if t % 2:
+                            x, y = -x, -y
+                        re += x * u - y * v
+                        im += x * v + y * u
+                out[I] = (re, im)
+            minors[rows] = out
+        return minors[rows]
+
+    index_tuples = list(a.terms)
+    coeffs, den_a, _ = _cleared(list(a.terms.values()))
+    sums = {I: [0, 0] for I in itertools.combinations(range(n), a.k)}
+    for t, x, y in coeffs:
+        for I, (u, v) in minors_of(tuple(j - 1 for j in index_tuples[t])).items():
+            if u or v:
+                acc = sums[I]
+                acc[0] += x * u - y * v
+                acc[1] += x * v + y * u
+    scale = den_a * den ** a.k
+    return KForm(a.k, n, {
+        tuple(i + 1 for i in I): _make(_Q(re, scale), _Q(im, scale))
+        for I, (re, im) in sums.items() if re or im
+    })
 
 
 def support(a: KForm) -> Subspace:

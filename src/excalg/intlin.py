@@ -1,12 +1,12 @@
-"""Certified exact kernels of rational systems.
+"""Certified exact kernels of rational and Gaussian systems.
 
-Rational input uses the modular path with exact verification; Q(i) input
-uses Fraction elimination in :mod:`excalg.linalg`.  Every rational
-elimination of the package (``linalg._rref`` and with it ``rank``,
-``kernel``, ``solve``, ``inverse`` and ``Subspace``, the sparse kernels and
-the commutator closures of :mod:`excalg.liealg`) clears denominators row by
-row and calls :func:`int_kernel` or :func:`int_rref`.  Both read one
-certified kernel, which
+Every elimination of the package (``linalg._rref`` and with it ``rank``,
+``kernel``, ``solve``, ``inverse`` and ``Subspace``, the sparse kernels,
+the commutator closures and the Killing form of :mod:`excalg.liealg`)
+clears denominators row by row and calls :func:`int_kernel` or
+:func:`int_rref`.  Q(i) rows are cleared to Gaussian integers and enter as
+their real form (:func:`realified`), a system over Z with twice the rows
+and columns.  Both read one certified kernel, which
 
 1. discovers the pivot/free structure modulo a word-sized prime, after
    reducing the entries mod p when they are too large for the float bound
@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .scalar import ONE, ZERO, Scalar
-from .tensor import rational_ints
+from .tensor import _cleared, rational_ints
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -125,9 +125,8 @@ def _compress(a: np.ndarray, rng: random.Random) -> np.ndarray:
     # entry bound for R chosen so that m * rmax * amax < 2**53
     rmax = max(2, int(_FLOAT_EXACT // (max(amax, 1) * m * 4)))
     rmax = min(rmax, 1 << 12)
-    seed = rng.randrange(1 << 30)
-    rstate = np.random.default_rng(seed)
-    r = rstate.integers(0, rmax, size=(target, m), dtype=np.int64)
+    # drawn from rng itself: importing numpy.random would cost memory
+    r = np.frombuffer(rng.randbytes(2 * target * m), np.uint16).reshape(target, m) % rmax
     bound = float(m) * (rmax - 1) * max(amax, 1)
     if bound >= _FLOAT_EXACT:
         raise ValueError("entries too large for exact float compression")
@@ -194,6 +193,37 @@ def cleared_matrix(
     a = np.zeros((len(rows), ncols), dtype=values.dtype)
     a[at_row, at_col] = values
     return a
+
+
+def realified(re, im) -> np.ndarray:
+    """The real form of the Gaussian integer matrix re + i im (two m x n
+    integer arrays or nested lists): entry a + bi becomes the block
+    [[a, -b], [b, a]] in rows 2r, 2r + 1 and columns 2j, 2j + 1.  This is a
+    ring map, so a complex row space and its reduced row echelon form are
+    carried to the real ones."""
+    re = np.array(re, dtype=object)
+    im = np.array(im, dtype=object)
+    m, n = re.shape
+    out = np.zeros((2 * m, 2 * n), dtype=object)
+    out[0::2, 0::2] = re
+    out[0::2, 1::2] = -im
+    out[1::2, 0::2] = im
+    out[1::2, 1::2] = re
+    try:
+        return out.astype(np.int64)
+    except OverflowError:
+        return out
+
+
+def realified_rows(rows: Sequence[Sequence[Scalar]], ncols: int) -> np.ndarray:
+    """:func:`realified` of Q(i) rows, each multiplied by the lcm of its
+    denominators, so the row space is unchanged."""
+    re = [[0] * ncols for _ in rows]
+    im = [[0] * ncols for _ in rows]
+    for r, row in enumerate(rows):
+        for j, a, b in _cleared(row)[0]:
+            re[r][j], im[r][j] = a, b
+    return realified(re, im)
 
 
 def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> List[List[Scalar]]:

@@ -7,7 +7,9 @@ the lower triangle is conjugate-determined and never stored.  Matrix powers
 always use the symmetrized product.  The dual space is identified with the
 algebra through the trace pairing, which makes the derivative of the cubic
 determinant an element again; derivative extraction is exact interpolation
-at t in {-1, 0, 1, 2}, never symbolic differentiation.
+at t in {-1, 0, 1, 2}, never symbolic differentiation.  The trace pairing
+is diagonal in the basis, so it is kept as one weight per coordinate and
+every pairing is a weighted sum over the nonzero coordinates.
 """
 
 from __future__ import annotations
@@ -24,14 +26,15 @@ from .linalg import (
     rank as mat_rank,
     unit_vec,
     vec_add,
-    vec_dot,
     vec_scale,
     zero_vec,
 )
-from .scalar import ONE, ZERO, Scalar, sc
-from .tensor import StructureTensor
+from .scalar import _Q, ONE, ZERO, Scalar, _make, sc
+from .tensor import StructureTensor, _cleared, rational_ints
 
 _OFF_SLOTS = ((0, 1), (0, 2), (1, 2))
+_TWO = sc(2)
+_HALF = Scalar.rational(1, 2)
 
 
 class JordanAlgebra:
@@ -49,13 +52,15 @@ class JordanAlgebra:
             for k, c in enumerate(cell)
         ))
         self.trace_vec = [ONE, ONE, ONE] + [ZERO] * (3 * self.a)
-        self.trace_gram = Matrix(
-            [
-                [self._trace(self._table[(i, j)]) for j in range(self.dim)]
-                for i in range(self.dim)
-            ]
+        # the trace form tr(e_i o e_j) is diagonal in this basis: 1 on the
+        # diagonal units, 2 n(e_t) on the off-diagonal slots
+        if any(self._trace(self._table[(i, j)])
+               for i in range(self.dim) for j in range(i + 1, self.dim)):
+            raise AssertionError("trace form is not diagonal in the basis")
+        self.trace_weights = tuple(
+            self._trace(self._table[(i, i)]) for i in range(self.dim)
         )
-        self.trace_gram_inv = self.trace_gram.inverse()
+        self._weight_ints, self._weight_den = rational_ints(self.trace_weights)
         self._basis_adjugates = None
 
     # -- basis bookkeeping ---------------------------------------------------
@@ -112,16 +117,16 @@ class JordanAlgebra:
                 self._table[(j, i)] = coords
 
     def _symmetrized(self, x, y):
+        """(xy + yx) / 2 for full 3x3 matrices; zero entries are skipped."""
         out = [[None] * 3 for _ in range(3)]
         for r in range(3):
             for c in range(3):
-                acc = None
+                acc = zero_vec(len(x[r][c]))
                 for k in range(3):
-                    t1 = self._mul_entry(x[r][k], y[k][c])
-                    t2 = self._mul_entry(y[r][k], x[k][c])
-                    s = vec_add(t1, t2)
-                    acc = s if acc is None else vec_add(acc, s)
-                out[r][c] = [v / sc(2) for v in acc]
+                    for u, v in ((x[r][k], y[k][c]), (y[r][k], x[k][c])):
+                        if not (is_zero_vec(u) or is_zero_vec(v)):
+                            acc = vec_add(acc, self._mul_entry(u, v))
+                out[r][c] = [v * _HALF if v else ZERO for v in acc]
         return out
 
     def _trace(self, coords: Sequence[Scalar]) -> Scalar:
@@ -263,8 +268,7 @@ def trace(x: JordanElement) -> Scalar:
 def trace_pairing(x: JordanElement, y: JordanElement) -> Scalar:
     """tr(x o y): the invariant pairing identifying the algebra with its
     dual."""
-    alg = x.algebra
-    return vec_dot(list(x.coords), alg.trace_gram.apply(list(y.coords)))
+    return _pair(x.algebra, x.coords, y.coords)
 
 
 def det_cubic(x: JordanElement) -> Scalar:
@@ -279,46 +283,58 @@ def det_cubic(x: JordanElement) -> Scalar:
 
 class _LineContext:
     """Shared pieces of the cubic restricted to lines through a fixed
-    element: the square, its traces, and their pairings."""
+    element: the element cleared to Gaussian integers, its square, their
+    traces, and their pairing."""
 
-    __slots__ = ("alg", "xc", "m2", "trm", "trm2", "t_xm2")
+    __slots__ = ("alg", "xc", "x_ints", "m2", "trm", "trm2", "t_xm2")
 
     def __init__(self, x: JordanElement):
         self.alg = x.algebra
         self.xc = list(x.coords)
+        self.x_ints = _cleared(self.xc)
         self.m2 = self.alg.product_coords(self.xc, self.xc)
         self.trm = _tr(self.alg, self.xc)
         self.trm2 = _tr(self.alg, self.m2)
-        self.t_xm2 = _pair(self.alg, self.xc, self.m2)
+        self.t_xm2 = _pair_cleared(self.alg, self.x_ints, _cleared(self.m2))
 
 
-def _det_along_line(ctx: _LineContext, e: int) -> List[Scalar]:
-    """Values of t -> Det(x + t E_e) at the interpolation nodes -1, 0, 1, 2.
-    """
+def _det_along_line(ctx: _LineContext, e: int):
+    """Values of t -> Det(x + t E_e) at the interpolation nodes -1, 0, 1, 2,
+    as Gaussian integers (re, im) over one common denominator.
+
+    The traces of (x + tE)^k are polynomials in t whose coefficients are
+    cleared to Gaussian integers over den; then 6 den^3 Det(x + tE) =
+    2 den^2 tr3 - 3 den tr1 tr2 + tr1^3 in integers at each node."""
     alg = ctx.alg
-    q = alg.product_coords(ctx.xc, list(unit_vec(alg.dim, e)))
+    q = alg.product_coords(ctx.xc, unit_vec(alg.dim, e))
     r = alg.basis_product(e, e)
-    trq, trr = _tr(alg, q), _tr(alg, r)
-    tre = alg.trace_vec[e]
     # tr((x+tE)^2) = trm2 + 2t trq + t^2 trr
-    # tr((x+tE)^3) = T(x+tE, (x+tE)^2)
-    ebase = unit_vec(alg.dim, e)
-    t_em2 = _pair(alg, ebase, ctx.m2)
-    t_xq = _pair(alg, ctx.xc, q)
-    t_xr = _pair(alg, ctx.xc, r)
-    t_eq = _pair(alg, ebase, q)
-    t_er = _pair(alg, ebase, r)
-    c0 = ctx.t_xm2
-    c1 = t_em2 + sc(2) * t_xq
-    c2 = t_xr + sc(2) * t_eq
-    c3 = t_er
+    # tr((x+tE)^3) = T(x+tE, (x+tE)^2), with T(E, v) = w_e v_e
+    w = alg.trace_weights[e]
+    c1 = w * ctx.m2[e] + _TWO * _pair_cleared(alg, ctx.x_ints, _cleared(q))
+    c2 = _pair_cleared(alg, ctx.x_ints, _cleared(r)) + _TWO * w * q[e]
+    coeffs = [ctx.trm, alg.trace_vec[e], ctx.trm2, _TWO * _tr(alg, q), _tr(alg, r),
+              ctx.t_xm2, c1, c2, w * r[e]]
+    ints = [(0, 0)] * len(coeffs)
+    cleared, den, _ = _cleared(coeffs)
+    for k, u, v in cleared:
+        ints[k] = (u, v)
+    a0, a1, b0, b1, b2, *c = ints
     values = []
-    for t in (sc(-1), ZERO, ONE, sc(2)):
-        tr1 = ctx.trm + t * tre
-        tr2 = ctx.trm2 + sc(2) * t * trq + t * t * trr
-        tr3 = c0 + t * (c1 + t * (c2 + t * c3))
-        values.append(tr3 / sc(3) - tr1 * tr2 / sc(2) + tr1 ** 3 / sc(6))
-    return values
+    for t in (-1, 0, 1, 2):
+        tr1 = tuple(u + t * v for u, v in zip(a0, a1))
+        tr2 = tuple(u + t * (v + t * x) for u, v, x in zip(b0, b1, b2))
+        tr3 = tuple(u + t * (v + t * (x + t * y)) for u, v, x, y in zip(*c))
+        prod, cube = _gmul(tr1, tr2), _gmul(tr1, _gmul(tr1, tr1))
+        values.append(tuple(
+            2 * den * den * u - 3 * den * v + x for u, v, x in zip(tr3, prod, cube)
+        ))
+    return values, 6 * den ** 3
+
+
+def _gmul(x: Tuple[int, int], y: Tuple[int, int]) -> Tuple[int, int]:
+    """The product of two Gaussian integers given as (re, im)."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
 def _tr(alg: JordanAlgebra, coords) -> Scalar:
@@ -326,7 +342,28 @@ def _tr(alg: JordanAlgebra, coords) -> Scalar:
 
 
 def _pair(alg: JordanAlgebra, x, y) -> Scalar:
-    return vec_dot(list(x), alg.trace_gram.apply(list(y)))
+    """The trace form sum_i w_i x_i y_i."""
+    return _pair_cleared(alg, _cleared(x), _cleared(y))
+
+
+def _pair_cleared(alg: JordanAlgebra, xs, ys) -> Scalar:
+    """The trace form on two vectors cleared by tensor._cleared: summed in
+    Gaussian integers over the coordinates where both are nonzero, with the
+    weights cleared likewise, and divided once."""
+    (xs, dx, _), (ys, dy, _) = xs, ys
+    at = {i: (c, d) for i, c, d in ys}
+    weights = alg._weight_ints
+    re = im = 0
+    for i, a, b in xs:
+        cd = at.get(i)
+        if cd is not None:
+            c, d = cd
+            re += weights[i] * (a * c - b * d)
+            im += weights[i] * (a * d + b * c)
+    if not (re or im):
+        return ZERO
+    den = dx * dy * alg._weight_den
+    return _make(_Q(re, den), _Q(im, den))
 
 
 def adjugate(x: JordanElement) -> JordanElement:
@@ -340,10 +377,11 @@ def adjugate(x: JordanElement) -> JordanElement:
     alg = x.algebra
     ctx = _LineContext(x)
     grad = []
-    for e in range(alg.dim):
-        fm1, f0, f1, f2 = _det_along_line(ctx, e)
-        grad.append((f1 * sc(6) - fm1 * sc(2) - f0 * sc(3) - f2) / sc(6))
-    return JordanElement(alg, alg.trace_gram_inv.apply(grad))
+    for e, w in enumerate(alg.trace_weights):
+        (fm1, f0, f1, f2), den = _det_along_line(ctx, e)
+        re, im = (6 * p1 - 2 * m1 - 3 * z0 - p2 for m1, z0, p1, p2 in zip(fm1, f0, f1, f2))
+        grad.append(_make(_Q(re, 6 * den), _Q(im, 6 * den)) / w)
+    return JordanElement(alg, grad)
 
 
 def adjugate_closed_form(x: JordanElement) -> JordanElement:
@@ -462,9 +500,7 @@ def symplectic_pairing(p: FreudenthalVector, q: FreudenthalVector) -> Scalar:
     if p.algebra is not q.algebra:
         raise ValueError("vectors over different algebras")
     alg = p.algebra
-    t_pq = vec_dot(list(p.n), alg.trace_gram.apply(list(q.m)))
-    t_qp = vec_dot(list(q.n), alg.trace_gram.apply(list(p.m)))
-    return (t_pq - t_qp) + (p.alpha * q.beta - q.alpha * p.beta)
+    return (_pair(alg, p.n, q.m) - _pair(alg, q.n, p.m)) + (p.alpha * q.beta - q.alpha * p.beta)
 
 
 def symplectic_gram_rank(a: int) -> int:

@@ -166,8 +166,8 @@ def commutator_closure_algebra(
     its n columns are pivots, closed when no commutator column is, and the
     reduced rows hold the coordinates.  Rational families form the
     commutators as integer matrix products (checked against 2**53 when run
-    through float64) and take the certified modular path; Q(i) families use
-    Scalar products and Fraction elimination.
+    through float64); Q(i) families form them from Scalar products and are
+    eliminated in their real form.  Both take the certified modular path.
     """
     n = len(matrices)
     if n == 0:
@@ -268,8 +268,9 @@ def _sparse_kernel(rows: List[Dict[int, Scalar]], ncols: int) -> List[List[Scala
     ``kernel(...).basis``.
 
     Rational rows go to the certified integer path on the column-reversed
-    system, whose free columns are the echelon pivots of the kernel; rows
-    with a Q(i) entry take the Fraction elimination."""
+    system, whose free columns are the echelon pivots of the kernel, without
+    a dense Scalar matrix; rows with a Q(i) entry go to :func:`kernel`,
+    which does the same on their real form."""
     if any(v.im for row in rows for v in row.values()):
         dense = [[row.get(k, ZERO) for k in range(ncols)] for row in rows]
         return kernel(Matrix(dense)).basis
@@ -424,24 +425,34 @@ def _first_nonzero(keys: np.ndarray, vals: np.ndarray) -> Optional[int]:
     return int(keys[starts[bad[0]]]) if bad.size else None
 
 
+def _killing_join(t: StructureTensor) -> Tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of K[i,j] = sum_ab C[i,a,b] C[j,b,a] for
+    the integer-scaled bracket C = den * c, joined on (a, b) and summed in
+    Python integers."""
+    by_pair: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
+    for i, row in enumerate(t.cells):
+        for a, cell in enumerate(row):
+            for b, c, e in cell:
+                by_pair.setdefault((a, b), []).append((i, c, e))
+    re = np.zeros((t.dim, t.dim), dtype=object)
+    im = np.zeros((t.dim, t.dim), dtype=object)
+    for (a, b), left in by_pair.items():
+        for j, y, z in by_pair.get((b, a), ()):
+            for i, w, x in left:
+                re[i, j] += w * y - x * z
+                if x or z:
+                    im[i, j] += w * z + x * y
+    return re, im
+
+
 def killing_gram_int(g: SCAlgebra) -> np.ndarray:
     """Killing form Gram matrix K[i,j] = sum_ab C[i,a,b] C[j,b,a] of the
     integer-scaled bracket den * c, joined on (a, b) and summed in Python
     integers.  Returned as int64: an entry that does not fit, or a Gaussian
     constant, raises ValueError."""
-    t = g.tensor
-    if not t.rational:
+    if not g.tensor.rational:
         raise ValueError("the integer Killing form requires rational constants")
-    by_pair: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for i, row in enumerate(t.cells):
-        for a, cell in enumerate(row):
-            for b, c, _ in cell:
-                by_pair.setdefault((a, b), []).append((i, c))
-    k = np.zeros((g.dim, g.dim), dtype=object)
-    for (a, b), left in by_pair.items():
-        for j, y in by_pair.get((b, a), ()):
-            for i, x in left:
-                k[i, j] += x * y
+    k, _ = _killing_join(g.tensor)
     try:
         return k.astype(np.int64)
     except OverflowError:
@@ -449,14 +460,16 @@ def killing_gram_int(g: SCAlgebra) -> np.ndarray:
 
 
 def killing_nondegenerate(g: SCAlgebra) -> bool:
-    """True when the Killing form has an empty (verified) kernel."""
-    return not intlin.int_kernel(killing_gram_int(g), g.dim)
+    """True when the Killing form has an empty (verified) kernel; over Q(i)
+    the kernel of its real form."""
+    if g.tensor.rational:
+        return not intlin.int_kernel(killing_gram_int(g), g.dim)
+    return not intlin.int_kernel(intlin.realified(*_killing_join(g.tensor)), 2 * g.dim)
 
 
 def derived_dimension(g: SCAlgebra) -> int:
-    """Dimension of the span of all basis brackets, exact: rational
-    brackets use the modular path with exact verification, Q(i) brackets
-    Fraction elimination."""
+    """Dimension of the span of all basis brackets, exact: the modular
+    path with exact verification, Q(i) brackets in their real form."""
     rows = []
     for comp in g.bracket.values():
         row = zero_vec(g.dim)

@@ -1,10 +1,10 @@
 """Exact dense linear algebra over Q and Q(i).
 
 Matrices hold Scalar entries; rank, kernel, and solve are computed by exact
-elimination.  Rational input uses the modular path with exact verification
-(:mod:`excalg.intlin`); Q(i) input uses Fraction elimination.  Subspaces
-are canonicalized to reduced row echelon form, so subspace equality is
-plain syntactic equality of bases.
+elimination on the modular path with exact verification
+(:mod:`excalg.intlin`): rational rows directly, Q(i) rows through their
+real form over Z.  Subspaces are canonicalized to reduced row echelon form,
+so subspace equality is plain syntactic equality of bases.
 
 Everything here is immutable-after-construction and pure; results never
 alias their inputs.
@@ -16,7 +16,7 @@ import random
 from typing import Iterable, List, Optional, Sequence
 
 from . import intlin
-from .scalar import ONE, ZERO, Scalar, rand_scalar, sc
+from .scalar import ONE, ZERO, Scalar, _make, rand_scalar, sc
 
 Vector = List[Scalar]
 
@@ -198,19 +198,29 @@ def rank(m: Matrix) -> int:
 
 
 def kernel(m: Matrix) -> "Subspace":
-    """Canonical echelon basis of the right kernel of m."""
-    reduced, pivots = _rref([list(r) for r in m.entries])
+    """Canonical echelon basis of the right kernel of m.
+
+    One elimination of the column-reversed matrix: its kernel vectors, one
+    per free column f, vanish at the other free columns and are nonzero only
+    at pivots before f.  Read backwards they are already in reduced row
+    echelon form, with their pivots at the reversed free columns."""
     n = m.cols
+    reduced, pivots = _rref([row[::-1] for row in m.entries])
     pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    basis = []
-    for f in free:
+    basis, basis_pivots = [], []
+    for f in range(n - 1, -1, -1):
+        if f in pivot_set:
+            continue
         v = zero_vec(n)
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f]
+        v[n - 1 - f] = ONE
+        for row, p in zip(reduced, pivots):
+            if p > f:
+                break
+            if row[f]:
+                v[n - 1 - p] = -row[f]
         basis.append(v)
-    return Subspace(n, basis)
+        basis_pivots.append(n - 1 - f)
+    return Subspace._echelon(n, basis, basis_pivots)
 
 
 def solve(m: Matrix, rhs: Sequence[Scalar]) -> Optional[Vector]:
@@ -256,54 +266,28 @@ def random_invertible(
 def _rref(rows: List[List[Scalar]]) -> tuple[List[List[Scalar]], List[int]]:
     """Reduced row echelon form; returns the nonzero rows and the pivots.
 
-    Rational rows are cleared to integers and read off their certified
-    kernel (:func:`excalg.intlin.int_rref`); rows with a Q(i) entry take
-    the Fraction elimination.
-    """
+    The rows are cleared to integers and read off their certified kernel
+    (:func:`excalg.intlin.int_rref`).  Rows with a Q(i) entry are cleared to
+    Gaussian integers and eliminated in their real form, whose reduced rows
+    are the real forms of the complex ones: the pivots come in pairs
+    (2p, 2p + 1), and row 2k holds re, -im of complex row k."""
     if not rows:
         return [], []
-    if any(x.im for row in rows for x in row):
-        return _rref_fraction(rows)
     ncols = len(rows[0])
-    return intlin.int_rref(
-        intlin.cleared_matrix([enumerate(row) for row in rows], ncols), ncols
-    )
-
-
-def _rref_fraction(rows: List[List[Scalar]]) -> tuple[List[List[Scalar]], List[int]]:
-    """Reduced row echelon form by Fraction elimination over Q(i).
-
-    Incremental reduction: each row is reduced against the pivots found so
-    far, then inserted if it contributes a new pivot.  Keeping the working
-    set at the current rank makes tall sparse systems cheap.
-    """
-    pivots: List[int] = []
-    reduced: List[List[Scalar]] = []
-    for row in rows:
-        row = list(row)
-        for r, p in enumerate(pivots):
-            f = row[p]
-            if not f.is_zero():
-                red = reduced[r]
-                row = [x - f * y for x, y in zip(row, red)]
-        lead = next((j for j, x in enumerate(row) if not x.is_zero()), None)
-        if lead is None:
-            continue
-        inv = row[lead].inverse()
-        row = [inv * x for x in row]
-        # keep rows sorted by pivot column
-        pos = next((k for k, p in enumerate(pivots) if p > lead), len(pivots))
-        pivots.insert(pos, lead)
-        reduced.insert(pos, row)
-    # back-eliminate above each pivot
-    for r in range(len(pivots) - 1, -1, -1):
-        p = pivots[r]
-        prow = reduced[r]
-        for s in range(r):
-            f = reduced[s][p]
-            if not f.is_zero():
-                reduced[s] = [x - f * y for x, y in zip(reduced[s], prow)]
-    return reduced, pivots
+    if not any(x.im for row in rows for x in row):
+        return intlin.int_rref(
+            intlin.cleared_matrix([enumerate(row) for row in rows], ncols), ncols
+        )
+    real, real_pivots = intlin.int_rref(intlin.realified_rows(rows, ncols), 2 * ncols)
+    pivots = real_pivots[0::2]
+    if real_pivots[1::2] != [p + 1 for p in pivots] or any(p % 2 for p in pivots):
+        raise ArithmeticError("real form of a Q(i) system has unpaired pivots")
+    reduced = [
+        [_make(row[j].re, -row[j + 1].re) if row[j] or row[j + 1] else ZERO
+         for j in range(0, 2 * ncols, 2)]
+        for row in real[0::2]
+    ]
+    return reduced, [p // 2 for p in pivots]
 
 
 class Subspace:
@@ -324,6 +308,13 @@ class Subspace:
         self.ambient = ambient
         self.basis = reduced
         self._pivots = pivots
+
+    @staticmethod
+    def _echelon(ambient: int, basis: List[Vector], pivots: List[int]) -> "Subspace":
+        """A Subspace from a basis already in reduced row echelon form."""
+        s = object.__new__(Subspace)
+        s.ambient, s.basis, s._pivots = ambient, basis, pivots
+        return s
 
     @staticmethod
     def zero(ambient: int) -> "Subspace":

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from . import forms as fm
 from .forms import KForm
 from .linalg import Matrix, Subspace, kernel, rank as mat_rank, unit_vec, zero_vec
-from .scalar import ZERO, Scalar, sc
+from .scalar import _Q, ZERO, Scalar, _make, sc
+from .tensor import _cleared
 
 ZERO_LABEL = "ZERO"
 RANK3_DECOMPOSABLE = "RANK3_DECOMPOSABLE"
@@ -59,52 +61,60 @@ class QuadForm:
         return mat_rank(self.gram)
 
 
-def _merge_parity(a: tuple, b: tuple) -> int:
-    """Parity sign of merging two sorted disjoint index tuples."""
-    inv = 0
-    j = 0
-    for x in a:
-        while j < len(b) and b[j] < x:
-            j += 1
-        inv += len(b) - j
-    return -1 if inv & 1 else 1
-
-
-def _top3(aterms: dict, bterms: dict, wterms: dict) -> Scalar:
-    """Top coefficient of alpha ^ beta ^ w for 2-forms alpha, beta and a
-    trivector w in seven variables, without building intermediate forms."""
-    total = ZERO
+@lru_cache(maxsize=None)
+def _q_table() -> List[List[Tuple[int, int, int, int]]]:
+    """For each entry (a, b), a <= b, of q_of's Gram matrix in row order, the
+    monomials (sign, t1, t2, t3) over the indices of the 35 sorted triples:
+    B(a, b) = sum sign * w[{a} u jk] * w[{b} u lm] * w[npq] over the splits
+    {j,k}, {l,m}, {n,p,q} of {1..7}, the sign that of e_a -| e^{a jk},
+    e_b -| e^{b lm} and e^{jk} ^ e^{lm} ^ e^{npq} = sign * e^{1..7}."""
+    triples = list(itertools.combinations(range(1, 8), 3))
+    index = {t: r for r, t in enumerate(triples)}
     full = frozenset(range(1, 8))
-    for ia, ca in aterms.items():
-        sa = set(ia)
-        for ib, cb in bterms.items():
-            if sa & set(ib):
-                continue
-            rest = tuple(sorted(full - sa - set(ib)))
-            cw = wterms.get(rest)
-            if cw is None:
-                continue
-            merged = tuple(sorted(ia + ib))
-            sign = _merge_parity(ia, ib) * _merge_parity(merged, rest)
-            term = ca * cb * cw
-            total = total + term if sign > 0 else total - term
-    return total
+    table = []
+    for a in range(1, 8):
+        for b in range(a, 8):
+            rows = []
+            for jk in itertools.combinations(sorted(full - {a}), 2):
+                for lm in itertools.combinations(sorted(full - {b} - set(jk)), 2):
+                    npq = tuple(sorted(full - set(jk) - set(lm)))
+                    t1, s1 = fm._sort_with_sign((a,) + jk)
+                    t2, s2 = fm._sort_with_sign((b,) + lm)
+                    _, s3 = fm._sort_with_sign(jk + lm + npq)
+                    rows.append((s1 * s2 * s3, index[t1], index[t2], index[npq]))
+            table.append(rows)
+    return table
 
 
 def q_of(w: KForm) -> QuadForm:
     """The quadratic form v -> (v -| w)^2 ^ w in seven variables, under the
-    volume identification e^{1..7} -> 1.  The Gram matrix comes from the
-    polarization q(u,v) = (q(u+v) - q(u) - q(v)) / 2, which here equals the
-    top coefficient of (u -| w) ^ (v -| w) ^ w."""
+    volume identification e^{1..7} -> 1.  The Gram entry (a, b) is the top
+    coefficient of (e_a -| w) ^ (e_b -| w) ^ w, the polarization
+    (q(u+v) - q(u) - q(v)) / 2: one fixed cubic contraction of the
+    coefficients cleared to Gaussian integers, summed in Python integers and
+    divided once by den^3."""
     if w.k != 3 or w.n != 7:
         raise ValueError("q_of expects a trivector in seven variables")
-    alphas = [fm.contract_basis(i, w).terms for i in range(1, 8)]
+    coeffs, den, _ = _cleared(
+        [w.terms.get(t, ZERO) for t in itertools.combinations(range(1, 8), 3)]
+    )
+    re, im = [0] * 35, [0] * 35
+    for t, x, y in coeffs:
+        re[t], im[t] = x, y
+    den3 = den ** 3
     gram = [[ZERO] * 7 for _ in range(7)]
+    cells = iter(_q_table())
     for i in range(7):
         for j in range(i, 7):
-            val = _top3(alphas[i], alphas[j], w.terms)
-            gram[i][j] = val
-            gram[j][i] = val
+            total_re = total_im = 0
+            for sign, t1, t2, t3 in next(cells):
+                # (x1 + y1 i)(x2 + y2 i)(x3 + y3 i) in Gaussian integers
+                x1, y1, x2, y2 = re[t1], im[t1], re[t2], im[t2]
+                u, v = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2
+                x3, y3 = re[t3], im[t3]
+                total_re += sign * (u * x3 - v * y3)
+                total_im += sign * (u * y3 + v * x3)
+            gram[i][j] = gram[j][i] = _make(_Q(total_re, den3), _Q(total_im, den3))
     return QuadForm(7, Matrix(gram))
 
 

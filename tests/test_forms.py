@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,16 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from excalg import forms as fm
 from excalg.composition import associative_form, canonical_octonions, coassociative_form
-from excalg.linalg import Matrix, random_invertible, unit_vec
-from excalg.scalar import I, ONE, sc
+from excalg.linalg import Matrix, random_invertible, rank, unit_vec
+from excalg.scalar import I, ONE, ZERO, Scalar, sc
 
 ASSOC = "e[1,2,3]+e[3,6,5]+e[5,4,1]+e[2,6,4]+e[1,7,6]+e[5,7,2]+e[3,7,4]"
 
 
 def small_form(seed, k=2, n=6):
     rng = random.Random(seed)
-    import itertools
-
     terms = {}
     for idx in itertools.combinations(range(1, n + 1), k):
         c = rng.randint(-2, 2)
@@ -72,7 +71,44 @@ class TestContract:
         assert fm.contract(v, fm.contract(v, a)).is_zero()
 
 
+def pullback_reference(g, a):
+    """a_J e^J -> a_J (row_j1 g) ^ ... ^ (row_jk g), by wedges of 1-forms."""
+    n = a.n
+    out = fm.KForm.zero(a.k, n)
+    for idx, c in a.terms.items():
+        term = fm.KForm(0, n, {(): ONE})
+        for j in idx:
+            row = fm.KForm(1, n, {(col + 1,): g[j - 1, col] for col in range(n)})
+            term = fm.wedge(term, row)
+        out = out + term.scale(c)
+    return out
+
+
+_gaussian_entry = st.one_of(
+    st.just(ZERO),
+    st.builds(lambda a, b, d: Scalar.rational(a, d) + Scalar.rational(b, d) * I,
+              st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 3)),
+)
+
+
 class TestPullback:
+    @given(st.integers(1, 3), st.integers(3, 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_wedge_of_rows(self, k, n, data):
+        # minors against wedges of the rows of g, for Gaussian g and forms
+        # with zero coefficients; a g with a repeated row is rejected
+        g = Matrix([[data.draw(_gaussian_entry) for _ in range(n)] for _ in range(n)])
+        tuples = list(itertools.combinations(range(1, n + 1), k))
+        a = fm.KForm(k, n, {t: data.draw(_gaussian_entry) for t in tuples})
+        if rank(g) < n:
+            with pytest.raises(ValueError):
+                fm.pullback(g, a)
+        else:
+            assert fm.pullback(g, a) == pullback_reference(g, a)
+        twin = Matrix([g.row(0)] + [g.row(i) for i in range(n - 1)])
+        with pytest.raises(ValueError):
+            fm.pullback(twin, a)
+
     def test_identity(self):
         a = small_form(3, k=3, n=6)
         assert fm.pullback(Matrix.identity(6), a) == a

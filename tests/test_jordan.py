@@ -1,10 +1,12 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from excalg import jordan as jd
-from excalg.linalg import unit_vec
-from excalg.scalar import ONE, sc
+from excalg.linalg import Matrix, unit_vec, vec_dot
+from excalg.scalar import I, ONE, ZERO, Scalar, sc
 
 ALL_A = (0, 1, 2, 4, 8)
 
@@ -210,6 +212,47 @@ class TestFreudenthal:
         for a in (0, 1):
             rep = jd.legendrian_check(a, samples=5, seed=0)
             assert rep.passed and rep.tangent_dim == 3 * a + 4
+
+
+@lru_cache(maxsize=None)
+def dense_trace_gram(a):
+    """The trace form tr(e_i o e_j) as a dense Matrix."""
+    alg = jd.jordan_algebra(a)
+    return Matrix([[jd.trace(alg.element(alg.basis_product(i, j))) for j in range(alg.dim)]
+                   for i in range(alg.dim)])
+
+
+_coordinate = st.one_of(
+    st.just(ZERO),
+    st.builds(lambda x, y, d: Scalar.rational(x, d) + Scalar.rational(y, d) * I,
+              st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3)),
+)
+
+
+class TestTracePairing:
+    def test_weights(self):
+        for a in (1, 2, 4, 8):
+            alg = jd.jordan_algebra(a)
+            assert alg.trace_weights == (ONE,) * 3 + (sc(2),) * (3 * a)
+            gram = dense_trace_gram(a)
+            assert gram == Matrix([[alg.trace_weights[i] if i == j else 0
+                                    for j in range(alg.dim)] for i in range(alg.dim)])
+
+    @given(st.sampled_from((1, 2, 4, 8)), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_dense_gram(self, a, data):
+        # the weighted sums against the dense Gram matrix, on Gaussian
+        # coordinates with zeros
+        alg = jd.jordan_algebra(a)
+        gram = dense_trace_gram(a)
+        draw = lambda: [data.draw(_coordinate) for _ in range(alg.dim)]
+        x, y, u, v = draw(), draw(), draw(), draw()
+        assert jd.trace_pairing(alg.element(x), alg.element(y)) == vec_dot(x, gram.apply(y))
+        alpha, beta = data.draw(_coordinate), data.draw(_coordinate)
+        p = jd.freudenthal_vector(alg, alpha, x, y, beta)
+        q = jd.freudenthal_vector(alg, beta, u, v, alpha)
+        dense = vec_dot(y, gram.apply(u)) - vec_dot(v, gram.apply(x)) + (alpha * alpha - beta * beta)
+        assert jd.symplectic_pairing(p, q) == dense
 
 
 class TestSerialization:

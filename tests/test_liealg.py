@@ -392,6 +392,26 @@ class TestDerivedAndKilling:
         monkeypatch.setattr(ll, "killing_gram_int", lambda g: gram)
         assert ll.killing_nondegenerate(ll.SCAlgebra(2, {}, skew=True))
 
+    def test_gaussian_killing(self):
+        # sl2 in a Gaussian basis is semisimple; the Gaussian Heisenberg
+        # algebra and gl2 in a Gaussian basis are not.  The reference is the
+        # determinant of trace(ad e_i ad e_j) in Scalar arithmetic
+        h = _elementary(2, 0, 0) - _elementary(2, 1, 1)
+        e, f = _elementary(2, 0, 1), _elementary(2, 1, 0)
+        sl2 = ll.commutator_closure_algebra(
+            [h + e.scale(I), e - f.scale(I), f.scale(sc("1/2")) + h.scale(I)]
+        )
+        heisenberg = ll.SCAlgebra(3, {(0, 1): {2: I}, (1, 0): {2: -I}}, skew=True)
+        for g, expected in ((sl2, True), (heisenberg, False), (gaussian_gl2(), False)):
+            assert not g.tensor.rational
+            ads = [g.ad_matrix(unit_vec(g.dim, i)) for i in range(g.dim)]
+            gram = Matrix([[sum(((x @ y)[r, r] for r in range(g.dim)), sc(0)) for y in ads]
+                           for x in ads])
+            assert (not gram.det().is_zero()) == expected
+            assert ll.killing_nondegenerate(g) == expected
+        with pytest.raises(ValueError):
+            ll.killing_gram_int(sl2)
+
     def test_abelian_derived_zero(self):
         g = ll.SCAlgebra(2, {}, skew=True)
         assert ll.derived_dimension(g) == 0

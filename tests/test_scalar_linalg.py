@@ -184,9 +184,44 @@ class TestSubspace:
         assert checked >= 15 and outside_seen >= 10
 
 
+def _rref_fraction(rows):
+    """Reduced row echelon form by Fraction elimination over Q(i): the
+    reference for the certified elimination of ``linalg._rref``.
+
+    Incremental reduction: each row is reduced against the pivots found so
+    far, then inserted if it contributes a new pivot."""
+    pivots = []
+    reduced = []
+    for row in rows:
+        row = list(row)
+        for r, p in enumerate(pivots):
+            f = row[p]
+            if not f.is_zero():
+                red = reduced[r]
+                row = [x - f * y for x, y in zip(row, red)]
+        lead = next((j for j, x in enumerate(row) if not x.is_zero()), None)
+        if lead is None:
+            continue
+        inv = row[lead].inverse()
+        row = [inv * x for x in row]
+        # keep rows sorted by pivot column
+        pos = next((k for k, p in enumerate(pivots) if p > lead), len(pivots))
+        pivots.insert(pos, lead)
+        reduced.insert(pos, row)
+    # back-eliminate above each pivot
+    for r in range(len(pivots) - 1, -1, -1):
+        p = pivots[r]
+        prow = reduced[r]
+        for s in range(r):
+            f = reduced[s][p]
+            if not f.is_zero():
+                reduced[s] = [x - f * y for x, y in zip(reduced[s], prow)]
+    return reduced, pivots
+
+
 def _free_column_basis(rows, ncols):
     """Kernel vectors read off the Fraction reduced row echelon form."""
-    reduced, pivots = la._rref_fraction(rows) if rows else ([], [])
+    reduced, pivots = _rref_fraction(rows) if rows else ([], [])
     basis = []
     for f in (j for j in range(ncols) if j not in pivots):
         v = la.unit_vec(ncols, f)
@@ -216,6 +251,22 @@ class TestIntKernel:
             assert ll._sparse_kernel(sparse, 30) == la.kernel(la.Matrix(rows)).basis
         assert len(intlin.int_kernel(systems[2], 30)) == 23
 
+    @pytest.mark.parametrize("unit", [ONE, I], ids=["rational", "gaussian"])
+    def test_kernel_is_one_elimination(self, unit, monkeypatch):
+        # an 80 x 30 system of rank 20: one certified elimination gives the
+        # echelon basis of the kernel, over Q and over Q(i)
+        rng = random.Random(7)
+        draw = lambda: sc(rng.randint(-4, 4)) + unit * rng.randint(-2, 2)
+        gens = [[draw() for _ in range(30)] for _ in range(20)]
+        combos = [[draw() for _ in range(20)] for _ in range(80)]
+        rows = [[sum((c * g[j] for c, g in zip(cs, gens)), ZERO) for j in range(30)]
+                for cs in combos]
+        expected = _rref_fraction(_free_column_basis(rows, 30))[0]
+        calls = _counting_certified_kernel(monkeypatch)
+        basis = la.kernel(la.Matrix(rows)).basis
+        assert len(calls) == 1
+        assert len(basis) == 10 and basis == expected
+
     def test_rank_certificate(self):
         # exact ranks from the verified kernel, also for a full-rank matrix
         # that is singular modulo the first two primes
@@ -240,30 +291,37 @@ class TestIntKernel:
 
 
 # entries for the differential tests: small rationals and integers past the
-# int64 and float bounds
+# int64 and float bounds, and Gaussian rationals with such parts
 _entries = st.one_of(
     st.just(ZERO),
     st.builds(lambda n, d: Scalar.rational(n, d), st.integers(-9, 9), st.integers(1, 6)),
     st.builds(lambda s, e, d: Scalar.rational(s * (1 << e) + 1, d),
               st.sampled_from((-1, 1)), st.sampled_from((40, 70)), st.integers(1, 3)),
 )
+_gaussian_entries = st.one_of(
+    _entries, st.builds(lambda a, b: Scalar(a.re, b.re), _entries, _entries)
+)
 
 
 @st.composite
-def _rational_rows(draw):
-    """Rows of a rational matrix: empty, 1x1, tall or wide, with zero rows,
-    duplicate rows, or a pair of rows that differ by a multiple of the first
-    prime (dependent modulo that prime, independent over Q)."""
+def _rows(draw, entries):
+    """Rows of a matrix: empty, 1x1, tall or wide, with zero rows, duplicate
+    rows, a combination of two rows, or a pair of rows that differ by a
+    multiple of the first prime (dependent modulo that prime, independent
+    over the field)."""
     m = draw(st.integers(0, 6))
     n = 1 if m == 1 and draw(st.booleans()) else draw(st.integers(1, 6))
-    rows = [[draw(_entries) for _ in range(n)] for _ in range(m)]
+    rows = [[draw(entries) for _ in range(n)] for _ in range(m)]
     if rows:
-        twist = draw(st.sampled_from(("none", "zero", "duplicate", "mod p0")))
-        r = draw(st.integers(0, m - 1))
+        twist = draw(st.sampled_from(("none", "zero", "duplicate", "dependent", "mod p0")))
+        r, s = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
         if twist == "zero":
             rows.append([ZERO] * n)
         elif twist == "duplicate":
             rows.append(list(rows[r]))
+        elif twist == "dependent":
+            c, d = draw(entries), draw(entries)
+            rows.append([c * x + d * y for x, y in zip(rows[r], rows[s])])
         elif twist == "mod p0":
             j = draw(st.integers(0, n - 1))
             row = list(rows[r])
@@ -273,59 +331,109 @@ def _rational_rows(draw):
     return [list(row) for row in rows]
 
 
+def _check_against_reference(rows, rhs):
+    """rank, Subspace, kernel, solve and inverse of the certified elimination
+    against the Fraction reference, entry for entry."""
+    n = len(rows[0]) if rows else 0
+    m = la.Matrix(rows)
+    reduced, pivots = _rref_fraction(rows) if rows else ([], [])
+    assert la.rank(m) == len(pivots)
+    assert la.Subspace(n, rows).basis == reduced
+    if rows:
+        assert la.kernel(m).basis == _rref_fraction(_free_column_basis(rows, n))[0]
+        aug_red, aug_piv = _rref_fraction([r + [b] for r, b in zip(rows, rhs)])
+        expected = None
+        if n not in aug_piv:
+            expected = [ZERO] * n
+            for r, p in enumerate(aug_piv):
+                expected[p] = aug_red[r][n]
+        assert la.solve(m, rhs) == expected
+    if rows and len(rows) == n:
+        aug_red, aug_piv = _rref_fraction(
+            [r + la.unit_vec(n, i) for i, r in enumerate(rows)]
+        )
+        if aug_piv == list(range(n)):
+            assert m.inverse() == la.Matrix([r[n:] for r in aug_red])
+        else:
+            with pytest.raises(ValueError):
+                m.inverse()
+
+
+def _counting_certified_kernel(monkeypatch):
+    """Count the certified eliminations from here on."""
+    calls = []
+    inner = intlin._certified_kernel
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return inner(rows, ncols)
+
+    monkeypatch.setattr(intlin, "_certified_kernel", counted)
+    return calls
+
+
 class TestCertifiedElimination:
-    @given(_rational_rows(), st.data())
+    @given(_rows(_entries), st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_fraction_reference(self, rows, data):
-        n = len(rows[0]) if rows else 0
-        m = la.Matrix(rows)
-        reduced, pivots = la._rref_fraction(rows) if rows else ([], [])
-        assert la.rank(m) == len(pivots)
-        assert la.Subspace(n, rows).basis == reduced
-        if rows:
-            assert la.kernel(m).basis == la._rref_fraction(_free_column_basis(rows, n))[0]
-            rhs = [data.draw(_entries) for _ in rows]
-            aug_red, aug_piv = la._rref_fraction([r + [b] for r, b in zip(rows, rhs)])
-            expected = None
-            if n not in aug_piv:
-                expected = [ZERO] * n
-                for r, p in enumerate(aug_piv):
-                    expected[p] = aug_red[r][n]
-            assert la.solve(m, rhs) == expected
-        if rows and len(rows) == n:
-            aug_red, aug_piv = la._rref_fraction(
-                [r + la.unit_vec(n, i) for i, r in enumerate(rows)]
-            )
-            if aug_piv == list(range(n)):
-                assert m.inverse() == la.Matrix([r[n:] for r in aug_red])
-            else:
-                with pytest.raises(ValueError):
-                    m.inverse()
+        _check_against_reference(rows, [data.draw(_entries) for _ in rows])
+
+    @given(_rows(_gaussian_entries), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_gaussian_matches_fraction_reference(self, rows, data):
+        # Q(i) rows are eliminated in their real form
+        _check_against_reference(rows, [data.draw(_gaussian_entries) for _ in rows])
 
     def test_heights_past_the_first_64_primes(self):
         # the inverse of a 12 x 12 matrix of 100-bit integers has about
         # 2300-bit numerators times denominators: more than 64 primes hold
         rng = random.Random(11)
         rows = [[sc(rng.randrange(1 << 100)) for _ in range(12)] for _ in range(12)]
-        aug_red, aug_piv = la._rref_fraction([r + la.unit_vec(12, i) for i, r in enumerate(rows)])
+        aug_red, aug_piv = _rref_fraction([r + la.unit_vec(12, i) for i, r in enumerate(rows)])
         assert aug_piv == list(range(12))
         assert la.Matrix(rows).inverse() == la.Matrix([r[12:] for r in aug_red])
 
     def test_rational_input_never_takes_the_fraction_loop(self, monkeypatch):
-        def refuse(rows):
-            raise AssertionError("rational rows reached the Fraction loop")
+        # Fraction elimination inverts each pivot; the certified path inverts
+        # no Scalar and eliminates once per call, over Q and over Q(i)
+        half = Scalar.rational(1, 2)
+        rational = la.Matrix([[1, 2, 3], [2, 4, 6], [1, 0, half]])
+        gaussian = la.Matrix([[1, I, 3], [I, -1, 3 * I], [1, 0, half]])
+        g_inverse = la.Matrix([r[2:] for r in _rref_fraction([[ONE, I, ONE, ZERO], [sc(3), ONE, ZERO, ONE]])[0]])
 
-        monkeypatch.setattr(la, "_rref_fraction", refuse)
-        m = la.Matrix([[1, 2, 3], [2, 4, 6], [1, 0, Scalar.rational(1, 2)]])
-        assert la.rank(m) == 2
-        assert la.kernel(m).dim == 1
-        assert la.solve(m, [sc(1), sc(2), sc(0)]) is not None
+        def refuse(self):
+            raise AssertionError("an elimination inverted a Scalar")
+
+        monkeypatch.setattr(Scalar, "inverse", refuse)
+        with pytest.raises(AssertionError):
+            _rref_fraction([[I, ONE]])
+        calls = _counting_certified_kernel(monkeypatch)
+        for m in (rational, gaussian):
+            assert la.rank(m) == 2
+            assert la.kernel(m).dim == 1
+            assert la.Subspace(3, m.entries).dim == 2
+        assert la.solve(rational, [sc(1), sc(2), sc(0)]) is not None
+        assert gaussian.apply(la.solve(gaussian, [ONE, I, ZERO])) == [ONE, I, ZERO]
         assert la.Matrix([[1, 2], [3, 4]]).inverse() == la.Matrix(
-            [[-2, 1], [Scalar.rational(3, 2), Scalar.rational(-1, 2)]]
+            [[-2, 1], [Scalar.rational(3, 2), -half]]
         )
-        assert la.Subspace(3, m.entries).dim == 2
+        assert la.Matrix([[1, I], [3, 1]]).inverse() == g_inverse
+        assert len(calls) == 10
         assert la.span_coordinate_map([[sc(1), sc(1)], [sc(0), sc(1)]])([sc(2), sc(5)]) == [
             sc(2), sc(3)
         ]
-        with pytest.raises(AssertionError):
+        assert la.span_coordinate_map([[ONE, I], [ZERO, ONE]])([sc(2), I]) == [sc(2), -I]
+        assert len(calls) == 14
+
+    def test_unpaired_real_pivots_raise(self, monkeypatch):
+        # the real form of a Q(i) system has its pivots in pairs; a lone
+        # pivot is an error, not a reason to eliminate another way
+        int_rref = intlin.int_rref
+
+        def drop_last_pivot(rows, ncols):
+            reduced, pivots = int_rref(rows, ncols)
+            return reduced[:-1], pivots[:-1]
+
+        monkeypatch.setattr(intlin, "int_rref", drop_last_pivot)
+        with pytest.raises(ArithmeticError):
             la.rank(la.Matrix([[I, ONE]]))

@@ -2,11 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from excalg import forms as fm
 from excalg import threeform as tf
 from excalg.linalg import random_invertible
-from excalg.scalar import ONE, sc
+from excalg.scalar import ONE, ZERO, Scalar, sc
 
 ALL_LABELS = (
     tf.RANK3_DECOMPOSABLE,
@@ -31,7 +32,72 @@ def random_trivector(seed, n=7, height=1):
     return fm.KForm(3, n, terms)
 
 
+def _merge_parity(a, b):
+    """Parity sign of merging two sorted disjoint index tuples."""
+    inv = 0
+    j = 0
+    for x in a:
+        while j < len(b) and b[j] < x:
+            j += 1
+        inv += len(b) - j
+    return -1 if inv & 1 else 1
+
+
+def _top3(aterms, bterms, wterms):
+    """Top coefficient of alpha ^ beta ^ w for 2-forms alpha, beta and a
+    trivector w in seven variables, in Scalar arithmetic."""
+    total = ZERO
+    full = frozenset(range(1, 8))
+    for ia, ca in aterms.items():
+        sa = set(ia)
+        for ib, cb in bterms.items():
+            if sa & set(ib):
+                continue
+            rest = tuple(sorted(full - sa - set(ib)))
+            cw = wterms.get(rest)
+            if cw is None:
+                continue
+            merged = tuple(sorted(ia + ib))
+            sign = _merge_parity(ia, ib) * _merge_parity(merged, rest)
+            term = ca * cb * cw
+            total = total + term if sign > 0 else total - term
+    return total
+
+
+def q_gram_reference(w):
+    """The Gram matrix of q_of from the 2-forms e_a -| w, pair by pair."""
+    alphas = [fm.contract_basis(i, w).terms for i in range(1, 8)]
+    return [[_top3(alphas[i], alphas[j], w.terms) for j in range(7)] for i in range(7)]
+
+
+_coefficients = st.one_of(
+    st.just(ZERO),
+    st.builds(lambda a, b, d: Scalar.rational(a, d) + Scalar.rational(b, d + 1) * sc("i"),
+              st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 4)),
+)
+
+
 class TestQuadraticForm:
+    @given(st.lists(_coefficients, min_size=35, max_size=35))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_scalar_reference(self, coeffs):
+        # the cubic contraction against the pairwise Scalar products, on
+        # sparse and dense Gaussian trivectors
+        w = fm.KForm(3, 7, dict(zip(itertools.combinations(range(1, 8), 3), coeffs)))
+        assert tf.q_of(w).gram.entries == q_gram_reference(w)
+
+    def test_dense_forms_match_scalar_reference(self):
+        # every monomial of the table is live when no coefficient vanishes
+        for seed in range(4):
+            rng = random.Random(seed)
+            w = fm.KForm(3, 7, {
+                t: Scalar.rational(rng.randint(1, 5), rng.randint(1, 3))
+                + Scalar.rational(rng.randint(-5, 5), rng.randint(1, 3)) * sc("i")
+                for t in itertools.combinations(range(1, 8), 3)
+            })
+            assert tf.q_of(w).gram.entries == q_gram_reference(w)
+
+
     def test_ranks_on_representatives(self):
         got = [tf.q_of(tf.representative(l)).rank for l in (tf.W1, tf.W2, tf.W3, tf.W4, tf.W5)]
         assert got == [1, 1, 2, 4, 7]
