@@ -1,7 +1,7 @@
 """Certified exact kernels of rational and Gaussian systems.
 
 Every elimination of the package (``linalg._rref`` and with it ``rank``,
-``kernel``, ``solve``, ``inverse`` and ``Subspace``, the sparse kernels,
+``kernel``, ``solve``, ``inverse`` and ``Subspace``, the Leibniz kernels,
 the commutator closures and the Killing form of :mod:`excalg.liealg`)
 clears denominators row by row and calls :func:`int_kernel` or
 :func:`int_rref`.  Q(i) rows are cleared to Gaussian integers and enter as
@@ -176,18 +176,15 @@ def int_array(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def cleared_matrix(
-    rows: Sequence[Iterable[Tuple[int, Scalar]]], ncols: int, reverse: bool = False
-) -> np.ndarray:
+def cleared_matrix(rows: Sequence[Iterable[Tuple[int, Scalar]]], ncols: int) -> np.ndarray:
     """The integer matrix of rational rows, each given as (column, value)
     pairs and multiplied by the lcm of its denominators, so the row space is
-    unchanged; a Q(i) value raises ValueError.  With ``reverse`` column j
-    is written to ncols - 1 - j."""
+    unchanged; a Q(i) value raises ValueError."""
     at_row, at_col, nums = [], [], []
     for r, row in enumerate(rows):
         items = [(j, x) for j, x in row if x]
         at_row += [r] * len(items)
-        at_col += [ncols - 1 - j if reverse else j for j, _ in items]
+        at_col += [j for j, _ in items]
         nums += rational_ints(x for _, x in items)[0]
     values = int_array(nums)
     a = np.zeros((len(rows), ncols), dtype=values.dtype)

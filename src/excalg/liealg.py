@@ -5,8 +5,12 @@ verification (exhaustive or sampled), stabilizer subalgebras of trivectors
 inside gl_n, weight decompositions relative to a designated commuting
 family, and Cartan matrix extraction from an abstract root list.
 
-Jacobi verification and the Killing form are sparse joins over the integer
-cells of the structure tensor (den * c as Gaussian integers).  The Jacobi
+The Leibniz system, the Jacobi verification and the Killing form are
+sparse joins over the integer cells of the structure tensor (den * c as
+Gaussian integers).  One Leibniz system u1(xy) = u2(x) y + x u3(y) serves
+der(A), with u1 = u2 = u3, and tri(A) of :mod:`excalg.magicsquare`; its
+rows are integers from the start, and duplicate rows (the (j, i) rows of a
+commutative product) are dropped before the certified kernel.  The Jacobi
 residual is summed on integer keys in int64 when a bound on every partial
 sum stays below 2**63, and in Python integers otherwise, so it is exact over
 Q and Q(i) at any size.
@@ -49,7 +53,8 @@ class SCAlgebra:
 
     With the skew flag the table must satisfy c(i,j) = -c(j,i); a designated
     Cartan family (coordinate vectors of commuting elements) may be attached
-    for weight decompositions.
+    for weight decompositions.  A component dict whose values are already
+    nonzero Scalars is kept, not copied, so the caller hands it over.
     """
 
     def __init__(
@@ -64,10 +69,13 @@ class SCAlgebra:
     ):
         self.dim = dim
         table: BracketTable = {}
-        for (i, j), comp in bracket.items():
-            cleaned = {k: s for k, v in comp.items() if not (s := sc(v)).is_zero()}
-            if cleaned:
-                table[(i, j)] = cleaned
+        for ij, comp in bracket.items():
+            # copying the clean components would double the e8 table (14 MB)
+            # while the skew check builds the tensor
+            if not all(type(v) is Scalar and v for v in comp.values()):
+                comp = {k: s for k, v in comp.items() if not (s := sc(v)).is_zero()}
+            if comp:
+                table[ij] = comp
         self.bracket = table
         self.skew = skew
         self.unital = unital
@@ -81,10 +89,14 @@ class SCAlgebra:
             self._check_cartan_commutes()
 
     def _check_skew(self):
-        for (i, j), comp in self.bracket.items():
-            opp = self.bracket.get((j, i), {})
-            for k, v in comp.items():
-                if opp.get(k, ZERO) != -v:
+        """c(i,j) = -c(j,i), compared on the integer cells of the tensor."""
+        cells = self.tensor.cells
+        for i, row in enumerate(cells):
+            for j in range(i, self.dim):
+                mine = set(row[j])
+                opposite = {(k, -re, -im) for k, re, im in cells[j][i]}
+                if mine != opposite:
+                    k = min(k for k, _, _ in mine ^ opposite)
                     raise ValueError(f"bracket not skew at ({i},{j},{k})")
 
     def _check_cartan_commutes(self):
@@ -212,50 +224,15 @@ def _flatten(m: Matrix) -> List[Scalar]:
 # -- derivations ------------------------------------------------------------------
 
 
-def derivations(algebra, commutative: bool = False, name: str = "") -> SCAlgebra:
-    """The Lie algebra of derivations of a finite algebra with a product
-    table: the exact kernel of the Leibniz system on End, with commutator
+def derivations(algebra, name: str = "") -> SCAlgebra:
+    """The Lie algebra of derivations of a finite algebra with a structure
+    tensor: the exact kernel of the Leibniz system on End, with commutator
     bracket.  The output always satisfies the Jacobi identity (checked).
     """
     d = algebra.dim
-    prods = [[algebra.basis_product(i, j) for j in range(d)] for i in range(d)]
-    unknowns = d * d
-
-    def var(a, b):
-        return a * d + b
-
-    rows = []
-    pair_range = (
-        [(i, j) for i in range(d) for j in range(i, d)]
-        if commutative
-        else [(i, j) for i in range(d) for j in range(d)]
-    )
-    for (i, j) in pair_range:
-        pvec = prods[i][j]
-        for l in range(d):
-            row: Dict[int, Scalar] = {}
-            for m in range(d):
-                c = pvec[m]
-                if not c.is_zero():
-                    key = var(l, m)
-                    row[key] = row.get(key, ZERO) + c
-            for a in range(d):
-                c = prods[a][j][l]
-                if not c.is_zero():
-                    key = var(a, i)
-                    row[key] = row.get(key, ZERO) - c
-            for b in range(d):
-                c = prods[i][b][l]
-                if not c.is_zero():
-                    key = var(b, j)
-                    row[key] = row.get(key, ZERO) - c
-            if row:
-                rows.append(row)
-    basis_vectors = _sparse_kernel(rows, unknowns)
-    matrices = [
-        Matrix([[v[var(a, b)] for b in range(d)] for a in range(d)])
-        for v in basis_vectors
-    ]
+    units = [{(a, b): ONE} for a in range(d) for b in range(d)]
+    basis_vectors = leibniz_kernel(algebra.tensor, [(e, e, e) for e in units])
+    matrices = [Matrix([v[a * d:(a + 1) * d] for a in range(d)]) for v in basis_vectors]
     out = commutator_closure_algebra(matrices, name=name or "der")
     report = jacobi_check(out, mode="full")
     if not report.passed:
@@ -263,19 +240,60 @@ def derivations(algebra, commutative: bool = False, name: str = "") -> SCAlgebra
     return out
 
 
-def _sparse_kernel(rows: List[Dict[int, Scalar]], ncols: int) -> List[List[Scalar]]:
-    """The echelon basis of the kernel of a sparse system, as in
-    ``kernel(...).basis``.
+SparseMatrix = Dict[Tuple[int, int], Scalar]
 
-    Rational rows go to the certified integer path on the column-reversed
-    system, whose free columns are the echelon pivots of the kernel, without
-    a dense Scalar matrix; rows with a Q(i) entry go to :func:`kernel`,
-    which does the same on their real form."""
-    if any(v.im for row in rows for v in row.values()):
-        dense = [[row.get(k, ZERO) for k in range(ncols)] for row in rows]
-        return kernel(Matrix(dense)).basis
-    a = intlin.cleared_matrix([row.items() for row in rows], ncols, reverse=True)
-    return [v[::-1] for v in reversed(intlin.int_kernel(a, ncols))]
+
+def leibniz_kernel(
+    t: StructureTensor, unknowns: Sequence[Tuple[SparseMatrix, SparseMatrix, SparseMatrix]]
+) -> List[List[Scalar]]:
+    """The echelon basis, as in ``kernel(...).basis``, of the x for which
+    (U1, U2, U3) = sum_u x_u (A_u, B_u, C_u) satisfies U1(e_i e_j) =
+    U2(e_i) e_j + e_i U3(e_j); each unknown gives its three matrices as
+    {(row, col): value} maps.
+
+    Row (i, j, l) holds sum_m c_ij^m A_u[l,m] - sum_a B_u[a,i] c_aj^l -
+    sum_b C_u[b,j] c_ib^l at u, joined from the integer cells of the tensor
+    and the matrix entries over one common denominator, so the kernel is
+    unchanged.  An entry sums at most 3d products below 2 * max^2 (int64
+    when 6 d max^2 < 2**63, else Python integers).  Duplicate rows, such as
+    the (j, i) rows of a commutative product when B_u = C_u, are dropped.
+    Rational systems take the certified integer kernel of the
+    column-reversed matrix, Q(i) systems :func:`kernel`."""
+    d, n = t.dim, len(unknowns)
+    at = [(s, u, p, q) for u, mats in enumerate(unknowns) for s, m in enumerate(mats) for p, q in m]
+    cleared = _cleared([x for mats in unknowns for m in mats for x in m.values()])[0]
+    cells = _Cells(t)
+    biggest = max([cells.biggest] + [abs(x) for _, re, im in cleared for x in (re, im)])
+    dtype = np.int64 if 6 * d * biggest * biggest < 1 << 63 else object
+    ci, cj, cm, cval = cells.pair // d, cells.pair % d, cells.out, cells.val.astype(dtype)
+    slot, u, p, q = np.array([at[k] for k, _, _ in cleared], dtype=np.int64).reshape(-1, 4).T
+    val = np.array([f[1:] for f in cleared], dtype=dtype).reshape(-1, 2)
+    keys, vals = [], []
+    for s, (key, cell_key) in enumerate(((q, cm), (p, ci), (p, cj))):
+        # A_u[l, m] meets the cells (i, j, m), B_u[a, i] the cells (a, j, l)
+        # and C_u[b, j] the cells (i, b, l)
+        mine = np.flatnonzero(slot == s)
+        mine = mine[np.argsort(key[mine])]
+        own, f = _span(key[mine], cell_key, cell_key + 1)
+        f = mine[f]
+        i, j, l = ((ci[own], cj[own], p[f]), (q[f], cj[own], cm[own]), (ci[own], q[f], cm[own]))[s]
+        keys.append(((i * d + j) * d + l) * n + u[f])
+        vals.append(_mul(cval[own], val[f]) * (1 if s == 0 else -1))
+    keys, sums = _summed(np.concatenate(keys), np.concatenate(vals))
+    nonzero = (sums != 0).any(axis=1)
+    keys, sums = keys[nonzero], sums[nonzero]
+    bounds = np.flatnonzero(np.diff(keys // n, prepend=-1)).tolist() + [len(keys)]
+    cols, re, im = (keys % n).tolist(), sums[:, 0].tolist(), sums[:, 1].tolist()
+    rows = dict.fromkeys(
+        (tuple(cols[a:b]), tuple(re[a:b]), tuple(im[a:b])) for a, b in zip(bounds, bounds[1:])
+    )
+    if not any(im):
+        a = np.zeros((len(rows), n), dtype=dtype)
+        for r, (cs, xs, _) in enumerate(rows):
+            a[r, [n - 1 - c for c in cs]] = xs
+        return [v[::-1] for v in reversed(intlin.int_kernel(a, n))]
+    dense = [dict(zip(cs, map(Scalar.gaussian, xs, ys))) for cs, xs, ys in rows]
+    return kernel(Matrix([[r.get(c, ZERO) for c in range(n)] for r in dense])).basis
 
 
 # -- Jacobi verification ------------------------------------------------------------
@@ -311,7 +329,7 @@ def jacobi_check(
     d = g.dim
     if d == 0:
         return JacobiReport(True, 0)
-    cells = _Cells(g)
+    cells = _Cells(g.tensor)
     if mode == "full":
         for i in range(d):
             key = _first_nonzero(*cells.row_residual(i))
@@ -332,9 +350,10 @@ def jacobi_check(
 
 
 class _Cells:
-    """The nonzero cells C[a,b,m] of g.tensor as arrays: pair a*d + b,
-    output m and value (re, im) rows, in pair order; and the cells with
-    a < b sorted by the key m*d*d + a*d + b.
+    """The nonzero cells C[a,b,m] of a structure tensor as arrays: pair
+    a*d + b, output m and value (re, im) rows, in pair order; the largest
+    absolute value; and the cells with a < b sorted by the key
+    m*d*d + a*d + b.
 
     With T[a,b,c,l] = sum_m C[a,b,m] C[m,c,l], the coefficient of e_l in
     [[e_a, e_b], e_c], the Jacobi residual of (a, b, c) is T[a,b,c] +
@@ -342,15 +361,15 @@ class _Cells:
     2 * max^2 in absolute value, so int64 is exact when 6 d max^2 < 2**63;
     otherwise the values are Python integers."""
 
-    def __init__(self, g: SCAlgebra):
-        d = self.d = g.dim
+    def __init__(self, t: StructureTensor):
+        d = self.d = t.dim
         flat = [
             (a * d + b, m, re, im)
-            for a, row in enumerate(g.tensor.cells)
+            for a, row in enumerate(t.cells)
             for b, cell in enumerate(row)
             for m, re, im in cell
         ]
-        biggest = max((abs(x) for f in flat for x in f[2:]), default=0)
+        biggest = self.biggest = max((abs(x) for f in flat for x in f[2:]), default=0)
         dtype = np.int64 if 6 * d * biggest * biggest < 1 << 63 else object
         self.pair = np.array([f[0] for f in flat], dtype=np.int64)
         self.out = np.array([f[1] for f in flat], dtype=np.int64)
@@ -413,16 +432,19 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     )
 
 
-def _first_nonzero(keys: np.ndarray, vals: np.ndarray) -> Optional[int]:
-    """The smallest key whose values sum to a nonzero (re, im), if any."""
-    if not keys.size:
-        return None
+def _summed(keys: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in increasing order and the sums of their values."""
     order = np.argsort(keys)
     keys = keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    sums = np.add.reduceat(vals[order], starts, axis=0)
+    return keys[starts], np.add.reduceat(vals[order], starts, axis=0)
+
+
+def _first_nonzero(keys: np.ndarray, vals: np.ndarray) -> Optional[int]:
+    """The smallest key whose values sum to a nonzero (re, im), if any."""
+    keys, sums = _summed(keys, vals)
     bad = np.flatnonzero((sums != 0).any(axis=1))
-    return int(keys[starts[bad[0]]]) if bad.size else None
+    return int(keys[bad[0]]) if bad.size else None
 
 
 def _killing_join(t: StructureTensor) -> Tuple[np.ndarray, np.ndarray]:

@@ -35,6 +35,7 @@ from .liealg import (
     derived_dimension,
     jacobi_check,
     killing_nondegenerate,
+    leibniz_kernel,
     string_pairing,
 )
 from .intlin import checked_int_matmul
@@ -80,17 +81,18 @@ def standard_algebra(key: str) -> CompAlgebra:
     return named_algebra(key)
 
 
-def _so_basis(alg: CompAlgebra) -> List[Matrix]:
-    """Basis of the skew algebra of the bilinear form: G^-1 (E_ab - E_ba)."""
+def _so_basis(alg: CompAlgebra) -> List[Dict[Tuple[int, int], Scalar]]:
+    """Basis of the skew algebra of the bilinear form, G^-1 (E_ab - E_ba) for
+    a < b, as {(row, col): value} maps: column b is column a of G^-1 and
+    column a is minus its column b."""
     d = alg.dim
     ginv = alg.gram.inverse()
     out = []
     for a in range(d):
         for b in range(a + 1, d):
-            m = [[ZERO] * d for _ in range(d)]
-            m[a][b] = ONE
-            m[b][a] = sc(-1)
-            out.append(ginv @ Matrix(m))
+            m = {(p, b): ginv[p, a] for p in range(d) if ginv[p, a]}
+            m.update({(p, a): -ginv[p, b] for p in range(d) if ginv[p, b]})
+            out.append(m)
     return out
 
 
@@ -129,55 +131,18 @@ def triality_algebra(key: str) -> TrialityAlgebra:
     d = alg.dim
     so = _so_basis(alg)
     s = len(so)
-    nun = 3 * s
-    rows = []
-    prods = [[alg.basis_product(i, j) for j in range(d)] for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            pij = prods[i][j]
-            for l in range(d):
-                row = zero_vec(nun)
-                for r, m in enumerate(so):
-                    # u1 applied to e_i e_j
-                    c1 = ZERO
-                    for mcol, coeff in enumerate(pij):
-                        if not coeff.is_zero():
-                            c1 = c1 + coeff * m[l, mcol]
-                    row[r] = row[r] + c1
-                    # u2(e_i) e_j contributes - sum_a m[a,i] (e_a e_j)_l
-                    c2 = ZERO
-                    for a in range(d):
-                        v = m[a, i]
-                        if not v.is_zero():
-                            c2 = c2 + v * prods[a][j][l]
-                    row[s + r] = row[s + r] - c2
-                    # e_i u3(e_j)
-                    c3 = ZERO
-                    for b in range(d):
-                        v = m[b, j]
-                        if not v.is_zero():
-                            c3 = c3 + v * prods[i][b][l]
-                    row[2 * s + r] = row[2 * s + r] - c3
-                rows.append(row)
-    from .liealg import _sparse_kernel
-
-    sparse_rows = [
-        {k: v for k, v in enumerate(r) if not v.is_zero()} for r in rows
-    ]
-    basis_vectors = _sparse_kernel(sparse_rows, nun)
+    basis_vectors = leibniz_kernel(
+        alg.tensor, [(m, {}, {}) for m in so] + [({}, m, {}) for m in so] + [({}, {}, m) for m in so]
+    )
     triples = []
     for v in basis_vectors:
         mats = []
         for c in range(3):
             acc = [[ZERO] * d for _ in range(d)]
-            for r, x in enumerate(v[c * s : (c + 1) * s]):
-                if x.is_zero():
-                    continue
-                mm = so[r]
-                for p in range(d):
-                    for q in range(d):
-                        if not mm[p, q].is_zero():
-                            acc[p][q] = acc[p][q] + x * mm[p, q]
+            for x, m in zip(v[c * s:(c + 1) * s], so):
+                if x:
+                    for (p, q), y in m.items():
+                        acc[p][q] = acc[p][q] + x * y
             mats.append(Matrix(acc))
         triples.append(tuple(mats))
     # the componentwise bracket is the commutator of block-diagonal matrices
@@ -651,7 +616,7 @@ def derivation_dim(key: str) -> int:
 
 @lru_cache(maxsize=None)
 def jordan_derivation_dim(a: int) -> int:
-    return derivations(jordan_algebra(a), commutative=True, name=f"der(H3:{a})").dim
+    return derivations(jordan_algebra(a), name=f"der(H3:{a})").dim
 
 
 def tits_dimension_table() -> List[List[Tuple[str, int]]]:

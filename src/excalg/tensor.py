@@ -26,19 +26,24 @@ class StructureTensor:
 
     def __init__(self, dim: int, entries: Iterable[Tuple[int, int, int, Scalar]]):
         """Build from (i, j, k, c_ij^k) entries; zero constants are dropped."""
-        nonzero = [(i, j, k, c) for i, j, k, c in entries if c]
-        den = lcm(1, *(q.denominator for *_, c in nonzero for q in (c.re, c.im)))
         rows = [dict() for _ in range(dim)]
-        for i, j, k, c in nonzero:
-            rows[i].setdefault(j, []).append(
-                (k, _scaled(c.re, den), _scaled(c.im, den))
-            )
+        for i, j, k, c in entries:
+            if c:
+                rows[i].setdefault(j, []).append((k, c))
+        constants = [c for row in rows for cell in row.values() for _, c in cell]
+        den = lcm(1, *(q.denominator for c in constants for q in (c.re, c.im)))
         self.dim = dim
         self.den = den
-        self.cells = [
-            [tuple(row.get(j, ())) for j in range(dim)] for row in rows
-        ]
-        self.rational = all(not c.im for *_, c in nonzero)
+        self.rational = all(not c.im for c in constants)
+        self.cells = []
+        for i, row in enumerate(rows):
+            # each row is dropped once cleared, so the Scalar and the integer
+            # cells never coexist in full (49,440 constants for e8)
+            self.cells.append([
+                tuple((k, _scaled(c.re, den), _scaled(c.im, den)) for k, c in row.get(j, ()))
+                for j in range(dim)
+            ])
+            rows[i] = None
 
     def product(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
         """The coordinates of x * y, i.e. sum_ijk c_ij^k x_i y_j e_k."""

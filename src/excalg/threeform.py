@@ -187,12 +187,14 @@ def linear_divisor_dim(w: KForm) -> int:
     tuples = list(itertools.combinations(range(1, n + 1), w.k + 1))
     tindex = {t: r for r, t in enumerate(tuples)}
     for j in range(1, n + 1):
-        wj = fm.wedge(KForm.basis([j], n), w)
+        # e^j ^ e^idx = sign * e^sorted, zero when j is in idx
         col = [ZERO] * len(tuples)
-        for idx, c in wj.terms.items():
-            col[tindex[idx]] = c
+        for idx, c in w.terms.items():
+            t, sign = fm._sort_with_sign((j,) + idx)
+            if sign:
+                col[tindex[t]] = c if sign > 0 else -c
         cols.append(col)
-    return kernel(Matrix.from_cols(cols)).dim
+    return n - mat_rank(Matrix.from_cols(cols))
 
 
 def restrict_to_support(w: KForm) -> KForm:

@@ -75,8 +75,15 @@ class TestOutputPin:
              "492bc4e1535602ccdd94a00f998c51f5bc3505127667cfdf02c64983161b9633"),
             (("magic-square", "--build", "h", "h", "--constants"),
              "9aa230ac4fdd8b95e4449a1a91528e1c261a211ac551e4c24ba41c3ea8ebe223"),
+            (("derive", "--algebra", "sedenion", "--constants"),
+             "a3ac6333984b3eef3d8fd6cce0f19e0bb0f5691bd70543fd2cf290eda2ebe496"),
+            (("derive", "--algebra", "split-O", "--constants"),
+             "d6dd8fa384ac3683393a55eb8950c25f58c2b5b8c40540cb0fb6595ba646f3a6"),
+            # f4, through tri(O)
+            (("magic-square", "--build", "r", "o", "--constants"),
+             "aa430375b36d32b3285d4056ab743e5949ee738eeaecce36dea3a25b81c83c18"),
         ],
-        ids=["derive-O", "magic-square-h-h"],
+        ids=["derive-O", "magic-square-h-h", "derive-sedenion", "derive-split-O", "magic-square-r-o"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         code, out = run_cli(capsys, *argv)

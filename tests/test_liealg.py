@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -10,8 +11,9 @@ from excalg import liealg as ll
 from excalg import threeform as tf
 from excalg.composition import associative_form, canonical_octonions, named_algebra
 from excalg.jordan import jordan_algebra
-from excalg.linalg import Matrix, Subspace, unit_vec
-from excalg.scalar import I, ONE, sc
+from excalg.linalg import Matrix, Subspace, kernel, unit_vec
+from excalg.magicsquare import _so_basis
+from excalg.scalar import I, ONE, ZERO, sc
 
 
 def so3():
@@ -31,6 +33,21 @@ class TestSCAlgebra:
     def test_skew_validation(self):
         with pytest.raises(ValueError):
             ll.SCAlgebra(2, {(0, 1): {0: ONE}}, skew=True)
+
+    @pytest.mark.parametrize("field", ["rational", "gaussian"])
+    def test_skew_check_on_cells(self, field):
+        # a one-sided corruption and a missing (j, i) entry are both caught,
+        # over Q and over Q(i)
+        g = so3() if field == "rational" else gaussian_gl2()
+        key = (0, 1)
+        k = min(g.bracket[key])
+        one_sided = {p: dict(c) for p, c in g.bracket.items()}
+        one_sided[key][k] = one_sided[key][k] * 2
+        missing = {p: c for p, c in g.bracket.items() if p != key[::-1]}
+        for bad in (one_sided, missing):
+            with pytest.raises(ValueError, match=rf"bracket not skew at \(0,1,{k}\)"):
+                ll.SCAlgebra(g.dim, bad, skew=True)
+        assert ll.SCAlgebra(g.dim, g.bracket, skew=True).bracket == g.bracket
 
     def test_cartan_must_commute(self):
         g = so3()
@@ -57,13 +74,99 @@ class TestDerivations:
 
     def test_jordan_derivation_dims(self):
         for a, dim in ((0, 0), (1, 3), (2, 8), (4, 21)):
-            assert ll.derivations(jordan_algebra(a), commutative=True).dim == dim
+            assert ll.derivations(jordan_algebra(a)).dim == dim
+
+    def test_gaussian_sl2_derivations_are_inner(self):
+        # the Gaussian sl2 of TestCommutatorClosure.test_gaussian_family
+        h = _elementary(2, 0, 0) - _elementary(2, 1, 1)
+        g = ll.commutator_closure_algebra([h, _elementary(2, 0, 1).scale(I), _elementary(2, 1, 0)])
+        assert not g.tensor.rational
+        assert ll.derivations(g).dim == 3
+
+    @pytest.mark.parametrize("case", ["jordan1", "jordan1_large", "jordan2", "octonions", "tri_h"])
+    def test_leibniz_kernel_matches_scalar_rows(self, case):
+        # the integer builder gives the echelon kernel of the Scalar rows,
+        # entry for entry, on commutative and non-commutative products; the
+        # rescaled H3(R) has constants up to 2^80, past int64
+        if case == "jordan1_large":
+            alg = rescaled(jordan_algebra(1), [ONE, sc(2 ** 40), ONE, sc(3), ONE, sc("1/5")])
+            unknowns = derivation_unknowns(alg.dim)
+        elif case == "tri_h":
+            alg = named_algebra("h")
+            so = _so_basis(alg)
+            unknowns = [(m, {}, {}) for m in so] + [({}, m, {}) for m in so] + [({}, {}, m) for m in so]
+        else:
+            alg = {"jordan1": jordan_algebra(1), "jordan2": jordan_algebra(2),
+                   "octonions": canonical_octonions()}[case]
+            unknowns = derivation_unknowns(alg.dim)
+        expected = kernel(leibniz_rows_reference(alg, unknowns)).basis
+        assert expected
+        assert ll.leibniz_kernel(alg.tensor, unknowns) == expected
+
+    @pytest.mark.parametrize("case", ["jordan1", "gl2"])
+    def test_leibniz_kernel_matches_scalar_rows_over_gaussians(self, case):
+        # Jordan H3(R) in a rescaled Gaussian basis (commutative) and gl2 in
+        # a Gaussian basis with a denominator (skew)
+        if case == "jordan1":
+            alg = rescaled(jordan_algebra(1), [ONE, I, sc(2), ONE + I, sc("1/3") * I, ONE])
+        else:
+            alg = gaussian_gl2()
+        assert not alg.tensor.rational
+        unknowns = derivation_unknowns(alg.dim)
+        expected = kernel(leibniz_rows_reference(alg, unknowns)).basis
+        assert expected
+        assert ll.leibniz_kernel(alg.tensor, unknowns) == expected
 
     def test_derivations_kill_unit_and_preserve_imaginary(self, octonions):
         der = ll.derivations(octonions)
         for m in der.matrices:
             assert all(m[0, j].is_zero() for j in range(8))
             assert all(m[i, 0].is_zero() for i in range(8))
+
+
+def derivation_unknowns(d):
+    """(E_ab, E_ab, E_ab) in the order a * d + b."""
+    return [({(a, b): ONE},) * 3 for a in range(d) for b in range(d)]
+
+
+def leibniz_rows_reference(alg, unknowns):
+    """The rows of U1(e_i e_j) - U2(e_i) e_j - e_i U3(e_j) = 0 built as
+    Scalar dicts from the basis products, one row per (i, j, l)."""
+    d = alg.dim
+    prods = [[alg.basis_product(i, j) for j in range(d)] for i in range(d)]
+    at = [{}, {}, {}]
+    for u, mats in enumerate(unknowns):
+        for slot, m in enumerate(mats):
+            for pq, x in m.items():
+                at[slot].setdefault(pq, []).append((u, x))
+    rows = []
+    for i, j, l in itertools.product(range(d), repeat=3):
+        row = {}
+        for slot, sign, terms in (
+            (0, 1, [((l, m), prods[i][j][m]) for m in range(d)]),
+            (1, -1, [((a, i), prods[a][j][l]) for a in range(d)]),
+            (2, -1, [((b, j), prods[i][b][l]) for b in range(d)]),
+        ):
+            for pq, c in terms:
+                if c:
+                    for u, x in at[slot].get(pq, ()):
+                        row[u] = row.get(u, ZERO) + sc(sign) * c * x
+        rows.append([row.get(u, ZERO) for u in range(len(unknowns))])
+    return Matrix(rows)
+
+
+def rescaled(alg, lam):
+    """alg in the basis lam_k e_k (Gaussian or rational lam), as a non-skew
+    SCAlgebra."""
+    d = alg.dim
+    br = {}
+    for i in range(d):
+        for j in range(d):
+            comp = {k: lam[i] * lam[j] / lam[k] * c
+                    for k, c in enumerate(alg.basis_product(i, j)) if c}
+            if comp:
+                br[(i, j)] = comp
+    return ll.SCAlgebra(d, br, skew=False)
 
 
 def corrupted(g, key, factor):
@@ -158,7 +261,7 @@ class TestJacobi:
     def test_constants_past_int64_take_python_integers(self):
         big = sc(2 ** 40)
         br = {k: {t: v * big for t, v in c.items()} for k, c in so3().bracket.items()}
-        assert ll._Cells(ll.SCAlgebra(3, br)).val.dtype == object
+        assert ll._Cells(ll.SCAlgebra(3, br).tensor).val.dtype == object
         assert matches_plain_path(ll.SCAlgebra(3, br)).passed
         br[(0, 1)] = {0: big, 2: big}  # [[e0, e1], e2] gains [e0, e2] = -2^80 e1
         br[(1, 0)] = {0: -big, 2: -big}

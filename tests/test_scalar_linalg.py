@@ -7,6 +7,7 @@ from excalg import intlin
 from excalg import liealg as ll
 from excalg import linalg as la
 from excalg.scalar import I, ONE, Scalar, ZERO, _make, rand_scalar, sc
+from excalg.tensor import StructureTensor
 
 rationals = st.builds(
     lambda n, d: Scalar.rational(n, d),
@@ -234,8 +235,10 @@ def _free_column_basis(rows, ncols):
 class TestIntKernel:
     def test_matches_pure_solver(self):
         # int_kernel's vectors are the Fraction reference's free-column
-        # vectors, and the column-reversed sparse path gives the echelon
-        # basis of kernel(), entry for entry
+        # vectors, and the Leibniz builder's column-reversed integer path
+        # gives the echelon basis of kernel(), entry for entry.  With the
+        # single product e0 e0 = e0, unknown u with A_u[l, 0] = rows[l][u]
+        # puts rows[l] in the Leibniz row (0, 0, l).
         rng = random.Random(5)
         systems = [[[rng.randint(-4, 4) for _ in range(30)] for _ in range(80)]]
         for rank in (20, 7):
@@ -247,8 +250,10 @@ class TestIntKernel:
         for rows in systems:
             scalars = [[sc(x) for x in row] for row in rows]
             assert intlin.int_kernel(rows, 30) == _free_column_basis(scalars, 30)
-            sparse = [{j: v for j, v in enumerate(row) if v} for row in scalars]
-            assert ll._sparse_kernel(sparse, 30) == la.kernel(la.Matrix(rows)).basis
+            unknowns = [({(l, 0): x for l, x in enumerate(col) if x}, {}, {})
+                        for col in zip(*scalars)]
+            t = StructureTensor(len(rows), [(0, 0, 0, ONE)])
+            assert ll.leibniz_kernel(t, unknowns) == la.kernel(la.Matrix(rows)).basis
         assert len(intlin.int_kernel(systems[2], 30)) == 23
 
     @pytest.mark.parametrize("unit", [ONE, I], ids=["rational", "gaussian"])

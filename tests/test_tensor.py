@@ -112,7 +112,13 @@ def test_zero_input_gives_shared_zero():
 
 
 def test_sc_tensor_is_built_on_first_use():
+    # without the skew flag nothing is built before the first product
     g = gaussian_sc_algebra()
-    assert "tensor" not in vars(g)
+    h = ll.SCAlgebra(4, g.bracket, skew=False)
+    assert "tensor" not in vars(h)
+    h.bracket_coords(unit_vec(4, 0), unit_vec(4, 1))
+    assert vars(h)["tensor"].dim == 4 and not h.tensor.rational
+    # a skew bracket's first use is its skew check; products reuse that tensor
+    built = vars(g)["tensor"]
     g.bracket_coords(unit_vec(4, 0), unit_vec(4, 1))
-    assert vars(g)["tensor"].dim == 4 and not g.tensor.rational
+    assert g.tensor is built

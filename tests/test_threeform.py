@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from excalg import forms as fm
 from excalg import threeform as tf
-from excalg.linalg import random_invertible
+from excalg.linalg import Matrix, kernel, random_invertible
 from excalg.scalar import ONE, ZERO, Scalar, sc
 
 ALL_LABELS = (
@@ -232,6 +232,40 @@ class TestClassify:
         assert got.record.stab_dim == 14
         assert got.record.q_rank == 7
         assert got.record.i7_is_zero is False
+
+
+def linear_divisor_reference(w):
+    """dim { alpha : alpha ^ w = 0 } from Scalar wedges of w with each basis
+    1-form."""
+    n = w.n
+    tuples = list(itertools.combinations(range(1, n + 1), w.k + 1))
+    tindex = {t: r for r, t in enumerate(tuples)}
+    cols = []
+    for j in range(1, n + 1):
+        col = [ZERO] * len(tuples)
+        for idx, c in fm.wedge(fm.KForm.basis([j], n), w).terms.items():
+            col[tindex[idx]] = c
+        cols.append(col)
+    return kernel(Matrix.from_cols(cols)).dim
+
+
+class TestLinearDivisor:
+    def test_matches_wedge_reference(self):
+        # Gaussian pullbacks of W1 (divisible by a linear form) and W2 (not),
+        # of a decomposable trivector and of the rank-5 form
+        rng = random.Random(3)
+        cases = ((tf.W1, 1), (tf.W2, 0), (tf.RANK3_DECOMPOSABLE, 3), (tf.RANK5, 1))
+        for label, expected in cases:
+            embedded = fm.KForm(3, 7, dict(tf.representative(label).terms))
+            for _ in range(4):
+                g = random_invertible(7, seed=rng.randrange(1 << 30), height=2, field="gaussian")
+                w = fm.pullback(g, embedded)
+                assert tf.linear_divisor_dim(w) == linear_divisor_reference(w) == expected
+
+    def test_random_forms_match_wedge_reference(self):
+        for seed in range(6):
+            w = random_trivector(seed, n=6, height=2)
+            assert tf.linear_divisor_dim(w) == linear_divisor_reference(w)
 
 
 class TestHasse:
