@@ -31,7 +31,6 @@ from . import intlin
 from .composition import NeedsExtension
 from .linalg import (
     Matrix,
-    Subspace,
     _rref,
     is_zero_vec,
     kernel,
@@ -41,7 +40,7 @@ from .linalg import (
     vec_scale,
     zero_vec,
 )
-from .scalar import I, ONE, ZERO, Scalar, sc
+from .scalar import _Q, I, ONE, ZERO, Scalar, _make, sc
 from .tensor import StructureTensor, _cleared, rational_ints
 
 
@@ -55,6 +54,11 @@ class SCAlgebra:
     Cartan family (coordinate vectors of commuting elements) may be attached
     for weight decompositions.  A component dict whose values are already
     nonzero Scalars is kept, not copied, so the caller hands it over.
+
+    The integer structure tensor is the representation every check and
+    product reads.  An algebra built from a dict keeps the dict as its
+    Scalar ``bracket`` view; one built by :meth:`from_tensor` builds that
+    view from the cells the first time it is read.
     """
 
     def __init__(
@@ -68,15 +72,16 @@ class SCAlgebra:
         name: str = "",
     ):
         self.dim = dim
-        table: BracketTable = {}
-        for ij, comp in bracket.items():
-            # copying the clean components would double the e8 table (14 MB)
-            # while the skew check builds the tensor
-            if not all(type(v) is Scalar and v for v in comp.values()):
-                comp = {k: s for k, v in comp.items() if not (s := sc(v)).is_zero()}
-            if comp:
-                table[ij] = comp
-        self.bracket = table
+        if isinstance(bracket, StructureTensor):
+            self.tensor = bracket
+        else:
+            table: BracketTable = {}
+            for ij, comp in bracket.items():
+                if not all(type(v) is Scalar and v for v in comp.values()):
+                    comp = {k: s for k, v in comp.items() if not (s := sc(v)).is_zero()}
+                if comp:
+                    table[ij] = comp
+            self.bracket = table
         self.skew = skew
         self.unital = unital
         self.matrices = matrices
@@ -87,6 +92,12 @@ class SCAlgebra:
         if cartan is not None:
             self.cartan = [[sc(x) for x in h] for h in cartan]
             self._check_cartan_commutes()
+
+    @classmethod
+    def from_tensor(cls, tensor: StructureTensor, skew: bool = True, name: str = ""):
+        """The algebra of an integer structure tensor, kept as its one
+        representation."""
+        return cls(tensor.dim, tensor, skew=skew, name=name)
 
     def _check_skew(self):
         """c(i,j) = -c(j,i), compared on the integer cells of the tensor."""
@@ -122,6 +133,16 @@ class SCAlgebra:
             (i, j, k, v) for (i, j), comp in self.bracket.items()
             for k, v in comp.items()
         ))
+
+    @cached_property
+    def bracket(self) -> BracketTable:
+        """The Scalar view {(i, j): {k: c_ij^k}} of the tensor, built on
+        first read; equal constants share one Scalar."""
+        t = self.tensor
+        cells = [((i, j), c) for i, row in enumerate(t.cells) for j, c in enumerate(row) if c]
+        distinct = {(re, im) for _, cell in cells for _, re, im in cell}
+        value = {(re, im): _make(_Q(re, t.den), _Q(im, t.den)) for re, im in distinct}
+        return {ij: {k: value[re, im] for k, re, im in cell} for ij, cell in cells}
 
     def bracket_coords(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
         return self.tensor.product(x, y)
@@ -490,17 +511,22 @@ def killing_nondegenerate(g: SCAlgebra) -> bool:
 
 
 def derived_dimension(g: SCAlgebra) -> int:
-    """Dimension of the span of all basis brackets, exact: the modular
-    path with exact verification, Q(i) brackets in their real form."""
-    rows = []
-    for comp in g.bracket.values():
-        row = zero_vec(g.dim)
-        for k, v in comp.items():
-            row[k] = v
-        rows.append(row)
+    """Dimension of the span of all basis brackets, exact: the rank of the
+    distinct cell rows of the tensor, each divided by the gcd of its
+    entries, by the certified modular path; Q(i) rows in their real form."""
+    rows = {}
+    for cell in (sorted(cell) for row in g.tensor.cells for cell in row if cell):
+        div = math.gcd(*(x for _, re, im in cell for x in (re, im)))
+        div = -div if cell[0][1:] < (0, 0) else div
+        rows[tuple((k, re // div, im // div) for k, re, im in cell)] = None
     if not rows:
         return 0
-    return Subspace(g.dim, rows).dim
+    at = tuple(np.array([(r, k) for r, cell in enumerate(rows) for k, _, _ in cell]).T)
+    re, im = (np.zeros((len(rows), g.dim), dtype=object) for _ in range(2))
+    re[at], im[at] = zip(*((x, y) for cell in rows for _, x, y in cell))
+    if g.tensor.rational:
+        return g.dim - len(intlin.int_kernel(intlin.int_array(re.tolist()), g.dim))
+    return g.dim - len(intlin.int_kernel(intlin.realified(re, im), 2 * g.dim)) // 2
 
 
 # -- stabilizers in gl_n ----------------------------------------------------------

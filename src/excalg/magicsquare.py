@@ -2,17 +2,20 @@
 from a pair of composition algebras, producing f4, e6, e7, e8 and the
 rest of the 4x4 square.
 
-The bracket on tri(A) + tri(B) + sum_i A_i (x) B_i is assembled from
-(i) componentwise commutators, (ii) the natural actions on the tensor
-slots, (iii) slot product maps with a fixed conjugation pattern, and
-(iv) maps Lambda^2 A_i -> tri(A) paired with the bilinear form of the
-other side.  The last family is where sign conventions hide.  Its maps
-are built from the triality projections and the ideals of tri(A) (see
-equivariant_pair_maps) and certified equivariant exactly against the
-whole basis of tri(A).  (v) One unknown coefficient per map is solved from
-the linear system that the Jacobi identity induces on a structured
-generating set of triples, and the identity is then re-verified globally.
-Calibration is therefore a consistency proof, not a fit.
+The bracket on tri(A) + tri(B) + sum_i A_i (x) B_i is built block by
+block as integer cells over one common denominator: (i) the tri(A) and
+tri(B) tensors, (ii) the natural actions on the tensor slots, (iii) slot
+product maps with a fixed conjugation pattern, and (iv) maps Lambda^2 A_i
+-> tri(A) paired with the bilinear form of the other side.  The last
+family is where sign conventions hide.  Its maps are built from the
+triality projections and the ideals of tri(A) (see equivariant_pair_maps)
+and certified equivariant exactly against the whole basis of tri(A).  (v)
+One unknown coefficient per map is solved from the linear system that the
+Jacobi identity induces on a structured generating set of triples, read
+from the same cells, and the identity is then re-verified globally.
+Calibration is therefore a consistency proof, not a fit.  Each round
+assembles the constant table plus the coupled linear tables into one
+integer structure tensor, with no Scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -30,6 +34,8 @@ from .jordan import jordan_algebra
 from .liealg import (
     ModuleRep,
     SCAlgebra,
+    _span,
+    _summed,
     commutator_closure_algebra,
     derivations,
     derived_dimension,
@@ -38,7 +44,7 @@ from .liealg import (
     leibniz_kernel,
     string_pairing,
 )
-from .intlin import checked_int_matmul
+from .intlin import int_array, int_kernel
 from .linalg import (
     Matrix,
     Subspace,
@@ -49,7 +55,7 @@ from .linalg import (
     zero_vec,
 )
 from .scalar import ONE, ZERO, Scalar, sc
-from .tensor import rational_ints
+from .tensor import StructureTensor, rational_ints
 
 
 class CalibrationFailed(RuntimeError):
@@ -113,15 +119,10 @@ class TrialityAlgebra:
         return self.triples[r][i - 1]
 
     def projection_rank(self, i: int) -> int:
-        from .linalg import rank as _rank
-
         if not self.triples:
             return 0
-        rows = [
-            [t[i - 1][a, b] for a in range(self.base.dim) for b in range(self.base.dim)]
-            for t in self.triples
-        ]
-        return _rank(Matrix(rows))
+        rows = _projections(self, i)[0].reshape(self.dim, -1).T
+        return self.dim - len(int_kernel(rows, self.dim))
 
 
 @lru_cache(maxsize=None)
@@ -171,36 +172,55 @@ def tri_ideal_split(key: str) -> Tuple[Subspace, Subspace, Subspace]:
     )
 
 
-def _pair_index(d: int):
-    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
-    idx = {p: k for k, p in enumerate(pairs)}
-    return pairs, idx
+# -- integer arrays of the square's building blocks --------------------------------
 
 
-def _lambda2_action(proj: Matrix, pairs, idx) -> Dict[int, Dict[int, Scalar]]:
-    """Action of a skew matrix on the pair basis e_a ^ e_b, as a sparse
-    column map."""
-    cols: Dict[int, Dict[int, Scalar]] = {}
-    for k, (a, b) in enumerate(pairs):
-        col: Dict[int, Scalar] = {}
-        d = proj.rows
-        for ap in range(d):
-            v = proj[ap, a]
-            if v.is_zero() or ap == b:
-                continue
-            key = (ap, b) if ap < b else (b, ap)
-            sign = ONE if ap < b else sc(-1)
-            col[idx[key]] = col.get(idx[key], ZERO) + sign * v
-        for bp in range(d):
-            v = proj[bp, b]
-            if v.is_zero() or bp == a:
-                continue
-            key = (a, bp) if a < bp else (bp, a)
-            sign = ONE if a < bp else sc(-1)
-            col[idx[key]] = col.get(idx[key], ZERO) + sign * v
-        if col:
-            cols[k] = col
-    return cols
+def _ints(values, shape) -> Tuple[np.ndarray, int]:
+    """Rational Scalars as an integer array of the given shape over their
+    least common denominator, and that denominator."""
+    nums, den = rational_ints(values)
+    return int_array(nums).reshape(shape), den
+
+
+def _projections(tri: TrialityAlgebra, i: int) -> Tuple[np.ndarray, int]:
+    """The projections pi_i(t_r) as one integer array P[r, x, a]."""
+    d = tri.base.dim
+    values = (x for t in tri.triples for row in t[i - 1].entries for x in row)
+    return _ints(values, (tri.dim, d, d))
+
+
+def _dense(t: StructureTensor) -> np.ndarray:
+    """The cells den * c of a rational tensor as a dense array [i, j, k]."""
+    if not t.rational:
+        raise ValueError("the square's bracket tables need rational constants")
+    at = [(i, j, k, re) for i, row in enumerate(t.cells) for j, cell in enumerate(row)
+          for k, re, _ in cell]
+    vals = int_array([c[3] for c in at])
+    out = np.zeros((t.dim,) * 3, dtype=vals.dtype)
+    out[tuple(np.array([c[:3] for c in at], dtype=np.int64).reshape(-1, 3).T)] = vals
+    return out
+
+
+def _skew_map(psi: List[List[Scalar]], d: int) -> Tuple[np.ndarray, int]:
+    """A map on the pairs e_a ^ e_c, a < c, as an integer array W[a, c, s]
+    extended by W[c, a] = -W[a, c], and its denominator."""
+    flat, den = _ints((x for v in psi for x in v), (len(psi), len(psi[0])))
+    w = np.zeros((d, d, flat.shape[1]), dtype=flat.dtype)
+    a, c = np.triu_indices(d, 1)
+    w[a, c], w[c, a] = flat, -flat
+    return w, den
+
+
+def _product(x: np.ndarray, y: np.ndarray, terms: int = 1) -> np.ndarray:
+    """x * y (broadcast) exactly: in int64 when a sum of `terms` such
+    products stays below 2**63, else in Python integers."""
+    if _biggest(x) * _biggest(y) * terms >= 1 << 63:
+        x, y = x.astype(object), y.astype(object)
+    return x * y
+
+
+def _biggest(x: np.ndarray) -> int:
+    return int(np.max(np.abs(x))) if x.size else 0
 
 
 def _iota(gram: Matrix, a: int, b: int) -> List[Scalar]:
@@ -232,7 +252,7 @@ def equivariant_pair_maps(key: str, slot: int) -> List[List[List[Scalar]]]:
     p = tri.dim
     if p == 0:
         return []
-    pairs, _ = _pair_index(tri.base.dim)
+    pairs = [(a, b) for a in range(tri.base.dim) for b in range(a + 1, tri.base.dim)]
     if not tri.algebra.bracket:
         maps = [
             [unit_vec(p, s) if kk == k else zero_vec(p) for kk in range(len(pairs))]
@@ -261,32 +281,23 @@ def equivariant_pair_maps(key: str, slot: int) -> List[List[List[Scalar]]]:
 
 
 def _certify_equivariant(key: str, slot: int, maps: List[List[List[Scalar]]]) -> None:
-    """Raise CalibrationFailed unless psi(t . xi_k) = [t, psi(xi_k)] for every
-    map psi, every basis element t of tri and every pair xi_k.
+    """Raise CalibrationFailed unless psi(t . xi) = [t, psi(xi)] for every
+    map psi, every basis element t of tri and every pair xi = e_a ^ e_c.
 
-    That is Psi A_t = ad_t Psi with A_t the action of t on Lambda^2 A,
-    checked in integers: A_t and ad_t over one common denominator, Psi over
-    its own."""
+    With P[t] the projection of t on the slot, C[t, s] the bracket [t, e_s]
+    and W[a, c] = psi(e_a ^ e_c) = -W[c, a], that is sum_x P[t, x, a]
+    W[x, c] + P[t, x, c] W[a, x] = sum_s W[a, c, s] C[t, s], checked in
+    integers: P and C over their own denominators, W over its own."""
     tri = triality_algebra(key)
-    p = tri.dim
-    pairs, idx = _pair_index(tri.base.dim)
-    n = len(pairs)
-    act = [[[ZERO] * n for _ in range(n)] for _ in range(p)]  # act[t][kk][k]
-    for t in range(p):
-        for k, col in _lambda2_action(tri.projection(slot, t), pairs, idx).items():
-            for kk, v in col.items():
-                act[t][kk][k] = v
-    ad = [[tri.algebra.basis_product(t, s) for s in range(p)] for t in range(p)]  # ad[t][s][o]
-    nums, _ = rational_ints(x for m in act + ad for row in m for x in row)
-    ints = np.array(nums, dtype=np.int64)
-    act_all = ints[: p * n * n].reshape(p, n, n).transpose(1, 0, 2).reshape(n, p * n)
-    ad_all = ints[p * n * n :].reshape(p, p, p).transpose(0, 2, 1).reshape(p * p, p)
+    proj, den_p = _projections(tri, slot)
+    ad, den_c = _dense(tri.algebra.tensor), tri.algebra.tensor.den
     for psi in maps:
-        nums, _ = rational_ints(x for v in psi for x in v)
-        psi_int = np.array(nums, dtype=np.int64).reshape(n, p).T
-        lhs = checked_int_matmul(psi_int, act_all).reshape(p, p, n).transpose(1, 0, 2)
-        rhs = checked_int_matmul(ad_all, psi_int).reshape(p, p, n)
-        if not np.array_equal(lhs, rhs):
+        w, _ = _skew_map(psi, tri.base.dim)
+        if _biggest(w) * max(_biggest(proj) * 2 * tri.base.dim, _biggest(ad) * tri.dim) >= 1 << 62:
+            w = w.astype(object)
+        lhs = np.einsum("txa,xco->taco", proj, w) + np.einsum("txc,axo->taco", proj, w)
+        rhs = np.einsum("acs,tso->taco", w, ad)
+        if not np.array_equal(_product(lhs, np.array(den_c)), _product(rhs, np.array(den_p))):
             raise CalibrationFailed(f"a map Lambda^2 {key}_{slot} -> tri({key}) is not equivariant")
 
 
@@ -310,244 +321,167 @@ class MagicSquareAlgebra:
 SLOT_PROJ = (2, 3, 1)
 
 
-class _Assembler:
-    """Holds the index layout and the coupling-constant parametrization."""
+class _SquareTables:
+    """The bracket of tri(A) + tri(B) + A_0 (x) B_0 + A_1 (x) B_1 + A_2 (x) B_2
+    as integer cells over one common denominator den.
+
+    The bracket is (T_0 + sum_u lambda_u T_u) / den: T_0 is the constant
+    table and T_u the linear table of coupling unknown u.  The cells of all
+    tables, both orientations of every pair, are held in one set of arrays
+    sorted by the pair p * dim + q: `pair`, `out` (the coordinate k),
+    `table` (0 for T_0, 1 + u for T_u) and `val`.  They are filled block by
+    block from dense integer arrays: (i) the tri(A) and tri(B) tensors; (ii)
+    tri acting on a slot through its projection, tri(A) on the left factor
+    and tri(B) on the right; (iii) the cross-slot products with the
+    conjugation pattern conj(e_a) = s_a e_a: (0,1) -> slot 2: e_a e_c (x)
+    e_b e_d, (0,2) -> slot 1: -conj(e_a) e_c (x) conj(e_b) e_d, (1,2) ->
+    slot 0: e_c conj(e_a) (x) e_d conj(e_b); (iv) in one slot, psi(e_a ^
+    e_c) <e_b, e_d> in tri(A) and psi(e_b ^ e_d) <e_a, e_c> in tri(B), one
+    linear table per map psi.
+    """
 
     def __init__(self, key_a: str, key_b: str):
         self.key_a, self.key_b = key_a, key_b
-        self.alg_a = standard_algebra(key_a)
-        self.alg_b = standard_algebra(key_b)
-        self.tri_a = triality_algebra(key_a)
-        self.tri_b = triality_algebra(key_b)
-        self.pa, self.pb = self.tri_a.dim, self.tri_b.dim
-        self.da, self.db = self.alg_a.dim, self.alg_b.dim
-        self.slot = self.da * self.db
-        self.dim = self.pa + self.pb + 3 * self.slot
-        self.pairs_a, self.idx_a = _pair_index(self.da)
-        self.pairs_b, self.idx_b = _pair_index(self.db)
+        alg_a, alg_b = standard_algebra(key_a), standard_algebra(key_b)
+        tri_a, tri_b = triality_algebra(key_a), triality_algebra(key_b)
+        self.pa, self.pb = pa, pb = tri_a.dim, tri_b.dim
+        self.da, self.db = da, db = alg_a.dim, alg_b.dim
+        self.slot = da * db
+        self.dim = pa + pb + 3 * self.slot
         # the plain product couples the pi2- and pi3-representations into
         # the pi1-representation, so slot i carries projection SLOT_PROJ[i]
-        self.psi_a = [equivariant_pair_maps(key_a, i) for i in SLOT_PROJ]
-        self.psi_b = [equivariant_pair_maps(key_b, i) for i in SLOT_PROJ]
-        # unknown labels: ("A", slot, h) and ("B", slot, h)
-        self.unknowns: List[tuple] = []
+        psi_a = [equivariant_pair_maps(key_a, i) for i in SLOT_PROJ]
+        psi_b = [equivariant_pair_maps(key_b, i) for i in SLOT_PROJ]
+        self.unknowns: List[tuple] = []  # ("A", slot, h) and ("B", slot, h)
         for i in range(3):
-            for h in range(len(self.psi_a[i])):
-                self.unknowns.append(("A", i, h))
-            for h in range(len(self.psi_b[i])):
-                self.unknowns.append(("B", i, h))
-        self.uindex = {u: k for k, u in enumerate(self.unknowns)}
-        # the nonzero basis products as (index, value) pairs
-        self.prod_a, self.prod_b = (
-            [[[(k, v) for k, v in enumerate(alg.basis_product(x, y)) if v]
-              for y in range(alg.dim)] for x in range(alg.dim)]
-            for alg in (self.alg_a, self.alg_b)
-        )
-        # precompute slot actions of the tri bases
-        self.act_a = [
-            [self.tri_a.projection(i, r) for r in range(self.pa)] for i in SLOT_PROJ
-        ]
-        self.act_b = [
-            [self.tri_b.projection(i, r) for r in range(self.pb)] for i in SLOT_PROJ
-        ]
+            self.unknowns += [("A", i, h) for h in range(len(psi_a[i]))]
+            self.unknowns += [("B", i, h) for h in range(len(psi_b[i]))]
+        slot, blocks = self.slot_index, []
 
-    # index helpers
-    def slot_index(self, i: int, a: int, b: int) -> int:
+        def add(value, den, index, table=0, mirror=False):
+            # index maps the positions of the nonzero entries to (p, q, k)
+            at = np.nonzero(value)
+            blocks.append((*index(*at), value[at], den, table, mirror))
+
+        for tri, off in ((tri_a, 0), (tri_b, pa)):
+            if tri.dim:
+                add(_dense(tri.algebra.tensor), tri.algebra.tensor.den,
+                    lambda p, q, k: (p + off, q + off, k + off))
+        for i, proj in enumerate(SLOT_PROJ):
+            # t_r . (e_a (x) e_b) = P_r e_a (x) e_b, resp. e_a (x) P_r e_b
+            if pa:
+                p, den = _projections(tri_a, proj)
+                add(np.broadcast_to(p[..., None], (pa, da, da, db)), den,
+                    lambda r, x, a, b: (r, slot(i, a, b), slot(i, x, b)), mirror=True)
+            if pb:
+                p, den = _projections(tri_b, proj)
+                add(np.broadcast_to(p[:, :, None, :], (pb, db, da, db)), den,
+                    lambda r, x, a, b: (pa + r, slot(i, a, b), slot(i, a, x)), mirror=True)
+        ca, cb = _dense(alg_a.tensor), _dense(alg_b.tensor)
+        conj = np.outer(alg_a.conj_signs, alg_b.conj_signs)[:, :, None, None, None, None]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            # v[a, b, c, d, m, n]: the e_m (x) e_n coordinate of the product
+            xa, xb = (ca, cb) if i == 0 else (ca.transpose(1, 0, 2), cb.transpose(1, 0, 2))
+            v = _product(xa[:, None, :, None, :, None], xb[None, :, None, :, None, :])
+            if j == 2:
+                v = v * conj * (-1 if i == 0 else 1)
+            add(v, alg_a.tensor.den * alg_b.tensor.den,
+                lambda a, b, c, d, m, n: (slot(i, a, b), slot(j, c, d), slot(3 - i - j, m, n)),
+                mirror=True)
+        ga, den_a = _ints((x for row in alg_a.gram.entries for x in row), (da, da))
+        gb, den_b = _ints((x for row in alg_b.gram.entries for x in row), (db, db))
+        for i in range(3):
+            for h, psi in enumerate(psi_a[i]):
+                w, den = _skew_map(psi, da)
+                add(_product(w[:, None, :, None, :], gb[None, :, None, :, None]), den * den_b,
+                    lambda a, b, c, d, s: (slot(i, a, b), slot(i, c, d), s),
+                    table=1 + self.unknowns.index(("A", i, h)))
+            for h, psi in enumerate(psi_b[i]):
+                w, den = _skew_map(psi, db)
+                add(_product(ga[:, None, :, None, None], w[None, :, None, :, :]), den * den_a,
+                    lambda a, b, c, d, s: (slot(i, a, b), slot(i, c, d), pa + s),
+                    table=1 + self.unknowns.index(("B", i, h)))
+        self.den = lcm(1, *(b[4] for b in blocks))
+        cells = []
+        for p, q, k, v, den, table, mirror in blocks:
+            v = _product(v, np.array(self.den // den))
+            cells += [(p, q, k, v, table)] + ([(q, p, k, -v, table)] if mirror else [])
+        pair = np.concatenate([p * self.dim + q for p, q, _, _, _ in cells])
+        order = np.argsort(pair, kind="stable")
+        self.pair = pair[order]
+        self.out = np.concatenate([k for _, _, k, _, _ in cells])[order]
+        self.table = np.concatenate([np.full(len(k), t) for _, _, k, _, t in cells])[order]
+        self.val = np.concatenate([v for _, _, _, v, _ in cells])[order]
+
+    def slot_index(self, i: int, a, b):
         return self.pa + self.pb + i * self.slot + a * self.db + b
 
-    def decode(self, p: int):
-        if p < self.pa:
-            return ("ta", p)
-        if p < self.pa + self.pb:
-            return ("tb", p - self.pa)
-        q = p - self.pa - self.pb
-        return ("slot", q // self.slot, (q % self.slot) // self.db, q % self.db)
+    def tensor(self, lam: List[Scalar]) -> StructureTensor:
+        """The bracket at the couplings lam: T_0 + sum_u lam_u T_u, summed
+        cell by cell in integers and divided once."""
+        nums, den = rational_ints(lam)
+        vals = _product(self.val, int_array([den] + nums)[self.table], len(self.val))
+        keys, sums = _summed(self.pair * self.dim + self.out, vals)
+        keys, sums = keys[sums != 0], sums[sums != 0]
+        g = gcd(self.den * den, *sums.tolist())
+        return StructureTensor.from_cells(self.dim, self.den * den // g, keys, (sums // g).tolist())
 
-    # -- bracket of basis elements as (constant, linear-in-lambda) parts ----
-
-    def bracket_affine(self, p: int, q: int):
-        const: Dict[int, Scalar] = {}
-        lin: Dict[int, Dict[int, Scalar]] = {}
-        tp, tq = self.decode(p), self.decode(q)
-        if tp[0] != "slot" and tq[0] != "slot":
-            if tp[0] == tq[0]:
-                table = self.tri_a.algebra if tp[0] == "ta" else self.tri_b.algebra
-                off = 0 if tp[0] == "ta" else self.pa
-                for k, v in table.basis_bracket(tp[1], tq[1]).items():
-                    const[off + k] = v
-            return const, lin
-        if tp[0] == "slot" and tq[0] == "slot":
-            i, a, b = tp[1], tp[2], tp[3]
-            j, c, d = tq[1], tq[2], tq[3]
-            if i == j:
-                # psi(e_a ^ e_c) <e_b, e_d> in tri(A), psi(e_b ^ e_d) <e_a, e_c> in tri(B)
-                for side, x, y, q, idx, psis, off in (
-                    ("A", a, c, self.alg_b.gram[b, d], self.idx_a, self.psi_a[i], 0),
-                    ("B", b, d, self.alg_a.gram[a, c], self.idx_b, self.psi_b[i], self.pa),
-                ):
-                    if q.is_zero() or x == y:
-                        continue
-                    k, q = idx[(min(x, y), max(x, y))], (q if x < y else -q)
-                    for h, psi in enumerate(psis):
-                        dst = lin.setdefault(self.uindex[(side, i, h)], {})
-                        for s, v in enumerate(psi[k]):
-                            if not v.is_zero():
-                                dst[off + s] = dst.get(off + s, ZERO) + q * v
-                return const, lin
-            # cross-slot products with the conjugation pattern, conj(e_a) = s_a e_a:
-            # (0,1) -> slot 2: e_a e_c (x) e_b e_d, (0,2) -> slot 1: -conj(e_a) e_c
-            # (x) conj(e_b) e_d, (1,2) -> slot 0: e_c conj(e_a) (x) e_d conj(e_b)
-            sign = 1
-            if i > j:
-                i, j, a, b, c, d = j, i, c, d, a, b
-                sign = -1
-            if i == 0:
-                pa, pb = self.prod_a[a][c], self.prod_b[b][d]
-            else:
-                pa, pb = self.prod_a[c][a], self.prod_b[d][b]
-            if j == 2:
-                sign *= self.alg_a.conj_signs[a] * self.alg_b.conj_signs[b]
-                if i == 0:
-                    sign = -sign
-            factor, target = sc(sign), 3 - i - j
-            for ai, av in pa:
-                for bi, bv in pb:
-                    kidx = self.slot_index(target, ai, bi)
-                    const[kidx] = const.get(kidx, ZERO) + factor * av * bv
-            return const, lin
-        # tri against slot
-        if tq[0] == "slot":
-            flip = ONE
-        else:
-            tp, tq = tq, tp
-            flip = sc(-1)
-        side, r = tp
-        i, a, b = tq[1], tq[2], tq[3]
-        proj = (self.act_a if side == "ta" else self.act_b)[i][r]
-        for x in range(proj.rows):
-            v = proj[x, a if side == "ta" else b]
-            if not v.is_zero():
-                kidx = self.slot_index(i, x, b) if side == "ta" else self.slot_index(i, a, x)
-                const[kidx] = const.get(kidx, ZERO) + flip * v
-        return const, lin
+    def residual_equations(self, triples) -> Tuple[List[List[int]], List[int]]:
+        """The equations sum_u lambda_u R_u = -R_0 that the Jacobi identity
+        puts on the couplings, one for each coordinate of the residual
+        [[x,y],z] + [[y,z],x] + [[z,x],y] of a triple that involves a
+        coupling, with R the residual times den^2: (rows R_u, the -R_0)."""
+        d, width = self.dim, len(self.unknowns) + 1
+        triples = np.array(triples, dtype=np.int64).reshape(-1, 3)
+        x, y, z = triples[:, [[0, 1, 2], [1, 2, 0], [2, 0, 1]]].reshape(-1, 3).T
+        # the cells of [e_x, e_y], then those of [e_k, e_z] for each output k
+        own, e = _span(self.pair, x * d + y, x * d + y + 1)
+        q = self.out[e] * d + z[own]
+        own2, f = _span(self.pair, q, q + 1)
+        own, e = own[own2], e[own2]
+        if np.any((self.table[e] > 0) & (self.table[f] > 0)):
+            raise CalibrationFailed("coupling constants multiply; bad layering")
+        keys = ((own // 3) * d + self.out[f]) * width + self.table[e] + self.table[f]
+        keys, sums = _summed(keys, _product(self.val[e], self.val[f], len(f)))
+        keys, sums = keys[sums != 0], sums[sums != 0]
+        coords, row = np.unique(keys // width, return_inverse=True)
+        m = np.zeros((len(coords), width), dtype=sums.dtype)
+        m[row, keys % width] = sums
+        if not m[:, 1:].any(axis=1).all():
+            raise CalibrationFailed("inconsistent coupling-free Jacobi residual")
+        return m[:, 1:].tolist(), (-m[:, 0]).tolist()
 
 
-def _affine_bracket_of_vec(asm: _Assembler, vec_const, vec_lin, q: int):
-    """Bracket (affine in the unknowns) of an affine vector with basis q."""
-    const: Dict[int, Scalar] = {}
-    lin: Dict[int, Dict[int, Scalar]] = {}
-
-    def add(dst, k, v):
-        dst[k] = dst.get(k, ZERO) + v
-
-    for p, coeff in vec_const.items():
-        if coeff.is_zero():
-            continue
-        c2, l2 = asm.bracket_affine(p, q)
-        for k, v in c2.items():
-            add(const, k, coeff * v)
-        for u, comp in l2.items():
-            dst = lin.setdefault(u, {})
-            for k, v in comp.items():
-                add(dst, k, coeff * v)
-    for u, comp in vec_lin.items():
-        dst = lin.setdefault(u, {})
-        for p, coeff in comp.items():
-            if coeff.is_zero():
-                continue
-            c2, l2 = asm.bracket_affine(p, q)
-            if l2:
-                raise CalibrationFailed("coupling constants multiply; bad layering")
-            for k, v in c2.items():
-                add(dst, k, coeff * v)
-    return const, lin
-
-
-def _jacobi_residual_affine(asm: _Assembler, i: int, j: int, k: int):
-    """[[i,j],k] + [[j,k],i] + [[k,i],j] as an affine function of lambda."""
-    const: Dict[int, Scalar] = {}
-    lin: Dict[int, Dict[int, Scalar]] = {}
-
-    def accumulate(base, lin_parts):
-        for kk, v in base.items():
-            const[kk] = const.get(kk, ZERO) + v
-        for u, comp in lin_parts.items():
-            dst = lin.setdefault(u, {})
-            for kk, v in comp.items():
-                dst[kk] = dst.get(kk, ZERO) + v
-
-    for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-        c1, l1 = asm.bracket_affine(x, y)
-        c2, l2 = _affine_bracket_of_vec(asm, c1, l1, z)
-        accumulate(c2, l2)
-    return const, lin
-
-
-def _calibration_triples(asm: _Assembler, rng: random.Random, count: int = 160):
+def _calibration_triples(tables: _SquareTables, rng: random.Random, count: int = 160):
     """Structured triples touching every coupling family, plus random
     filler."""
     triples = []
     for i in range(3):
         for j in range(3):
-            a2 = min(1, asm.da - 1)
-            b2 = min(1, asm.db - 1)
+            a2 = min(1, tables.da - 1)
+            b2 = min(1, tables.db - 1)
             triples.append(
                 (
-                    asm.slot_index(i, 0, 0),
-                    asm.slot_index(i, a2, b2),
-                    asm.slot_index(j, 0, b2),
+                    tables.slot_index(i, 0, 0),
+                    tables.slot_index(i, a2, b2),
+                    tables.slot_index(j, 0, b2),
                 )
             )
             triples.append(
                 (
-                    asm.slot_index(i, 0, b2),
-                    asm.slot_index(i, a2, 0),
-                    asm.slot_index(j, a2, b2),
+                    tables.slot_index(i, 0, b2),
+                    tables.slot_index(i, a2, 0),
+                    tables.slot_index(j, a2, b2),
                 )
             )
     for _ in range(count):
-        triples.append(tuple(rng.randrange(asm.dim) for _ in range(3)))
+        triples.append(tuple(rng.randrange(tables.dim) for _ in range(3)))
     return triples
 
 
-def _add_triple_equations(asm, rows, rhs, triples):
-    nun = len(asm.unknowns)
-    for (i, j, k) in triples:
-        const, lin = _jacobi_residual_affine(asm, i, j, k)
-        coords = set(const)
-        for comp in lin.values():
-            coords.update(comp)
-        for coord in coords:
-            row = [lin.get(u, {}).get(coord, ZERO) for u in range(nun)]
-            if all(v.is_zero() for v in row):
-                if not const.get(coord, ZERO).is_zero():
-                    raise CalibrationFailed(
-                        "inconsistent coupling-free Jacobi residual"
-                    )
-                continue
-            rows.append(row)
-            rhs.append(-const.get(coord, ZERO))
-
-
-def _assemble(asm, lam) -> SCAlgebra:
-    bracket: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-    for p in range(asm.dim):
-        for q in range(p + 1, asm.dim):
-            const, lin = asm.bracket_affine(p, q)
-            for u, comp in lin.items():
-                lu = lam[u]
-                if lu.is_zero():
-                    continue
-                for kk, v in comp.items():
-                    const[kk] = const.get(kk, ZERO) + lu * v
-            comp = {kk: v for kk, v in const.items() if not v.is_zero()}
-            if comp:
-                bracket[(p, q)] = comp
-                bracket[(q, p)] = {kk: -v for kk, v in comp.items()}
-    name = SQUARE_NAMES[ALGEBRA_ORDER.index(asm.key_a)][
-        ALGEBRA_ORDER.index(asm.key_b)
-    ]
-    return SCAlgebra(asm.dim, bracket, skew=True, name=name)
+def _assemble(tables: _SquareTables, lam: List[Scalar]) -> SCAlgebra:
+    name = SQUARE_NAMES[ALGEBRA_ORDER.index(tables.key_a)][ALGEBRA_ORDER.index(tables.key_b)]
+    return SCAlgebra.from_tensor(tables.tensor(lam), skew=True, name=name)
 
 
 def vinberg_build(key_a: str, key_b: str, seed: int = 0) -> MagicSquareAlgebra:
@@ -560,13 +494,10 @@ def vinberg_build(key_a: str, key_b: str, seed: int = 0) -> MagicSquareAlgebra:
     for key in (key_a, key_b):
         if key not in ALGEBRA_ORDER:
             raise ValueError(f"unknown algebra {key!r}, expected one of {ALGEBRA_ORDER}")
-    asm = _Assembler(key_a, key_b)
+    tables = _SquareTables(key_a, key_b)
     rng = random.Random(seed)
-    nun = len(asm.unknowns)
-    rows: List[List[Scalar]] = []
-    rhs: List[Scalar] = []
-    if nun:
-        _add_triple_equations(asm, rows, rhs, _calibration_triples(asm, rng))
+    nun = len(tables.unknowns)
+    rows, rhs = tables.residual_equations(_calibration_triples(tables, rng)) if nun else ([], [])
     lam = [ZERO] * nun
     for _ in range(6):
         if rows:
@@ -576,7 +507,7 @@ def vinberg_build(key_a: str, key_b: str, seed: int = 0) -> MagicSquareAlgebra:
                     f"no consistent couplings for {key_a},{key_b}"
                 )
             lam = sol
-        sca = _assemble(asm, lam)
+        sca = _assemble(tables, lam)
         report = jacobi_check(sca)
         if report.passed:
             break
@@ -584,9 +515,11 @@ def vinberg_build(key_a: str, key_b: str, seed: int = 0) -> MagicSquareAlgebra:
             raise CalibrationFailed("coupling-free bracket fails the Jacobi identity")
         witness = report.witness[:3]
         extra = [witness] + [
-            tuple(rng.randrange(asm.dim) for _ in range(3)) for _ in range(60)
+            tuple(rng.randrange(tables.dim) for _ in range(3)) for _ in range(60)
         ]
-        _add_triple_equations(asm, rows, rhs, extra)
+        more_rows, more_rhs = tables.residual_equations(extra)
+        rows += more_rows
+        rhs += more_rhs
     else:
         raise CalibrationFailed(
             f"calibration did not close for {key_a},{key_b}"
@@ -594,9 +527,9 @@ def vinberg_build(key_a: str, key_b: str, seed: int = 0) -> MagicSquareAlgebra:
     return MagicSquareAlgebra(
         (key_a, key_b),
         sca,
-        (asm.pa, asm.pb),
-        asm.slot,
-        {str(u): lam[k] for k, u in enumerate(asm.unknowns)},
+        (tables.pa, tables.pb),
+        tables.slot,
+        {str(u): lam[k] for k, u in enumerate(tables.unknowns)},
         report.checked,
     )
 

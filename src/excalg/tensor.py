@@ -15,6 +15,8 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 from .scalar import _Q, _Q0, ZERO, Scalar, _make
 
 
@@ -44,6 +46,23 @@ class StructureTensor:
                 for j in range(dim)
             ])
             rows[i] = None
+
+    @classmethod
+    def from_cells(cls, dim: int, den: int, keys: np.ndarray, values: Sequence[int]):
+        """Build from rational integer cells without passing through
+        Scalars: keys (i * dim + j) * dim + k in increasing order and the
+        nonzero values den * c_ij^k."""
+        t = cls.__new__(cls)
+        t.dim, t.den, t.rational = dim, den, True
+        t.cells = [[()] * dim for _ in range(dim)]
+        cells = list(zip((keys % dim).tolist(), values, [0] * len(values)))
+        pair = keys // dim
+        bounds = np.flatnonzero(np.diff(pair, prepend=-1)).tolist() + [len(cells)]
+        pair = pair.tolist()
+        for a, b in zip(bounds, bounds[1:]):
+            i, j = divmod(pair[a], dim)
+            t.cells[i][j] = tuple(cells[a:b])
+        return t
 
     def product(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
         """The coordinates of x * y, i.e. sum_ijk c_ij^k x_i y_j e_k."""

@@ -213,6 +213,22 @@ class TestFreudenthal:
             rep = jd.legendrian_check(a, samples=5, seed=0)
             assert rep.passed and rep.tangent_dim == 3 * a + 4
 
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_frame_gram_matches_pairing(self, a):
+        # the Gram of vectors cleared once against symplectic_pairing; the
+        # tangent frame is isotropic, so a point off it (and a Gaussian
+        # one) supplies nonzero entries
+        alg = jd.jordan_algebra(a)
+        rng = random.Random(a)
+        frame = jd.tangent_frame(alg.random_element(rng, height=2))
+        off = jd.cubic_map(alg.random_element(rng, height=3))
+        gaussian = jd.freudenthal_vector(alg, I, [sc(k) * I + 1 for k in range(alg.dim)], [0] * alg.dim, 2)
+        vectors = frame + [off, gaussian]
+        gram = jd._symplectic_gram(vectors)
+        assert gram == [[jd.symplectic_pairing(u, v) for v in vectors] for u in vectors]
+        assert not any(any(row[:len(frame)]) for row in gram[:len(frame)])
+        assert any(gram[-2]) and any(gram[-1])
+
 
 @lru_cache(maxsize=None)
 def dense_trace_gram(a):

@@ -64,6 +64,21 @@ class TestSCAlgebra:
         back = ll.SCAlgebra.from_json(g.to_json())
         assert back.bracket == g.bracket and back.dim == 3
 
+    @pytest.mark.parametrize("field", ["rational", "gaussian"])
+    def test_tensor_constructor_and_lazy_view(self, field):
+        # an algebra kept as its tensor reads like the dict-built one; its
+        # Scalar view is built on first read, from the cells
+        g = gaussian_gl2() if field == "gaussian" else ll.SCAlgebra(3, {
+            key: {k: v * sc("3/2") for k, v in comp.items()} for key, comp in so3().bracket.items()
+        })
+        h = ll.SCAlgebra.from_tensor(g.tensor, name="view")
+        assert "bracket" not in vars(h)
+        assert ll.jacobi_check(h).passed and h.name == "view"
+        assert h.bracket == g.bracket and h.to_json() == g.to_json()
+        assert h.basis_bracket(0, 1) == g.basis_bracket(0, 1)
+        with pytest.raises(ValueError, match="not skew"):
+            ll.SCAlgebra.from_tensor(ll.SCAlgebra(g.dim, {(0, 1): {0: ONE}}, skew=False).tensor)
+
 
 class TestDerivations:
     def test_composition_algebra_dims(self):
@@ -519,3 +534,21 @@ class TestDerivedAndKilling:
         g = ll.SCAlgebra(2, {}, skew=True)
         assert ll.derived_dimension(g) == 0
         assert not ll.killing_nondegenerate(g)
+
+    def test_derived_dimension_matches_scalar_rows(self):
+        # the rank of the primitive integer cell rows against the span of
+        # the Scalar bracket rows, over Q and Q(i), skew or not
+        rng = random.Random(3)
+        nonskew = ll.SCAlgebra(3, {(0, 0): {1: sc(2)}, (1, 0): {1: sc(-4)}, (2, 2): {2: I}}, skew=False)
+        for g in (so3(), rescaled(so3(), [sc("2/3"), sc(5), I]), gaussian_gl2(), random_skew_algebra(rng, 4, 5),
+                  ll.SCAlgebra(3, {(0, 1): {2: I}, (1, 0): {2: -I}}, skew=True), nonskew):
+            rows = [[comp.get(k, ZERO) for k in range(g.dim)] for comp in g.bracket.values()]
+            assert ll.derived_dimension(g) == Subspace(g.dim, rows).dim
+        assert ll.derived_dimension(nonskew) == 2
+
+    def test_derived_dimension_reads_only_the_tensor(self):
+        from excalg import magicsquare as ms
+
+        g = ms.built_square_entry("c", "h").algebra
+        h = ll.SCAlgebra.from_tensor(g.tensor)
+        assert ll.derived_dimension(h) == 35 and "bracket" not in vars(h)

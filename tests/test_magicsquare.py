@@ -1,13 +1,18 @@
+import hashlib
+
+import numpy as np
 import pytest
 
 from excalg import cli
 from excalg import magicsquare as ms
+from excalg import scalar
 from excalg.liealg import (
     jacobi_check,
     killing_nondegenerate,
 )
 from excalg.linalg import Matrix, Subspace, unit_vec
-from excalg.scalar import ONE, ZERO, sc
+from excalg.scalar import ONE, ZERO, Scalar, sc
+from excalg.tensor import StructureTensor
 
 
 class TestTriality:
@@ -182,6 +187,102 @@ class TestVinberg:
         # an algebra pair outside the allowed list fails loudly, not quietly
         with pytest.raises(Exception):
             ms.vinberg_build("x", "r")
+
+    @pytest.mark.parametrize("pair", [("c", "c"), ("h", "c")])
+    @pytest.mark.parametrize("block", ["cross-slot", "psi"])
+    def test_corrupted_table_is_caught(self, monkeypatch, pair, block):
+        # one cell of the constant cross-slot table, or of the first psi
+        # table, changes sign (with its mirror, so the bracket stays skew)
+        def pick(t):
+            p, q = t.pair // t.dim, t.pair % t.dim
+            slot_p, slot_q = (p - t.pa - t.pb) // t.slot, (q - t.pa - t.pb) // t.slot
+            if block == "psi":
+                return np.flatnonzero(t.table == 1)[0]
+            return np.flatnonzero((slot_p >= 0) & (slot_q >= 0) & (slot_p != slot_q) & (t.table == 0))[0]
+
+        class Corrupted(ms._SquareTables):
+            def __init__(self, *keys):
+                super().__init__(*keys)
+                n = pick(self)
+                p, q = divmod(int(self.pair[n]), self.dim)
+                mirror = (self.pair == q * self.dim + p) & (self.out == self.out[n])
+                self.val = self.val.copy()
+                self.val[[n, *np.flatnonzero(mirror & (self.table == self.table[n]))]] *= -1
+
+        lam = list(ms.built_square_entry(*pair).calibration.values())
+        report = jacobi_check(ms._assemble(Corrupted(*pair), lam))
+        assert not report.passed and len(report.witness[:3]) == 3
+        monkeypatch.setattr(ms, "_SquareTables", Corrupted)
+        with pytest.raises(ms.CalibrationFailed):
+            ms.vinberg_build(*pair)
+
+    def test_e8_assembly_runs_no_scalar_arithmetic(self, monkeypatch):
+        entry = ms.built_square_entry("o", "o")
+        lam = list(entry.calibration.values())
+
+        def forbidden(*args):
+            raise AssertionError("Scalar arithmetic in the e8 assembly")
+
+        with monkeypatch.context() as m:
+            for name in ("__init__", "__add__", "__radd__", "__sub__", "__rsub__",
+                         "__mul__", "__rmul__", "__neg__", "__truediv__", "inverse"):
+                m.setattr(Scalar, name, forbidden)
+            m.setattr(scalar, "_make", forbidden)
+            g = ms._assemble(ms._SquareTables("o", "o"), lam)
+        assert "bracket" not in vars(g)
+        reference = StructureTensor(g.dim, (
+            (i, j, k, v) for (i, j), comp in entry.algebra.bracket.items() for k, v in comp.items()
+        ))
+        assert g.tensor.den == reference.den
+        assert [[sorted(c) for c in row] for row in g.tensor.cells] == [
+            [sorted(c) for c in row] for row in reference.cells
+        ]
+
+
+def _digest(algebra):
+    """SHA-256 of the Scalar bracket: sorted keys, str of each value."""
+    h = hashlib.sha256()
+    for key in sorted(algebra.bracket):
+        comp = algebra.bracket[key]
+        h.update(repr((key, sorted((k, str(v)) for k, v in comp.items()))).encode())
+    return h.hexdigest()
+
+
+# Recorded from the per-pair Scalar assembly the integer tables replaced.
+SQUARE_DIGESTS = {
+    "rr": "f8efe4638f1f3040a4801a90c32349326672ba303600be3e693e9e4412666a2b",
+    "rc": "3e01e4408ffd94ae8388591685449f5a74d80e04b29a4c00e096e895b03c45b0",
+    "rh": "1fc2563080fd89b486aaeb900d00d4f93cf4058f465b0c04ed899b79efd9244d",
+    "ro": "6cfff89a04b0e380f442d9af3e0d7bceaf1f3647a381fa00d3d3f6d5d2a58c9e",
+    "cr": "3e01e4408ffd94ae8388591685449f5a74d80e04b29a4c00e096e895b03c45b0",
+    "cc": "cffa17e2386613d071a159e4635401aa7e80247fe570b93a573358db6d6aa1ac",
+    "ch": "159210353772ecbba11d98b8e9c4cbbea5ab73ae70b3eb163bcff56d19eb7f44",
+    "co": "f666b1f6a3301194ea1522827ef7019cba638d81aa126f2b5ce616ee96009370",
+    "hr": "1fc2563080fd89b486aaeb900d00d4f93cf4058f465b0c04ed899b79efd9244d",
+    "hc": "8d86f9cf6ca8b6a2b413a2a58fe4a11948d74f58e390348355419909fb70fbd6",
+    "hh": "d8400b3d5dfbbe1e2059bc557decc79ac1d0251adc78843f99805b24002b851b",
+    "ho": "3413d65611a317d06a21688d912674722c0437a556d960c6ce8dde1a7f371a03",
+    "or": "6cfff89a04b0e380f442d9af3e0d7bceaf1f3647a381fa00d3d3f6d5d2a58c9e",
+    "oc": "0761c3df21c7f05d129ad13cdcda0dafa28eb9a36102eb02de3a7c30f9207e5f",
+    "oh": "7d077b7bcb1f422ad16e66b8069390885c60cd691ba7c5ff83d6d6b33b6a4111",
+    "oo": "8b5dc30298f41356c79c60455b2e393db91b6958ea747cafd7b0bea9fbbc9cc1",
+}
+
+# The solved couplings of slot i, map h, by algebra; the same on both sides.
+COUPLINGS = {"r": [], "c": [[-2, -4], [-2, 2], [-4, -2]], "h": [[4, 4]] * 3, "o": [[4]] * 3}
+
+
+@pytest.mark.parametrize("pair", sorted(SQUARE_DIGESTS), ids=str)
+def test_square_entry_is_pinned(pair):
+    entry = ms.built_square_entry(*pair)  # cached, shared with the acceptance suite
+    assert _digest(entry.algebra) == SQUARE_DIGESTS[pair]
+    expected = [
+        (str((side, i, h)), f"{v}/1")
+        for i in range(3)
+        for side, key in zip("AB", pair)
+        for h, v in enumerate(COUPLINGS[key][i] if COUPLINGS[key] else [])
+    ]
+    assert [(u, str(v)) for u, v in entry.calibration.items()] == expected
 
 
 class TestVectorModel:

@@ -141,6 +141,18 @@ class TestSixVariables:
         w = tf.representative(tf.RANK6_GENERIC)
         assert tf.lambda_quartic(w.scale(2)) == sc(16)
 
+    def test_lambda_on_gaussian_pullbacks(self):
+        # t^4 scaling at t = 1 + i, and det(g)^2 semi-invariance under
+        # Gaussian changes of basis, on both rank-six representatives
+        generic, tangent = (tf.representative(l) for l in (tf.RANK6_GENERIC, tf.RANK6_TANGENT))
+        t = ONE + Scalar.gaussian(0, 1)
+        assert tf.lambda_quartic(generic.scale(t)) == t ** 4 == sc(-4)
+        for seed in range(3):
+            g = random_invertible(6, seed=seed, height=3, field="gaussian")
+            assert not g.det().is_rational()
+            assert tf.lambda_quartic(fm.pullback(g, generic)) == g.det() ** 2
+            assert tf.lambda_quartic(fm.pullback(g, tangent)).is_zero()
+
     def test_lambda_semi_invariance_exponent_two(self):
         # determined once on one sample, verified on twenty random matrices
         w = tf.representative(tf.RANK6_GENERIC)
