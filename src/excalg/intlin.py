@@ -165,6 +165,26 @@ def checked_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.astype(object) @ b.astype(object)
 
 
+def int_dtype(bound: int):
+    """np.int64 when every integer, partial sums included, is at most
+    `bound` in absolute value and `bound` < 2**63; else object, for Python
+    integers.  The one rule by which integer tables choose their dtype."""
+    return np.int64 if bound < 1 << 63 else object
+
+
+def biggest(x: np.ndarray) -> int:
+    """The largest absolute entry of an integer array, 0 when empty."""
+    return int(np.max(np.abs(x))) if x.size else 0
+
+
+def exact_product(x: np.ndarray, y: np.ndarray, terms: int = 1) -> np.ndarray:
+    """x * y (broadcast) exactly: in int64 when a sum of `terms` such
+    products stays below 2**63, else in Python integers."""
+    if int_dtype(biggest(x) * biggest(y) * terms) is object:
+        x, y = x.astype(object), y.astype(object)
+    return x * y
+
+
 def int_array(values) -> np.ndarray:
     """Integers as an int64 array, or as an object array of Python
     integers when one does not fit."""

@@ -499,8 +499,19 @@ def symplectic_pairing(p: FreudenthalVector, q: FreudenthalVector) -> Scalar:
     dual slots paired through the trace form."""
     if p.algebra is not q.algebra:
         raise ValueError("vectors over different algebras")
-    alg = p.algebra
-    return (_pair(alg, p.n, q.m) - _pair(alg, q.n, p.m)) + (p.alpha * q.beta - q.alpha * p.beta)
+    return _omega(p.algebra, _with_cleared(p), _with_cleared(q))
+
+
+def _with_cleared(v: FreudenthalVector):
+    """v with its H3 parts m and n cleared by tensor._cleared."""
+    return v, _cleared(v.m), _cleared(v.n)
+
+
+def _omega(alg: JordanAlgebra, u, v) -> Scalar:
+    """The symplectic form on two vectors given by _with_cleared."""
+    (p, pm, pn), (q, qm, qn) = u, v
+    return ((_pair_cleared(alg, pn, qm) - _pair_cleared(alg, qn, pm))
+            + (p.alpha * q.beta - q.alpha * p.beta))
 
 
 def symplectic_gram_rank(a: int) -> int:
@@ -527,10 +538,10 @@ def _symplectic_gram(vectors: Sequence[FreudenthalVector]) -> List[List[Scalar]]
     """symplectic_pairing(u, v) for all u, v over one algebra, with the H3
     parts of each vector cleared once."""
     alg = vectors[0].algebra
-    cleared = [(v, _cleared(v.m), _cleared(v.n)) for v in vectors]
-    return [[(_pair_cleared(alg, nu, mv) - _pair_cleared(alg, nv, mu))
-             + (u.alpha * v.beta - v.alpha * u.beta) for v, mv, nv in cleared]
-            for u, mu, nu in cleared]
+    if any(v.algebra is not alg for v in vectors):
+        raise ValueError("vectors over different algebras")
+    cleared = [_with_cleared(v) for v in vectors]
+    return [[_omega(alg, u, v) for v in cleared] for u in cleared]
 
 
 @dataclass

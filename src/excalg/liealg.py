@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,14 +57,14 @@ class SCAlgebra:
 
     The integer structure tensor is the representation every check and
     product reads.  An algebra built from a dict keeps the dict as its
-    Scalar ``bracket`` view; one built by :meth:`from_tensor` builds that
-    view from the cells the first time it is read.
+    Scalar ``bracket`` view; one built from a StructureTensor keeps the
+    tensor and builds that view from the cells the first time it is read.
     """
 
     def __init__(
         self,
         dim: int,
-        bracket: BracketTable,
+        bracket: Union[BracketTable, StructureTensor],
         skew: bool = True,
         unital: bool = False,
         cartan: Optional[List[List[Scalar]]] = None,
@@ -92,12 +92,6 @@ class SCAlgebra:
         if cartan is not None:
             self.cartan = [[sc(x) for x in h] for h in cartan]
             self._check_cartan_commutes()
-
-    @classmethod
-    def from_tensor(cls, tensor: StructureTensor, skew: bool = True, name: str = ""):
-        """The algebra of an integer structure tensor, kept as its one
-        representation."""
-        return cls(tensor.dim, tensor, skew=skew, name=name)
 
     def _check_skew(self):
         """c(i,j) = -c(j,i), compared on the integer cells of the tensor."""
@@ -285,7 +279,7 @@ def leibniz_kernel(
     cleared = _cleared([x for mats in unknowns for m in mats for x in m.values()])[0]
     cells = _Cells(t)
     biggest = max([cells.biggest] + [abs(x) for _, re, im in cleared for x in (re, im)])
-    dtype = np.int64 if 6 * d * biggest * biggest < 1 << 63 else object
+    dtype = intlin.int_dtype(6 * d * biggest * biggest)
     ci, cj, cm, cval = cells.pair // d, cells.pair % d, cells.out, cells.val.astype(dtype)
     slot, u, p, q = np.array([at[k] for k, _, _ in cleared], dtype=np.int64).reshape(-1, 4).T
     val = np.array([f[1:] for f in cleared], dtype=dtype).reshape(-1, 2)
@@ -391,7 +385,7 @@ class _Cells:
             for m, re, im in cell
         ]
         biggest = self.biggest = max((abs(x) for f in flat for x in f[2:]), default=0)
-        dtype = np.int64 if 6 * d * biggest * biggest < 1 << 63 else object
+        dtype = intlin.int_dtype(6 * d * biggest * biggest)
         self.pair = np.array([f[0] for f in flat], dtype=np.int64)
         self.out = np.array([f[1] for f in flat], dtype=np.int64)
         self.val = np.array([f[2:] for f in flat], dtype=dtype).reshape(-1, 2)

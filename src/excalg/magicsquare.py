@@ -44,7 +44,7 @@ from .liealg import (
     leibniz_kernel,
     string_pairing,
 )
-from .intlin import int_array, int_kernel
+from .intlin import biggest, exact_product, int_array, int_dtype, int_kernel
 from .linalg import (
     Matrix,
     Subspace,
@@ -211,18 +211,6 @@ def _skew_map(psi: List[List[Scalar]], d: int) -> Tuple[np.ndarray, int]:
     return w, den
 
 
-def _product(x: np.ndarray, y: np.ndarray, terms: int = 1) -> np.ndarray:
-    """x * y (broadcast) exactly: in int64 when a sum of `terms` such
-    products stays below 2**63, else in Python integers."""
-    if _biggest(x) * _biggest(y) * terms >= 1 << 63:
-        x, y = x.astype(object), y.astype(object)
-    return x * y
-
-
-def _biggest(x: np.ndarray) -> int:
-    return int(np.max(np.abs(x))) if x.size else 0
-
-
 def _iota(gram: Matrix, a: int, b: int) -> List[Scalar]:
     """iota(e_a ^ e_b) = <e_a, .> e_b - <e_b, .> e_a in so(A), flattened."""
     d = gram.rows
@@ -293,11 +281,13 @@ def _certify_equivariant(key: str, slot: int, maps: List[List[List[Scalar]]]) ->
     ad, den_c = _dense(tri.algebra.tensor), tri.algebra.tensor.den
     for psi in maps:
         w, _ = _skew_map(psi, tri.base.dim)
-        if _biggest(w) * max(_biggest(proj) * 2 * tri.base.dim, _biggest(ad) * tri.dim) >= 1 << 62:
+        bound = biggest(w) * max(biggest(proj) * 2 * tri.base.dim, biggest(ad) * tri.dim)
+        if int_dtype(bound) is object:
             w = w.astype(object)
         lhs = np.einsum("txa,xco->taco", proj, w) + np.einsum("txc,axo->taco", proj, w)
         rhs = np.einsum("acs,tso->taco", w, ad)
-        if not np.array_equal(_product(lhs, np.array(den_c)), _product(rhs, np.array(den_p))):
+        lhs, rhs = exact_product(lhs, np.array(den_c)), exact_product(rhs, np.array(den_p))
+        if not np.array_equal(lhs, rhs):
             raise CalibrationFailed(f"a map Lambda^2 {key}_{slot} -> tri({key}) is not equivariant")
 
 
@@ -382,7 +372,7 @@ class _SquareTables:
         for i, j in ((0, 1), (0, 2), (1, 2)):
             # v[a, b, c, d, m, n]: the e_m (x) e_n coordinate of the product
             xa, xb = (ca, cb) if i == 0 else (ca.transpose(1, 0, 2), cb.transpose(1, 0, 2))
-            v = _product(xa[:, None, :, None, :, None], xb[None, :, None, :, None, :])
+            v = exact_product(xa[:, None, :, None, :, None], xb[None, :, None, :, None, :])
             if j == 2:
                 v = v * conj * (-1 if i == 0 else 1)
             add(v, alg_a.tensor.den * alg_b.tensor.den,
@@ -393,18 +383,18 @@ class _SquareTables:
         for i in range(3):
             for h, psi in enumerate(psi_a[i]):
                 w, den = _skew_map(psi, da)
-                add(_product(w[:, None, :, None, :], gb[None, :, None, :, None]), den * den_b,
+                add(exact_product(w[:, None, :, None, :], gb[None, :, None, :, None]), den * den_b,
                     lambda a, b, c, d, s: (slot(i, a, b), slot(i, c, d), s),
                     table=1 + self.unknowns.index(("A", i, h)))
             for h, psi in enumerate(psi_b[i]):
                 w, den = _skew_map(psi, db)
-                add(_product(ga[:, None, :, None, None], w[None, :, None, :, :]), den * den_a,
+                add(exact_product(ga[:, None, :, None, None], w[None, :, None, :, :]), den * den_a,
                     lambda a, b, c, d, s: (slot(i, a, b), slot(i, c, d), pa + s),
                     table=1 + self.unknowns.index(("B", i, h)))
         self.den = lcm(1, *(b[4] for b in blocks))
         cells = []
         for p, q, k, v, den, table, mirror in blocks:
-            v = _product(v, np.array(self.den // den))
+            v = exact_product(v, np.array(self.den // den))
             cells += [(p, q, k, v, table)] + ([(q, p, k, -v, table)] if mirror else [])
         pair = np.concatenate([p * self.dim + q for p, q, _, _, _ in cells])
         order = np.argsort(pair, kind="stable")
@@ -420,7 +410,7 @@ class _SquareTables:
         """The bracket at the couplings lam: T_0 + sum_u lam_u T_u, summed
         cell by cell in integers and divided once."""
         nums, den = rational_ints(lam)
-        vals = _product(self.val, int_array([den] + nums)[self.table], len(self.val))
+        vals = exact_product(self.val, int_array([den] + nums)[self.table], len(self.val))
         keys, sums = _summed(self.pair * self.dim + self.out, vals)
         keys, sums = keys[sums != 0], sums[sums != 0]
         g = gcd(self.den * den, *sums.tolist())
@@ -442,7 +432,7 @@ class _SquareTables:
         if np.any((self.table[e] > 0) & (self.table[f] > 0)):
             raise CalibrationFailed("coupling constants multiply; bad layering")
         keys = ((own // 3) * d + self.out[f]) * width + self.table[e] + self.table[f]
-        keys, sums = _summed(keys, _product(self.val[e], self.val[f], len(f)))
+        keys, sums = _summed(keys, exact_product(self.val[e], self.val[f], len(f)))
         keys, sums = keys[sums != 0], sums[sums != 0]
         coords, row = np.unique(keys // width, return_inverse=True)
         m = np.zeros((len(coords), width), dtype=sums.dtype)
@@ -481,7 +471,7 @@ def _calibration_triples(tables: _SquareTables, rng: random.Random, count: int =
 
 def _assemble(tables: _SquareTables, lam: List[Scalar]) -> SCAlgebra:
     name = SQUARE_NAMES[ALGEBRA_ORDER.index(tables.key_a)][ALGEBRA_ORDER.index(tables.key_b)]
-    return SCAlgebra.from_tensor(tables.tensor(lam), skew=True, name=name)
+    return SCAlgebra(tables.dim, tables.tensor(lam), name=name)
 
 
 def vinberg_build(key_a: str, key_b: str, seed: int = 0) -> MagicSquareAlgebra:

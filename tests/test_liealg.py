@@ -71,13 +71,13 @@ class TestSCAlgebra:
         g = gaussian_gl2() if field == "gaussian" else ll.SCAlgebra(3, {
             key: {k: v * sc("3/2") for k, v in comp.items()} for key, comp in so3().bracket.items()
         })
-        h = ll.SCAlgebra.from_tensor(g.tensor, name="view")
+        h = ll.SCAlgebra(g.dim, g.tensor, name="view")
         assert "bracket" not in vars(h)
         assert ll.jacobi_check(h).passed and h.name == "view"
         assert h.bracket == g.bracket and h.to_json() == g.to_json()
         assert h.basis_bracket(0, 1) == g.basis_bracket(0, 1)
         with pytest.raises(ValueError, match="not skew"):
-            ll.SCAlgebra.from_tensor(ll.SCAlgebra(g.dim, {(0, 1): {0: ONE}}, skew=False).tensor)
+            ll.SCAlgebra(g.dim, ll.SCAlgebra(g.dim, {(0, 1): {0: ONE}}, skew=False).tensor)
 
 
 class TestDerivations:
@@ -550,5 +550,5 @@ class TestDerivedAndKilling:
         from excalg import magicsquare as ms
 
         g = ms.built_square_entry("c", "h").algebra
-        h = ll.SCAlgebra.from_tensor(g.tensor)
+        h = ll.SCAlgebra(g.dim, g.tensor)
         assert ll.derived_dimension(h) == 35 and "bracket" not in vars(h)

@@ -285,6 +285,17 @@ def test_square_entry_is_pinned(pair):
     assert [(u, str(v)) for u, v in entry.calibration.items()] == expected
 
 
+def test_python_integer_tables_give_the_pinned_bracket(monkeypatch):
+    # every dtype choice that the int64 bound makes is forced onto Python
+    # integers: the tables, their sums and the Jacobi join stay exact
+    from excalg import intlin
+
+    monkeypatch.setattr(intlin, "int_dtype", lambda bound: object)
+    monkeypatch.setattr(ms, "int_dtype", lambda bound: object)
+    assert ms._SquareTables("h", "c").val.dtype == object
+    assert _digest(ms.vinberg_build("h", "c").algebra) == SQUARE_DIGESTS["hc"]
+
+
 class TestVectorModel:
     def test_report(self):
         rep = ms.g2_models_crosscheck()

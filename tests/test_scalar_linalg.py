@@ -232,6 +232,20 @@ def _free_column_basis(rows, ncols):
     return basis
 
 
+class TestExactProduct:
+    def test_int64_below_the_bound_python_integers_past_it(self):
+        import numpy as np
+
+        x = np.array([3, -(1 << 30)], dtype=np.int64)
+        small = intlin.exact_product(x, x, terms=4)
+        assert small.dtype == np.int64 and small.tolist() == [9, 1 << 60]
+        big = intlin.exact_product(x, x, terms=8)  # 8 * 2^60 = 2^63
+        assert big.dtype == object and big.tolist() == [9, 1 << 60]
+        huge = intlin.exact_product(x, np.array([1 << 40]))
+        assert huge.tolist() == [3 << 40, -(1 << 70)]
+        assert intlin.int_dtype((1 << 63) - 1) is np.int64 and intlin.int_dtype(1 << 63) is object
+
+
 class TestIntKernel:
     def test_matches_pure_solver(self):
         # int_kernel's vectors are the Fraction reference's free-column
