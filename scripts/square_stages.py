@@ -1,0 +1,61 @@
+#!/usr/bin/env python3
+"""Stage timers on one cold magic-square column.
+
+Builds f4, e6, e7 and e8 with ``vinberg_build(a, "o")`` and checks each
+Killing form, in this fresh interpreter, with four certificate stages
+wrapped in wall-clock timers: ``jacobi_check``, ``killing_nondegenerate``,
+``StructureTensor.from_cells`` and ``SCAlgebra._check_skew``.  Prints one
+JSON line: the import and column times, each stage's time and its share of
+the column, and the peak resident set.  Run it in a fresh interpreter per
+measurement, so no cache carries over:
+
+    PYTHONPATH=src python scripts/square_stages.py
+"""
+
+import json
+import resource
+import time
+
+start = time.perf_counter()
+from excalg import liealg, magicsquare, tensor  # noqa: E402
+
+STAGES = ("jacobi_check", "killing_nondegenerate", "from_cells", "_check_skew")
+spent = dict.fromkeys(STAGES, 0.0)
+
+
+def timed(name, fn):
+    def wrapper(*args, **kwargs):
+        t = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[name] += time.perf_counter() - t
+
+    return wrapper
+
+
+def main():
+    # magicsquare holds its own references to the two liealg functions
+    jacobi = timed("jacobi_check", liealg.jacobi_check)
+    killing = timed("killing_nondegenerate", liealg.killing_nondegenerate)
+    for module in (liealg, magicsquare):
+        module.jacobi_check, module.killing_nondegenerate = jacobi, killing
+    cls = tensor.StructureTensor
+    cls.from_cells = classmethod(timed("from_cells", cls.from_cells.__func__))
+    liealg.SCAlgebra._check_skew = timed("_check_skew", liealg.SCAlgebra._check_skew)
+    t0 = time.perf_counter()
+    for key in ("r", "c", "h", "o"):
+        entry = magicsquare.vinberg_build(key, "o")
+        if not magicsquare.killing_nondegenerate(entry.algebra):
+            raise SystemExit(f"({key}, o): degenerate Killing form")
+    column = time.perf_counter() - t0
+    report = {"import_s": round(t0 - start, 3), "column_s": round(column, 3)}
+    for name in STAGES:
+        report[f"{name}_s"] = round(spent[name], 3)
+        report[f"{name}_share"] = round(spent[name] / column, 3)
+    report["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    print(json.dumps(report))
+
+
+if __name__ == "__main__":
+    main()

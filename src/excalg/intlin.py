@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .scalar import ONE, ZERO, Scalar
-from .tensor import _cleared, rational_ints
+from .tensor import _cleared, biggest, int_array, rational_ints
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -172,28 +172,12 @@ def int_dtype(bound: int):
     return np.int64 if bound < 1 << 63 else object
 
 
-def biggest(x: np.ndarray) -> int:
-    """The largest absolute entry of an integer array, 0 when empty."""
-    return int(np.max(np.abs(x))) if x.size else 0
-
-
 def exact_product(x: np.ndarray, y: np.ndarray, terms: int = 1) -> np.ndarray:
     """x * y (broadcast) exactly: in int64 when a sum of `terms` such
     products stays below 2**63, else in Python integers."""
     if int_dtype(biggest(x) * biggest(y) * terms) is object:
         x, y = x.astype(object), y.astype(object)
     return x * y
-
-
-def int_array(values) -> np.ndarray:
-    """Integers as an int64 array, or as an object array of Python
-    integers when one does not fit."""
-    if isinstance(values, np.ndarray):
-        return values
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
 
 
 def cleared_matrix(rows: Sequence[Iterable[Tuple[int, Scalar]]], ncols: int) -> np.ndarray:

@@ -5,15 +5,15 @@ verification (exhaustive or sampled), stabilizer subalgebras of trivectors
 inside gl_n, weight decompositions relative to a designated commuting
 family, and Cartan matrix extraction from an abstract root list.
 
-The Leibniz system, the Jacobi verification and the Killing form are
-sparse joins over the integer cells of the structure tensor (den * c as
-Gaussian integers).  One Leibniz system u1(xy) = u2(x) y + x u3(y) serves
-der(A), with u1 = u2 = u3, and tri(A) of :mod:`excalg.magicsquare`; its
-rows are integers from the start, and duplicate rows (the (j, i) rows of a
-commutative product) are dropped before the certified kernel.  The Jacobi
-residual is summed on integer keys in int64 when a bound on every partial
-sum stays below 2**63, and in Python integers otherwise, so it is exact over
-Q and Q(i) at any size.
+The skew check, the Leibniz system, the Jacobi verification and the
+Killing form are array joins over the flat integer cells of the structure
+tensor (den * c, one column over Q).  One Leibniz system u1(xy) = u2(x) y
++ x u3(y) serves der(A), with u1 = u2 = u3, and tri(A) of
+:mod:`excalg.magicsquare`; its rows are integers from the start, and
+duplicate rows (the (j, i) rows of a commutative product) are dropped
+before the certified kernel.  The Jacobi residual is summed in int64 when
+a bound on every partial sum stays below 2**63, and in Python integers
+otherwise, so it is exact over Q and Q(i) at any size.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .linalg import (
     vec_scale,
     zero_vec,
 )
-from .scalar import _Q, I, ONE, ZERO, Scalar, _make, sc
-from .tensor import StructureTensor, _cleared, rational_ints
+from .scalar import I, ONE, ZERO, Scalar, sc
+from .tensor import StructureTensor, _cleared, rational_ints, scalar_of
 
 
 BracketTable = Dict[Tuple[int, int], Dict[int, Scalar]]
@@ -94,15 +94,16 @@ class SCAlgebra:
             self._check_cartan_commutes()
 
     def _check_skew(self):
-        """c(i,j) = -c(j,i), compared on the integer cells of the tensor."""
-        cells = self.tensor.cells
-        for i, row in enumerate(cells):
-            for j in range(i, self.dim):
-                mine = set(row[j])
-                opposite = {(k, -re, -im) for k, re, im in cells[j][i]}
-                if mine != opposite:
-                    k = min(k for k, _, _ in mine ^ opposite)
-                    raise ValueError(f"bracket not skew at ({i},{j},{k})")
+        """c(i,j) = -c(j,i): the cells (a, b, m, v) and (b, a, m, v) of the
+        tensor sum to zero on every key (a*d + b)*d + m.  The sums are
+        symmetric in (a, b), so the first key that fails has a <= b."""
+        t, d = self.tensor, self.dim
+        val = t.val.astype(intlin.int_dtype(2 * t.biggest), copy=False)
+        swapped = (t.pair % d * d + t.pair // d) * d + t.out
+        bad = _first_nonzero(np.concatenate((t.pair * d + t.out, swapped)), np.concatenate((val, val)))
+        if bad is not None:
+            key = bad[0]
+            raise ValueError(f"bracket not skew at ({key // (d * d)},{key // d % d},{key % d})")
 
     def _check_cartan_commutes(self):
         for a, b in itertools.combinations(self.cartan, 2):
@@ -131,12 +132,14 @@ class SCAlgebra:
     @cached_property
     def bracket(self) -> BracketTable:
         """The Scalar view {(i, j): {k: c_ij^k}} of the tensor, built on
-        first read; equal constants share one Scalar."""
+        first read from its flat cells; equal constants share one Scalar."""
         t = self.tensor
-        cells = [((i, j), c) for i, row in enumerate(t.cells) for j, c in enumerate(row) if c]
-        distinct = {(re, im) for _, cell in cells for _, re, im in cell}
-        value = {(re, im): _make(_Q(re, t.den), _Q(im, t.den)) for re, im in distinct}
-        return {ij: {k: value[re, im] for k, re, im in cell} for ij, cell in cells}
+        rows = [tuple(v) for v in t.val.tolist()]
+        value = {v: scalar_of(v, t.den) for v in set(rows)}
+        table: BracketTable = {}
+        for p, k, v in zip(t.pair.tolist(), t.out.tolist(), rows):
+            table.setdefault(divmod(p, self.dim), {})[k] = value[v]
+        return table
 
     def bracket_coords(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
         return self.tensor.product(x, y)
@@ -273,14 +276,18 @@ def leibniz_kernel(
     when 6 d max^2 < 2**63, else Python integers).  Duplicate rows, such as
     the (j, i) rows of a commutative product when B_u = C_u, are dropped.
     Rational systems take the certified integer kernel of the
-    column-reversed matrix, Q(i) systems :func:`kernel`."""
+    column-reversed matrix, Q(i) systems :func:`kernel`.
+
+    The matrix entries enter as (re, im) rows, the cells of a rational
+    tensor as one column.  A real constant c scales both parts, c (re + im
+    i) = c re + (c im) i, so :func:`_mul` broadcasts the one column over the
+    two and every row entry is still an exact Gaussian integer."""
     d, n = t.dim, len(unknowns)
     at = [(s, u, p, q) for u, mats in enumerate(unknowns) for s, m in enumerate(mats) for p, q in m]
     cleared = _cleared([x for mats in unknowns for m in mats for x in m.values()])[0]
-    cells = _Cells(t)
-    biggest = max([cells.biggest] + [abs(x) for _, re, im in cleared for x in (re, im)])
-    dtype = intlin.int_dtype(6 * d * biggest * biggest)
-    ci, cj, cm, cval = cells.pair // d, cells.pair % d, cells.out, cells.val.astype(dtype)
+    cells = _Cells(t, max([0] + [abs(x) for _, re, im in cleared for x in (re, im)]))
+    dtype = cells.val.dtype
+    ci, cj, cm, cval = cells.pair // d, cells.pair % d, cells.out, cells.val
     slot, u, p, q = np.array([at[k] for k, _, _ in cleared], dtype=np.int64).reshape(-1, 4).T
     val = np.array([f[1:] for f in cleared], dtype=dtype).reshape(-1, 2)
     keys, vals = [], []
@@ -338,57 +345,48 @@ def jacobi_check(
     """Verify the Jacobi identity on all basis triples (full) or on seeded
     random triples (sampled).  Reports the first failing triple, if any:
     the lexicographically first in full mode, the first drawn in sampled
-    mode."""
+    mode, with its residual read off the same integer sums."""
     if not g.skew:
         raise ValueError("jacobi_check requires the skew flag")
     d = g.dim
     if d == 0:
         return JacobiReport(True, 0)
     cells = _Cells(g.tensor)
+    den = g.tensor.den ** 2
     if mode == "full":
         for i in range(d):
-            key = _first_nonzero(*cells.row_residual(i))
-            if key is not None:
-                j, k = key // (d * d), key // d % d
-                return JacobiReport(False, (i + 1) * d * d, (i, j, k, _jacobi_witness(g, i, j, k)))
+            bad = _first_nonzero(*cells.row_residual(i), d, den)
+            if bad is not None:
+                return JacobiReport(False, (i + 1) * d * d, (i, *divmod(bad[0], d), bad[1]))
         return JacobiReport(True, d ** 3)
     if mode == "sampled":
         rng = np.random.default_rng(seed)
         ii, jj, kk = (rng.integers(0, d, size=samples) for _ in range(3))
         terms = [cells.triple_term(*t) for t in ((ii, jj, kk), (jj, kk, ii), (kk, ii, jj))]
-        key = _first_nonzero(*(np.concatenate(part) for part in zip(*terms)))
-        if key is None:
+        bad = _first_nonzero(*(np.concatenate(part) for part in zip(*terms)), d, den)
+        if bad is None:
             return JacobiReport(True, samples)
-        triple = tuple(int(x[key // d]) for x in (ii, jj, kk))
-        return JacobiReport(False, samples, (*triple, _jacobi_witness(g, *triple)))
+        return JacobiReport(False, samples, (*(int(x[bad[0]]) for x in (ii, jj, kk)), bad[1]))
     raise ValueError(f"unknown mode {mode!r}")
 
 
 class _Cells:
-    """The nonzero cells C[a,b,m] of a structure tensor as arrays: pair
-    a*d + b, output m and value (re, im) rows, in pair order; the largest
-    absolute value; and the cells with a < b sorted by the key
-    m*d*d + a*d + b.
+    """The flat cell arrays of a structure tensor, shared, not copied: pair
+    a*d + b, output m and the values C[a,b,m] (one column over Q, two over
+    Q(i)), cast to Python integers only when a join needs them; and, for
+    the Jacobi join, the cells with a < b sorted by m*d*d + a*d + b.
 
     With T[a,b,c,l] = sum_m C[a,b,m] C[m,c,l], the coefficient of e_l in
     [[e_a, e_b], e_c], the Jacobi residual of (a, b, c) is T[a,b,c] +
     T[b,c,a] + T[c,a,b]: at most 3d products per entry, each below
     2 * max^2 in absolute value, so int64 is exact when 6 d max^2 < 2**63;
-    otherwise the values are Python integers."""
+    otherwise the values are Python integers.  The Leibniz rows have the
+    same bound with max taken over the matrix entries too (`other`)."""
 
-    def __init__(self, t: StructureTensor):
+    def __init__(self, t: StructureTensor, other: int = 0):
         d = self.d = t.dim
-        flat = [
-            (a * d + b, m, re, im)
-            for a, row in enumerate(t.cells)
-            for b, cell in enumerate(row)
-            for m, re, im in cell
-        ]
-        biggest = self.biggest = max((abs(x) for f in flat for x in f[2:]), default=0)
-        dtype = intlin.int_dtype(6 * d * biggest * biggest)
-        self.pair = np.array([f[0] for f in flat], dtype=np.int64)
-        self.out = np.array([f[1] for f in flat], dtype=np.int64)
-        self.val = np.array([f[2:] for f in flat], dtype=dtype).reshape(-1, 2)
+        self.pair, self.out = t.pair, t.out
+        self.val = t.val.astype(intlin.int_dtype(6 * d * max(t.biggest, other) ** 2), copy=False)
         upper = np.flatnonzero(self.pair // d < self.pair % d)
         by_out = self.out[upper] * d * d + self.pair[upper]
         order = np.argsort(by_out)
@@ -440,7 +438,11 @@ def _span(keys: np.ndarray, lo, hi):
 
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise products of Gaussian integers stored as (re, im) rows."""
+    """Row-wise products of cell values: one column for rationals, (re, im)
+    rows for Gaussian integers.  A one-column factor is real and scales
+    both parts of the other."""
+    if x.shape[1] == 1 or y.shape[1] == 1:
+        return x * y
     return np.stack(
         (x[:, 0] * y[:, 0] - x[:, 1] * y[:, 1], x[:, 0] * y[:, 1] + x[:, 1] * y[:, 0]),
         axis=1,
@@ -455,41 +457,53 @@ def _summed(keys: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     return keys[starts], np.add.reduceat(vals[order], starts, axis=0)
 
 
-def _first_nonzero(keys: np.ndarray, vals: np.ndarray) -> Optional[int]:
-    """The smallest key whose values sum to a nonzero (re, im), if any."""
+def _first_nonzero(keys: np.ndarray, vals: np.ndarray, d: int = 1, den: int = 1):
+    """The smallest n = key // d for which some key n*d + l has a nonzero
+    sum of values, and the vector of the sums at n*d + l, l < d, divided by
+    den; None when every sum vanishes."""
     keys, sums = _summed(keys, vals)
     bad = np.flatnonzero((sums != 0).any(axis=1))
-    return int(keys[bad[0]]) if bad.size else None
+    if not bad.size:
+        return None
+    n = int(keys[bad[0]]) // d
+    lo, hi = np.searchsorted(keys, [n * d, n * d + d])
+    at = dict(zip((keys[lo:hi] % d).tolist(), sums[lo:hi].tolist()))
+    return n, [scalar_of(at[l], den) if l in at else ZERO for l in range(d)]
 
 
-def _killing_join(t: StructureTensor) -> Tuple[np.ndarray, np.ndarray]:
-    """The real and imaginary parts of K[i,j] = sum_ab C[i,a,b] C[j,b,a] for
-    the integer-scaled bracket C = den * c, joined on (a, b) and summed in
+def _killing_join(t: StructureTensor) -> np.ndarray:
+    """K[i,j] = sum_ab C[i,a,b] C[j,b,a] for the integer-scaled bracket
+    C = den * c, as a d x d array of value rows: the cells (i, a, b) joined
+    with the cells (j, b, a) on the key a*d + b.  The products are int64
+    when (columns) * max^2 < 2**63, and the sums when the most terms of one
+    entry times the largest |product| is below 2**63; otherwise they are
     Python integers."""
-    by_pair: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
-    for i, row in enumerate(t.cells):
-        for a, cell in enumerate(row):
-            for b, c, e in cell:
-                by_pair.setdefault((a, b), []).append((i, c, e))
-    re = np.zeros((t.dim, t.dim), dtype=object)
-    im = np.zeros((t.dim, t.dim), dtype=object)
-    for (a, b), left in by_pair.items():
-        for j, y, z in by_pair.get((b, a), ()):
-            for i, w, x in left:
-                re[i, j] += w * y - x * z
-                if x or z:
-                    im[i, j] += w * z + x * y
-    return re, im
+    d = t.dim
+    left, right = t.pair % d * d + t.out, t.out * d + t.pair % d
+    order = np.argsort(right)
+    own, f = _span(right[order], left, left + 1)
+    f = order[f]
+    x, y = t.val[own], t.val[f]
+    if intlin.int_dtype(t.val.shape[1] * t.biggest ** 2) is object:
+        x, y = x.astype(object), y.astype(object)
+    products = _mul(x, y)
+    keys = t.pair[own] // d * d + t.pair[f] // d
+    if intlin.int_dtype(int(np.bincount(keys, minlength=1).max()) * intlin.biggest(products)) is object:
+        products = products.astype(object)
+    keys, sums = _summed(keys, products)
+    k = np.zeros((d * d, t.val.shape[1]), dtype=sums.dtype)
+    k[keys] = sums
+    return k.reshape(d, d, -1)
 
 
 def killing_gram_int(g: SCAlgebra) -> np.ndarray:
     """Killing form Gram matrix K[i,j] = sum_ab C[i,a,b] C[j,b,a] of the
-    integer-scaled bracket den * c, joined on (a, b) and summed in Python
-    integers.  Returned as int64: an entry that does not fit, or a Gaussian
-    constant, raises ValueError."""
+    integer-scaled bracket den * c, by the exact join of
+    :func:`_killing_join`.  Returned as int64: an entry that does not fit,
+    or a Gaussian constant, raises ValueError."""
     if not g.tensor.rational:
         raise ValueError("the integer Killing form requires rational constants")
-    k, _ = _killing_join(g.tensor)
+    k = _killing_join(g.tensor)[:, :, 0]
     try:
         return k.astype(np.int64)
     except OverflowError:
@@ -501,26 +515,30 @@ def killing_nondegenerate(g: SCAlgebra) -> bool:
     the kernel of its real form."""
     if g.tensor.rational:
         return not intlin.int_kernel(killing_gram_int(g), g.dim)
-    return not intlin.int_kernel(intlin.realified(*_killing_join(g.tensor)), 2 * g.dim)
+    k = _killing_join(g.tensor)
+    return not intlin.int_kernel(intlin.realified(k[:, :, 0], k[:, :, 1]), 2 * g.dim)
 
 
 def derived_dimension(g: SCAlgebra) -> int:
     """Dimension of the span of all basis brackets, exact: the rank of the
     distinct cell rows of the tensor, each divided by the gcd of its
     entries, by the certified modular path; Q(i) rows in their real form."""
+    t = g.tensor
+    out, vals = t.out.tolist(), [tuple(v) for v in t.val.tolist()]
+    bounds = np.flatnonzero(np.diff(t.pair, prepend=-1)).tolist() + [len(out)]
     rows = {}
-    for cell in (sorted(cell) for row in g.tensor.cells for cell in row if cell):
-        div = math.gcd(*(x for _, re, im in cell for x in (re, im)))
-        div = -div if cell[0][1:] < (0, 0) else div
-        rows[tuple((k, re // div, im // div) for k, re, im in cell)] = None
+    for a, b in zip(bounds, bounds[1:]):
+        div = math.gcd(*(x for v in vals[a:b] for x in v))
+        div = -div if vals[a] < (0,) * len(vals[a]) else div
+        rows[tuple((k, tuple(x // div for x in v)) for k, v in zip(out[a:b], vals[a:b]))] = None
     if not rows:
         return 0
-    at = tuple(np.array([(r, k) for r, cell in enumerate(rows) for k, _, _ in cell]).T)
-    re, im = (np.zeros((len(rows), g.dim), dtype=object) for _ in range(2))
-    re[at], im[at] = zip(*((x, y) for cell in rows for _, x, y in cell))
-    if g.tensor.rational:
-        return g.dim - len(intlin.int_kernel(intlin.int_array(re.tolist()), g.dim))
-    return g.dim - len(intlin.int_kernel(intlin.realified(re, im), 2 * g.dim)) // 2
+    at = tuple(np.array([(r, k) for r, cell in enumerate(rows) for k, _ in cell]).T)
+    m = np.zeros((len(rows), g.dim, t.val.shape[1]), dtype=object)
+    m[at] = np.array([v for cell in rows for _, v in cell], dtype=object).reshape(-1, t.val.shape[1])
+    if t.rational:
+        return g.dim - len(intlin.int_kernel(intlin.int_array(m[:, :, 0].tolist()), g.dim))
+    return g.dim - len(intlin.int_kernel(intlin.realified(m[:, :, 0], m[:, :, 1]), 2 * g.dim)) // 2
 
 
 # -- stabilizers in gl_n ----------------------------------------------------------
@@ -653,17 +671,11 @@ def weight_decomposition(
     """
     if g.cartan is None:
         raise ValueError("algebra carries no designated Cartan")
-    h_mats = []
-    for h in g.cartan:
-        acc = [[ZERO] * module.dim for _ in range(module.dim)]
-        for i, c in enumerate(h):
-            if c.is_zero():
-                continue
-            mi = module.matrices[i]
-            for r in range(module.dim):
-                for cc in range(module.dim):
-                    acc[r][cc] = acc[r][cc] + c * mi[r, cc]
-        h_mats.append(Matrix(acc))
+    n = module.dim
+    h_mats = [
+        sum((module.matrices[i].scale(c) for i, c in enumerate(h) if c), Matrix.zero(n, n))
+        for h in g.cartan
+    ]
     # iteratively refine joint eigenspaces
     spaces: List[Tuple[tuple, List[List[Scalar]]]] = [
         ((), [unit_vec(module.dim, j) for j in range(module.dim)])
@@ -720,59 +732,25 @@ def cartan_matrix_from_roots(roots: Sequence[tuple]) -> Matrix:
             raise ValueError("root list not closed under negation")
     rank_guess = len(next(iter(root_set)))
 
-    def functional(weights):
-        def f(r):
-            total = ZERO
-            for w, x in zip(weights, r):
-                total = total + sc(w) * x
-            return total
+    def functional(n):
+        return lambda r: sum((sc(n ** k) * x for k, x in zip(range(rank_guess), r)), ZERO)
 
-        return f
-
-    f = None
     for n in range(1, 200):
-        cand = functional([n ** k for k in range(rank_guess)])
-        vals = [cand(r) for r in root_set]
-        if all(not v.is_zero() for v in vals):
-            f = cand
+        f = functional(n)
+        if all(not f(r).is_zero() for r in root_set):
             break
-    if f is None:
+    else:
         raise ValueError("no generic functional found")
-
-    def positive(r):
-        v = f(r)
-        if not v.re.numerator == 0:
-            return v.re > 0
-        return v.im > 0
-
-    positives = [r for r in root_set if positive(r)]
-
-    def add(a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    pos_set = set(positives)
-    simple = []
-    for r in positives:
-        decomposable = any(
-            add(a, b) == r for a in pos_set for b in pos_set if a != r and b != r
-        )
-        if not decomposable:
-            simple.append(r)
-    simple.sort(key=lambda r: tuple(str(x) for x in r))
-
-    n = len(simple)
-    ent = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            ent[i][j] = (
-                sc(2) if i == j else sc(string_pairing(simple[i], simple[j], root_set))
-            )
-    m = Matrix(ent)
-    for i in range(n):
-        for j in range(n):
-            if i != j and not m[i, j].is_rational():
-                raise ValueError("input is not a root system")
-    return m
+    positives = {r for r in root_set if (v := f(r)).re > 0 or (not v.re and v.im > 0)}
+    simple = sorted(
+        (r for r in positives if not any(
+            tuple(x + y for x, y in zip(a, b)) == r for a in positives for b in positives
+            if a != r and b != r)),
+        key=lambda r: tuple(str(x) for x in r),
+    )
+    return Matrix([
+        [sc(2) if a == b else sc(string_pairing(a, b, root_set)) for b in simple] for a in simple
+    ])
 
 
 def string_pairing(alpha: tuple, beta: tuple, root_set) -> int:

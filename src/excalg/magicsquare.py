@@ -193,11 +193,8 @@ def _dense(t: StructureTensor) -> np.ndarray:
     """The cells den * c of a rational tensor as a dense array [i, j, k]."""
     if not t.rational:
         raise ValueError("the square's bracket tables need rational constants")
-    at = [(i, j, k, re) for i, row in enumerate(t.cells) for j, cell in enumerate(row)
-          for k, re, _ in cell]
-    vals = int_array([c[3] for c in at])
-    out = np.zeros((t.dim,) * 3, dtype=vals.dtype)
-    out[tuple(np.array([c[:3] for c in at], dtype=np.int64).reshape(-1, 3).T)] = vals
+    out = np.zeros((t.dim,) * 3, dtype=t.val.dtype)
+    out.reshape(t.dim * t.dim, t.dim)[t.pair, t.out] = t.val[:, 0]
     return out
 
 
@@ -414,7 +411,7 @@ class _SquareTables:
         keys, sums = _summed(self.pair * self.dim + self.out, vals)
         keys, sums = keys[sums != 0], sums[sums != 0]
         g = gcd(self.den * den, *sums.tolist())
-        return StructureTensor.from_cells(self.dim, self.den * den // g, keys, (sums // g).tolist())
+        return StructureTensor.from_cells(self.dim, self.den * den // g, keys, sums // g)
 
     def residual_equations(self, triples) -> Tuple[List[List[int]], List[int]]:
         """The equations sum_u lambda_u R_u = -R_0 that the Jacobi identity

@@ -1,17 +1,19 @@
 """Sparse exact structure tensors: the bilinear product of an algebra given
 by structure constants over Q or Q(i).
 
-The tensor keeps, for each basis pair (i, j) with a nonzero product, the
-integer triples (k, re, im) of den * c_ij^k, where den is one common
-denominator of all constants.  A product clears the denominators of each
-input with one lcm, sums c_ij^k x_i y_j in Python integers (exact at any
-size, so no overflow bound is needed) and divides once per output
-coordinate.  The results are the same canonical Scalars that Scalar
-arithmetic gives.
+The tensor keeps the constants once, as flat integer cells over one common
+denominator den: for each nonzero c_ij^k the pair i * dim + j, the output k
+and den * c_ij^k, sorted by the key (i * dim + j) * dim + k.  The checks of
+:mod:`excalg.liealg` (skew, Jacobi, Killing, Leibniz) are array joins over
+these arrays.  A product clears the denominators of each input with one lcm,
+sums c_ij^k x_i y_j in Python integers (exact at any size, so no overflow
+bound is needed) and divides once per output coordinate.  The results are
+the same canonical Scalars that Scalar arithmetic gives.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import lcm
 from typing import Iterable, List, Sequence, Tuple
 
@@ -21,48 +23,62 @@ from .scalar import _Q, _Q0, ZERO, Scalar, _make
 
 
 class StructureTensor:
-    """c_ij^k as sparse integer cells over one common denominator: cells[i][j]
-    is a tuple of (k, re, im) with c_ij^k = (re + im i) / den."""
+    """c_ij^k as sorted flat integer cells over one common denominator den.
 
-    __slots__ = ("dim", "den", "cells", "rational")
+    `pair` holds i * dim + j and `out` holds k, both int64 and in increasing
+    order of (pair, out).  `val` holds den * c_ij^k, nonzero, as one column
+    (re) for a rational tensor and two (re, im) over Q(i): int64 when every
+    value fits, else Python integers.  `biggest` is the largest absolute
+    value.  The nested view ``cells[i][j]``, a tuple of (k, re, im), is built
+    from the arrays on first use, for the pure-Python product loops."""
 
     def __init__(self, dim: int, entries: Iterable[Tuple[int, int, int, Scalar]]):
-        """Build from (i, j, k, c_ij^k) entries; zero constants are dropped."""
-        rows = [dict() for _ in range(dim)]
+        """Build from (i, j, k, c_ij^k) entries, at most one per (i, j, k);
+        zero constants are dropped."""
+        keys, constants = [], []
         for i, j, k, c in entries:
             if c:
-                rows[i].setdefault(j, []).append((k, c))
-        constants = [c for row in rows for cell in row.values() for _, c in cell]
+                keys.append((i * dim + j) * dim + k)
+                constants.append(c)
         den = lcm(1, *(q.denominator for c in constants for q in (c.re, c.im)))
-        self.dim = dim
-        self.den = den
-        self.rational = all(not c.im for c in constants)
-        self.cells = []
-        for i, row in enumerate(rows):
-            # each row is dropped once cleared, so the Scalar and the integer
-            # cells never coexist in full (49,440 constants for e8)
-            self.cells.append([
-                tuple((k, _scaled(c.re, den), _scaled(c.im, den)) for k, c in row.get(j, ()))
-                for j in range(dim)
-            ])
-            rows[i] = None
+        cols = [[_scaled(c.re, den) for c in constants]]
+        if any(c.im for c in constants):
+            cols.append([_scaled(c.im, den) for c in constants])
+        keys = np.array(keys, dtype=np.int64)
+        order = np.argsort(keys)
+        self._fill(dim, den, keys[order], int_array(list(zip(*cols))).reshape(-1, len(cols))[order])
 
     @classmethod
-    def from_cells(cls, dim: int, den: int, keys: np.ndarray, values: Sequence[int]):
-        """Build from rational integer cells without passing through
-        Scalars: keys (i * dim + j) * dim + k in increasing order and the
-        nonzero values den * c_ij^k."""
+    def from_cells(cls, dim: int, den: int, keys: np.ndarray, values: np.ndarray):
+        """Build from integer cells without passing through Scalars: keys
+        (i * dim + j) * dim + k in increasing order and the nonzero values
+        den * c_ij^k, one per key (rational) or one (re, im) row per key."""
         t = cls.__new__(cls)
-        t.dim, t.den, t.rational = dim, den, True
-        t.cells = [[()] * dim for _ in range(dim)]
-        cells = list(zip((keys % dim).tolist(), values, [0] * len(values)))
-        pair = keys // dim
-        bounds = np.flatnonzero(np.diff(pair, prepend=-1)).tolist() + [len(cells)]
-        pair = pair.tolist()
-        for a, b in zip(bounds, bounds[1:]):
-            i, j = divmod(pair[a], dim)
-            t.cells[i][j] = tuple(cells[a:b])
+        t._fill(dim, den, keys, values if values.ndim == 2 else values[:, None])
         return t
+
+    def _fill(self, dim: int, den: int, keys: np.ndarray, values: np.ndarray):
+        self.biggest = biggest(values)
+        if values.dtype == object and self.biggest < 1 << 63:
+            values = values.astype(np.int64)
+        self.dim, self.den, self.rational = dim, den, values.shape[1] == 1
+        self.pair, self.out, self.val = keys // dim, keys % dim, values
+
+    @cached_property
+    def cells(self) -> List[List[tuple]]:
+        """cells[i][j] = ((k, re, im), ...): the nested view the product
+        loops read."""
+        d, n = self.dim, len(self.out)
+        re = self.val[:, 0].tolist()
+        im = [0] * n if self.rational else self.val[:, 1].tolist()
+        entries = list(zip(self.out.tolist(), re, im))
+        pair = self.pair.tolist()
+        bounds = np.flatnonzero(np.diff(self.pair, prepend=-1)).tolist() + [n]
+        cells = [[()] * d for _ in range(d)]
+        for a, b in zip(bounds, bounds[1:]):
+            i, j = divmod(pair[a], d)
+            cells[i][j] = tuple(entries[a:b])
+        return cells
 
     def product(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
         """The coordinates of x * y, i.e. sum_ijk c_ij^k x_i y_j e_k."""
@@ -93,6 +109,29 @@ class StructureTensor:
             _make(_Q(u, den), _Q(v, den)) if u or v else ZERO
             for u, v in zip(re, im)
         ]
+
+
+def scalar_of(row: Sequence[int], den: int) -> Scalar:
+    """The Scalar (re + im i) / den of an integer cell row (re,) or (re, im)."""
+    if not any(row):
+        return ZERO
+    return _make(_Q(row[0], den), _Q(row[1], den) if len(row) > 1 else _Q0)
+
+
+def int_array(values) -> np.ndarray:
+    """Integers as an int64 array, or as an object array of Python
+    integers when one does not fit."""
+    if isinstance(values, np.ndarray):
+        return values
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def biggest(x: np.ndarray) -> int:
+    """The largest absolute entry of an integer array, 0 when empty."""
+    return max(int(x.max()), -int(x.min())) if x.size else 0
 
 
 def _scaled(q, den: int) -> int:

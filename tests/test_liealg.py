@@ -14,6 +14,7 @@ from excalg.jordan import jordan_algebra
 from excalg.linalg import Matrix, Subspace, kernel, unit_vec
 from excalg.magicsquare import _so_basis
 from excalg.scalar import I, ONE, ZERO, sc
+from excalg.tensor import StructureTensor
 
 
 def so3():
@@ -48,6 +49,25 @@ class TestSCAlgebra:
             with pytest.raises(ValueError, match=rf"bracket not skew at \(0,1,{k}\)"):
                 ll.SCAlgebra(g.dim, bad, skew=True)
         assert ll.SCAlgebra(g.dim, g.bracket, skew=True).bracket == g.bracket
+
+    @pytest.mark.parametrize("field, cell", [
+        ("rational", (1, 2, 0)), ("rational", (2, 0, 1)),
+        ("gaussian", (1, 2, 3)), ("gaussian", (2, 0, 2)),
+    ])
+    def test_skew_check_names_the_corrupted_cell(self, field, cell):
+        # one flat cell changed: the message names it with i <= j, whichever
+        # orientation was corrupted
+        g = so3() if field == "rational" else gaussian_gl2()
+        i, j, k = cell
+        t = g.tensor
+        keys = t.pair * g.dim + t.out
+        val = t.val.copy()
+        val[np.searchsorted(keys, (i * g.dim + j) * g.dim + k)] *= 2
+        bad = StructureTensor.from_cells(g.dim, t.den, keys, val)
+        a, b = min(i, j), max(i, j)
+        with pytest.raises(ValueError, match=rf"^bracket not skew at \({a},{b},{k}\)$"):
+            ll.SCAlgebra(g.dim, bad)
+        assert ll.SCAlgebra(g.dim, StructureTensor.from_cells(g.dim, t.den, keys, t.val)).skew
 
     def test_cartan_must_commute(self):
         g = so3()
@@ -272,6 +292,22 @@ class TestJacobi:
     def test_gaussian_algebra(self):
         assert matches_plain_path(gaussian_gl2()).passed
         assert not matches_plain_path(gaussian_gl2(h_weight=3)).passed
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["intact", "corrupted"])
+    def test_one_column_past_int64_matches_plain_path(self, corrupt):
+        # so3 scaled by 2^40 (constants past the int64 bound of the Jacobi
+        # and Killing joins), intact and with one corrupted cell: full and
+        # sampled checks against plain_jacobi, the Killing join against
+        # trace(ad ad)
+        big = sc(2 ** 40)
+        br = {key: {k: v * big for k, v in comp.items()} for key, comp in so3().bracket.items()}
+        if corrupt:  # the cell (0, 1, 0) and its mirror (1, 0, 0)
+            br[(0, 1)][0], br[(1, 0)][0] = big, -big
+        g = ll.SCAlgebra(3, br)
+        assert g.tensor.rational and g.tensor.val.shape[1] == 1
+        assert matches_plain_path(g).passed == (not corrupt)
+        k = ll._killing_join(g.tensor)
+        assert k.dtype == object and k[:, :, 0].tolist() == killing_reference(g)
 
     def test_constants_past_int64_take_python_integers(self):
         big = sc(2 ** 40)
@@ -501,6 +537,18 @@ class TestDerivedAndKilling:
         assert gram(3037000499).tolist() == [[3037000499 ** 2, 0], [0, 0]]
         with pytest.raises(ValueError):
             gram(3037000500)
+
+    @pytest.mark.parametrize("c, dtype", [(2 ** 31 - 1, np.int64), (2 ** 31 + 1, object)])
+    def test_killing_sum_guard(self, c, dtype):
+        # so3 scaled by c: K[i, i] = -2 c^2 sums two products of |c^2| < 2**63
+        # each, so the sums take int64 only while 2 c^2 < 2**63; past it the
+        # int64 sum would wrap, and the Python integers match trace(ad ad)
+        g = ll.SCAlgebra(3, {key: {k: v * sc(c) for k, v in comp.items()}
+                             for key, comp in so3().bracket.items()})
+        k = ll._killing_join(g.tensor)[:, :, 0]
+        assert k.dtype == dtype
+        assert k.tolist() == killing_reference(g) == [[-2 * c * c if i == j else 0 for j in range(3)]
+                                                      for i in range(3)]
 
     def test_killing_rank_is_exact(self, monkeypatch):
         # a Gram matrix with determinant p0 * p1: singular modulo the first

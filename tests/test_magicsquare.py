@@ -238,6 +238,22 @@ class TestVinberg:
             [sorted(c) for c in row] for row in reference.cells
         ]
 
+    def test_e8_build_and_killing_read_only_flat_cells(self, monkeypatch):
+        # the cached inputs (the composition algebras, tri(O) and its
+        # equivariant maps) come first; from there on the assembly, the skew,
+        # Jacobi and Killing checks work on the flat cell arrays alone
+        for slot in ms.SLOT_PROJ:
+            ms.equivariant_pair_maps("o", slot)
+
+        def nested(self):
+            raise AssertionError("the nested cells were read")
+
+        monkeypatch.setattr(StructureTensor, "cells", property(nested))
+        entry = ms.vinberg_build("o", "o")
+        assert entry.dim == 248 and entry.checked == 248 ** 3
+        assert killing_nondegenerate(entry.algebra)
+        assert "bracket" not in vars(entry.algebra)
+
 
 def _digest(algebra):
     """SHA-256 of the Scalar bracket: sorted keys, str of each value."""
