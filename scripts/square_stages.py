@@ -2,9 +2,18 @@
 """Stage timers on one cold magic-square column.
 
 Builds f4, e6, e7 and e8 with ``vinberg_build(a, "o")`` and checks each
-Killing form, in this fresh interpreter, with four certificate stages
-wrapped in wall-clock timers: ``jacobi_check``, ``killing_nondegenerate``,
-``StructureTensor.from_cells`` and ``SCAlgebra._check_skew``.  Prints one
+Killing form, in this fresh interpreter, with these stages wrapped in
+wall-clock timers:
+
+- the certificates ``jacobi_check``, ``killing_nondegenerate``,
+  ``StructureTensor.from_cells`` and ``SCAlgebra._check_skew``;
+- the triality stage: the uncached calls of ``triality_algebra`` and
+  ``equivariant_pair_maps`` (the ``lru_cache`` stays outside the timer),
+  and ``commutator_closure_algebra``;
+- the construction of ``_SquareTables``.
+
+Stages nest: ``_SquareTables`` includes the triality stage, whose
+``triality_algebra`` includes ``commutator_closure_algebra``.  Prints one
 JSON line: the import and column times, each stage's time and its share of
 the column, and the peak resident set.  Run it in a fresh interpreter per
 measurement, so no cache carries over:
@@ -12,6 +21,7 @@ measurement, so no cache carries over:
     PYTHONPATH=src python scripts/square_stages.py
 """
 
+import functools
 import json
 import resource
 import time
@@ -19,7 +29,10 @@ import time
 start = time.perf_counter()
 from excalg import liealg, magicsquare, tensor  # noqa: E402
 
-STAGES = ("jacobi_check", "killing_nondegenerate", "from_cells", "_check_skew")
+STAGES = (
+    "jacobi_check", "killing_nondegenerate", "from_cells", "_check_skew",
+    "triality_algebra", "equivariant_pair_maps", "commutator_closure_algebra", "_SquareTables",
+)
 spent = dict.fromkeys(STAGES, 0.0)
 
 
@@ -35,14 +48,21 @@ def timed(name, fn):
 
 
 def main():
-    # magicsquare holds its own references to the two liealg functions
+    # magicsquare holds its own references to the liealg functions
     jacobi = timed("jacobi_check", liealg.jacobi_check)
     killing = timed("killing_nondegenerate", liealg.killing_nondegenerate)
     for module in (liealg, magicsquare):
         module.jacobi_check, module.killing_nondegenerate = jacobi, killing
+    magicsquare.commutator_closure_algebra = timed(
+        "commutator_closure_algebra", liealg.commutator_closure_algebra
+    )
+    for name in ("triality_algebra", "equivariant_pair_maps"):
+        uncached = getattr(magicsquare, name).__wrapped__
+        setattr(magicsquare, name, functools.lru_cache(maxsize=None)(timed(name, uncached)))
     cls = tensor.StructureTensor
     cls.from_cells = classmethod(timed("from_cells", cls.from_cells.__func__))
     liealg.SCAlgebra._check_skew = timed("_check_skew", liealg.SCAlgebra._check_skew)
+    magicsquare._SquareTables.__init__ = timed("_SquareTables", magicsquare._SquareTables.__init__)
     t0 = time.perf_counter()
     for key in ("r", "c", "h", "o"):
         entry = magicsquare.vinberg_build(key, "o")

@@ -3,10 +3,11 @@
 Every elimination of the package (``linalg._rref`` and with it ``rank``,
 ``kernel``, ``solve``, ``inverse`` and ``Subspace``, the Leibniz kernels,
 the commutator closures and the Killing form of :mod:`excalg.liealg`)
-clears denominators row by row and calls :func:`int_kernel` or
-:func:`int_rref`.  Q(i) rows are cleared to Gaussian integers and enter as
-their real form (:func:`realified`), a system over Z with twice the rows
-and columns.  Both read one certified kernel, which
+clears denominators and calls :func:`int_kernel`, :func:`kernel_array`,
+:func:`int_rref` or :func:`span_coordinates`.  Q(i) rows are cleared to
+Gaussian integers and enter as their real form (:func:`realified`), a
+system over Z with twice the rows and columns.  All read one certified
+kernel, which
 
 1. discovers the pivot/free structure modulo a word-sized prime, after
    reducing the entries mod p when they are too large for the float bound
@@ -121,10 +122,9 @@ def _compress(a: np.ndarray, rng: random.Random) -> np.ndarray:
     target = min(m, n + 40)
     if m <= target:
         return a
-    amax = int(np.abs(a).max()) if a.size else 0
+    amax = biggest(a)
     # entry bound for R chosen so that m * rmax * amax < 2**53
-    rmax = max(2, int(_FLOAT_EXACT // (max(amax, 1) * m * 4)))
-    rmax = min(rmax, 1 << 12)
+    rmax = min(max(2, int(_FLOAT_EXACT // (max(amax, 1) * m * 4))), 1 << 12)
     # drawn from rng itself: importing numpy.random would cost memory
     r = np.frombuffer(rng.randbytes(2 * target * m), np.uint16).reshape(target, m) % rmax
     bound = float(m) * (rmax - 1) * max(amax, 1)
@@ -156,11 +156,9 @@ def _rational_reconstruct(v: int, modulus: int) -> Optional[tuple[int, int]]:
 
 
 def checked_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer product of int64 arrays, via float64 when provably safe."""
-    amax = int(np.abs(a).max()) if a.size else 0
-    bmax = int(np.abs(b).max()) if b.size else 0
-    inner = a.shape[1]
-    if amax * bmax * inner < _FLOAT_EXACT:
+    """Exact integer product a @ b of integer arrays (stacks broadcast as
+    in np.matmul), via float64 when provably safe."""
+    if biggest(a) * biggest(b) * a.shape[-1] < _FLOAT_EXACT:
         return np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     return a.astype(object) @ b.astype(object)
 
@@ -236,11 +234,45 @@ def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> List[List[Scalar]]:
     at the pivot of row r: the vectors :func:`excalg.linalg.kernel` builds
     from the reduced rows before it echelons them.
     """
+    k, den = kernel_array(rows, ncols)
+    return [[Scalar.rational(x, den) if x else ZERO for x in v] for v in k.tolist()]
+
+
+def kernel_array(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[np.ndarray, int]:
+    """The vectors of :func:`int_kernel` as one integer array K over their
+    common denominator den: vector f is K[f] / den."""
     free, basis = _certified_kernel(rows, ncols)
-    return [
-        [Scalar.rational(x, col[f]) if x else ZERO for x in col]
-        for f, col in zip(free, basis)
-    ]
+    scales = basis[np.arange(len(free)), free].tolist()
+    den = math.lcm(1, *scales)
+    return exact_product(basis, int_array([den // s for s in scales])[:, None]), den
+
+
+def span_coordinates(family: np.ndarray, targets: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
+    """Coordinates of the target rows in the independent family rows: (X,
+    den) with X @ family == den * targets, or None when a target lies
+    outside the span; raises ValueError when the family is dependent.
+
+    The n family rows are reduced modulo a prime for n pivot columns, on
+    which the n x n block B is invertible over Q too (a minor that is
+    nonzero mod p is nonzero).  All targets are solved at once on those
+    columns by the certified kernel of [B^T | T^T], and the product is then
+    checked exactly on every column."""
+    n = len(family)
+    for tried, p in enumerate(_PRIMES):
+        pivots = _mod_p_rref((family % p).astype(np.int64), p)[1]
+        if len(pivots) == n:
+            break
+        if not tried and _certified_kernel(family.T, n)[0]:
+            raise ValueError("the family is linearly dependent")
+    else:
+        raise ArithmeticError("no prime keeps the family independent")
+    k, den = kernel_array(np.concatenate((family[:, pivots], targets[:, pivots])).T, n + len(targets))
+    # B is invertible, so the free columns are the targets', in order, and
+    # kernel vector j is (-x_j, den e_j)
+    x = -k[:, :n]
+    if not np.array_equal(checked_int_matmul(x, family), exact_product(targets, np.array(den))):
+        return None
+    return x, den
 
 
 def int_rref(
@@ -253,7 +285,7 @@ def int_rref(
     free_set = set(free)
     pivots = [j for j in range(ncols) if j not in free_set]
     reduced = {p: [ONE if j == p else ZERO for j in range(ncols)] for p in pivots}
-    for f, col in zip(free, basis):
+    for f, col in zip(free, basis.tolist()):
         for p in pivots:
             if p > f:
                 break
@@ -264,11 +296,12 @@ def int_rref(
 
 def _certified_kernel(
     rows: Sequence[Sequence[int]], ncols: int
-) -> Tuple[List[int], List[List[int]]]:
-    """The free columns and, for each, the kernel vector scaled to integers
-    (its entry at the free column is the scale), verified exactly."""
+) -> Tuple[List[int], np.ndarray]:
+    """The free columns and an integer array with, for each, the kernel
+    vector scaled to integers (its entry at the free column is the scale),
+    verified exactly."""
     a_full = int_array(rows).reshape(len(rows), ncols)
-    amax = int(np.abs(a_full).max()) if a_full.size else 0
+    amax = biggest(a_full)
     # reduce mod p first when an entry is past the float bound of _compress
     big = a_full.dtype == object or amax >= _PRIMES[-1]
     # Each number to lift is a ratio of minors below 2**height (Hadamard).
@@ -301,27 +334,24 @@ def _certified_kernel(
         basis = _lift(residues, modulus, pivots, free, ncols)
         if basis is None:
             continue
-        if not basis or not checked_int_matmul(a_full, int_array(basis).T).any():
+        if not len(basis) or not checked_int_matmul(a_full, basis.T).any():
             return free, basis
     raise ArithmeticError("integer kernel lifting failed; system too ill-conditioned")
 
 
 def _lift(residues, modulus: int, pivots: List[int], free: List[int], ncols: int):
-    """Integer kernel vectors from residues[r, k] = -R[r][free[k]] mod
-    modulus, each scaled by the lcm of its denominators, or None when a
-    reconstruction fails."""
-    basis = []
-    for k, f in enumerate(free):
-        entries = []
-        for r in np.flatnonzero(residues[:, k]):
-            rec = _rational_reconstruct(int(residues[r, k]), modulus)
-            if rec is None:
-                return None
-            entries.append((pivots[r], *rec))
-        scale = math.lcm(1, *(den for _, _, den in entries))
-        col = [0] * ncols
-        col[f] = scale
-        for pc, num, den in entries:
-            col[pc] = num * (scale // den)
-        basis.append(col)
+    """Integer kernel vectors, one row per free column, from residues[r, k]
+    = -R[r][free[k]] mod modulus, each scaled by the lcm of its
+    denominators, or None when a reconstruction fails."""
+    at, k = np.nonzero(residues)
+    recs = [_rational_reconstruct(v, modulus) for v in residues[at, k].tolist()]
+    if None in recs:
+        return None
+    scales = [1] * len(free)
+    for kk, (_, den) in zip(k.tolist(), recs):
+        scales[kk] = math.lcm(scales[kk], den)
+    vals = int_array(scales + [num * (scales[kk] // den) for kk, (num, den) in zip(k.tolist(), recs)])
+    basis = np.zeros((len(free), ncols), dtype=vals.dtype)
+    basis[np.arange(len(free)), free] = vals[: len(free)]
+    basis[k, np.array(pivots, dtype=np.int64)[at]] = vals[len(free):]
     return basis

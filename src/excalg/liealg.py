@@ -186,57 +186,64 @@ class SCAlgebra:
 
 
 def commutator_closure_algebra(
-    matrices: List[Matrix], name: str = "", cartan=None
+    matrices: Union[List[Matrix], np.ndarray], name: str = "", cartan=None, den: int = 1
 ) -> SCAlgebra:
     """Express pairwise commutators of a commutator-closed matrix family in
     its own span and return the structure-constant algebra.
 
-    One exact elimination of the columns [M_0 .. M_n-1 | [M_i, M_j], i < j]
-    (matrices flattened) decides everything: the family is independent when
-    its n columns are pivots, closed when no commutator column is, and the
-    reduced rows hold the coordinates.  Rational families form the
-    commutators as integer matrix products (checked against 2**53 when run
-    through float64); Q(i) families form them from Scalar products and are
-    eliminated in their real form.  Both take the certified modular path.
-    """
+    The family is a list of Matrix, or an integer array [n, ..., r, c] of
+    numerators over den whose middle axes index diagonal blocks.  Rational
+    families are cleared to such an array, their commutators formed as
+    integer products, solved for at once and certified on every entry by
+    :func:`excalg.intlin.span_coordinates`, and the bracket built as integer
+    cells.  Q(i) families eliminate the columns [M_0 .. M_n-1 | [M_i, M_j],
+    i < j] in their real form and read the coordinates off the rows."""
     n = len(matrices)
     if n == 0:
         return SCAlgebra(0, {}, skew=True, matrices=[], name=name, cartan=cartan)
+    ints, kept = matrices, None
+    if not isinstance(matrices, np.ndarray):
+        entries = [x for m in matrices for row in m.entries for x in row]
+        if not all(x.is_rational() for x in entries):
+            return _gaussian_closure(matrices, name, cartan)
+        nums, den = rational_ints(entries)
+        ints, kept = intlin.int_array(nums).reshape(n, matrices[0].rows, -1), matrices
+    comms = [
+        intlin.checked_int_matmul(ints[i], ints[i + 1:]) - intlin.checked_int_matmul(ints[i + 1:], ints[i])
+        for i in range(n)
+    ]
+    solved = intlin.span_coordinates(ints.reshape(n, -1), np.concatenate(comms).reshape(-1, ints[0].size))
+    if solved is None:
+        raise ValueError("matrix family is not closed under commutators")
+    # ints holds den * M_i and comms den^2 [M_i, M_j], so c_ij^k = x / (scale * den)
+    x, scale = solved
+    i, j = np.triu_indices(n, 1)
+    r, k = np.nonzero(x)
+    keys = np.concatenate(((i[r] * n + j[r]) * n + k, (j[r] * n + i[r]) * n + k))
+    order = np.argsort(keys)
+    vals = np.concatenate((x[r, k], -x[r, k]))[order]
+    g = math.gcd(scale * den, *vals.tolist())
+    tensor = StructureTensor.from_cells(n, scale * den // g, keys[order], vals // g)
+    return SCAlgebra(n, tensor, skew=True, matrices=kept, name=name, cartan=cartan)
+
+
+def _gaussian_closure(matrices: List[Matrix], name: str, cartan) -> SCAlgebra:
+    n = len(matrices)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    scale = ONE
-    if all(x.is_rational() for m in matrices for row in m.entries for x in row):
-        nums, den = rational_ints(x for m in matrices for row in m.entries for x in row)
-        ints = intlin.int_array(nums).reshape(n, matrices[0].rows, matrices[0].cols)
-        comms = [
-            intlin.checked_int_matmul(ints[i], ints[j])
-            - intlin.checked_int_matmul(ints[j], ints[i])
-            for i, j in pairs
-        ]
-        # ints holds den * M_i and comms den^2 * [M_i, M_j], so the reduced
-        # rows hold den times the coordinates
-        columns = np.concatenate([ints.reshape(n, -1)] + [c.reshape(1, -1) for c in comms])
-        reduced, pivots = intlin.int_rref(columns.T, n + len(pairs))
-        scale = Scalar.rational(1, den)
-    else:
-        columns = [_flatten(m) for m in matrices] + [
-            _flatten(matrices[i] @ matrices[j] - matrices[j] @ matrices[i]) for i, j in pairs
-        ]
-        reduced, pivots = _rref([list(row) for row in zip(*columns)])
+    family = list(matrices) + [matrices[i] @ matrices[j] - matrices[j] @ matrices[i] for i, j in pairs]
+    flat = ([x for row in m.entries for x in row] for m in family)
+    reduced, pivots = _rref([list(col) for col in zip(*flat)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix family is linearly dependent")
     if len(pivots) > n:
         raise ValueError("matrix family is not closed under commutators")
     bracket: BracketTable = {}
     for c, (i, j) in enumerate(pairs, n):
-        comp = {k: reduced[k][c] * scale for k in range(n) if reduced[k][c]}
+        comp = {k: reduced[k][c] for k in range(n) if reduced[k][c]}
         if comp:
             bracket[(i, j)] = comp
             bracket[(j, i)] = {k: -v for k, v in comp.items()}
     return SCAlgebra(n, bracket, skew=True, matrices=matrices, name=name, cartan=cartan)
-
-
-def _flatten(m: Matrix) -> List[Scalar]:
-    return [m[i, j] for i in range(m.rows) for j in range(m.cols)]
 
 
 # -- derivations ------------------------------------------------------------------
@@ -262,8 +269,10 @@ SparseMatrix = Dict[Tuple[int, int], Scalar]
 
 
 def leibniz_kernel(
-    t: StructureTensor, unknowns: Sequence[Tuple[SparseMatrix, SparseMatrix, SparseMatrix]]
-) -> List[List[Scalar]]:
+    t: StructureTensor,
+    unknowns: Sequence[Tuple[SparseMatrix, SparseMatrix, SparseMatrix]],
+    ints: bool = False,
+):
     """The echelon basis, as in ``kernel(...).basis``, of the x for which
     (U1, U2, U3) = sum_u x_u (A_u, B_u, C_u) satisfies U1(e_i e_j) =
     U2(e_i) e_j + e_i U3(e_j); each unknown gives its three matrices as
@@ -276,7 +285,9 @@ def leibniz_kernel(
     when 6 d max^2 < 2**63, else Python integers).  Duplicate rows, such as
     the (j, i) rows of a commutative product when B_u = C_u, are dropped.
     Rational systems take the certified integer kernel of the
-    column-reversed matrix, Q(i) systems :func:`kernel`.
+    column-reversed matrix, Q(i) systems :func:`kernel`.  With ints, a
+    rational system returns its kernel as one integer array over the common
+    denominator, (K, den), the vector k being K[k] / den.
 
     The matrix entries enter as (re, im) rows, the cells of a rational
     tensor as one column.  A real constant c scales both parts, c (re + im
@@ -313,7 +324,12 @@ def leibniz_kernel(
         a = np.zeros((len(rows), n), dtype=dtype)
         for r, (cs, xs, _) in enumerate(rows):
             a[r, [n - 1 - c for c in cs]] = xs
+        if ints:
+            k, den = intlin.kernel_array(a, n)
+            return k[::-1, ::-1], den
         return [v[::-1] for v in reversed(intlin.int_kernel(a, n))]
+    if ints:
+        raise ValueError("an integer kernel needs a rational system")
     dense = [dict(zip(cs, map(Scalar.gaussian, xs, ys))) for cs, xs, ys in rows]
     return kernel(Matrix([[r.get(c, ZERO) for c in range(n)] for r in dense])).basis
 

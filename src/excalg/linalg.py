@@ -320,10 +320,6 @@ class Subspace:
     def zero(ambient: int) -> "Subspace":
         return Subspace(ambient, [])
 
-    @staticmethod
-    def full(ambient: int) -> "Subspace":
-        return Subspace(ambient, [unit_vec(ambient, j) for j in range(ambient)])
-
     @property
     def dim(self) -> int:
         return len(self.basis)

@@ -21,8 +21,9 @@ integer structure tensor, with no Scalar arithmetic.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Dict, List, Tuple
 
@@ -44,15 +45,22 @@ from .liealg import (
     leibniz_kernel,
     string_pairing,
 )
-from .intlin import biggest, exact_product, int_array, int_dtype, int_kernel
+from .intlin import (
+    biggest,
+    checked_int_matmul,
+    exact_product,
+    int_array,
+    int_dtype,
+    int_kernel,
+    kernel_array,
+    span_coordinates,
+)
 from .linalg import (
     Matrix,
     Subspace,
-    kernel,
     solve,
     span_coordinate_map,
     unit_vec,
-    zero_vec,
 )
 from .scalar import ONE, ZERO, Scalar, sc
 from .tensor import StructureTensor, rational_ints
@@ -102,60 +110,56 @@ def _so_basis(alg: CompAlgebra) -> List[Dict[Tuple[int, int], Scalar]]:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class TrialityAlgebra:
     """Triples of skew maps with u1(xy) = u2(x) y + x u3(y), as the exact
-    kernel inside so(A)^3, carrying the componentwise commutator."""
+    kernel inside so(A)^3, carrying the componentwise commutator.  The
+    triples are one integer array proj[c, r] = den * pi_{c+1}(t_r); the
+    Scalar Matrix view `triples` is built on first read."""
 
     base: CompAlgebra
     algebra: SCAlgebra  # brackets in the kernel basis
-    triples: List[Tuple[Matrix, Matrix, Matrix]]
+    proj: np.ndarray
+    den: int
 
     @property
     def dim(self) -> int:
-        return len(self.triples)
+        return self.proj.shape[1]
+
+    @cached_property
+    def triples(self) -> List[Tuple[Matrix, Matrix, Matrix]]:
+        return list(zip(*(
+            [Matrix([[Scalar.rational(x, self.den) for x in row] for row in m]) for m in mats]
+            for mats in self.proj.tolist()
+        )))
 
     def projection(self, i: int, r: int) -> Matrix:
         return self.triples[r][i - 1]
 
     def projection_rank(self, i: int) -> int:
-        if not self.triples:
-            return 0
-        rows = _projections(self, i)[0].reshape(self.dim, -1).T
+        rows = self.proj[i - 1].reshape(self.dim, self.base.dim ** 2).T
         return self.dim - len(int_kernel(rows, self.dim))
 
 
 @lru_cache(maxsize=None)
 def triality_algebra(key: str) -> TrialityAlgebra:
-    """tri(A) for A one of "r", "c", "h", "o"."""
+    """tri(A) for A one of "r", "c", "h", "o", in integers: the Leibniz
+    kernel inside so(A)^3 times the so(A) basis gives the projections, and
+    commutator_closure_algebra reads the componentwise bracket off them."""
     alg = standard_algebra(key)
     d = alg.dim
     so = _so_basis(alg)
     s = len(so)
-    basis_vectors = leibniz_kernel(
-        alg.tensor, [(m, {}, {}) for m in so] + [({}, m, {}) for m in so] + [({}, {}, m) for m in so]
-    )
-    triples = []
-    for v in basis_vectors:
-        mats = []
-        for c in range(3):
-            acc = [[ZERO] * d for _ in range(d)]
-            for x, m in zip(v[c * s:(c + 1) * s], so):
-                if x:
-                    for (p, q), y in m.items():
-                        acc[p][q] = acc[p][q] + x * y
-            mats.append(Matrix(acc))
-        triples.append(tuple(mats))
+    unknowns = [(m, {}, {}) for m in so] + [({}, m, {}) for m in so] + [({}, {}, m) for m in so]
+    k, den_k = leibniz_kernel(alg.tensor, unknowns, ints=True)
+    basis, den_s = _ints((m.get((x, y), ZERO) for m in so for x in range(d) for y in range(d)), (s, d, d))
+    dtype = int_dtype(biggest(k) * biggest(basis) * s)
+    proj = np.einsum("rcu,uxy->crxy", k.reshape(len(k), 3, s).astype(dtype), basis.astype(dtype))
+    g = gcd(den_k * den_s, *proj.ravel().tolist())
+    proj, den = proj // g, den_k * den_s // g
     # the componentwise bracket is the commutator of block-diagonal matrices
-    blocks = [
-        Matrix([
-            [ZERO] * (c * d) + row + [ZERO] * ((2 - c) * d)
-            for c in range(3) for row in t[c].entries
-        ])
-        for t in triples
-    ]
-    sca = commutator_closure_algebra(blocks, name=f"tri({key})")
-    return TrialityAlgebra(alg, sca, triples)
+    sca = commutator_closure_algebra(proj.transpose(1, 0, 2, 3), name=f"tri({key})", den=den)
+    return TrialityAlgebra(alg, sca, proj, den)
 
 
 @lru_cache(maxsize=None)
@@ -163,13 +167,8 @@ def tri_ideal_split(key: str) -> Tuple[Subspace, Subspace, Subspace]:
     """The three subspaces of tri with one component zero; for the
     four-dimensional algebra these are the three commuting ideals."""
     tri = triality_algebra(key)
-    d = tri.base.dim
-    return tuple(
-        kernel(Matrix.from_cols([
-            [t[c][a, b] for a in range(d) for b in range(d)] for t in tri.triples
-        ]))
-        for c in range(3)
-    )
+    rows = tri.proj.reshape(3, tri.dim, tri.base.dim ** 2).transpose(0, 2, 1)
+    return tuple(Subspace(tri.dim, kernel_array(r, tri.dim)[0].tolist()) for r in rows)
 
 
 # -- integer arrays of the square's building blocks --------------------------------
@@ -182,13 +181,6 @@ def _ints(values, shape) -> Tuple[np.ndarray, int]:
     return int_array(nums).reshape(shape), den
 
 
-def _projections(tri: TrialityAlgebra, i: int) -> Tuple[np.ndarray, int]:
-    """The projections pi_i(t_r) as one integer array P[r, x, a]."""
-    d = tri.base.dim
-    values = (x for t in tri.triples for row in t[i - 1].entries for x in row)
-    return _ints(values, (tri.dim, d, d))
-
-
 def _dense(t: StructureTensor) -> np.ndarray:
     """The cells den * c of a rational tensor as a dense array [i, j, k]."""
     if not t.rational:
@@ -198,89 +190,84 @@ def _dense(t: StructureTensor) -> np.ndarray:
     return out
 
 
-def _skew_map(psi: List[List[Scalar]], d: int) -> Tuple[np.ndarray, int]:
-    """A map on the pairs e_a ^ e_c, a < c, as an integer array W[a, c, s]
-    extended by W[c, a] = -W[a, c], and its denominator."""
-    flat, den = _ints((x for v in psi for x in v), (len(psi), len(psi[0])))
-    w = np.zeros((d, d, flat.shape[1]), dtype=flat.dtype)
+def _skew_map(flat: np.ndarray, d: int) -> np.ndarray:
+    """Maps w[h, k] on the pairs e_a ^ e_c, a < c, one row k per pair, as
+    one array W[h, a, c] extended by W[h, c, a] = -W[h, a, c]."""
+    w = np.zeros((len(flat), d, d, flat.shape[2]), dtype=flat.dtype)
     a, c = np.triu_indices(d, 1)
-    w[a, c], w[c, a] = flat, -flat
-    return w, den
+    w[:, a, c], w[:, c, a] = flat, -flat
+    return w
 
 
-def _iota(gram: Matrix, a: int, b: int) -> List[Scalar]:
-    """iota(e_a ^ e_b) = <e_a, .> e_b - <e_b, .> e_a in so(A), flattened."""
-    d = gram.rows
-    return [
-        (gram[a, c] if r == b else ZERO) - (gram[b, c] if r == a else ZERO)
-        for r in range(d) for c in range(d)
-    ]
+class PairMaps(Sequence):
+    """Maps psi_h: Lambda^2 A -> tri(A) as one integer array w[h, k] = den *
+    psi_h(xi_k) in tri coordinates, xi_k the k-th pair e_a ^ e_b, a < b.
+    Item h is the Scalar view: the list of coordinate lists psi_h(xi_k)."""
+
+    def __init__(self, w: np.ndarray, den: int):
+        self.w, self.den = w, den
+
+    def __len__(self) -> int:
+        return len(self.w)
+
+    def __getitem__(self, h: int) -> List[List[Scalar]]:
+        return [[Scalar.rational(x, self.den) for x in v] for v in self.w[h].tolist()]
 
 
 @lru_cache(maxsize=None)
-def equivariant_pair_maps(key: str, slot: int) -> List[List[List[Scalar]]]:
+def equivariant_pair_maps(key: str, slot: int) -> PairMaps:
     """A basis of the tri(A)-equivariant maps Lambda^2 A_slot -> tri(A).
-
-    Returned as matrices over the pair basis: psi[h][k] is the tri
-    coordinate vector assigned to the k-th pair xi_k = e_a ^ e_b.
 
     With pi the projection of the slot and iota the so(A)-equivariant
     identification of Lambda^2 A with so(A): an abelian tri (A = C) acts
     trivially on Lambda^2 A, so the coordinate maps are a basis.  Otherwise
     each ideal J of tri (the three sp1 of tri(H), or all of tri(O), where
     pi is an isomorphism) with pi(J) != 0 gives psi_J = (pi|_J)^-1 of the
-    pi(J)-component of iota, read off one coordinate map onto the stacked
-    images pi(J).  Every map is certified against every basis element of
-    tri by _certify_equivariant.
+    pi(J)-component of iota, solved for all pairs at once on the stacked
+    images pi(J) by span_coordinates and certified by _certify_equivariant.
     """
     tri = triality_algebra(key)
-    p = tri.dim
-    if p == 0:
-        return []
-    pairs = [(a, b) for a in range(tri.base.dim) for b in range(a + 1, tri.base.dim)]
-    if not tri.algebra.bracket:
-        maps = [
-            [unit_vec(p, s) if kk == k else zero_vec(p) for kk in range(len(pairs))]
-            for k in range(len(pairs))
-            for s in range(p)
-        ]
+    p, d = tri.dim, tri.base.dim
+    pairs = d * (d - 1) // 2
+    if not len(tri.algebra.tensor.val):
+        # map (k, s) sends xi_k to t_s and every other pair to 0
+        maps = PairMaps(np.eye(pairs * p, dtype=np.int64).reshape(pairs * p, pairs, p), 1)
     else:
-        flat = Matrix([
-            [x for row in tri.projection(slot, s).entries for x in row] for s in range(p)
-        ])
-        ideals = [J for J in tri_ideal_split(key) if J.dim] or [Subspace.full(p)]
-        kept = [(Matrix.from_cols(J.basis), Matrix(J.basis) @ flat) for J in ideals]
-        kept = [(basis, image) for basis, image in kept if not image.is_zero()]
-        coords = span_coordinate_map([v for _, image in kept for v in image.entries])
-        maps = [[] for _ in kept]
-        for a, b in pairs:
-            c = coords(_iota(tri.base.gram, a, b))
-            if c is None:
-                raise CalibrationFailed(f"iota(e{a} ^ e{b}) lies outside pi(tri)")
-            offset = 0
-            for psi, (basis, _) in zip(maps, kept):
-                psi.append(basis.apply(c[offset : offset + basis.cols]))
-                offset += basis.cols
+        proj = tri.proj[slot - 1].reshape(p, -1)
+        ideals = [_ints((x for v in J.basis for x in v), (J.dim, p))[0] for J in tri_ideal_split(key)]
+        ideals = [J for J in ideals if len(J)] or [np.eye(p, dtype=np.int64)]
+        kept = [(J, image) for J in ideals if (image := checked_int_matmul(J, proj)).any()]
+        gram, den_g = _ints((x for row in tri.base.gram.entries for x in row), (d, d))
+        # iota(e_a ^ e_b)[r, c] = <e_a, e_c> [r = b] - <e_b, e_c> [r = a]
+        iota = np.einsum("yrk,yc->krc", _skew_map(np.eye(pairs, dtype=gram.dtype)[None], d)[0], gram)
+        solved = span_coordinates(np.concatenate([image for _, image in kept]), iota.reshape(pairs, -1))
+        if solved is None:
+            raise CalibrationFailed(f"iota(Lambda^2 {key}) leaves pi_{slot}(tri({key}))")
+        # the images are den * pi(J_k) and the targets den_g * iota(xi), so
+        # psi_J(xi) = den / (den_x * den_g) * sum_k x[xi, k] J_k
+        x, den_x = solved
+        parts = np.split(x, np.cumsum([len(J) for J, _ in kept])[:-1], axis=1)
+        w = np.stack([checked_int_matmul(part, J) for part, (J, _) in zip(parts, kept)])
+        w = exact_product(w, np.array(tri.den))
+        g = gcd(den_x * den_g, *w.ravel().tolist())
+        maps = PairMaps(w // g, den_x * den_g // g)
     _certify_equivariant(key, slot, maps)
     return maps
 
 
-def _certify_equivariant(key: str, slot: int, maps: List[List[List[Scalar]]]) -> None:
+def _certify_equivariant(key: str, slot: int, maps: PairMaps) -> None:
     """Raise CalibrationFailed unless psi(t . xi) = [t, psi(xi)] for every
     map psi, every basis element t of tri and every pair xi = e_a ^ e_c.
 
     With P[t] the projection of t on the slot, C[t, s] the bracket [t, e_s]
     and W[a, c] = psi(e_a ^ e_c) = -W[c, a], that is sum_x P[t, x, a]
     W[x, c] + P[t, x, c] W[a, x] = sum_s W[a, c, s] C[t, s], checked in
-    integers: P and C over their own denominators, W over its own."""
+    integers: P, C and W over their own denominators."""
     tri = triality_algebra(key)
-    proj, den_p = _projections(tri, slot)
+    proj, den_p = tri.proj[slot - 1], tri.den
     ad, den_c = _dense(tri.algebra.tensor), tri.algebra.tensor.den
-    for psi in maps:
-        w, _ = _skew_map(psi, tri.base.dim)
-        bound = biggest(w) * max(biggest(proj) * 2 * tri.base.dim, biggest(ad) * tri.dim)
-        if int_dtype(bound) is object:
-            w = w.astype(object)
+    for w in _skew_map(maps.w, tri.base.dim):
+        w = w.astype(int_dtype(biggest(w) * max(biggest(proj) * 2 * tri.base.dim, biggest(ad) * tri.dim)))
         lhs = np.einsum("txa,xco->taco", proj, w) + np.einsum("txc,axo->taco", proj, w)
         rhs = np.einsum("acs,tso->taco", w, ad)
         lhs, rhs = exact_product(lhs, np.array(den_c)), exact_product(rhs, np.array(den_p))
@@ -357,12 +344,10 @@ class _SquareTables:
         for i, proj in enumerate(SLOT_PROJ):
             # t_r . (e_a (x) e_b) = P_r e_a (x) e_b, resp. e_a (x) P_r e_b
             if pa:
-                p, den = _projections(tri_a, proj)
-                add(np.broadcast_to(p[..., None], (pa, da, da, db)), den,
+                add(np.broadcast_to(tri_a.proj[proj - 1][..., None], (pa, da, da, db)), tri_a.den,
                     lambda r, x, a, b: (r, slot(i, a, b), slot(i, x, b)), mirror=True)
             if pb:
-                p, den = _projections(tri_b, proj)
-                add(np.broadcast_to(p[:, :, None, :], (pb, db, da, db)), den,
+                add(np.broadcast_to(tri_b.proj[proj - 1][:, :, None, :], (pb, db, da, db)), tri_b.den,
                     lambda r, x, a, b: (pa + r, slot(i, a, b), slot(i, a, x)), mirror=True)
         ca, cb = _dense(alg_a.tensor), _dense(alg_b.tensor)
         conj = np.outer(alg_a.conj_signs, alg_b.conj_signs)[:, :, None, None, None, None]
@@ -378,14 +363,12 @@ class _SquareTables:
         ga, den_a = _ints((x for row in alg_a.gram.entries for x in row), (da, da))
         gb, den_b = _ints((x for row in alg_b.gram.entries for x in row), (db, db))
         for i in range(3):
-            for h, psi in enumerate(psi_a[i]):
-                w, den = _skew_map(psi, da)
-                add(exact_product(w[:, None, :, None, :], gb[None, :, None, :, None]), den * den_b,
+            for h, w in enumerate(_skew_map(psi_a[i].w, da)):
+                add(exact_product(w[:, None, :, None, :], gb[None, :, None, :, None]), psi_a[i].den * den_b,
                     lambda a, b, c, d, s: (slot(i, a, b), slot(i, c, d), s),
                     table=1 + self.unknowns.index(("A", i, h)))
-            for h, psi in enumerate(psi_b[i]):
-                w, den = _skew_map(psi, db)
-                add(exact_product(ga[:, None, :, None, None], w[None, :, None, :, :]), den * den_a,
+            for h, w in enumerate(_skew_map(psi_b[i].w, db)):
+                add(exact_product(ga[:, None, :, None, None], w[None, :, None, :, :]), psi_b[i].den * den_a,
                     lambda a, b, c, d, s: (slot(i, a, b), slot(i, c, d), pa + s),
                     table=1 + self.unknowns.index(("B", i, h)))
         self.den = lcm(1, *(b[4] for b in blocks))
@@ -442,28 +425,13 @@ class _SquareTables:
 def _calibration_triples(tables: _SquareTables, rng: random.Random, count: int = 160):
     """Structured triples touching every coupling family, plus random
     filler."""
-    triples = []
-    for i in range(3):
-        for j in range(3):
-            a2 = min(1, tables.da - 1)
-            b2 = min(1, tables.db - 1)
-            triples.append(
-                (
-                    tables.slot_index(i, 0, 0),
-                    tables.slot_index(i, a2, b2),
-                    tables.slot_index(j, 0, b2),
-                )
-            )
-            triples.append(
-                (
-                    tables.slot_index(i, 0, b2),
-                    tables.slot_index(i, a2, 0),
-                    tables.slot_index(j, a2, b2),
-                )
-            )
-    for _ in range(count):
-        triples.append(tuple(rng.randrange(tables.dim) for _ in range(3)))
-    return triples
+    a2, b2, at = min(1, tables.da - 1), min(1, tables.db - 1), tables.slot_index
+    triples = [
+        triple for i in range(3) for j in range(3) for triple in (
+            (at(i, 0, 0), at(i, a2, b2), at(j, 0, b2)), (at(i, 0, b2), at(i, a2, 0), at(j, a2, b2))
+        )
+    ]
+    return triples + [tuple(rng.randrange(tables.dim) for _ in range(3)) for _ in range(count)]
 
 
 def _assemble(tables: _SquareTables, lam: List[Scalar]) -> SCAlgebra:
@@ -543,20 +511,12 @@ def tits_dimension_table() -> List[List[Tuple[str, int]]]:
     """The 4x4 table of names and dimensions from the derivation-based
     construction: der A x der H3(B) + Im A (x) H3(B)_0, all summands
     computed from live kernels."""
-    table = []
-    for ka in ALGEBRA_ORDER:
-        row = []
-        a = standard_algebra(ka).dim
-        da = derivation_dim(ka)
-        for kb in ALGEBRA_ORDER:
-            b = standard_algebra(kb).dim
-            dj = jordan_derivation_dim(b)
-            dim = da + dj + (a - 1) * (3 * b + 2)
-            row.append(
-                (SQUARE_NAMES[ALGEBRA_ORDER.index(ka)][ALGEBRA_ORDER.index(kb)], dim)
-            )
-        table.append(row)
-    return table
+    def entry(ka: str, kb: str) -> Tuple[str, int]:
+        a, b = standard_algebra(ka).dim, standard_algebra(kb).dim
+        dim = derivation_dim(ka) + jordan_derivation_dim(b) + (a - 1) * (3 * b + 2)
+        return SQUARE_NAMES[ALGEBRA_ORDER.index(ka)][ALGEBRA_ORDER.index(kb)], dim
+
+    return [[entry(ka, kb) for kb in ALGEBRA_ORDER] for ka in ALGEBRA_ORDER]
 
 
 @dataclass
@@ -595,22 +555,17 @@ def _epsilon(i: int, j: int, k: int) -> int:
     return 1 if (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
 
 
-_SL3_BASIS = None
-
-
+@lru_cache(maxsize=None)
 def _sl3_basis():
-    global _SL3_BASIS
-    if _SL3_BASIS is None:
-        mats = [
-            Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]]),
-            Matrix([[0, 0, 0], [0, 1, 0], [0, 0, -1]]),
-        ]
-        for (a, b) in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
-            m = [[0] * 3 for _ in range(3)]
-            m[a][b] = 1
-            mats.append(Matrix(m))
-        _SL3_BASIS = mats
-    return _SL3_BASIS
+    mats = [
+        Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]]),
+        Matrix([[0, 0, 0], [0, 1, 0], [0, 0, -1]]),
+    ]
+    for (a, b) in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
+        m = [[0] * 3 for _ in range(3)]
+        m[a][b] = 1
+        mats.append(Matrix(m))
+    return mats
 
 
 @dataclass

@@ -359,6 +359,59 @@ class TestCommutatorClosure:
         g = ll.commutator_closure_algebra([], name="empty")
         assert g.dim == 0 and g.name == "empty" and g.matrices == []
 
+    def test_dependent_family_rejected_on_the_integer_path(self):
+        family = [_elementary(2, 0, 1), _elementary(2, 1, 0), _elementary(2, 0, 1).scale(sc(3))]
+        with pytest.raises(ValueError, match="dependent"):
+            ll.commutator_closure_algebra(family)
+
+    @pytest.mark.parametrize("case", ["sl2", "b3", "so3_halves", "gl2", "mod_p0", "past_int64", "der_o"])
+    def test_integer_path_matches_fraction_reference(self, case, fraction_bracket, octonions):
+        # the integer cells, and their Scalar view, against Gauss-Jordan
+        # elimination over Fractions
+        h = _elementary(2, 0, 0) - _elementary(2, 1, 1)
+        big = sc(2 ** 70)
+        family = {
+            "sl2": lambda: [h, _elementary(2, 0, 1), _elementary(2, 1, 0)],
+            "b3": lambda: [_elementary(3, i, j) for i in range(3) for j in range(i, 3)],
+            "so3_halves": lambda: [
+                (_elementary(3, i, j) - _elementary(3, j, i)).scale(sc("1/2"))
+                for i, j in ((0, 1), (0, 2), (1, 2))
+            ],
+            "gl2": lambda: [_elementary(2, 0, 0).scale(sc("1/3")), _elementary(2, 0, 1).scale(sc("5/7")),
+                            _elementary(2, 1, 0), _elementary(2, 1, 1)],
+            "mod_p0": lambda: [Matrix([[1, 1], [0, 0]]), Matrix([[1, 1 + intlin._PRIMES[0]], [0, 0]])],
+            "past_int64": lambda: [h, _elementary(2, 0, 1).scale(big), _elementary(2, 1, 0).scale(big.inverse())],
+            "der_o": lambda: ll.derivations(octonions).matrices,
+        }[case]()
+        g = ll.commutator_closure_algebra(family)
+        assert "bracket" not in vars(g) and g.matrices is family
+        expected = fraction_bracket(family)
+        assert g.bracket == expected
+        reference = ll.SCAlgebra(g.dim, expected).tensor
+        assert g.tensor.den == reference.den
+        for name in ("pair", "out", "val"):
+            assert getattr(g.tensor, name).tolist() == getattr(reference, name).tolist()
+
+    def test_one_corrupted_commutator_entry_is_not_closed(self, octonions, monkeypatch):
+        # der(O) kills the unit, so no combination of it has an entry at
+        # (0, 0): one unit added there by the first integer product leaves
+        # the span, and the certificate over every entry sees it
+        family = ll.derivations(octonions).matrices
+        inner, calls = intlin.checked_int_matmul, []
+
+        def corrupting(a, b):
+            out = inner(a, b)
+            if not calls:
+                out = out.copy()
+                out.flat[0] += 1
+            calls.append(out.shape)
+            return out
+
+        monkeypatch.setattr(intlin, "checked_int_matmul", corrupting)
+        with pytest.raises(ValueError, match="not closed"):
+            ll.commutator_closure_algebra(family)
+        assert len(calls) > 1
+
 
 class TestStabilizerInGl:
     def test_associative_form(self, octonions):

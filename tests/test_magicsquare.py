@@ -9,8 +9,9 @@ from excalg import scalar
 from excalg.liealg import (
     jacobi_check,
     killing_nondegenerate,
+    leibniz_kernel,
 )
-from excalg.linalg import Matrix, Subspace, unit_vec
+from excalg.linalg import Matrix, Subspace, span_coordinate_map, unit_vec
 from excalg.scalar import ONE, ZERO, Scalar, sc
 from excalg.tensor import StructureTensor
 
@@ -122,10 +123,154 @@ class TestEquivariantMaps:
     def test_certificate_rejects_a_changed_entry(self, key):
         maps = ms.equivariant_pair_maps(key, 1)
         ms._certify_equivariant(key, 1, maps)
-        bad = [[list(v) for v in psi] for psi in maps]
-        bad[0][0][0] = bad[0][0][0] + ONE
+        # psi_0(xi_0) gains one unit in its first coordinate
+        bad = ms.PairMaps(maps.w.copy(), maps.den)
+        bad.w[0, 0, 0] += maps.den
+        assert bad[0][0][0] == maps[0][0][0] + ONE
         with pytest.raises(ms.CalibrationFailed):
             ms._certify_equivariant(key, 1, bad)
+
+
+def _sha(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def _triality_digests(key):
+    """SHA-256 of the Scalar views of tri(A): the bracket, the triples and
+    the maps psi of the three slots."""
+    tri = ms.triality_algebra(key)
+    bracket = sorted((k, sorted((kk, str(v)) for kk, v in c.items())) for k, c in tri.algebra.bracket.items())
+    triples = [[str(x) for m in t for row in m.entries for x in row] for t in tri.triples]
+    maps = [[[[str(x) for x in v] for v in psi] for psi in ms.equivariant_pair_maps(key, s)] for s in (1, 2, 3)]
+    return (_sha(bracket), _sha(triples), *map(_sha, maps))
+
+
+# Recorded from the Scalar construction of tri(A), its bracket and its maps
+# that the integer arrays replaced.
+TRIALITY_DIGESTS = {
+    "c": (
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "e8b27a165d99ce5f25dca8dd4e45c0f72f63950e4028e74188f54b06314f1df1",
+        "a12a272e6fa7a4c6101cb3ec740f1db7e23129b6770c7a94c8baec730eab09bd",
+        "a12a272e6fa7a4c6101cb3ec740f1db7e23129b6770c7a94c8baec730eab09bd",
+        "a12a272e6fa7a4c6101cb3ec740f1db7e23129b6770c7a94c8baec730eab09bd",
+    ),
+    "h": (
+        "81fd036fd89d31f1e8cd53918d502eb20322f278b34d0c961595de6ff85b0c8a",
+        "dfafebd6ce0b9f792b09fbc6b7dd8ca66987a476e80f5a1800f9e0d4bc12dc1b",
+        "92011efd6d408cfeaf255fb579498cbe4baecd8f33eb704a592ae9f22f4d9893",
+        "0e6f06c64a357b04f05d42d5d421f92809850f2dbb666a0b0c106cfb48fb1c7f",
+        "9d32b926006b49dae1c23cc29e1e98f9ac59ccdd959242e2da80f54ad1027637",
+    ),
+    "o": (
+        "0ee5ff1d7c0e66aee7c2e137b159c4276bd11394dd5737d92695a7e5b9e25721",
+        "eece834f4984919b946c211d1b7b5013e8cb76182db7280b07771de934bb29d2",
+        "9f06e8ebc9527cb9efd114ce61aeff5a04d29f34b397d93b1b2cce7d23ed477d",
+        "34d6f9758288d16bf970a390cf414283dc73e567e19dfcd1b64ac1facfcfd7ae",
+        "d424a3899956f7690dee1911b58c138937981048652ad3669fe8ff0b6963efda",
+    ),
+}
+
+
+def _scalar_triples(key):
+    """The triples by Scalar arithmetic: the Scalar Leibniz kernel times the
+    so(A) basis."""
+    alg = ms.standard_algebra(key)
+    d, so = alg.dim, ms._so_basis(alg)
+    s = len(so)
+    unknowns = [(m, {}, {}) for m in so] + [({}, m, {}) for m in so] + [({}, {}, m) for m in so]
+    triples = []
+    for v in leibniz_kernel(alg.tensor, unknowns):
+        mats = []
+        for c in range(3):
+            acc = [[ZERO] * d for _ in range(d)]
+            for x, m in zip(v[c * s:(c + 1) * s], so):
+                for (p, q), y in m.items():
+                    acc[p][q] = acc[p][q] + x * y
+            mats.append(Matrix(acc))
+        triples.append(tuple(mats))
+    return triples
+
+
+def _scalar_maps(key, slot, triples):
+    """The maps psi by Scalar coordinate maps onto the stacked images."""
+    alg = ms.standard_algebra(key)
+    d, p = alg.dim, len(triples)
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    flat = Matrix([[x for row in t[slot - 1].entries for x in row] for t in triples])
+    ideals = [J for J in ms.tri_ideal_split(key) if J.dim] or [Subspace(p, [unit_vec(p, k) for k in range(p)])]
+    kept = [(Matrix.from_cols(J.basis), Matrix(J.basis) @ flat) for J in ideals]
+    kept = [(basis, image) for basis, image in kept if not image.is_zero()]
+    coords = span_coordinate_map([v for _, image in kept for v in image.entries])
+    maps = [[] for _ in kept]
+    for a, b in pairs:
+        iota = [(alg.gram[a, c] if r == b else ZERO) - (alg.gram[b, c] if r == a else ZERO)
+                for r in range(d) for c in range(d)]
+        x, offset = coords(iota), 0
+        for psi, (basis, _) in zip(maps, kept):
+            psi.append(basis.apply(x[offset:offset + basis.cols]))
+            offset += basis.cols
+    return maps
+
+
+class TestTrialityStage:
+    @pytest.mark.parametrize("key", ["c", "h", "o"])
+    def test_pinned(self, key):
+        assert _triality_digests(key) == TRIALITY_DIGESTS[key]
+
+    @pytest.mark.parametrize("key", ["c", "h", "o"])
+    def test_matches_scalar_reference(self, key, fraction_bracket):
+        # the triples and the maps of one slot against the Scalar
+        # construction; the bracket against the Fraction closure of the
+        # block-diagonal triples, for C and H
+        tri = ms.triality_algebra(key)
+        triples = _scalar_triples(key)
+        assert tri.triples == triples
+        if key in "ch":
+            d = tri.base.dim
+            blocks = [Matrix([[ZERO] * (c * d) + row + [ZERO] * ((2 - c) * d)
+                              for c in range(3) for row in t[c].entries]) for t in triples]
+            assert tri.algebra.bracket == fraction_bracket(blocks)
+        for slot in (1, 2, 3) if key in "ch" else (1,):
+            if key == "c":  # tri(C) is abelian: the coordinate maps of the one pair
+                reference = [[unit_vec(2, s)] for s in range(2)]
+            else:
+                reference = _scalar_maps(key, slot, triples)
+            assert list(ms.equivariant_pair_maps(key, slot)) == reference
+
+    def test_cold_build_runs_no_scalar_arithmetic(self, monkeypatch):
+        # with O itself cached, a cold tri(O) and its three maps are built
+        # from integer arrays only; the Scalar views stay unbuilt
+        ms.standard_algebra("o")
+        for cached in (ms.triality_algebra, ms.tri_ideal_split, ms.equivariant_pair_maps):
+            cached.cache_clear()
+
+        def forbidden(*args):
+            raise AssertionError("Scalar arithmetic in the tri(O) stage")
+
+        with monkeypatch.context() as m:
+            for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+                m.setattr(Scalar, name, forbidden)
+            tri = ms.triality_algebra("o")
+            maps = [ms.equivariant_pair_maps("o", slot) for slot in (1, 2, 3)]
+        assert "triples" not in vars(tri) and "bracket" not in vars(tri.algebra)
+        assert [len(psi) for psi in maps] == [1, 1, 1]
+        assert _triality_digests("o") == TRIALITY_DIGESTS["o"]
+
+    @pytest.mark.parametrize("key", ["h", "o"])
+    def test_iota_outside_the_images_is_rejected(self, key, monkeypatch):
+        # one unit added to the (0, 0) entry of iota(e_0 ^ e_1): not skew,
+        # so outside every pi(J), and the product check sees it
+        solve = ms.span_coordinates
+
+        def shifted(family, targets):
+            targets = targets.copy()
+            targets[0, 0] += 1
+            return solve(family, targets)
+
+        monkeypatch.setattr(ms, "span_coordinates", shifted)
+        with pytest.raises(ms.CalibrationFailed, match="leaves"):
+            ms.equivariant_pair_maps.__wrapped__(key, 1)
 
 
 class TestTitsTable:

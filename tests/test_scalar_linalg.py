@@ -246,7 +246,81 @@ class TestExactProduct:
         assert intlin.int_dtype((1 << 63) - 1) is np.int64 and intlin.int_dtype(1 << 63) is object
 
 
+    def test_matmul_at_the_int64_minimum_takes_python_integers(self):
+        import numpy as np
+
+        a = np.array([[-(1 << 63)]], dtype=np.int64)
+        assert intlin.checked_int_matmul(a, np.array([[3]])).tolist() == [[-3 << 63]]
+        stack = np.array([[[1, 2], [3, 4]], [[-(1 << 63), 0], [0, 1]]], dtype=np.int64)
+        assert intlin.checked_int_matmul(stack, stack).tolist() == [
+            [[7, 10], [15, 22]], [[1 << 126, 0], [0, 1]]
+        ]
+
+
+class TestSpanCoordinates:
+    @staticmethod
+    def _family(rng, n, m, big=0):
+        # n independent rows with column 0 zero, entries past int64 when big
+        import numpy as np
+
+        while True:
+            rows = [[0] + [rng.randint(-5, 5) + (rng.choice((-1, 1)) << big if big else 0)
+                           for _ in range(m - 1)] for _ in range(n)]
+            if la.rank(la.Matrix(rows)) == n:
+                return intlin.int_array(rows), rows
+
+    @pytest.mark.parametrize("big", [0, 70], ids=["int64", "past_int64"])
+    def test_matches_exact_coordinates(self, big):
+        import numpy as np
+
+        rng = random.Random(3)
+        family, rows = self._family(rng, 5, 12, big)
+        c = [[rng.randint(-4, 4) for _ in range(5)] for _ in range(7)]
+        targets = intlin.int_array([[sum(a * r[j] for a, r in zip(cs, rows)) for j in range(12)] for cs in c])
+        # the family scaled by 3 has the coordinates c / 3
+        x, den = intlin.span_coordinates(family * 3, targets)
+        assert [[sc(v) / sc(den) for v in row] for row in x.tolist()] == [
+            [sc(v) / sc(3) for v in row] for row in c
+        ]
+        assert np.array_equal(intlin.checked_int_matmul(x, family * 3), targets * den)
+
+    def test_target_outside_the_span_gives_none(self):
+        rng = random.Random(4)
+        family, _ = self._family(rng, 4, 9)
+        targets = family[:2].copy()
+        assert intlin.span_coordinates(family, targets) is not None
+        targets[1, 0] += 1  # column 0 of the family is zero
+        assert intlin.span_coordinates(family, targets) is None
+
+    def test_dependent_family_raises(self):
+        import numpy as np
+
+        family = np.array([[1, 2, 3], [0, 1, 1], [1, 3, 4]], dtype=np.int64)
+        with pytest.raises(ValueError, match="dependent"):
+            intlin.span_coordinates(family, family[:1])
+
+    def test_family_dependent_modulo_the_first_prime(self):
+        import numpy as np
+
+        p0 = intlin._PRIMES[0]
+        family = np.array([[1, 1], [1, 1 + p0]], dtype=np.int64)
+        x, den = intlin.span_coordinates(family, np.array([[0, p0]], dtype=np.int64))
+        assert (x.tolist(), den) == ([[-1, 1]], 1)
+
+
 class TestIntKernel:
+    def test_int64_minimum_entry(self):
+        # -2^63 is past the float bound of the random row compression, so
+        # the rows are reduced modulo each prime first; the kernel is one
+        # vector, checked in Python integers
+        import numpy as np
+
+        rows = [[-(1 << 63), 3]] * 2 + [[0, 0]] * 48
+        expected = _free_column_basis([[sc(x) for x in row] for row in rows], 2)
+        assert expected == [[Scalar.rational(3, 1 << 63), ONE]]
+        assert intlin.int_kernel(np.array(rows, dtype=np.int64), 2) == expected
+        assert intlin.int_kernel(rows, 2) == expected
+
     def test_matches_pure_solver(self):
         # int_kernel's vectors are the Fraction reference's free-column
         # vectors, and the Leibniz builder's column-reversed integer path
