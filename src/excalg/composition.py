@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import forms as fm
+from .intlin import span_coordinates
 from .linalg import (
     Matrix,
     Subspace,
@@ -27,7 +28,7 @@ from .linalg import (
     zero_vec,
 )
 from .scalar import I, ONE, ZERO, Scalar, sc
-from .tensor import StructureTensor
+from .tensor import StructureTensor, cleared_ints, scalar_rows
 
 STANDARD = "standard"
 SPLIT = "split"
@@ -692,34 +693,19 @@ def sextonions(alg: CompAlgebra, null_plane: Subspace) -> SextonionResult:
     # change to the chosen basis must still span S
     if Subspace(d, basis).dim != 6:
         raise NeedsExtension("could not assemble a rational basis of the sextonions")
-    coords_of = _coordinate_solver(basis)
-    table = []
-    for u in basis:
-        row = []
-        for v in basis:
-            prod = alg.mul_coords(u, v)
-            c = coords_of(prod)
-            if c is None:
-                raise NotSubalgebra("product left the subalgebra")
-            row.append(c)
-        table.append(row)
-    sub = CompAlgebra(table, name="sextonion")
+    # the 36 products at once, cleared over one denominator with the basis
+    products = [alg.mul_coords(u, v) for u in basis for v in basis]
+    ints, _ = cleared_ints((x for v in basis + products for x in v), (42, d))
+    solved = span_coordinates(ints[:6], ints[6:])
+    if solved is None:
+        raise NotSubalgebra("product left the subalgebra")
+    coords = scalar_rows(*solved)
+    sub = CompAlgebra([coords[6 * a:6 * a + 6] for a in range(6)], name="sextonion")
     from .linalg import rank as _rank
 
     q_rank = _rank(Matrix([[alg.bilinear(u, v) for v in basis] for u in basis]))
     iso = _sextonion_model_iso(sub)
     return SextonionResult(sub, Matrix.from_cols(basis), q_rank, iso)
-
-
-def _coordinate_solver(basis: List[List[Scalar]]):
-    m = Matrix.from_cols(basis)
-
-    def coords(v) -> Optional[List[Scalar]]:
-        from .linalg import solve as _solve
-
-        return _solve(m, v)
-
-    return coords
 
 
 def _quaternion_frame_in(alg: CompAlgebra, s_space: Subspace) -> List[List[Scalar]]:

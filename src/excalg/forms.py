@@ -349,31 +349,18 @@ def support(a: KForm) -> Subspace:
     """The smallest dual subspace W with a in Lambda^k W.
 
     Computed as the span of all contractions of a by (k-1)-tuples of basis
-    vectors; its dimension is the rank of the form.
+    vectors; its dimension is the rank of the form.  The contraction by the
+    (k-1)-subset S is read straight off the terms: its coefficient at j is
+    a[sorted(S + {j})], signed by the position of j in that index tuple.
     """
-    n = a.n
-    if a.is_zero():
-        return Subspace.zero(n)
-    if a.k == 0:
-        return Subspace.zero(n)
-    current = [a]
-    for _ in range(a.k - 1):
-        nxt = []
-        for f in current:
-            seen = set()
-            for idx in f.terms:
-                for i in idx:
-                    if i not in seen:
-                        seen.add(i)
-                        nxt.append(contract_basis(i, f))
-        current = nxt
-    vectors = []
-    for f in current:
-        row = [ZERO] * n
-        for (i,), c in f.terms.items():
-            row[i - 1] = c
-        vectors.append(row)
-    return Subspace(n, vectors)
+    if a.is_zero() or a.k == 0:
+        return Subspace.zero(a.n)
+    rows: Dict[IndexTuple, list] = {}
+    for idx, c in a.terms.items():
+        for pos, j in enumerate(idx):
+            row = rows.setdefault(idx[:pos] + idx[pos + 1:], [ZERO] * a.n)
+            row[j - 1] = -c if pos % 2 else c
+    return Subspace(a.n, list(rows.values()))
 
 
 def form_rank(a: KForm) -> int:

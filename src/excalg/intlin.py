@@ -2,12 +2,15 @@
 
 Every elimination of the package (``linalg._rref`` and with it ``rank``,
 ``kernel``, ``solve``, ``inverse`` and ``Subspace``, the Leibniz kernels,
-the commutator closures and the Killing form of :mod:`excalg.liealg`)
-clears denominators and calls :func:`int_kernel`, :func:`kernel_array`,
-:func:`int_rref` or :func:`span_coordinates`.  Q(i) rows are cleared to
-Gaussian integers and enter as their real form (:func:`realified`), a
-system over Z with twice the rows and columns.  All read one certified
-kernel, which
+the commutator closures and the Killing form of :mod:`excalg.liealg`, the
+sextonion products and the g2 vector model) clears denominators and calls
+:func:`int_kernel`, :func:`kernel_array`, :func:`int_rref` or
+:func:`span_coordinates`.  Q(i) rows are cleared to Gaussian integers and
+enter as their real form (:func:`realified`), a system over Z with twice
+the rows and columns; :func:`kernel_array` and :func:`span_coordinates`
+take them as arrays with a trailing (re, im) axis and do this themselves,
+so every coordinate solve and closure over Q(i) is certified on the real
+form.  All read one certified kernel, which
 
 1. discovers the pivot/free structure modulo a word-sized prime, after
    reducing the entries mod p when they are too large for the float bound
@@ -36,7 +39,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .scalar import ONE, ZERO, Scalar
-from .tensor import _cleared, biggest, int_array, rational_ints
+from .tensor import _cleared, biggest, int_array, rational_ints, scalar_rows
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -234,13 +237,20 @@ def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> List[List[Scalar]]:
     at the pivot of row r: the vectors :func:`excalg.linalg.kernel` builds
     from the reduced rows before it echelons them.
     """
-    k, den = kernel_array(rows, ncols)
-    return [[Scalar.rational(x, den) if x else ZERO for x in v] for v in k.tolist()]
+    return scalar_rows(*kernel_array(rows, ncols))
 
 
 def kernel_array(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[np.ndarray, int]:
     """The vectors of :func:`int_kernel` as one integer array K over their
-    common denominator den: vector f is K[f] / den."""
+    common denominator den: vector f is K[f] / den.
+
+    Gaussian integer rows, an array [m, ncols, 2] of (re, im), give the
+    Q(i) vectors as K[f, ncols, 2].  Their real form is eliminated: its
+    free columns come in pairs (2f, 2f + 1), and the vector of column 2f,
+    with x_2j + i x_2j+1 at j, is the Q(i) vector of free column f."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 3:
+        k, den = kernel_array(realified(rows[..., 0], rows[..., 1]), 2 * ncols)
+        return k[0::2].reshape(-1, ncols, 2), den
     free, basis = _certified_kernel(rows, ncols)
     scales = basis[np.arange(len(free)), free].tolist()
     den = math.lcm(1, *scales)
@@ -256,7 +266,22 @@ def span_coordinates(family: np.ndarray, targets: np.ndarray) -> Optional[Tuple[
     which the n x n block B is invertible over Q too (a minor that is
     nonzero mod p is nonzero).  All targets are solved at once on those
     columns by the certified kernel of [B^T | T^T], and the product is then
-    checked exactly on every column."""
+    checked exactly on every column.
+
+    Gaussian integer arrays [n, m, 2] and [t, m, 2] of (re, im) are solved
+    in their real form: row 2k of the realified family is phi(v_k) and row
+    2k + 1 is phi(-i v_k), with phi(a + bi) = (a, -b), the targets are the
+    rows phi(t), and c_k = x_2k - i x_2k+1 is read back as X[t, n, 2].  The
+    exact check on the real form covers both parts of every target, and a
+    family dependent over Q(i) has dependent real rows."""
+    if family.ndim == 3:
+        solved = span_coordinates(
+            realified(family[..., 0], family[..., 1]), realified(targets[..., 0], targets[..., 1])[0::2]
+        )
+        if solved is None:
+            return None
+        x, den = solved
+        return np.stack((x[:, 0::2], -x[:, 1::2]), axis=-1), den
     n = len(family)
     for tried, p in enumerate(_PRIMES):
         pivots = _mod_p_rref((family % p).astype(np.int64), p)[1]

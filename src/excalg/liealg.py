@@ -31,7 +31,6 @@ from . import intlin
 from .composition import NeedsExtension
 from .linalg import (
     Matrix,
-    _rref,
     is_zero_vec,
     kernel,
     solve,
@@ -41,7 +40,7 @@ from .linalg import (
     zero_vec,
 )
 from .scalar import I, ONE, ZERO, Scalar, sc
-from .tensor import StructureTensor, _cleared, rational_ints, scalar_of
+from .tensor import StructureTensor, _cleared, cleared_ints, scalar_of, scalar_rows
 
 
 BracketTable = Dict[Tuple[int, int], Dict[int, Scalar]]
@@ -191,59 +190,49 @@ def commutator_closure_algebra(
     """Express pairwise commutators of a commutator-closed matrix family in
     its own span and return the structure-constant algebra.
 
-    The family is a list of Matrix, or an integer array [n, ..., r, c] of
-    numerators over den whose middle axes index diagonal blocks.  Rational
-    families are cleared to such an array, their commutators formed as
-    integer products, solved for at once and certified on every entry by
-    :func:`excalg.intlin.span_coordinates`, and the bracket built as integer
-    cells.  Q(i) families eliminate the columns [M_0 .. M_n-1 | [M_i, M_j],
-    i < j] in their real form and read the coordinates off the rows."""
+    The family is a list of Matrix, cleared to integers over one
+    denominator (with a trailing (re, im) axis over Q(i)), or a rational
+    integer array [n, ..., r, c] of numerators over den whose middle axes
+    index diagonal blocks.  The commutators are formed as integer products,
+    solved for at once and certified on every entry by
+    :func:`excalg.intlin.span_coordinates` (over Q(i) in its real form),
+    and the bracket is built as integer cells."""
     n = len(matrices)
     if n == 0:
         return SCAlgebra(0, {}, skew=True, matrices=[], name=name, cartan=cartan)
-    ints, kept = matrices, None
+    ints, kept, tail = matrices, None, ()
     if not isinstance(matrices, np.ndarray):
         entries = [x for m in matrices for row in m.entries for x in row]
-        if not all(x.is_rational() for x in entries):
-            return _gaussian_closure(matrices, name, cartan)
-        nums, den = rational_ints(entries)
-        ints, kept = intlin.int_array(nums).reshape(n, matrices[0].rows, -1), matrices
-    comms = [
-        intlin.checked_int_matmul(ints[i], ints[i + 1:]) - intlin.checked_int_matmul(ints[i + 1:], ints[i])
-        for i in range(n)
-    ]
-    solved = intlin.span_coordinates(ints.reshape(n, -1), np.concatenate(comms).reshape(-1, ints[0].size))
+        ints, den = cleared_ints(entries, (n, matrices[0].rows, matrices[0].cols))
+        kept, tail = matrices, ints.shape[3:]
+    family = ints.reshape((n, -1) + tail)
+    comms = [_product(ints[i], ints[i + 1:], tail) - _product(ints[i + 1:], ints[i], tail) for i in range(n)]
+    solved = intlin.span_coordinates(family, np.concatenate(comms).reshape((-1,) + family.shape[1:]))
     if solved is None:
         raise ValueError("matrix family is not closed under commutators")
     # ints holds den * M_i and comms den^2 [M_i, M_j], so c_ij^k = x / (scale * den)
     x, scale = solved
+    x = x if tail else x[..., None]
+    if not x[..., 1:].any():  # a Q(i) family may still close over Q
+        x = x[..., :1]
     i, j = np.triu_indices(n, 1)
-    r, k = np.nonzero(x)
+    r, k = np.nonzero(x.any(axis=2))
     keys = np.concatenate(((i[r] * n + j[r]) * n + k, (j[r] * n + i[r]) * n + k))
     order = np.argsort(keys)
     vals = np.concatenate((x[r, k], -x[r, k]))[order]
-    g = math.gcd(scale * den, *vals.tolist())
+    g = math.gcd(scale * den, *vals.ravel().tolist())
     tensor = StructureTensor.from_cells(n, scale * den // g, keys[order], vals // g)
     return SCAlgebra(n, tensor, skew=True, matrices=kept, name=name, cartan=cartan)
 
 
-def _gaussian_closure(matrices: List[Matrix], name: str, cartan) -> SCAlgebra:
-    n = len(matrices)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    family = list(matrices) + [matrices[i] @ matrices[j] - matrices[j] @ matrices[i] for i, j in pairs]
-    flat = ([x for row in m.entries for x in row] for m in family)
-    reduced, pivots = _rref([list(col) for col in zip(*flat)])
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix family is linearly dependent")
-    if len(pivots) > n:
-        raise ValueError("matrix family is not closed under commutators")
-    bracket: BracketTable = {}
-    for c, (i, j) in enumerate(pairs, n):
-        comp = {k: reduced[k][c] for k in range(n) if reduced[k][c]}
-        if comp:
-            bracket[(i, j)] = comp
-            bracket[(j, i)] = {k: -v for k, v in comp.items()}
-    return SCAlgebra(n, bracket, skew=True, matrices=matrices, name=name, cartan=cartan)
+def _product(a: np.ndarray, b: np.ndarray, tail: tuple) -> np.ndarray:
+    """a @ b of integer matrices (stacks broadcast), exactly; with tail (2,)
+    the last axis holds (re, im) and the product is over Q(i)."""
+    if not tail:
+        return intlin.checked_int_matmul(a, b)
+    (ar, ai), (br, bi) = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
+    mul = intlin.checked_int_matmul
+    return np.stack((mul(ar, br) - mul(ai, bi), mul(ar, bi) + mul(ai, br)), axis=-1)
 
 
 # -- derivations ------------------------------------------------------------------
@@ -284,10 +273,11 @@ def leibniz_kernel(
     unchanged.  An entry sums at most 3d products below 2 * max^2 (int64
     when 6 d max^2 < 2**63, else Python integers).  Duplicate rows, such as
     the (j, i) rows of a commutative product when B_u = C_u, are dropped.
-    Rational systems take the certified integer kernel of the
-    column-reversed matrix, Q(i) systems :func:`kernel`.  With ints, a
-    rational system returns its kernel as one integer array over the common
-    denominator, (K, den), the vector k being K[k] / den.
+    The certified integer kernel of the column-reversed matrix, over Q(i)
+    in its real form (:func:`excalg.intlin.kernel_array`), gives the basis.
+    With ints it is returned as one integer array over the common
+    denominator, (K, den), the vector k being K[k] / den (K[k, :, 0] + i
+    K[k, :, 1] over Q(i)).
 
     The matrix entries enter as (re, im) rows, the cells of a rational
     tensor as one column.  A real constant c scales both parts, c (re + im
@@ -320,18 +310,12 @@ def leibniz_kernel(
     rows = dict.fromkeys(
         (tuple(cols[a:b]), tuple(re[a:b]), tuple(im[a:b])) for a, b in zip(bounds, bounds[1:])
     )
-    if not any(im):
-        a = np.zeros((len(rows), n), dtype=dtype)
-        for r, (cs, xs, _) in enumerate(rows):
-            a[r, [n - 1 - c for c in cs]] = xs
-        if ints:
-            k, den = intlin.kernel_array(a, n)
-            return k[::-1, ::-1], den
-        return [v[::-1] for v in reversed(intlin.int_kernel(a, n))]
-    if ints:
-        raise ValueError("an integer kernel needs a rational system")
-    dense = [dict(zip(cs, map(Scalar.gaussian, xs, ys))) for cs, xs, ys in rows]
-    return kernel(Matrix([[r.get(c, ZERO) for c in range(n)] for r in dense])).basis
+    a = np.zeros((len(rows), n, 2) if any(im) else (len(rows), n), dtype=dtype)
+    for r, (cs, xs, ys) in enumerate(rows):
+        a[r, [n - 1 - c for c in cs]] = list(zip(xs, ys)) if a.ndim == 3 else xs
+    k, den = intlin.kernel_array(a, n)
+    k = k[::-1, ::-1]
+    return (k, den) if ints else scalar_rows(k, den)
 
 
 # -- Jacobi verification ------------------------------------------------------------

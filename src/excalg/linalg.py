@@ -332,19 +332,6 @@ class Subspace:
                 v = [x - f * y for x, y in zip(v, self.basis[r])]
         return is_zero_vec(v)
 
-    def coordinates_of(self, v: Sequence[Scalar]) -> Optional[Vector]:
-        """Coefficients of v in the echelon basis, or None if outside.
-
-        The echelon basis is the identity on its pivot coordinates, so the
-        coefficients can be read off before the membership check."""
-        v = [sc(x) for x in v]
-        coords = [v[p] for p in self._pivots]
-        residue = list(v)
-        for c, row in zip(coords, self.basis):
-            if not c.is_zero():
-                residue = [x - c * y for x, y in zip(residue, row)]
-        return coords if is_zero_vec(residue) else None
-
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
@@ -395,27 +382,3 @@ def gram_matrix(bilinear: Matrix, vectors: Sequence[Sequence[Scalar]]) -> Matrix
         [[vec_dot(u, bilinear.apply(w)) for w in vs] for u in vs]
     )
 
-
-def span_coordinate_map(spanning: Sequence[Sequence[Scalar]]):
-    """Exact coordinates in a fixed independent spanning list.
-
-    The echelon basis is the identity on its pivot coordinates, so the
-    spanning vectors restricted to the pivots form the k x k change of
-    basis; it is inverted once, and each vector then costs one echelon
-    read-off and one k x k mat-vec.  Returns a callable vector -> coords
-    or None (when the vector is outside the span); raises ValueError when
-    the spanning vectors are dependent.
-    """
-    vectors = [list(v) for v in spanning]
-    span = Subspace(len(vectors[0]), vectors)
-    if span.dim != len(vectors):
-        raise ValueError("spanning vectors are dependent")
-    conv = Matrix([[v[p] for v in vectors] for p in span._pivots]).inverse()
-
-    def coords(v) -> Optional[Vector]:
-        ech = span.coordinates_of(v)
-        if ech is None:
-            return None
-        return conv.apply(ech)
-
-    return coords

@@ -59,11 +59,10 @@ from .linalg import (
     Matrix,
     Subspace,
     solve,
-    span_coordinate_map,
     unit_vec,
 )
 from .scalar import ONE, ZERO, Scalar, sc
-from .tensor import StructureTensor, rational_ints
+from .tensor import StructureTensor, cleared_ints, rational_ints, scalar_rows
 
 
 class CalibrationFailed(RuntimeError):
@@ -152,7 +151,7 @@ def triality_algebra(key: str) -> TrialityAlgebra:
     s = len(so)
     unknowns = [(m, {}, {}) for m in so] + [({}, m, {}) for m in so] + [({}, {}, m) for m in so]
     k, den_k = leibniz_kernel(alg.tensor, unknowns, ints=True)
-    basis, den_s = _ints((m.get((x, y), ZERO) for m in so for x in range(d) for y in range(d)), (s, d, d))
+    basis, den_s = cleared_ints((m.get((x, y), ZERO) for m in so for x in range(d) for y in range(d)), (s, d, d))
     dtype = int_dtype(biggest(k) * biggest(basis) * s)
     proj = np.einsum("rcu,uxy->crxy", k.reshape(len(k), 3, s).astype(dtype), basis.astype(dtype))
     g = gcd(den_k * den_s, *proj.ravel().tolist())
@@ -172,13 +171,6 @@ def tri_ideal_split(key: str) -> Tuple[Subspace, Subspace, Subspace]:
 
 
 # -- integer arrays of the square's building blocks --------------------------------
-
-
-def _ints(values, shape) -> Tuple[np.ndarray, int]:
-    """Rational Scalars as an integer array of the given shape over their
-    least common denominator, and that denominator."""
-    nums, den = rational_ints(values)
-    return int_array(nums).reshape(shape), den
 
 
 def _dense(t: StructureTensor) -> np.ndarray:
@@ -211,7 +203,7 @@ class PairMaps(Sequence):
         return len(self.w)
 
     def __getitem__(self, h: int) -> List[List[Scalar]]:
-        return [[Scalar.rational(x, self.den) for x in v] for v in self.w[h].tolist()]
+        return scalar_rows(self.w[h], self.den)
 
 
 @lru_cache(maxsize=None)
@@ -234,10 +226,10 @@ def equivariant_pair_maps(key: str, slot: int) -> PairMaps:
         maps = PairMaps(np.eye(pairs * p, dtype=np.int64).reshape(pairs * p, pairs, p), 1)
     else:
         proj = tri.proj[slot - 1].reshape(p, -1)
-        ideals = [_ints((x for v in J.basis for x in v), (J.dim, p))[0] for J in tri_ideal_split(key)]
+        ideals = [cleared_ints((x for v in J.basis for x in v), (J.dim, p))[0] for J in tri_ideal_split(key)]
         ideals = [J for J in ideals if len(J)] or [np.eye(p, dtype=np.int64)]
         kept = [(J, image) for J in ideals if (image := checked_int_matmul(J, proj)).any()]
-        gram, den_g = _ints((x for row in tri.base.gram.entries for x in row), (d, d))
+        gram, den_g = cleared_ints((x for row in tri.base.gram.entries for x in row), (d, d))
         # iota(e_a ^ e_b)[r, c] = <e_a, e_c> [r = b] - <e_b, e_c> [r = a]
         iota = np.einsum("yrk,yc->krc", _skew_map(np.eye(pairs, dtype=gram.dtype)[None], d)[0], gram)
         solved = span_coordinates(np.concatenate([image for _, image in kept]), iota.reshape(pairs, -1))
@@ -360,8 +352,8 @@ class _SquareTables:
             add(v, alg_a.tensor.den * alg_b.tensor.den,
                 lambda a, b, c, d, m, n: (slot(i, a, b), slot(j, c, d), slot(3 - i - j, m, n)),
                 mirror=True)
-        ga, den_a = _ints((x for row in alg_a.gram.entries for x in row), (da, da))
-        gb, den_b = _ints((x for row in alg_b.gram.entries for x in row), (db, db))
+        ga, den_a = cleared_ints((x for row in alg_a.gram.entries for x in row), (da, da))
+        gb, den_b = cleared_ints((x for row in alg_b.gram.entries for x in row), (db, db))
         for i in range(3):
             for h, w in enumerate(_skew_map(psi_a[i].w, da)):
                 add(exact_product(w[:, None, :, None, :], gb[None, :, None, :, None]), psi_a[i].den * den_b,
@@ -568,6 +560,15 @@ def _sl3_basis():
     return mats
 
 
+@lru_cache(maxsize=None)
+def _sl3_units() -> List[List[Scalar]]:
+    """Row 3i + j: the coordinates of E_ij - delta_ij I/3 in _sl3_basis."""
+    family, _ = cleared_ints((x for m in _sl3_basis() for row in m.entries for x in row), (8, 9))
+    diagonal = np.eye(3, dtype=np.int64).ravel()
+    x, den = span_coordinates(family, 3 * np.eye(9, dtype=np.int64) - np.outer(diagonal, diagonal))
+    return scalar_rows(x, 3 * den)
+
+
 @dataclass
 class TraceFreeModel:
     """The fourteen-dimensional algebra on 3x3 traceless matrices plus a
@@ -583,10 +584,7 @@ class TraceFreeModel:
 
 def _build_vector_model(c1: Scalar, c2: Scalar, c3: Scalar) -> SCAlgebra:
     sl3 = _sl3_basis()
-    coords_sl3 = span_coordinate_map(
-        [[m[i, j] for i in range(3) for j in range(3)] for m in sl3]
-    )
-    bracket: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
+    bracket = dict(commutator_closure_algebra(sl3).bracket)
 
     def setb(i, j, vec):
         comp = {k: sc(v) for k, v in enumerate(vec) if not sc(v).is_zero()}
@@ -594,11 +592,6 @@ def _build_vector_model(c1: Scalar, c2: Scalar, c3: Scalar) -> SCAlgebra:
             bracket[(i, j)] = comp
             bracket[(j, i)] = {k: -v for k, v in comp.items()}
 
-    for a in range(8):
-        for b in range(a + 1, 8):
-            comm = sl3[a] @ sl3[b] - sl3[b] @ sl3[a]
-            cs = coords_sl3([comm[i, j] for i in range(3) for j in range(3)])
-            setb(a, b, list(cs) + [ZERO] * 6)
     for a in range(8):
         x = sl3[a]
         for i in range(3):
@@ -617,13 +610,7 @@ def _build_vector_model(c1: Scalar, c2: Scalar, c3: Scalar) -> SCAlgebra:
             setb(11 + i, 11 + j, vv)
     for i in range(3):
         for j in range(3):
-            m = [[ZERO] * 3 for _ in range(3)]
-            m[i][j] = m[i][j] + c3
-            if i == j:
-                for t in range(3):
-                    m[t][t] = m[t][t] - c3 / sc(3)
-            cs = coords_sl3([m[r][c] for r in range(3) for c in range(3)])
-            setb(8 + i, 11 + j, list(cs) + [ZERO] * 6)
+            setb(8 + i, 11 + j, [c3 * x for x in _sl3_units()[3 * i + j]] + [ZERO] * 6)
     cartan = [unit_vec(14, 0), unit_vec(14, 1)]
     return SCAlgebra(14, bracket, skew=True, cartan=cartan, name="g2-vector-model")
 

@@ -150,6 +150,26 @@ def rational_ints(values: Iterable[Scalar]) -> Tuple[List[int], int]:
     return [_scaled(q, den) for q in qs], den
 
 
+def cleared_ints(values: Iterable[Scalar], shape) -> Tuple[np.ndarray, int]:
+    """(A, den) with A an integer array of the given shape and values[k] ==
+    A.flat[k] / den, den the lcm of the denominators; a trailing (re, im)
+    axis is added only when some value is Gaussian."""
+    values = list(values)
+    den = lcm(1, *(q.denominator for v in values for q in (v.re, v.im)))
+    re = int_array([_scaled(v.re, den) for v in values]).reshape(shape)
+    if not any(v.im for v in values):
+        return re, den
+    return np.stack((re, int_array([_scaled(v.im, den) for v in values]).reshape(shape)), axis=-1), den
+
+
+def scalar_rows(x: np.ndarray, den: int) -> List[List[Scalar]]:
+    """The rows of x / den as Scalars: x an integer array [t, n], or [t, n, 2]
+    of (re, im) over Q(i)."""
+    if x.ndim == 3:
+        return [[scalar_of(c, den) for c in row] for row in x.tolist()]
+    return [[_make(_Q(v, den), _Q0) if v else ZERO for v in row] for row in x.tolist()]
+
+
 def _cleared(v: Sequence[Scalar]):
     """(nonzero coordinates as (index, re, im) integers, their common
     denominator, whether every coordinate is rational)."""

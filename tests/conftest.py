@@ -1,9 +1,6 @@
-from fractions import Fraction
-
 import pytest
 
 from excalg.composition import canonical_octonions, named_algebra
-from excalg.scalar import Scalar
 
 
 @pytest.fixture(scope="session")
@@ -17,13 +14,13 @@ def quaternions():
 
 
 def fraction_closure(matrices):
-    """The bracket {(i, j): {k: c}} of a closed rational matrix family by
-    Gauss-Jordan elimination over fractions.Fraction of the columns [M_0 ..
+    """The bracket {(i, j): {k: c}} of a closed matrix family over Q or Q(i)
+    by Gauss-Jordan elimination in Scalar arithmetic of the columns [M_0 ..
     M_n-1 | [M_i, M_j], i < j]: the reference for the integer closure."""
     n = len(matrices)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     family = list(matrices) + [matrices[i] @ matrices[j] - matrices[j] @ matrices[i] for i, j in pairs]
-    rows = [list(r) for r in zip(*([Fraction(x.re) for row in m.entries for x in row] for m in family))]
+    rows = [list(r) for r in zip(*([x for row in m.entries for x in row] for m in family))]
     pivots = []
     for c in range(len(family)):
         at = next((r for r in range(len(pivots), len(rows)) if rows[r][c]), None)
@@ -39,7 +36,7 @@ def fraction_closure(matrices):
     assert pivots == list(range(n)), "the family is dependent or not closed"
     bracket = {}
     for c, (i, j) in enumerate(pairs, n):
-        comp = {k: Scalar(rows[k][c]) for k in range(n) if rows[k][c]}
+        comp = {k: rows[k][c] for k in range(n) if rows[k][c]}
         if comp:
             bracket[(i, j)], bracket[(j, i)] = comp, {k: -v for k, v in comp.items()}
     return bracket

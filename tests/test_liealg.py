@@ -8,10 +8,11 @@ from excalg import composition
 from excalg import intlin
 from excalg import forms as fm
 from excalg import liealg as ll
+from excalg import linalg as la
 from excalg import threeform as tf
 from excalg.composition import associative_form, canonical_octonions, named_algebra
 from excalg.jordan import jordan_algebra
-from excalg.linalg import Matrix, Subspace, kernel, unit_vec
+from excalg.linalg import Matrix, Subspace, kernel, random_invertible, unit_vec
 from excalg.magicsquare import _so_basis
 from excalg.scalar import I, ONE, ZERO, sc
 from excalg.tensor import StructureTensor
@@ -326,7 +327,7 @@ def _elementary(n, i, j):
 class TestCommutatorClosure:
     def test_open_family_rejected_on_the_generic_path(self):
         # [E01, E10] = E00 - E11 lies outside the span; with i E10 the
-        # family is Gaussian and takes the Scalar path
+        # family is Gaussian and its certificate runs on the real form
         for scale in (ONE, I):
             family = [_elementary(2, 0, 1), _elementary(2, 1, 0).scale(scale)]
             with pytest.raises(ValueError):
@@ -364,12 +365,17 @@ class TestCommutatorClosure:
         with pytest.raises(ValueError, match="dependent"):
             ll.commutator_closure_algebra(family)
 
-    @pytest.mark.parametrize("case", ["sl2", "b3", "so3_halves", "gl2", "mod_p0", "past_int64", "der_o"])
+    @pytest.mark.parametrize("case", [
+        "sl2", "b3", "so3_halves", "gl2", "mod_p0", "past_int64", "der_o",
+        "gaussian_sl2", "gaussian_gl3", "gaussian_thirds",
+    ])
     def test_integer_path_matches_fraction_reference(self, case, fraction_bracket, octonions):
         # the integer cells, and their Scalar view, against Gauss-Jordan
-        # elimination over Fractions
+        # elimination in Scalar arithmetic, over Q and Q(i)
         h = _elementary(2, 0, 0) - _elementary(2, 1, 1)
         big = sc(2 ** 70)
+        p = random_invertible(3, 11, field="gaussian")
+        p_inv = p.inverse()
         family = {
             "sl2": lambda: [h, _elementary(2, 0, 1), _elementary(2, 1, 0)],
             "b3": lambda: [_elementary(3, i, j) for i in range(3) for j in range(i, 3)],
@@ -382,6 +388,14 @@ class TestCommutatorClosure:
             "mod_p0": lambda: [Matrix([[1, 1], [0, 0]]), Matrix([[1, 1 + intlin._PRIMES[0]], [0, 0]])],
             "past_int64": lambda: [h, _elementary(2, 0, 1).scale(big), _elementary(2, 1, 0).scale(big.inverse())],
             "der_o": lambda: ll.derivations(octonions).matrices,
+            "gaussian_sl2": lambda: [h, _elementary(2, 0, 1).scale(I), _elementary(2, 1, 0)],
+            "gaussian_gl3": lambda: [
+                p_inv @ _elementary(3, a, b).scale(sc(a + 1) + sc(b - 1) * I) @ p
+                for a in range(3) for b in range(3)
+            ],
+            "gaussian_thirds": lambda: [
+                h.scale(sc("1/3")), _elementary(2, 0, 1).scale(ONE + I), _elementary(2, 1, 0).scale(sc("1/3") * I)
+            ],
         }[case]()
         g = ll.commutator_closure_algebra(family)
         assert "bracket" not in vars(g) and g.matrices is family
@@ -391,6 +405,20 @@ class TestCommutatorClosure:
         assert g.tensor.den == reference.den
         for name in ("pair", "out", "val"):
             assert getattr(g.tensor, name).tolist() == getattr(reference, name).tolist()
+
+    def test_gaussian_closure_and_derivations_skip_the_scalar_elimination(self, monkeypatch):
+        # the Q(i) closure and the Q(i) Leibniz kernel run on the real form
+        # of the certified integer solvers, never on linalg._rref
+        def refuse(rows):
+            raise AssertionError("linalg._rref was called")
+
+        monkeypatch.setattr(la, "_rref", refuse)
+        h = _elementary(2, 0, 0) - _elementary(2, 1, 1)
+        g = ll.commutator_closure_algebra([h, _elementary(2, 0, 1).scale(I), _elementary(2, 1, 0)])
+        assert g.bracket[(1, 2)] == {0: I} and not g.tensor.rational
+        der = ll.derivations(gaussian_gl2())
+        assert der.dim == 4
+        assert any(x.im for m in der.matrices for row in m.entries for x in row)
 
     def test_one_corrupted_commutator_entry_is_not_closed(self, octonions, monkeypatch):
         # der(O) kills the unit, so no combination of it has an entry at

@@ -11,7 +11,7 @@ from excalg.liealg import (
     killing_nondegenerate,
     leibniz_kernel,
 )
-from excalg.linalg import Matrix, Subspace, span_coordinate_map, unit_vec
+from excalg.linalg import Matrix, Subspace, solve, unit_vec
 from excalg.scalar import ONE, ZERO, Scalar, sc
 from excalg.tensor import StructureTensor
 
@@ -193,7 +193,7 @@ def _scalar_triples(key):
 
 
 def _scalar_maps(key, slot, triples):
-    """The maps psi by Scalar coordinate maps onto the stacked images."""
+    """The maps psi by one Scalar solve per pair on the stacked images."""
     alg = ms.standard_algebra(key)
     d, p = alg.dim, len(triples)
     pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
@@ -201,12 +201,12 @@ def _scalar_maps(key, slot, triples):
     ideals = [J for J in ms.tri_ideal_split(key) if J.dim] or [Subspace(p, [unit_vec(p, k) for k in range(p)])]
     kept = [(Matrix.from_cols(J.basis), Matrix(J.basis) @ flat) for J in ideals]
     kept = [(basis, image) for basis, image in kept if not image.is_zero()]
-    coords = span_coordinate_map([v for _, image in kept for v in image.entries])
+    stacked = Matrix.from_cols([v for _, image in kept for v in image.entries])
     maps = [[] for _ in kept]
     for a, b in pairs:
         iota = [(alg.gram[a, c] if r == b else ZERO) - (alg.gram[b, c] if r == a else ZERO)
                 for r in range(d) for c in range(d)]
-        x, offset = coords(iota), 0
+        x, offset = solve(stacked, iota), 0
         for psi, (basis, _) in zip(maps, kept):
             psi.append(basis.apply(x[offset:offset + basis.cols]))
             offset += basis.cols
@@ -221,7 +221,7 @@ class TestTrialityStage:
     @pytest.mark.parametrize("key", ["c", "h", "o"])
     def test_matches_scalar_reference(self, key, fraction_bracket):
         # the triples and the maps of one slot against the Scalar
-        # construction; the bracket against the Fraction closure of the
+        # construction; the bracket against the Gauss-Jordan closure of the
         # block-diagonal triples, for C and H
         tri = ms.triality_algebra(key)
         triples = _scalar_triples(key)

@@ -7,7 +7,7 @@ from excalg import intlin
 from excalg import liealg as ll
 from excalg import linalg as la
 from excalg.scalar import I, ONE, Scalar, ZERO, _make, rand_scalar, sc
-from excalg.tensor import StructureTensor
+from excalg.tensor import StructureTensor, cleared_ints, scalar_rows
 
 rationals = st.builds(
     lambda n, d: Scalar.rational(n, d),
@@ -147,43 +147,6 @@ class TestSubspace:
         assert a.intersect(b).dim == 1
         assert a.add(b).dim == 3
 
-    def test_coordinates_of(self):
-        s = la.Subspace(3, [[1, 0, 2], [0, 1, 3]])
-        coords = s.coordinates_of([2, 1, 7])
-        assert coords == [sc(2), sc(1)]
-        assert s.coordinates_of([0, 0, 1]) is None
-
-    def test_span_coordinate_map(self):
-        vs = [[1, 1, 0], [0, 1, 1]]
-        coords = la.span_coordinate_map(vs)
-        assert coords([1, 2, 1]) == [sc(1), sc(1)]
-        assert coords([1, 0, 0]) is None
-
-    @pytest.mark.parametrize("gaussian", [False, True], ids=["rational", "gaussian"])
-    def test_span_coordinate_map_matches_solve(self, gaussian):
-        checked = outside_seen = 0
-        for seed in range(20):
-            rng = random.Random(seed)
-            n = rng.randint(2, 7)
-            k = rng.randint(1, n - 1)
-            draw = lambda: [rand_scalar(rng, 4, gaussian) for _ in range(n)]
-            vectors = [draw() for _ in range(k)]
-            given_cols = la.Matrix.from_cols(vectors)
-            if la.rank(given_cols) < k:
-                continue
-            coords = la.span_coordinate_map(vectors)
-            weights = [rand_scalar(rng, 4, gaussian) for _ in range(k)]
-            inside = [sum((w * v[i] for w, v in zip(weights, vectors)), ZERO) for i in range(n)]
-            assert coords(inside) == la.solve(given_cols, inside) == weights
-            other = draw()
-            expected = la.solve(given_cols, other)
-            assert coords(other) == expected
-            outside_seen += expected is None
-            with pytest.raises(ValueError):
-                la.span_coordinate_map(vectors + [inside])
-            checked += 1
-        assert checked >= 15 and outside_seen >= 10
-
 
 def _rref_fraction(rows):
     """Reduced row echelon form by Fraction elimination over Q(i): the
@@ -257,7 +220,61 @@ class TestExactProduct:
         ]
 
 
+def _coordinates(vectors, targets):
+    """span_coordinates of Scalar vectors and targets, cleared over one
+    denominator, as Scalar rows; None when a target is outside the span."""
+    ints, _ = cleared_ints((x for v in vectors + targets for x in v), (len(vectors) + len(targets), len(vectors[0])))
+    solved = intlin.span_coordinates(ints[:len(vectors)], ints[len(vectors):])
+    return None if solved is None else scalar_rows(*solved)
+
+
 class TestSpanCoordinates:
+    @pytest.mark.parametrize("gaussian", [False, True], ids=["rational", "gaussian"])
+    def test_matches_solve(self, gaussian):
+        # 20 random spans against la.solve: a vector inside gives its
+        # weights, one outside gives None exactly when solve does, and a
+        # dependent family raises
+        checked = outside_seen = 0
+        for seed in range(20):
+            rng = random.Random(seed)
+            n = rng.randint(2, 7)
+            k = rng.randint(1, n - 1)
+            draw = lambda: [rand_scalar(rng, 4, gaussian) for _ in range(n)]
+            vectors = [draw() for _ in range(k)]
+            given_cols = la.Matrix.from_cols(vectors)
+            if la.rank(given_cols) < k:
+                continue
+            weights = [rand_scalar(rng, 4, gaussian) for _ in range(k)]
+            inside = [sum((w * v[i] for w, v in zip(weights, vectors)), ZERO) for i in range(n)]
+            assert _coordinates(vectors, [inside]) == [la.solve(given_cols, inside)] == [weights]
+            other = draw()
+            expected = la.solve(given_cols, other)
+            assert _coordinates(vectors, [other]) == (None if expected is None else [expected])
+            outside_seen += expected is None
+            with pytest.raises(ValueError):
+                _coordinates(vectors + [inside], [inside])
+            checked += 1
+        assert checked >= 15 and outside_seen >= 10
+
+    def test_gaussian_family_past_int64(self):
+        rng = random.Random(9)
+        big = sc(2 ** 70)
+        vectors = [[rand_scalar(rng, 4, True) + big * I * sc(rng.randint(-2, 2)) for _ in range(6)] for _ in range(3)]
+        assert la.rank(la.Matrix(vectors)) == 3
+        weights = [rand_scalar(rng, 4, True) for _ in range(3)]
+        inside = [sum((w * v[i] for w, v in zip(weights, vectors)), ZERO) for i in range(6)]
+        assert cleared_ints((x for v in vectors for x in v), (3, 6))[0].dtype == object
+        assert _coordinates(vectors, [inside]) == [weights]
+        outside = inside[:5] + [inside[5] + I]
+        assert la.solve(la.Matrix.from_cols(vectors), outside) is None
+        assert _coordinates(vectors, [outside]) is None
+
+    def test_family_dependent_only_over_gaussians_raises(self):
+        # v and i v are independent over Q but not over Q(i)
+        v = [ONE, sc(2), I]
+        with pytest.raises(ValueError, match="dependent"):
+            _coordinates([v, [I * x for x in v]], [v])
+
     @staticmethod
     def _family(rng, n, m, big=0):
         # n independent rows with column 0 zero, entries past int64 when big
@@ -512,11 +529,6 @@ class TestCertifiedElimination:
         )
         assert la.Matrix([[1, I], [3, 1]]).inverse() == g_inverse
         assert len(calls) == 10
-        assert la.span_coordinate_map([[sc(1), sc(1)], [sc(0), sc(1)]])([sc(2), sc(5)]) == [
-            sc(2), sc(3)
-        ]
-        assert la.span_coordinate_map([[ONE, I], [ZERO, ONE]])([sc(2), I]) == [sc(2), -I]
-        assert len(calls) == 14
 
     def test_unpaired_real_pivots_raise(self, monkeypatch):
         # the real form of a Q(i) system has its pivots in pairs; a lone
