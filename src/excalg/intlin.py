@@ -1,16 +1,18 @@
 """Certified exact kernels of rational and Gaussian systems.
 
 Every elimination of the package (``linalg._rref`` and with it ``rank``,
-``kernel``, ``solve``, ``inverse`` and ``Subspace``, the Leibniz kernels,
-the commutator closures and the Killing form of :mod:`excalg.liealg`, the
-sextonion products and the g2 vector model) clears denominators and calls
-:func:`int_kernel`, :func:`kernel_array`, :func:`int_rref` or
-:func:`span_coordinates`.  Q(i) rows are cleared to Gaussian integers and
-enter as their real form (:func:`realified`), a system over Z with twice
-the rows and columns; :func:`kernel_array` and :func:`span_coordinates`
-take them as arrays with a trailing (re, im) axis and do this themselves,
-so every coordinate solve and closure over Q(i) is certified on the real
-form.  All read one certified kernel, which
+``solve``, ``inverse`` and ``Subspace``, ``linalg.kernel``, the Leibniz
+kernels, the commutator closures, the derived algebra and the Killing form
+of :mod:`excalg.liealg`, the sextonion products and the g2 vector model)
+clears denominators and calls one of the entry points :func:`int_kernel`,
+:func:`kernel_array`, :func:`int_rref` or :func:`span_coordinates`.  Each
+reads the field from the array shape: integer rows [m, n] are rational,
+Gaussian integer rows [m, n, 2] of (re, im) are over Q(i).  Only this
+module knows the real form of a Q(i) system (:func:`_realified`), a system
+over Z with twice the rows and columns: :func:`_certified_kernel`
+eliminates it once and checks that its free columns come in pairs, and
+:func:`span_coordinates` solves its family in it.  All read one certified
+kernel, which
 
 1. discovers the pivot/free structure modulo a word-sized prime, after
    reducing the entries mod p when they are too large for the float bound
@@ -34,12 +36,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .scalar import ONE, ZERO, Scalar
-from .tensor import _cleared, biggest, int_array, rational_ints, scalar_rows
+from .scalar import Scalar
+from .tensor import biggest, int_array, scalar_rows
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -181,80 +183,37 @@ def exact_product(x: np.ndarray, y: np.ndarray, terms: int = 1) -> np.ndarray:
     return x * y
 
 
-def cleared_matrix(rows: Sequence[Iterable[Tuple[int, Scalar]]], ncols: int) -> np.ndarray:
-    """The integer matrix of rational rows, each given as (column, value)
-    pairs and multiplied by the lcm of its denominators, so the row space is
-    unchanged; a Q(i) value raises ValueError."""
-    at_row, at_col, nums = [], [], []
-    for r, row in enumerate(rows):
-        items = [(j, x) for j, x in row if x]
-        at_row += [r] * len(items)
-        at_col += [j for j, _ in items]
-        nums += rational_ints(x for _, x in items)[0]
-    values = int_array(nums)
-    a = np.zeros((len(rows), ncols), dtype=values.dtype)
-    a[at_row, at_col] = values
-    return a
-
-
-def realified(re, im) -> np.ndarray:
-    """The real form of the Gaussian integer matrix re + i im (two m x n
-    integer arrays or nested lists): entry a + bi becomes the block
-    [[a, -b], [b, a]] in rows 2r, 2r + 1 and columns 2j, 2j + 1.  This is a
-    ring map, so a complex row space and its reduced row echelon form are
-    carried to the real ones."""
-    re = np.array(re, dtype=object)
-    im = np.array(im, dtype=object)
-    m, n = re.shape
-    out = np.zeros((2 * m, 2 * n), dtype=object)
+def _realified(a: np.ndarray) -> np.ndarray:
+    """The real form of a Gaussian integer array [m, n, 2] of (re, im):
+    entry a + bi becomes the block [[a, -b], [b, a]] in rows 2r, 2r + 1 and
+    columns 2j, 2j + 1.  This is a ring map, so a complex row space and its
+    kernel are carried to the real ones."""
+    m, n, _ = a.shape
+    out = np.zeros((2 * m, 2 * n), dtype=int_dtype(biggest(a)))
+    re, im = a[..., 0].astype(out.dtype), a[..., 1].astype(out.dtype)
     out[0::2, 0::2] = re
     out[0::2, 1::2] = -im
     out[1::2, 0::2] = im
     out[1::2, 1::2] = re
-    try:
-        return out.astype(np.int64)
-    except OverflowError:
-        return out
-
-
-def realified_rows(rows: Sequence[Sequence[Scalar]], ncols: int) -> np.ndarray:
-    """:func:`realified` of Q(i) rows, each multiplied by the lcm of its
-    denominators, so the row space is unchanged."""
-    re = [[0] * ncols for _ in rows]
-    im = [[0] * ncols for _ in rows]
-    for r, row in enumerate(rows):
-        for j, a, b in _cleared(row)[0]:
-            re[r][j], im[r][j] = a, b
-    return realified(re, im)
+    return out
 
 
 def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> List[List[Scalar]]:
-    """Exact rational kernel basis of integer rows (lists or a 2-D array,
-    entries of any size).
+    """Exact kernel basis of integer rows (lists or a 2-D array, entries of
+    any size), or of Gaussian integer rows [m, ncols, 2].
 
     Returns one vector per free column f of the reduced row echelon form, in
     increasing f, with a 1 at f, zeros at the other free columns and -R[r][f]
-    at the pivot of row r: the vectors :func:`excalg.linalg.kernel` builds
-    from the reduced rows before it echelons them.
+    at the pivot of row r.
     """
     return scalar_rows(*kernel_array(rows, ncols))
 
 
 def kernel_array(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[np.ndarray, int]:
     """The vectors of :func:`int_kernel` as one integer array K over their
-    common denominator den: vector f is K[f] / den.
-
-    Gaussian integer rows, an array [m, ncols, 2] of (re, im), give the
-    Q(i) vectors as K[f, ncols, 2].  Their real form is eliminated: its
-    free columns come in pairs (2f, 2f + 1), and the vector of column 2f,
-    with x_2j + i x_2j+1 at j, is the Q(i) vector of free column f."""
-    if isinstance(rows, np.ndarray) and rows.ndim == 3:
-        k, den = kernel_array(realified(rows[..., 0], rows[..., 1]), 2 * ncols)
-        return k[0::2].reshape(-1, ncols, 2), den
-    free, basis = _certified_kernel(rows, ncols)
-    scales = basis[np.arange(len(free)), free].tolist()
-    den = math.lcm(1, *scales)
-    return exact_product(basis, int_array([den // s for s in scales])[:, None]), den
+    common denominator den: vector f is K[f] / den, K[f, ncols, 2] of (re,
+    im) for Gaussian integer rows [m, ncols, 2]."""
+    return _certified_kernel(rows, ncols)[1:]
 
 
 def span_coordinates(family: np.ndarray, targets: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
@@ -275,9 +234,7 @@ def span_coordinates(family: np.ndarray, targets: np.ndarray) -> Optional[Tuple[
     exact check on the real form covers both parts of every target, and a
     family dependent over Q(i) has dependent real rows."""
     if family.ndim == 3:
-        solved = span_coordinates(
-            realified(family[..., 0], family[..., 1]), realified(targets[..., 0], targets[..., 1])[0::2]
-        )
+        solved = span_coordinates(_realified(family), _realified(targets)[0::2])
         if solved is None:
             return None
         x, den = solved
@@ -300,39 +257,43 @@ def span_coordinates(family: np.ndarray, targets: np.ndarray) -> Optional[Tuple[
     return x, den
 
 
-def int_rref(
-    rows: Sequence[Sequence[int]], ncols: int
-) -> Tuple[List[List[Scalar]], List[int]]:
-    """Exact reduced row echelon form of integer rows: the nonzero rows and
-    the pivot columns, read off the kernel of :func:`int_kernel`.  The row
-    of pivot p is e_p - sum_f v_f[p] e_f over the kernel vectors v_f."""
-    free, basis = _certified_kernel(rows, ncols)
+def int_rref(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[List[List[Scalar]], List[int]]:
+    """Exact reduced row echelon form of integer rows, or of Gaussian
+    integer rows [m, ncols, 2]: the nonzero rows and the pivot columns, read
+    off the kernel of :func:`int_kernel`.  The row of pivot p is e_p -
+    sum_f v_f[p] e_f over the kernel vectors v_f, and v_f[p] is zero for p
+    past f."""
+    free, k, den = _certified_kernel(rows, ncols)
     free_set = set(free)
     pivots = [j for j in range(ncols) if j not in free_set]
-    reduced = {p: [ONE if j == p else ZERO for j in range(ncols)] for p in pivots}
-    for f, col in zip(free, basis.tolist()):
-        for p in pivots:
-            if p > f:
-                break
-            if col[p]:
-                reduced[p][f] = Scalar.rational(-col[p], col[f])
-    return list(reduced.values()), pivots
+    reduced = np.zeros((len(pivots), ncols) + k.shape[2:], dtype=k.dtype)
+    reduced[:, free] = -k[:, pivots].swapaxes(0, 1)
+    # den at each pivot, in the real part over Q(i)
+    reduced.reshape(len(pivots), ncols, k.ndim - 1)[np.arange(len(pivots)), pivots, 0] = den
+    return scalar_rows(reduced, den), pivots
 
 
-def _certified_kernel(
-    rows: Sequence[Sequence[int]], ncols: int
-) -> Tuple[List[int], np.ndarray]:
-    """The free columns and an integer array with, for each, the kernel
-    vector scaled to integers (its entry at the free column is the scale),
-    verified exactly."""
-    a_full = int_array(rows).reshape(len(rows), ncols)
+def _certified_kernel(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[List[int], np.ndarray, int]:
+    """The free columns and their kernel vectors over one common
+    denominator den, verified exactly: (free, K, den), the vector of free
+    column free[k] being K[k] / den, with a 1 there.
+
+    Gaussian integer rows [m, ncols, 2] are eliminated once in their real
+    form.  Its columns 2j and 2j + 1 are the real forms of c_j and i c_j,
+    and the span of the columns before them is closed under i, so its free
+    columns come in pairs (2f, 2f + 1); a lone free column raises.  The
+    vector of column 2f, with x_2j + i x_2j+1 at j, is the Q(i) vector of
+    free column f, returned as K[k, ncols, 2]."""
+    gaussian = isinstance(rows, np.ndarray) and rows.ndim == 3
+    a_full = _realified(rows) if gaussian else int_array(rows).reshape(len(rows), ncols)
+    width = a_full.shape[1]
     amax = biggest(a_full)
     # reduce mod p first when an entry is past the float bound of _compress
     big = a_full.dtype == object or amax >= _PRIMES[-1]
     # Each number to lift is a ratio of minors below 2**height (Hadamard).
     # It takes about 2 * height / 29 primes with the right pivots, and the
     # primes with wrong ones divide a nonzero minor, so there are fewer.
-    height = min(a_full.shape) * (amax * ncols).bit_length()
+    height = min(a_full.shape) * (amax * width).bit_length()
     primes = itertools.chain(_PRIMES, _primes_below(_PRIMES[-1]))
     rng = random.Random(0xE8)
 
@@ -348,7 +309,7 @@ def _certified_kernel(
         if pivots != pivots_ref:
             continue
         pivot_set = set(pivots)
-        free = [j for j in range(ncols) if j not in pivot_set]
+        free = [j for j in range(width) if j not in pivot_set]
         cand = -red[: len(pivots)][:, free] % p
         if residues is None:
             residues, modulus = cand.astype(object), p
@@ -356,12 +317,21 @@ def _certified_kernel(
             inv = pow(modulus, -1, p)
             residues = residues + modulus * ((cand - residues) * inv % p)
             modulus *= p
-        basis = _lift(residues, modulus, pivots, free, ncols)
-        if basis is None:
-            continue
-        if not len(basis) or not checked_int_matmul(a_full, basis.T).any():
-            return free, basis
-    raise ArithmeticError("integer kernel lifting failed; system too ill-conditioned")
+        basis = _lift(residues, modulus, pivots, free, width)
+        if basis is not None and (not len(basis) or not checked_int_matmul(a_full, basis.T).any()):
+            break
+    else:
+        raise ArithmeticError("integer kernel lifting failed; system too ill-conditioned")
+    if gaussian:
+        if free[1::2] != [f + 1 for f in free[0::2]] or any(f % 2 for f in free[0::2]):
+            raise ArithmeticError("real form of a Q(i) system has unpaired pivots")
+        free, basis = free[0::2], basis[0::2]
+    scales = basis[np.arange(len(free)), free].tolist()
+    den = math.lcm(1, *scales)
+    basis = exact_product(basis, int_array([den // s for s in scales])[:, None])
+    if gaussian:
+        return [f // 2 for f in free], basis.reshape(len(free), ncols, 2), den
+    return free, basis, den
 
 
 def _lift(residues, modulus: int, pivots: List[int], free: List[int], ncols: int):
@@ -369,9 +339,12 @@ def _lift(residues, modulus: int, pivots: List[int], free: List[int], ncols: int
     = -R[r][free[k]] mod modulus, each scaled by the lcm of its
     denominators, or None when a reconstruction fails."""
     at, k = np.nonzero(residues)
-    recs = [_rational_reconstruct(v, modulus) for v in residues[at, k].tolist()]
-    if None in recs:
-        return None
+    recs = []
+    for v in residues[at, k].tolist():
+        rec = _rational_reconstruct(v, modulus)
+        if rec is None:
+            return None
+        recs.append(rec)
     scales = [1] * len(free)
     for kk, (_, den) in zip(k.tolist(), recs):
         scales[kk] = math.lcm(scales[kk], den)

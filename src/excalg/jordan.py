@@ -30,7 +30,7 @@ from .linalg import (
     zero_vec,
 )
 from .scalar import _Q, ONE, ZERO, Scalar, _make, sc
-from .tensor import StructureTensor, _cleared, rational_ints
+from .tensor import StructureTensor, _cleared, cleared_ints
 
 _OFF_SLOTS = ((0, 1), (0, 2), (1, 2))
 _TWO = sc(2)
@@ -60,7 +60,10 @@ class JordanAlgebra:
         self.trace_weights = tuple(
             self._trace(self._table[(i, i)]) for i in range(self.dim)
         )
-        self._weight_ints, self._weight_den = rational_ints(self.trace_weights)
+        weights, self._weight_den = cleared_ints(self.trace_weights, (self.dim,))
+        if weights.ndim > 1:
+            raise ValueError("the trace weights must be rational")
+        self._weight_ints = weights.tolist()
         self._basis_adjugates = None
 
     # -- basis bookkeeping ---------------------------------------------------

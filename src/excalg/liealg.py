@@ -195,8 +195,8 @@ def commutator_closure_algebra(
     integer array [n, ..., r, c] of numerators over den whose middle axes
     index diagonal blocks.  The commutators are formed as integer products,
     solved for at once and certified on every entry by
-    :func:`excalg.intlin.span_coordinates` (over Q(i) in its real form),
-    and the bracket is built as integer cells."""
+    :func:`excalg.intlin.span_coordinates` (over Q or Q(i)), and the
+    bracket is built as integer cells."""
     n = len(matrices)
     if n == 0:
         return SCAlgebra(0, {}, skew=True, matrices=[], name=name, cartan=cartan)
@@ -273,8 +273,8 @@ def leibniz_kernel(
     unchanged.  An entry sums at most 3d products below 2 * max^2 (int64
     when 6 d max^2 < 2**63, else Python integers).  Duplicate rows, such as
     the (j, i) rows of a commutative product when B_u = C_u, are dropped.
-    The certified integer kernel of the column-reversed matrix, over Q(i)
-    in its real form (:func:`excalg.intlin.kernel_array`), gives the basis.
+    The certified integer kernel of the column-reversed matrix, over Q or
+    Q(i) (:func:`excalg.intlin.kernel_array`), gives the basis.
     With ints it is returned as one integer array over the common
     denominator, (K, den), the vector k being K[k] / den (K[k, :, 0] + i
     K[k, :, 1] over Q(i)).
@@ -511,18 +511,16 @@ def killing_gram_int(g: SCAlgebra) -> np.ndarray:
 
 
 def killing_nondegenerate(g: SCAlgebra) -> bool:
-    """True when the Killing form has an empty (verified) kernel; over Q(i)
-    the kernel of its real form."""
-    if g.tensor.rational:
-        return not intlin.int_kernel(killing_gram_int(g), g.dim)
+    """True when the Killing form has an empty (verified) kernel, over Q or
+    over Q(i)."""
     k = _killing_join(g.tensor)
-    return not intlin.int_kernel(intlin.realified(k[:, :, 0], k[:, :, 1]), 2 * g.dim)
+    return not len(intlin.kernel_array(k[:, :, 0] if g.tensor.rational else k, g.dim)[0])
 
 
 def derived_dimension(g: SCAlgebra) -> int:
     """Dimension of the span of all basis brackets, exact: the rank of the
     distinct cell rows of the tensor, each divided by the gcd of its
-    entries, by the certified modular path; Q(i) rows in their real form."""
+    entries, by the certified modular path over Q or over Q(i)."""
     t = g.tensor
     out, vals = t.out.tolist(), [tuple(v) for v in t.val.tolist()]
     bounds = np.flatnonzero(np.diff(t.pair, prepend=-1)).tolist() + [len(out)]
@@ -534,11 +532,10 @@ def derived_dimension(g: SCAlgebra) -> int:
     if not rows:
         return 0
     at = tuple(np.array([(r, k) for r, cell in enumerate(rows) for k, _ in cell]).T)
-    m = np.zeros((len(rows), g.dim, t.val.shape[1]), dtype=object)
+    # a row divided by its gcd is at most t.biggest in absolute value
+    m = np.zeros((len(rows), g.dim, t.val.shape[1]), dtype=intlin.int_dtype(t.biggest))
     m[at] = np.array([v for cell in rows for _, v in cell], dtype=object).reshape(-1, t.val.shape[1])
-    if t.rational:
-        return g.dim - len(intlin.int_kernel(intlin.int_array(m[:, :, 0].tolist()), g.dim))
-    return g.dim - len(intlin.int_kernel(intlin.realified(m[:, :, 0], m[:, :, 1]), 2 * g.dim)) // 2
+    return g.dim - len(intlin.kernel_array(m[:, :, 0] if t.rational else m, g.dim)[0])
 
 
 # -- stabilizers in gl_n ----------------------------------------------------------

@@ -1,10 +1,11 @@
 """Exact dense linear algebra over Q and Q(i).
 
-Matrices hold Scalar entries; rank, kernel, and solve are computed by exact
-elimination on the modular path with exact verification
-(:mod:`excalg.intlin`): rational rows directly, Q(i) rows through their
-real form over Z.  Subspaces are canonicalized to reduced row echelon form,
-so subspace equality is plain syntactic equality of bases.
+Matrices hold Scalar entries; rank, kernel, and solve clear the rows to
+one integer array over one denominator (:func:`excalg.tensor.cleared_ints`,
+with a trailing (re, im) axis over Q(i)) and take the certified kernel of
+:mod:`excalg.intlin`, which alone knows how a Q(i) system is eliminated.
+Subspaces are canonicalized to reduced row echelon form, so subspace
+equality is plain syntactic equality of bases.
 
 Everything here is immutable-after-construction and pure; results never
 alias their inputs.
@@ -16,7 +17,8 @@ import random
 from typing import Iterable, List, Optional, Sequence
 
 from . import intlin
-from .scalar import ONE, ZERO, Scalar, _make, rand_scalar, sc
+from .scalar import ONE, ZERO, Scalar, rand_scalar, sc
+from .tensor import cleared_ints, scalar_rows
 
 Vector = List[Scalar]
 
@@ -200,27 +202,16 @@ def rank(m: Matrix) -> int:
 def kernel(m: Matrix) -> "Subspace":
     """Canonical echelon basis of the right kernel of m.
 
-    One elimination of the column-reversed matrix: its kernel vectors, one
-    per free column f, vanish at the other free columns and are nonzero only
-    at pivots before f.  Read backwards they are already in reduced row
-    echelon form, with their pivots at the reversed free columns."""
+    One certified kernel of the column-reversed matrix: its vectors, one
+    per free column f, are 1 at f, vanish at the other free columns and are
+    nonzero only at pivots before f.  Read backwards they are already in
+    reduced row echelon form, each with its pivot at its first nonzero
+    entry."""
     n = m.cols
-    reduced, pivots = _rref([row[::-1] for row in m.entries])
-    pivot_set = set(pivots)
-    basis, basis_pivots = [], []
-    for f in range(n - 1, -1, -1):
-        if f in pivot_set:
-            continue
-        v = zero_vec(n)
-        v[n - 1 - f] = ONE
-        for row, p in zip(reduced, pivots):
-            if p > f:
-                break
-            if row[f]:
-                v[n - 1 - p] = -row[f]
-        basis.append(v)
-        basis_pivots.append(n - 1 - f)
-    return Subspace._echelon(n, basis, basis_pivots)
+    ints, _ = cleared_ints((x for row in m.entries for x in row), (m.rows, n))
+    k, den = intlin.kernel_array(ints[:, ::-1], n)
+    basis = scalar_rows(k[::-1, ::-1], den)
+    return Subspace._echelon(n, basis, [next(j for j, x in enumerate(v) if x) for v in basis])
 
 
 def solve(m: Matrix, rhs: Sequence[Scalar]) -> Optional[Vector]:
@@ -266,28 +257,14 @@ def random_invertible(
 def _rref(rows: List[List[Scalar]]) -> tuple[List[List[Scalar]], List[int]]:
     """Reduced row echelon form; returns the nonzero rows and the pivots.
 
-    The rows are cleared to integers and read off their certified kernel
-    (:func:`excalg.intlin.int_rref`).  Rows with a Q(i) entry are cleared to
-    Gaussian integers and eliminated in their real form, whose reduced rows
-    are the real forms of the complex ones: the pivots come in pairs
-    (2p, 2p + 1), and row 2k holds re, -im of complex row k."""
+    The rows are cleared to integers over one denominator, Gaussian
+    integers when some entry is in Q(i), and read off their certified
+    kernel (:func:`excalg.intlin.int_rref`)."""
     if not rows:
         return [], []
     ncols = len(rows[0])
-    if not any(x.im for row in rows for x in row):
-        return intlin.int_rref(
-            intlin.cleared_matrix([enumerate(row) for row in rows], ncols), ncols
-        )
-    real, real_pivots = intlin.int_rref(intlin.realified_rows(rows, ncols), 2 * ncols)
-    pivots = real_pivots[0::2]
-    if real_pivots[1::2] != [p + 1 for p in pivots] or any(p % 2 for p in pivots):
-        raise ArithmeticError("real form of a Q(i) system has unpaired pivots")
-    reduced = [
-        [_make(row[j].re, -row[j + 1].re) if row[j] or row[j + 1] else ZERO
-         for j in range(0, 2 * ncols, 2)]
-        for row in real[0::2]
-    ]
-    return reduced, [p // 2 for p in pivots]
+    ints, _ = cleared_ints((x for row in rows for x in row), (len(rows), ncols))
+    return intlin.int_rref(ints, ncols)
 
 
 class Subspace:

@@ -62,7 +62,7 @@ from .linalg import (
     unit_vec,
 )
 from .scalar import ONE, ZERO, Scalar, sc
-from .tensor import StructureTensor, cleared_ints, rational_ints, scalar_rows
+from .tensor import StructureTensor, cleared_ints, scalar_rows
 
 
 class CalibrationFailed(RuntimeError):
@@ -381,8 +381,8 @@ class _SquareTables:
     def tensor(self, lam: List[Scalar]) -> StructureTensor:
         """The bracket at the couplings lam: T_0 + sum_u lam_u T_u, summed
         cell by cell in integers and divided once."""
-        nums, den = rational_ints(lam)
-        vals = exact_product(self.val, int_array([den] + nums)[self.table], len(self.val))
+        nums, den = cleared_ints(lam, (len(lam),))
+        vals = exact_product(self.val, int_array([den] + nums.tolist())[self.table], len(self.val))
         keys, sums = _summed(self.pair * self.dim + self.out, vals)
         keys, sums = keys[sums != 0], sums[sums != 0]
         g = gcd(self.den * den, *sums.tolist())

@@ -40,13 +40,10 @@ class StructureTensor:
             if c:
                 keys.append((i * dim + j) * dim + k)
                 constants.append(c)
-        den = lcm(1, *(q.denominator for c in constants for q in (c.re, c.im)))
-        cols = [[_scaled(c.re, den) for c in constants]]
-        if any(c.im for c in constants):
-            cols.append([_scaled(c.im, den) for c in constants])
+        values, den = cleared_ints(constants, (len(constants),))
         keys = np.array(keys, dtype=np.int64)
         order = np.argsort(keys)
-        self._fill(dim, den, keys[order], int_array(list(zip(*cols))).reshape(-1, len(cols))[order])
+        self._fill(dim, den, keys[order], values[order])
 
     @classmethod
     def from_cells(cls, dim: int, den: int, keys: np.ndarray, values: np.ndarray):
@@ -54,10 +51,11 @@ class StructureTensor:
         (i * dim + j) * dim + k in increasing order and the nonzero values
         den * c_ij^k, one per key (rational) or one (re, im) row per key."""
         t = cls.__new__(cls)
-        t._fill(dim, den, keys, values if values.ndim == 2 else values[:, None])
+        t._fill(dim, den, keys, values)
         return t
 
     def _fill(self, dim: int, den: int, keys: np.ndarray, values: np.ndarray):
+        values = values if values.ndim == 2 else values[:, None]
         self.biggest = biggest(values)
         if values.dtype == object and self.biggest < 1 << 63:
             values = values.astype(np.int64)
@@ -138,28 +136,18 @@ def _scaled(q, den: int) -> int:
     return q.numerator * (den // q.denominator)
 
 
-def rational_ints(values: Iterable[Scalar]) -> Tuple[List[int], int]:
-    """(nums, den) with values[k] == nums[k] / den, den the lcm of the
-    denominators; raises ValueError on a Gaussian entry."""
-    qs = []
-    for v in values:
-        if v.im:
-            raise ValueError("integer fast path requires rational entries")
-        qs.append(v.re)
-    den = lcm(1, *(q.denominator for q in qs))
-    return [_scaled(q, den) for q in qs], den
-
-
-def cleared_ints(values: Iterable[Scalar], shape) -> Tuple[np.ndarray, int]:
+def cleared_ints(values: Iterable[Scalar], shape: Tuple[int, ...]) -> Tuple[np.ndarray, int]:
     """(A, den) with A an integer array of the given shape and values[k] ==
     A.flat[k] / den, den the lcm of the denominators; a trailing (re, im)
-    axis is added only when some value is Gaussian."""
+    axis is added only when some value is Gaussian.  The one dense clearing
+    of Scalars, from the nonzero values that :func:`_cleared`, the sparse
+    per-vector form, clears."""
     values = list(values)
-    den = lcm(1, *(q.denominator for v in values for q in (v.re, v.im)))
-    re = int_array([_scaled(v.re, den) for v in values]).reshape(shape)
-    if not any(v.im for v in values):
-        return re, den
-    return np.stack((re, int_array([_scaled(v.im, den) for v in values]).reshape(shape)), axis=-1), den
+    nz, den, rational = _cleared(values)
+    cells = int_array([c[1:] for c in nz]).reshape(len(nz), 2)
+    a = np.zeros((len(values), 2), dtype=cells.dtype)
+    a[[k for k, _, _ in nz]] = cells
+    return a[:, 0].reshape(shape) if rational else a.reshape(shape + (2,)), den
 
 
 def scalar_rows(x: np.ndarray, den: int) -> List[List[Scalar]]:

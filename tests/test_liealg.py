@@ -636,7 +636,7 @@ class TestDerivedAndKilling:
         # two primes, nondegenerate over Q
         p0, p1 = intlin._PRIMES[:2]
         gram = np.array([[1, 1], [1, 1 + p0 * p1]], dtype=np.int64)
-        monkeypatch.setattr(ll, "killing_gram_int", lambda g: gram)
+        monkeypatch.setattr(ll, "_killing_join", lambda t: gram[:, :, None])
         assert ll.killing_nondegenerate(ll.SCAlgebra(2, {}, skew=True))
 
     def test_gaussian_killing(self):

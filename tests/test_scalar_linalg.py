@@ -391,6 +391,20 @@ class TestIntKernel:
             assert n - len(intlin.int_kernel(rows, n)) == rank
             assert la.rank(la.Matrix(rows)) == rank
 
+    def test_lift_stops_at_the_first_failed_reconstruction(self, monkeypatch):
+        # a residue with no small fraction fails the lift at once: the
+        # residues after it are not reconstructed
+        import numpy as np
+
+        p0 = intlin._PRIMES[0]
+        residues = np.array([[p0 // 2 + 12345, 3, 5]], dtype=object)
+        assert intlin._rational_reconstruct(p0 // 2 + 12345, p0) is None
+        calls = []
+        reconstruct = intlin._rational_reconstruct
+        monkeypatch.setattr(intlin, "_rational_reconstruct", lambda v, m: calls.append(v) or reconstruct(v, m))
+        assert intlin._lift(residues, p0, [0], [1, 2, 3], 4) is None
+        assert len(calls) == 1
+
     def test_prime_with_later_pivots_is_passed_over(self):
         # modulo p0 the first column vanishes and the pivots move from
         # (0, 1) to (1, 2): as many pivots, but later, so p0 must lose
@@ -530,15 +544,29 @@ class TestCertifiedElimination:
         assert la.Matrix([[1, I], [3, 1]]).inverse() == g_inverse
         assert len(calls) == 10
 
-    def test_unpaired_real_pivots_raise(self, monkeypatch):
-        # the real form of a Q(i) system has its pivots in pairs; a lone
-        # pivot is an error, not a reason to eliminate another way
-        int_rref = intlin.int_rref
+    @pytest.mark.parametrize("eliminate", [
+        lambda: la.rank(la.Matrix([[I, ONE]])),
+        lambda: la.kernel(la.Matrix([[I, ONE]])),
+        lambda: intlin.kernel_array(_gaussian_ints([[I, ONE]]), 2),
+        lambda: ll.derived_dimension(_gaussian_heisenberg()),
+        lambda: ll.killing_nondegenerate(_gaussian_heisenberg()),
+    ], ids=["rank", "kernel", "kernel_array", "derived_dimension", "killing_nondegenerate"])
+    def test_unpaired_real_pivots_raise(self, eliminate, monkeypatch):
+        # the real form of a Q(i) system has its free columns in pairs; a
+        # lone one, here a zero column appended to the real form, is an
+        # error on every Gaussian entry point, not a reason to eliminate
+        # another way
+        import numpy as np
 
-        def drop_last_pivot(rows, ncols):
-            reduced, pivots = int_rref(rows, ncols)
-            return reduced[:-1], pivots[:-1]
+        realified = intlin._realified
+        monkeypatch.setattr(intlin, "_realified", lambda a: np.pad(realified(a), ((0, 0), (0, 1))))
+        with pytest.raises(ArithmeticError, match="unpaired"):
+            eliminate()
 
-        monkeypatch.setattr(intlin, "int_rref", drop_last_pivot)
-        with pytest.raises(ArithmeticError):
-            la.rank(la.Matrix([[I, ONE]]))
+
+def _gaussian_ints(rows):
+    return cleared_ints((x for row in rows for x in row), (len(rows), len(rows[0])))[0]
+
+
+def _gaussian_heisenberg():
+    return ll.SCAlgebra(3, {(0, 1): {2: I}, (1, 0): {2: -I}}, skew=True)
