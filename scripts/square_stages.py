@@ -7,16 +7,21 @@ wall-clock timers:
 
 - the certificates ``jacobi_check``, ``killing_nondegenerate``,
   ``StructureTensor.from_cells`` and ``SCAlgebra._check_skew``;
+- the three stages of ``jacobi_check``: the choice of a generating set by
+  peeling (``_generators``), the derivation joins
+  (``_Cells.is_derivation``) and the scan over every triple (``_scan``),
+  which runs only when the certificate does not settle the check;
 - the triality stage: the uncached calls of ``triality_algebra`` and
   ``equivariant_pair_maps`` (the ``lru_cache`` stays outside the timer),
   and ``commutator_closure_algebra``;
 - the construction of ``_SquareTables``.
 
-Stages nest: ``_SquareTables`` includes the triality stage, whose
-``triality_algebra`` includes ``commutator_closure_algebra``.  Prints one
-JSON line: the import and column times, each stage's time and its share of
-the column, and the peak resident set.  Run it in a fresh interpreter per
-measurement, so no cache carries over:
+Stages nest: ``jacobi_check`` includes its three stages, and
+``_SquareTables`` includes the triality stage, whose ``triality_algebra``
+includes ``commutator_closure_algebra``.  Prints one JSON line: the import
+and column times, each stage's time and its share of the column, the
+``jacobi_check`` time of each build, and the peak resident set.  Run it in
+a fresh interpreter per measurement, so no cache carries over:
 
     PYTHONPATH=src python scripts/square_stages.py
 """
@@ -30,7 +35,8 @@ start = time.perf_counter()
 from excalg import liealg, magicsquare, tensor  # noqa: E402
 
 STAGES = (
-    "jacobi_check", "killing_nondegenerate", "from_cells", "_check_skew",
+    "jacobi_check", "_generators", "is_derivation", "_scan",
+    "killing_nondegenerate", "from_cells", "_check_skew",
     "triality_algebra", "equivariant_pair_maps", "commutator_closure_algebra", "_SquareTables",
 )
 spent = dict.fromkeys(STAGES, 0.0)
@@ -53,6 +59,9 @@ def main():
     killing = timed("killing_nondegenerate", liealg.killing_nondegenerate)
     for module in (liealg, magicsquare):
         module.jacobi_check, module.killing_nondegenerate = jacobi, killing
+    liealg._generators = timed("_generators", liealg._generators)
+    liealg._scan = timed("_scan", liealg._scan)
+    liealg._Cells.is_derivation = timed("is_derivation", liealg._Cells.is_derivation)
     magicsquare.commutator_closure_algebra = timed(
         "commutator_closure_algebra", liealg.commutator_closure_algebra
     )
@@ -63,9 +72,12 @@ def main():
     cls.from_cells = classmethod(timed("from_cells", cls.from_cells.__func__))
     liealg.SCAlgebra._check_skew = timed("_check_skew", liealg.SCAlgebra._check_skew)
     magicsquare._SquareTables.__init__ = timed("_SquareTables", magicsquare._SquareTables.__init__)
+    jacobi_by_entry = {}
     t0 = time.perf_counter()
-    for key in ("r", "c", "h", "o"):
+    for key, name in (("r", "f4"), ("c", "e6"), ("h", "e7"), ("o", "e8")):
+        before = spent["jacobi_check"]
         entry = magicsquare.vinberg_build(key, "o")
+        jacobi_by_entry[name] = round(spent["jacobi_check"] - before, 3)
         if not magicsquare.killing_nondegenerate(entry.algebra):
             raise SystemExit(f"({key}, o): degenerate Killing form")
     column = time.perf_counter() - t0
@@ -73,6 +85,7 @@ def main():
     for name in STAGES:
         report[f"{name}_s"] = round(spent[name], 3)
         report[f"{name}_share"] = round(spent[name] / column, 3)
+    report["jacobi_check_by_entry_s"] = jacobi_by_entry
     report["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     print(json.dumps(report))
 

@@ -277,7 +277,7 @@ class MagicSquareAlgebra:
     tri_dims: Tuple[int, int]
     slot_dim: int
     calibration: Dict[str, Scalar]
-    checked: int  # basis triples covered by the final Jacobi check
+    checked: int  # basis triples the final Jacobi check covers: dim ** 3
 
     @property
     def dim(self) -> int:
@@ -435,9 +435,11 @@ def vinberg_build(key_a: str, key_b: str, seed: int = 0) -> MagicSquareAlgebra:
     """Assemble the Lie algebra attached to a pair of composition algebras.
 
     The coupling constants are solved from the Jacobi identity on a
-    structured generating set of triples; the identity is then re-verified
-    exhaustively on every basis triple, and any failing triple is fed back
-    into the linear system until the verification closes."""
+    structured generating set of triples.  The identity is then verified on
+    every basis triple by :func:`excalg.liealg.jacobi_check`, from the
+    derivations of a generating set or by the scan, and the first failing
+    triple is fed back into the linear system until the verification
+    closes."""
     for key in (key_a, key_b):
         if key not in ALGEBRA_ORDER:
             raise ValueError(f"unknown algebra {key!r}, expected one of {ALGEBRA_ORDER}")

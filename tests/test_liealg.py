@@ -320,6 +320,156 @@ class TestJacobi:
         assert not matches_plain_path(ll.SCAlgebra(3, br)).passed
 
 
+def scan_only(monkeypatch):
+    """Cap the certificate at zero join terms, so that full mode scans."""
+    monkeypatch.setattr(ll._Cells, "scan_terms", property(lambda self: 0))
+
+
+def full_report(g):
+    rep = ll.jacobi_check(g, "full")
+    return rep.passed, rep.checked, rep.witness
+
+
+def times(g, c):
+    """g with its bracket times the constant c: still skew, and a Lie
+    algebra when g is one."""
+    return ll.SCAlgebra(g.dim, {key: {k: v * c for k, v in comp.items()} for key, comp in g.bracket.items()})
+
+
+def der_o_variant(octonions, case):
+    """der(O) as is, in a Gaussian basis, or with its bracket times 2^40
+    (constants past the int64 bound), corrupted when case says so."""
+    g = ll.derivations(octonions)
+    if "gaussian" in case:
+        g = ll.SCAlgebra(g.dim, rescaled(g, [I if k % 2 else sc(1) for k in range(g.dim)]).bracket)
+    if "2^40" in case:
+        g = times(g, sc(2 ** 40))
+    if "corrupted" in case:
+        g = corrupted(g, sorted(k for k in g.bracket if k[0] < k[1])[3], sc(3))
+    return g
+
+
+class TestJacobiCertificate:
+    @pytest.mark.parametrize("case", ["so3", "gl2", "gl2-corrupted"])
+    def test_small_algebras_scan(self, case):
+        # dims 3 and 4: a generating set joins about as many terms as the scan
+        g = {"so3": so3, "gl2": gaussian_gl2, "gl2-corrupted": lambda: gaussian_gl2(h_weight=3)}[case]()
+        assert ll._generators(ll._Cells(g.tensor)) is None
+        assert full_report(g) == plain_jacobi(g)
+        assert full_report(g)[0] == (case != "gl2-corrupted")
+
+    @pytest.mark.parametrize("case", [
+        "der(O)", "der(O)-corrupted", "der(O)-gaussian", "der(O)-gaussian-corrupted",
+        "der(O)-2^40", "der(O)-2^40-corrupted",
+    ])
+    def test_report_equals_the_scan(self, case, octonions, monkeypatch):
+        g = der_o_variant(octonions, case)
+        cells = ll._Cells(g.tensor)
+        assert ll._generators(cells) is not None
+        assert cells.val.dtype == (object if "2^40" in case else np.int64)
+        assert g.tensor.rational == ("gaussian" not in case)
+        certified = full_report(g)
+        scan_only(monkeypatch)
+        assert certified == full_report(g) == plain_jacobi(g)
+        assert certified[0] == ("corrupted" not in case)
+
+    def test_derivation_residual_matches_scalar_path(self, octonions):
+        # R_s[j, k] = [s, [j, k]] - [[s, j], k] - [j, [s, k]] is minus the
+        # Jacobi residual of (s, j, k), here read off the summed join
+        big = times(so3(), sc(2 ** 40))
+        for g in (gaussian_gl2(h_weight=3), corrupted(so3(), (0, 1), sc(3)), corrupted(big, (0, 1), sc(3)),
+                  der_o_variant(octonions, "der(O)-corrupted")):
+            cells, d, den = ll._Cells(g.tensor), g.dim, g.tensor.den ** 2
+            for s in range(d):
+                keys, sums = ll._summed(*cells.derivation_residual(s))
+                got = {}
+                for key, row in zip(keys.tolist(), sums.tolist()):
+                    j, k, l = key // (d * d), key // d % d, key % d
+                    assert j < k or not any(row)
+                    got[(j, k, l)] = ll.scalar_of(row, den)
+                for j, k in itertools.combinations(range(d), 2):
+                    residual = ll._jacobi_witness(g, s, j, k) or [ZERO] * d
+                    assert [got.get((j, k, l), ZERO) for l in range(d)] == [-x for x in residual]
+                assert cells.is_derivation(s) == all(
+                    ll._jacobi_witness(g, s, j, k) is None for j in range(d) for k in range(d)
+                )
+
+    def test_square_entries_take_the_certificate(self, monkeypatch):
+        from excalg import magicsquare as ms
+
+        entries = [ms.built_square_entry(a, b) for a in "rcho" for b in "rcho"]
+        entries = [e.algebra for e in entries if e.dim <= 133]
+        scans = []
+        monkeypatch.setattr(ll, "_scan", lambda *args, scan=ll._scan: scans.append(1) or scan(*args))
+        certified = [full_report(g) for g in entries]
+        # dims 3 and 8 need as many join terms as the scan; the rest do not
+        assert len(scans) == sum(g.dim <= 8 for g in entries) == 3
+        for g, report in zip(entries, certified):
+            cells = ll._Cells(g.tensor)
+            chosen = ll._generators(cells)
+            assert (chosen is None) == (g.dim <= 8)
+            if chosen is not None:
+                seeds = np.zeros(g.dim, dtype=bool)
+                seeds[chosen] = True
+                assert cells.generated(seeds).all()
+            assert report == (True, g.dim ** 3, None)
+        scan_only(monkeypatch)
+        assert [full_report(g) for g in entries] == certified
+
+    def test_corruption_outside_the_generators_fails(self, octonions):
+        der = ll.derivations(octonions)
+        for key in sorted(k for k in der.bracket if k[0] < k[1]):
+            bad = corrupted(der, key, sc(3))
+            cells = ll._Cells(bad.tensor)
+            chosen = ll._generators(cells)
+            if chosen is not None and not set(key) & set(chosen):
+                break
+        else:
+            pytest.fail("every corruptible cell touches the generators")
+        assert not all(cells.is_derivation(s) for s in chosen)
+        report = full_report(bad)
+        assert not report[0] and report == plain_jacobi(bad)
+
+    def test_peel_reaches_only_a_lone_output(self):
+        # [e0, e1] = e2 + e3 puts e2 + e3 in the subalgebra generated by
+        # e0 and e1, but neither e2 nor e3 alone; [e0, e2] = e3 then
+        # reaches e3 once e2 is reached
+        one = sc(1)
+        g = ll.SCAlgebra(4, {(0, 1): {2: one, 3: one}, (1, 0): {2: -one, 3: -one},
+                             (0, 2): {3: one}, (2, 0): {3: -one}}, skew=True)
+        cells = ll._Cells(g.tensor)
+        assert cells.generated(np.array([1, 1, 0, 0], dtype=bool)).tolist() == [True, True, False, False]
+        assert cells.generated(np.array([1, 0, 1, 0], dtype=bool)).tolist() == [True, False, True, True]
+        assert cells.generated(np.array([1, 1, 1, 0], dtype=bool)).all()
+
+    def test_peel_of_a_proper_subalgebra_stops(self):
+        # tri(O) + tri(O) is the subalgebra on the first 56 indices of e8:
+        # its brackets never leave it, so peeling from it reaches no more
+        from excalg import magicsquare as ms
+
+        entry = ms.built_square_entry("o", "o")
+        cells, d = ll._Cells(entry.algebra.tensor), entry.dim
+        tri = np.arange(d) < sum(entry.tri_dims)
+        assert cells.generated(tri).tolist() == tri.tolist()
+        seeds = np.zeros(d, dtype=bool)
+        seeds[ll._generators(cells)] = True
+        assert cells.generated(seeds).all()
+
+    def test_forced_cost_cap_takes_the_scan(self, octonions, monkeypatch):
+        from excalg import magicsquare as ms
+
+        f4, bad = ms.built_square_entry("r", "o").algebra, der_o_variant(octonions, "der(O)-corrupted")
+        rows = []
+        row_residual = ll._Cells.row_residual
+        monkeypatch.setattr(ll._Cells, "row_residual", lambda self, i: rows.append(i) or row_residual(self, i))
+        certified = full_report(f4), full_report(bad)
+        assert rows and rows[0] == 0 and rows == sorted(rows)  # only the corrupted algebra scanned
+        rows.clear()
+        scan_only(monkeypatch)
+        assert (full_report(f4), full_report(bad)) == certified
+        assert rows[:52] == list(range(52)) and rows[52] == 0
+
+
 def _elementary(n, i, j):
     return Matrix([[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)])
 
@@ -592,6 +742,19 @@ def killing_reference(g):
     return out
 
 
+def killing_gram_int(g):
+    """The Killing Gram matrix of the integer-scaled bracket den * c from
+    the join of ``_killing_join``, as int64: a Gaussian constant, or an
+    entry that does not fit, raises ValueError."""
+    if not g.tensor.rational:
+        raise ValueError("the integer Killing form requires rational constants")
+    k = ll._killing_join(g.tensor)[:, :, 0]
+    try:
+        return k.astype(np.int64)
+    except OverflowError:
+        raise ValueError("a Killing form entry does not fit in int64") from None
+
+
 class TestDerivedAndKilling:
     def test_semisimple_full_derived(self, octonions):
         der = ll.derivations(octonions)
@@ -602,16 +765,16 @@ class TestDerivedAndKilling:
         # sums in Python integers and matches trace(ad ad) exactly
         big = sc(2 ** 25)
         g = ll.SCAlgebra(4, {(0, 1): {2: big}, (1, 0): {2: -big}}, skew=True)
-        assert ll.killing_gram_int(g).tolist() == killing_reference(g)
+        assert killing_gram_int(g).tolist() == killing_reference(g)
         rng = random.Random(7)
         for d, height in ((2, 3), (3, 2 ** 29), (4, 2 ** 29), (5, 7)):
             g = random_skew_algebra(rng, d, height)
-            assert ll.killing_gram_int(g).tolist() == killing_reference(g)
+            assert killing_gram_int(g).tolist() == killing_reference(g)
 
     def test_killing_int64_guard(self):
         # [e0, e1] = c e1 has K[0, 0] = c^2, which fits int64 up to c = 3037000499
         def gram(c):
-            return ll.killing_gram_int(
+            return killing_gram_int(
                 ll.SCAlgebra(2, {(0, 1): {1: sc(c)}, (1, 0): {1: sc(-c)}}, skew=True)
             )
 
@@ -657,7 +820,7 @@ class TestDerivedAndKilling:
             assert (not gram.det().is_zero()) == expected
             assert ll.killing_nondegenerate(g) == expected
         with pytest.raises(ValueError):
-            ll.killing_gram_int(sl2)
+            killing_gram_int(sl2)
 
     def test_abelian_derived_zero(self):
         g = ll.SCAlgebra(2, {}, skew=True)
