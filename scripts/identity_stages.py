@@ -1,0 +1,171 @@
+#!/usr/bin/env python3
+"""Per-kind timers on warm passes of the benchmark's identities mix.
+
+Sets up the passes of ``perfbench/workloads.py``'s ``identity_requests``
+(the same seeded inputs and proportions as the ``identities`` workload:
+alternative, Moufang and norm identities on O and split-O, sedenion
+counterexamples, Cayley-Hamilton and adj(adj x) = det(x) x in H3(a), and
+trivector pullbacks), then runs them warm in this fresh interpreter with
+
+- each check timed and summed by identity kind;
+- the element product loop timed as one layer: the outermost call of
+  ``StructureTensor.product`` (the Scalar product) or of
+  ``StructureTensor.vec_product`` (the product of cleared integer vectors),
+  whichever the source has; the layer includes clearing the inputs and
+  building the output.
+
+Prints one JSON line: the set-up time, the median pass time, each kind's
+time per pass and share of a pass, the product layer's time per pass and
+share, and the peak resident set.  Nothing under ``perfbench/`` is changed;
+the checks use public element operations only, as the workload's do.  Run
+it in a fresh interpreter per measurement:
+
+    PYTHONPATH=src python scripts/identity_stages.py [--seed N] [--passes K]
+"""
+
+import argparse
+import json
+import resource
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
+clock = time.perf_counter
+PRODUCT_LOOP = ("product", "vec_product")
+
+
+def setup(seed, passes):
+    """The algebras, the prepared requests of each pass, and the Jordan
+    adjugate cache filled, as the workload's set-up does."""
+    from excalg import composition as co
+    from excalg import jordan as jd
+    from excalg import linalg as la
+    from excalg import threeform as tf
+    from excalg.scalar import Scalar
+
+    algebras = {
+        "o": co.canonical_octonions(),
+        "split-o": co.named_algebra("split-o"),
+        "sedenion": co.named_algebra("sedenion"),
+    }
+
+    def prepare(req):
+        kind, param = req["kind"], req["param"]
+        if kind in workloads.ARITY:
+            alg = algebras[param]
+            return [alg.element([Scalar.parse(c) for c in e]) for e in req["elements"]]
+        if kind in ("cayley_hamilton", "adj_adj"):
+            return [jd.jordan_algebra(param).element([Scalar.parse(c) for c in req["coords"]])]
+        g = la.random_invertible(7, seed=req["matrix_seed"], height=2, field="gaussian")
+        return [g, tf.representative(param)]
+
+    prepared = [
+        [(req, prepare(req)) for req in workloads.identity_requests(seed, p)]
+        for p in range(passes)
+    ]
+    for a in (1, 2, 4, 8):
+        jd.jordan_algebra(a).basis_adjugates()
+    return prepared
+
+
+def check(req, args):
+    """One check's outcome; True when the identity (or, for the sedenions,
+    the counterexample) holds."""
+    from excalg import forms as fm
+    from excalg import jordan as jd
+    from excalg import threeform as tf
+
+    kind = req["kind"]
+    if kind == "alternative":
+        x, y = args
+        xx = x * x
+        return x * (x * y) == xx * y and (y * x) * x == y * xx and (x * y) * x == x * (y * x)
+    if kind == "moufang":
+        x, y, z = args
+        return (
+            z * (x * (z * y)) == ((z * x) * z) * y
+            and x * (z * (y * z)) == ((x * z) * y) * z
+            and (z * x) * (y * z) == (z * (x * y)) * z
+        )
+    if kind in ("norm", "sedenion"):
+        u, v = args
+        return ((u * v).norm() == u.norm() * v.norm()) == (kind == "norm")
+    if kind == "cayley_hamilton":
+        return jd.cayley_hamilton_check(args[0]).passed
+    if kind == "adj_adj":
+        (x,) = args
+        return jd.adjugate(jd.adjugate(x)) == x.scale(jd.det_cubic(x))
+    g, rep = args
+    return tf.classify(fm.pullback(g, rep)).label == req["param"]
+
+
+def time_product_loop(spent):
+    """Wrap the product methods that exist; only the outermost call counts."""
+    from excalg import tensor
+
+    depth = [0]
+
+    def timed(fn):
+        def wrapper(*args, **kwargs):
+            if depth[0]:
+                return fn(*args, **kwargs)
+            depth[0] = 1
+            t = clock()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] = 0
+                spent[0] += clock() - t
+
+        return wrapper
+
+    names = [n for n in PRODUCT_LOOP if hasattr(tensor.StructureTensor, n)]
+    for name in names:
+        setattr(tensor.StructureTensor, name, timed(getattr(tensor.StructureTensor, name)))
+    return names
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--passes", type=int, default=6)
+    args = parser.parse_args()
+    start = clock()
+    prepared = setup(args.seed, args.passes)
+    setup_s = clock() - start
+    product_s = [0.0]
+    wrapped = time_product_loop(product_s)
+    by_kind, walls, products = {}, [], []
+    for requests in prepared:
+        before, t0 = product_s[0], clock()
+        for req, elems in requests:
+            t = clock()
+            if not check(req, elems):
+                raise SystemExit(f"check {req['id']} ({req['kind']}, {req['param']}) failed")
+            by_kind[req["kind"]] = by_kind.get(req["kind"], 0.0) + clock() - t
+        walls.append(clock() - t0)
+        products.append(product_s[0] - before)
+    total = sum(walls)
+    report = {
+        "seed": args.seed,
+        "passes": args.passes,
+        "setup_s": round(setup_s, 4),
+        "pass_s_median": round(statistics.median(walls), 5),
+        "pass_s": [round(w, 5) for w in walls],
+        "product_layer": wrapped,
+        "product_s_per_pass": round(sum(products) / args.passes, 5),
+        "product_share": round(sum(products) / total, 3),
+    }
+    for kind in sorted(by_kind):
+        report[f"{kind}_s_per_pass"] = round(by_kind[kind] / args.passes, 5)
+        report[f"{kind}_share"] = round(by_kind[kind] / total, 3)
+    report["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    print(json.dumps(report))
+
+
+if __name__ == "__main__":
+    main()

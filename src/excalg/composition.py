@@ -28,7 +28,7 @@ from .linalg import (
     zero_vec,
 )
 from .scalar import I, ONE, ZERO, Scalar, sc
-from .tensor import StructureTensor, cleared_ints, scalar_rows
+from .tensor import Element, StructureTensor, Vec, _cleared, cleared, cleared_ints, scalar_of, scalar_rows
 
 STANDARD = "standard"
 SPLIT = "split"
@@ -76,7 +76,7 @@ class CompAlgebra:
     conjugation but not a composition algebra.
     """
 
-    __slots__ = ("dim", "table", "conj_signs", "gram", "name", "tensor")
+    __slots__ = ("dim", "table", "conj_signs", "gram", "name", "tensor", "_form")
 
     def __init__(self, table, conj_signs=None, name: str = "", check: bool = True):
         d = len(table)
@@ -100,6 +100,10 @@ class CompAlgebra:
                 b = self._mul_basis_conj(j, i)
                 gram[i][j] = (a + b) / sc(2)
         self.gram = Matrix(gram)
+        # the Gram matrix cleared once: (i, j, re, im) at its nonzero
+        # entries over one denominator
+        nz, den, rational = _cleared([x for row in gram for x in row])
+        self._form = [(*divmod(k, d), re, im) for k, re, im in nz], den, rational
         if check:
             self._check_invariants()
 
@@ -139,21 +143,40 @@ class CompAlgebra:
         return [sc(s) * v for s, v in zip(self.conj_signs, x)]
 
     def bilinear(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
-        return vec_dot(x, self.gram.apply(list(y)))
+        return self._pairing(cleared(x), cleared(y))
 
     def norm_coords(self, x: Sequence[Scalar]) -> Scalar:
-        return self.bilinear(x, x)
+        v = cleared(x)
+        return self._pairing(v, v)
+
+    def _pairing(self, x: Vec, y: Vec) -> Scalar:
+        """<x, y> = sum_ij G_ij x_i y_j for cleared vectors: an integer
+        quadratic form on the cleared Gram matrix, divided once."""
+        cells, den, rational = self._form
+        (xr, xi, dx), (yr, yi, dy) = x, y
+        if rational and xi is None and yi is None:
+            re, im = sum(g * xr[i] * yr[j] for i, j, g, _ in cells), 0
+        else:
+            zero = (0,) * self.dim
+            xi, yi = xi or zero, yi or zero
+            re = im = 0
+            for i, j, g, h in cells:
+                a, b, c, e = xr[i], xi[i], yr[j], yi[j]
+                p, q = a * c - b * e, a * e + b * c
+                re += p * g - q * h
+                im += p * h + q * g
+        return scalar_of((re, im), den * dx * dy)
 
     # -- elements -----------------------------------------------------------
 
     def element(self, coords: Sequence) -> "AlgElement":
-        return AlgElement(self, [sc(c) for c in coords])
+        return AlgElement(self, coords)
 
     def unit(self) -> "AlgElement":
-        return self.element(unit_vec(self.dim, 0))
+        return self.basis(0)
 
     def basis(self, i: int) -> "AlgElement":
-        return self.element(unit_vec(self.dim, i))
+        return AlgElement._of(self, (tuple(int(k == i) for k in range(self.dim)), None, 1))
 
     def basis_product(self, i: int, j: int) -> List[Scalar]:
         """Product table access shared with the derivation solver."""
@@ -175,61 +198,38 @@ class CompAlgebra:
         return f"CompAlgebra({self.name or self.dim})"
 
 
-@dataclass(frozen=True)
-class AlgElement:
-    """An element of a CompAlgebra, as a coordinate vector."""
+class AlgElement(Element):
+    """An element of a CompAlgebra, kept as one cleared vector ``vec`` =
+    (re, im, den): integer tuples over one denominator, im None when every
+    coordinate is rational, reduced by gcd(den, *re, *im).  Products,
+    norms, sums and equality run in Python integers; ``coords``, the Scalar
+    coordinates, is built once, on first read."""
 
-    algebra: CompAlgebra
-    coords: tuple
-
-    def __init__(self, algebra: CompAlgebra, coords: Sequence):
-        cs = tuple(sc(c) for c in coords)
-        if len(cs) != algebra.dim:
-            raise ValueError("coordinate length mismatch")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coords", cs)
+    __slots__ = ()
 
     def __mul__(self, other: "AlgElement") -> "AlgElement":
-        return AlgElement(
-            self.algebra, self.algebra.mul_coords(self.coords, other.coords)
-        )
-
-    def __add__(self, other: "AlgElement") -> "AlgElement":
-        return AlgElement(self.algebra, vec_add(list(self.coords), list(other.coords)))
-
-    def __sub__(self, other: "AlgElement") -> "AlgElement":
-        return self + other.scale(sc(-1))
-
-    def scale(self, c) -> "AlgElement":
-        return AlgElement(self.algebra, vec_scale(sc(c), list(self.coords)))
+        return AlgElement._of(self.algebra, self.algebra.tensor.vec_product(self.vec, other.vec))
 
     def conj(self) -> "AlgElement":
-        return AlgElement(self.algebra, self.algebra.conj_coords(self.coords))
+        re, im, den = self.vec
+        signs = self.algebra.conj_signs
+        return AlgElement._of(self.algebra, (
+            tuple(s * v for s, v in zip(signs, re)),
+            None if im is None else tuple(s * v for s, v in zip(signs, im)),
+            den,
+        ))
 
     def norm(self) -> Scalar:
-        return self.algebra.norm_coords(self.coords)
+        return self.algebra._pairing(self.vec, self.vec)
 
     def real_part(self) -> Scalar:
-        return self.algebra.bilinear(self.coords, unit_vec(self.algebra.dim, 0))
+        return self.algebra._pairing(self.vec, self.algebra.unit().vec)
 
     def imaginary_part(self) -> "AlgElement":
-        r = self.real_part()
-        out = list(self.coords)
-        out[0] = out[0] - r
-        return AlgElement(self.algebra, out)
+        return self - self.algebra.unit().scale(self.real_part())
 
     def is_imaginary(self) -> bool:
         return self.real_part().is_zero()
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgElement)
-            and self.algebra is other.algebra
-            and self.coords == other.coords
-        )
 
 
 # -- constructions -------------------------------------------------------------

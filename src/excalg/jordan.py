@@ -8,14 +8,18 @@ always use the symmetrized product.  The dual space is identified with the
 algebra through the trace pairing, which makes the derivative of the cubic
 determinant an element again; derivative extraction is exact interpolation
 at t in {-1, 0, 1, 2}, never symbolic differentiation.  The trace pairing
-is diagonal in the basis, so it is kept as one weight per coordinate and
-every pairing is a weighted sum over the nonzero coordinates.
+is diagonal in the basis, so it is kept as one integer weight per
+coordinate over one denominator and every pairing is a weighted sum of
+products of integers.  Elements are cleared integer vectors (see
+:mod:`excalg.tensor`); the determinant and the adjugate are computed on
+them in integers and divided once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .composition import CompAlgebra, canonical_octonions, named_algebra
@@ -29,11 +33,10 @@ from .linalg import (
     vec_scale,
     zero_vec,
 )
-from .scalar import _Q, ONE, ZERO, Scalar, _make, sc
-from .tensor import StructureTensor, _cleared, cleared_ints
+from .scalar import ONE, ZERO, Scalar, sc
+from .tensor import Element, StructureTensor, Vec, cleared, cleared_ints, reduced, scalar_of
 
 _OFF_SLOTS = ((0, 1), (0, 2), (1, 2))
-_TWO = sc(2)
 _HALF = Scalar.rational(1, 2)
 
 
@@ -144,7 +147,7 @@ class JordanAlgebra:
         return self.tensor.product(x, y)
 
     def element(self, coords: Sequence) -> "JordanElement":
-        return JordanElement(self, [sc(c) for c in coords])
+        return JordanElement(self, coords)
 
     def from_parts(self, diag: Sequence, off: Optional[Sequence[Sequence]] = None):
         coords = [sc(c) for c in diag]
@@ -197,17 +200,13 @@ def jordan_algebra(a: int) -> JordanAlgebra:
     return JordanAlgebra(named_algebra(names[a]))
 
 
-@dataclass(frozen=True)
-class JordanElement:
-    algebra: JordanAlgebra
-    coords: tuple
+class JordanElement(Element):
+    """An element of a JordanAlgebra, kept as one cleared vector ``vec`` =
+    (re, im, den) as :class:`~excalg.composition.AlgElement` is: products,
+    traces, the trace pairing, the determinant and the adjugate run in
+    Python integers, and ``coords`` is built once, on first read."""
 
-    def __init__(self, algebra: JordanAlgebra, coords: Sequence):
-        cs = tuple(sc(c) for c in coords)
-        if len(cs) != algebra.dim:
-            raise ValueError("coordinate length mismatch")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coords", cs)
+    __slots__ = ()
 
     # diagonal and off-diagonal accessors
     @property
@@ -217,25 +216,6 @@ class JordanElement:
     def off_slot(self, s: int) -> tuple:
         a = self.algebra.a
         return self.coords[3 + s * a : 3 + (s + 1) * a]
-
-    def __add__(self, other):
-        return JordanElement(self.algebra, vec_add(list(self.coords), list(other.coords)))
-
-    def __sub__(self, other):
-        return self + other.scale(sc(-1))
-
-    def scale(self, c):
-        return JordanElement(self.algebra, vec_scale(sc(c), list(self.coords)))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, JordanElement)
-            and self.algebra is other.algebra
-            and self.coords == other.coords
-        )
 
     def to_json(self) -> dict:
         a = self.algebra.a
@@ -261,78 +241,81 @@ def jordan_product(x: JordanElement, y: JordanElement) -> JordanElement:
     """(XY + YX) / 2, computed entrywise over the base algebra."""
     if x.algebra is not y.algebra:
         raise ValueError("elements of different algebras")
-    return JordanElement(x.algebra, x.algebra.product_coords(x.coords, y.coords))
+    return JordanElement._of(x.algebra, x.algebra.tensor.vec_product(x.vec, y.vec))
 
 
 def trace(x: JordanElement) -> Scalar:
-    return x.coords[0] + x.coords[1] + x.coords[2]
+    return scalar_of(_tr(x.vec), x.vec[2])
 
 
 def trace_pairing(x: JordanElement, y: JordanElement) -> Scalar:
     """tr(x o y): the invariant pairing identifying the algebra with its
     dual."""
-    return _pair(x.algebra, x.coords, y.coords)
+    return _pair(x.algebra, x.vec, y.vec)
 
 
 def det_cubic(x: JordanElement) -> Scalar:
     """The cubic determinant tr(M^3)/3 - tr(M) tr(M^2)/2 + tr(M)^3/6 with
     powers taken in the symmetrized product."""
-    t1 = trace(x)
-    m2 = jordan_product(x, x)
-    t2 = trace(m2)
-    t3 = trace_pairing(x, m2)
-    return t3 / sc(3) - t1 * t2 / sc(2) + t1 * t1 * t1 / sc(6)
+    cubic = _Cubic(x)
+    return scalar_of(cubic.six_det(cubic.tr_x, cubic.tr_m, cubic.c0), cubic.den)
 
 
-class _LineContext:
-    """Shared pieces of the cubic restricted to lines through a fixed
-    element: the element cleared to Gaussian integers, its square, their
-    traces, and their pairing."""
+class _Cubic:
+    """The cubic near x = X / D, in integers.  With the tensor's denominator
+    T and the trace weights W / Wd, x o x = M / (T D^2) for M the product
+    sums of X with itself; at any point the traces of its first three
+    powers are A / D, B / (T D^2) and C / (Wd T D^3) with Gaussian integers
+    A, B, C, and then 6 Wd T D^3 Det = 2 C - 3 Wd A B + Wd T A^3.  Holds
+    X, M, their traces, C at x itself (c0) and the denominator
+    den = 6 Wd T D^3."""
 
-    __slots__ = ("alg", "xc", "x_ints", "m2", "trm", "trm2", "t_xm2")
+    __slots__ = ("alg", "x", "d", "m", "tr_x", "tr_m", "c0", "den")
 
     def __init__(self, x: JordanElement):
-        self.alg = x.algebra
-        self.xc = list(x.coords)
-        self.x_ints = _cleared(self.xc)
-        self.m2 = self.alg.product_coords(self.xc, self.xc)
-        self.trm = _tr(self.alg, self.xc)
-        self.trm2 = _tr(self.alg, self.m2)
-        self.t_xm2 = _pair_cleared(self.alg, self.x_ints, _cleared(self.m2))
+        self.alg = alg = x.algebra
+        self.x = x.vec
+        self.d = d = x.vec[2]
+        self.m = alg.tensor.sums(x.vec, x.vec)
+        self.tr_x, self.tr_m = _tr(self.x), _tr(self.m)
+        self.c0 = _dot(alg._weight_ints, self.x, self.m)
+        self.den = 6 * alg._weight_den * alg.tensor.den * d ** 3
+
+    def six_det(self, a, b, c) -> Tuple[int, int]:
+        """6 Wd T D^3 Det at a point whose powers have the traces A, B, C."""
+        wd, t = self.alg._weight_den, self.alg.tensor.den
+        ab, a3 = _gmul(a, b), _gmul(a, _gmul(a, a))
+        return tuple(2 * u - 3 * wd * v + wd * t * w for u, v, w in zip(c, ab, a3))
 
 
-def _det_along_line(ctx: _LineContext, e: int):
-    """Values of t -> Det(x + t E_e) at the interpolation nodes -1, 0, 1, 2,
-    as Gaussian integers (re, im) over one common denominator.
+def _det_along_line(cubic: _Cubic, e: int):
+    """Values of t -> 6 Wd T D^3 Det(x + t E_e) at the interpolation nodes
+    -1, 0, 1, 2, as Gaussian integers (re, im).
 
-    The traces of (x + tE)^k are polynomials in t whose coefficients are
-    cleared to Gaussian integers over den; then 6 den^3 Det(x + tE) =
-    2 den^2 tr3 - 3 den tr1 tr2 + tr1^3 in integers at each node."""
-    alg = ctx.alg
-    q = alg.product_coords(ctx.xc, unit_vec(alg.dim, e))
-    r = alg.basis_product(e, e)
-    # tr((x+tE)^2) = trm2 + 2t trq + t^2 trr
-    # tr((x+tE)^3) = T(x+tE, (x+tE)^2), with T(E, v) = w_e v_e
-    w = alg.trace_weights[e]
-    c1 = w * ctx.m2[e] + _TWO * _pair_cleared(alg, ctx.x_ints, _cleared(q))
-    c2 = _pair_cleared(alg, ctx.x_ints, _cleared(r)) + _TWO * w * q[e]
-    coeffs = [ctx.trm, alg.trace_vec[e], ctx.trm2, _TWO * _tr(alg, q), _tr(alg, r),
-              ctx.t_xm2, c1, c2, w * r[e]]
-    ints = [(0, 0)] * len(coeffs)
-    cleared, den, _ = _cleared(coeffs)
-    for k, u, v in cleared:
-        ints[k] = (u, v)
-    a0, a1, b0, b1, b2, *c = ints
+    With Q = X o E_e and R = E_e o E_e as product sums (over T D and T), the
+    traces at x + t E_e are, for s = t D:
+    A = tr X + s tr E_e, B = tr M + 2 s tr Q + s^2 tr R and
+    C = c0 + s (W_e M_e + 2 T(X, Q)) + s^2 (T(X, R) + 2 W_e Q_e) + s^3 W_e R_e,
+    with T(u, v) = sum_i W_i u_i v_i."""
+    alg, x, m, d = cubic.alg, cubic.x, cubic.m, cubic.d
+    unit = (tuple(int(k == e) for k in range(alg.dim)), None, 1)
+    q = alg.tensor.sums(x, unit)
+    r = alg.tensor.sums(unit, unit)
+    weights = alg._weight_ints
+    w = weights[e]
+    a1 = (int(e < 3), 0)
+    b1, b2 = tuple(2 * v for v in _tr(q)), _tr(r)
+    c1 = tuple(w * u + 2 * v for u, v in zip(_at(m, e), _dot(weights, x, q)))
+    c2 = tuple(u + 2 * w * v for u, v in zip(_dot(weights, x, r), _at(q, e)))
+    c3 = tuple(w * v for v in _at(r, e))
     values = []
     for t in (-1, 0, 1, 2):
-        tr1 = tuple(u + t * v for u, v in zip(a0, a1))
-        tr2 = tuple(u + t * (v + t * x) for u, v, x in zip(b0, b1, b2))
-        tr3 = tuple(u + t * (v + t * (x + t * y)) for u, v, x, y in zip(*c))
-        prod, cube = _gmul(tr1, tr2), _gmul(tr1, _gmul(tr1, tr1))
-        values.append(tuple(
-            2 * den * den * u - 3 * den * v + x for u, v, x in zip(tr3, prod, cube)
-        ))
-    return values, 6 * den ** 3
+        s = t * d
+        a = tuple(u + s * v for u, v in zip(cubic.tr_x, a1))
+        b = tuple(u + s * (v + s * y) for u, v, y in zip(cubic.tr_m, b1, b2))
+        c = tuple(u + s * (v + s * (y + s * z)) for u, v, y, z in zip(cubic.c0, c1, c2, c3))
+        values.append(cubic.six_det(a, b, c))
+    return values
 
 
 def _gmul(x: Tuple[int, int], y: Tuple[int, int]) -> Tuple[int, int]:
@@ -340,33 +323,33 @@ def _gmul(x: Tuple[int, int], y: Tuple[int, int]) -> Tuple[int, int]:
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _tr(alg: JordanAlgebra, coords) -> Scalar:
-    return coords[0] + coords[1] + coords[2]
+def _at(v, k: int) -> Tuple[int, int]:
+    """Coordinate k of an integer vector (re, im, ...), as (re, im)."""
+    return v[0][k], 0 if v[1] is None else v[1][k]
 
 
-def _pair(alg: JordanAlgebra, x, y) -> Scalar:
-    """The trace form sum_i w_i x_i y_i."""
-    return _pair_cleared(alg, _cleared(x), _cleared(y))
+def _tr(v) -> Tuple[int, int]:
+    """The trace of an integer vector (re, im, ...), as (re, im)."""
+    re, im = v[0], v[1]
+    return re[0] + re[1] + re[2], 0 if im is None else im[0] + im[1] + im[2]
 
 
-def _pair_cleared(alg: JordanAlgebra, xs, ys) -> Scalar:
-    """The trace form on two vectors cleared by tensor._cleared: summed in
-    Gaussian integers over the coordinates where both are nonzero, with the
-    weights cleared likewise, and divided once."""
-    (xs, dx, _), (ys, dy, _) = xs, ys
-    at = {i: (c, d) for i, c, d in ys}
-    weights = alg._weight_ints
-    re = im = 0
-    for i, a, b in xs:
-        cd = at.get(i)
-        if cd is not None:
-            c, d = cd
-            re += weights[i] * (a * c - b * d)
-            im += weights[i] * (a * d + b * c)
-    if not (re or im):
-        return ZERO
-    den = dx * dy * alg._weight_den
-    return _make(_Q(re, den), _Q(im, den))
+def _dot(weights: Sequence[int], x, y) -> Tuple[int, int]:
+    """sum_i w_i x_i y_i for integer vectors (re, im, ...), as (re, im)."""
+    (xr, xi), (yr, yi) = x[:2], y[:2]
+    if xi is None and yi is None:
+        return sum(w * a * c for w, a, c in zip(weights, xr, yr)), 0
+    zero = (0,) * len(xr)
+    xi, yi = xi or zero, yi or zero
+    re = sum(w * (a * c - b * e) for w, a, b, c, e in zip(weights, xr, xi, yr, yi))
+    im = sum(w * (a * e + b * c) for w, a, b, c, e in zip(weights, xr, xi, yr, yi))
+    return re, im
+
+
+def _pair(alg: JordanAlgebra, x: Vec, y: Vec) -> Scalar:
+    """The trace form sum_i w_i x_i y_i of two cleared vectors: summed in
+    Gaussian integers with the weights cleared likewise, and divided once."""
+    return scalar_of(_dot(alg._weight_ints, x, y), alg._weight_den * x[2] * y[2])
 
 
 def adjugate(x: JordanElement) -> JordanElement:
@@ -376,15 +359,24 @@ def adjugate(x: JordanElement) -> JordanElement:
     Each directional derivative is the linear coefficient c1 of the cubic
     f(t) = Det(x + tE).  On the nodes -1, 0, 1, 2 the Vandermonde system
     has the fixed solution row c1 = (-2f(-1) - 3f(0) + 6f(1) - f(2)) / 6.
+    With f = F / (6 Wd T D^3) and the weight w_e = W_e / Wd, coordinate e
+    of the gradient is (-2F(-1) - 3F(0) + 6F(1) - F(2)) / (36 T D^3 W_e),
+    so the whole adjugate is one integer vector over 36 T D^3 lcm(W).
     """
     alg = x.algebra
-    ctx = _LineContext(x)
-    grad = []
-    for e, w in enumerate(alg.trace_weights):
-        (fm1, f0, f1, f2), den = _det_along_line(ctx, e)
-        re, im = (6 * p1 - 2 * m1 - 3 * z0 - p2 for m1, z0, p1, p2 in zip(fm1, f0, f1, f2))
-        grad.append(_make(_Q(re, 6 * den), _Q(im, 6 * den)) / w)
-    return JordanElement(alg, grad)
+    weights = alg._weight_ints
+    if 0 in weights:
+        raise ZeroDivisionError("the trace form is degenerate")
+    cubic = _Cubic(x)
+    common = lcm(*weights)
+    re, im = [], []
+    for e, w in enumerate(weights):
+        fm1, f0, f1, f2 = _det_along_line(cubic, e)
+        u, v = (6 * p1 - 2 * m1 - 3 * z0 - p2 for m1, z0, p1, p2 in zip(fm1, f0, f1, f2))
+        re.append(u * (common // w))
+        im.append(v * (common // w))
+    den = 36 * alg.tensor.den * cubic.d ** 3 * common
+    return JordanElement._of(alg, reduced(re, im, den))
 
 
 def adjugate_closed_form(x: JordanElement) -> JordanElement:
@@ -506,14 +498,14 @@ def symplectic_pairing(p: FreudenthalVector, q: FreudenthalVector) -> Scalar:
 
 
 def _with_cleared(v: FreudenthalVector):
-    """v with its H3 parts m and n cleared by tensor._cleared."""
-    return v, _cleared(v.m), _cleared(v.n)
+    """v with its H3 parts m and n as cleared vectors."""
+    return v, cleared(v.m), cleared(v.n)
 
 
 def _omega(alg: JordanAlgebra, u, v) -> Scalar:
     """The symplectic form on two vectors given by _with_cleared."""
     (p, pm, pn), (q, qm, qn) = u, v
-    return ((_pair_cleared(alg, pn, qm) - _pair_cleared(alg, qn, pm))
+    return ((_pair(alg, pn, qm) - _pair(alg, qn, pm))
             + (p.alpha * q.beta - q.alpha * p.beta))
 
 

@@ -59,6 +59,10 @@ class SCAlgebra:
     product reads.  An algebra built from a dict keeps the dict as its
     Scalar ``bracket`` view; one built from a StructureTensor keeps the
     tensor and builds that view from the cells the first time it is read.
+    ``matrices``, the family of a commutator closure, is kept as given: a
+    list of Matrix, or an integer array [n, r, c] ([n, r, c, 2] of (re, im)
+    over Q(i)) with its denominator, whose Matrix view is built on first
+    read.
     """
 
     def __init__(
@@ -68,7 +72,7 @@ class SCAlgebra:
         skew: bool = True,
         unital: bool = False,
         cartan: Optional[List[List[Scalar]]] = None,
-        matrices: Optional[List[Matrix]] = None,
+        matrices: Union[None, List[Matrix], Tuple[np.ndarray, int]] = None,
         name: str = "",
     ):
         self.dim = dim
@@ -84,7 +88,10 @@ class SCAlgebra:
             self.bracket = table
         self.skew = skew
         self.unital = unital
-        self.matrices = matrices
+        if isinstance(matrices, tuple):
+            self._matrix_ints = matrices
+        else:
+            self.matrices = matrices
         self.name = name
         if skew:
             self._check_skew()
@@ -128,6 +135,14 @@ class SCAlgebra:
             (i, j, k, v) for (i, j), comp in self.bracket.items()
             for k, v in comp.items()
         ))
+
+    @cached_property
+    def matrices(self) -> List[Matrix]:
+        """The Matrix view of the integer matrix family, built on first read."""
+        ints, den = self._matrix_ints
+        n, r, c = ints.shape[:3]
+        rows = scalar_rows(ints.reshape((n, r * c) + ints.shape[3:]), den)
+        return [Matrix([row[a * c:(a + 1) * c] for a in range(r)]) for row in rows]
 
     @cached_property
     def bracket(self) -> BracketTable:
@@ -186,22 +201,26 @@ class SCAlgebra:
 
 
 def commutator_closure_algebra(
-    matrices: Union[List[Matrix], np.ndarray], name: str = "", cartan=None, den: int = 1
+    matrices: Union[List[Matrix], np.ndarray], name: str = "", cartan=None, den: int = 1,
+    gaussian: bool = False,
 ) -> SCAlgebra:
     """Express pairwise commutators of a commutator-closed matrix family in
     its own span and return the structure-constant algebra.
 
     The family is a list of Matrix, cleared to integers over one
-    denominator (with a trailing (re, im) axis over Q(i)), or a rational
-    integer array [n, ..., r, c] of numerators over den whose middle axes
-    index diagonal blocks.  The commutators are formed as integer products,
-    solved for at once and certified on every entry by
+    denominator (with a trailing (re, im) axis over Q(i)), or an integer
+    array [n, ..., r, c] of numerators over den whose middle axes index
+    diagonal blocks, with a trailing (re, im) axis when gaussian.  The
+    algebra keeps the family: the list, or an array without block axes
+    with den, for its ``matrices`` view.  The commutators are formed as
+    integer products, solved for at once and certified on every entry by
     :func:`excalg.intlin.span_coordinates` (over Q or Q(i)), and the
     bracket is built as integer cells."""
     n = len(matrices)
     if n == 0:
         return SCAlgebra(0, {}, skew=True, matrices=[], name=name, cartan=cartan)
-    ints, kept, tail = matrices, None, ()
+    ints, tail = matrices, (2,) if gaussian else ()
+    kept = (ints, den) if isinstance(ints, np.ndarray) and ints.ndim == 3 + len(tail) else None
     if not isinstance(matrices, np.ndarray):
         entries = [x for m in matrices for row in m.entries for x in row]
         ints, den = cleared_ints(entries, (n, matrices[0].rows, matrices[0].cols))
@@ -246,9 +265,10 @@ def derivations(algebra, name: str = "") -> SCAlgebra:
     """
     d = algebra.dim
     units = [{(a, b): ONE} for a in range(d) for b in range(d)]
-    basis_vectors = leibniz_kernel(algebra.tensor, [(e, e, e) for e in units])
-    matrices = [Matrix([v[a * d:(a + 1) * d] for a in range(d)]) for v in basis_vectors]
-    out = commutator_closure_algebra(matrices, name=name or "der")
+    k, den = leibniz_kernel(algebra.tensor, [(e, e, e) for e in units], ints=True)
+    out = commutator_closure_algebra(
+        k.reshape((len(k), d, d) + k.shape[2:]), name=name or "der", den=den, gaussian=k.ndim == 3
+    )
     report = jacobi_check(out, mode="full")
     if not report.passed:
         raise AssertionError("derivation algebra failed the Jacobi identity")
@@ -589,8 +609,10 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _summed(keys: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct keys in increasing order and the sums of their values."""
-    order = np.argsort(keys)
+    """The distinct keys in increasing order and the sums of their values.
+    The join keys come out nearly sorted, which the stable sort (timsort)
+    takes in fewer steps than the default quicksort."""
+    order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     return keys[starts], np.add.reduceat(vals[order], starts, axis=0)

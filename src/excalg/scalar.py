@@ -298,7 +298,7 @@ def rand_rational(rng, height: int):
     """A bounded-height random rational, reproducible from the caller's rng."""
     num = rng.randint(-height, height)
     den = rng.randint(1, height)
-    return Scalar(_Q(num, den))
+    return _make(_Q(num, den), _Q0)
 
 
 def rand_scalar(rng, height: int, gaussian: bool = False) -> Scalar:
@@ -306,4 +306,4 @@ def rand_scalar(rng, height: int, gaussian: bool = False) -> Scalar:
     if not gaussian:
         return a
     b = rand_rational(rng, height)
-    return Scalar(a.re, b.re)
+    return _make(a.re, b.re)

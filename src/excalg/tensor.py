@@ -5,21 +5,29 @@ The tensor keeps the constants once, as flat integer cells over one common
 denominator den: for each nonzero c_ij^k the pair i * dim + j, the output k
 and den * c_ij^k, sorted by the key (i * dim + j) * dim + k.  The checks of
 :mod:`excalg.liealg` (skew, Jacobi, Killing, Leibniz) are array joins over
-these arrays.  A product clears the denominators of each input with one lcm,
-sums c_ij^k x_i y_j in Python integers (exact at any size, so no overflow
-bound is needed) and divides once per output coordinate.  The results are
-the same canonical Scalars that Scalar arithmetic gives.
+these arrays.
+
+Vectors that are multiplied are cleared: a vector is the triple (re, im,
+den) of integer tuples over one positive denominator, im None when every
+coordinate is rational, reduced so that gcd(den, *re, *im) = 1.  Equal
+vectors are then equal triples.  :func:`cleared` builds one from Scalars,
+:func:`reduced` from integer sums and :func:`vec_scalars` reads one back.
+The one product loop (:meth:`StructureTensor.sums`) adds up den c_ij^k x_i
+y_j in Python integers (exact at any size, so no overflow bound is
+needed); the product of two cleared vectors is those sums over den dx dy,
+reduced by one gcd.  The Scalar product clears its inputs and reads the
+sums back as the same canonical Scalars that Scalar arithmetic gives.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from math import lcm
-from typing import Iterable, List, Sequence, Tuple
+from math import gcd, lcm
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .scalar import _Q, _Q0, ZERO, Scalar, _make
+from .scalar import _Q, _Q0, ZERO, Scalar, _make, sc
 
 
 class StructureTensor:
@@ -30,7 +38,7 @@ class StructureTensor:
     (re) for a rational tensor and two (re, im) over Q(i): int64 when every
     value fits, else Python integers.  `biggest` is the largest absolute
     value.  The nested view ``cells[i][j]``, a tuple of (k, re, im), is built
-    from the arrays on first use, for the pure-Python product loops."""
+    from the arrays on first use, for the product loop."""
 
     def __init__(self, dim: int, entries: Iterable[Tuple[int, int, int, Scalar]]):
         """Build from (i, j, k, c_ij^k) entries, at most one per (i, j, k);
@@ -65,7 +73,7 @@ class StructureTensor:
     @cached_property
     def cells(self) -> List[List[tuple]]:
         """cells[i][j] = ((k, re, im), ...): the nested view the product
-        loops read."""
+        loop reads."""
         d, n = self.dim, len(self.out)
         re = self.val[:, 0].tolist()
         im = [0] * n if self.rational else self.val[:, 1].tolist()
@@ -78,21 +86,25 @@ class StructureTensor:
             cells[i][j] = tuple(entries[a:b])
         return cells
 
-    def product(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
-        """The coordinates of x * y, i.e. sum_ijk c_ij^k x_i y_j e_k."""
-        xs, dx, x_rat = _cleared(x)
-        ys, dy, y_rat = _cleared(y)
-        den = self.den * dx * dy
+    def sums(self, x: Vec, y: Vec) -> Tuple[List[int], Optional[List[int]]]:
+        """(re, im) of sum_ijk den c_ij^k x_i y_j e_k for the integer parts
+        of two cleared vectors (their denominators are not read), im None
+        when the tensor and both vectors are rational."""
+        return self._sums(_nonzero(x), _nonzero(y), x[1] is None and y[1] is None)
+
+    def _sums(self, xs, ys, rational: bool):
+        """The product loop, over the nonzero coordinates (i, re, im) of two
+        integer vectors; rational when every im is zero."""
         re = [0] * self.dim
         cells = self.cells
-        if self.rational and x_rat and y_rat:
+        if self.rational and rational:
             for i, a, _ in xs:
                 row = cells[i]
                 for j, b, _ in ys:
                     ab = a * b
                     for k, c, _ in row[j]:
                         re[k] += ab * c
-            return [_make(_Q(v, den), _Q0) if v else ZERO for v in re]
+            return re, None
         im = [0] * self.dim
         for i, a, b in xs:
             row = cells[i]
@@ -103,17 +115,149 @@ class StructureTensor:
                 for k, r, s in row[j]:
                     re[k] += p * r - q * s
                     im[k] += p * s + q * r
-        return [
-            _make(_Q(u, den), _Q(v, den)) if u or v else ZERO
-            for u, v in zip(re, im)
-        ]
+        return re, im
+
+    def vec_product(self, x: Vec, y: Vec) -> Vec:
+        """The cleared vector of x * y: the sums over den dx dy, reduced."""
+        return reduced(*self.sums(x, y), self.den * x[2] * y[2])
+
+    def product(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
+        """The coordinates of x * y, i.e. sum_ijk c_ij^k x_i y_j e_k, for
+        Scalar coordinates: cleared, summed and read back."""
+        xs, dx, x_rat = _cleared(x)
+        ys, dy, y_rat = _cleared(y)
+        return vec_scalars(*self._sums(xs, ys, x_rat and y_rat), self.den * dx * dy)
+
+
+Vec = Tuple[Tuple[int, ...], Optional[Tuple[int, ...]], int]
+
+
+def cleared(values: Sequence[Scalar]) -> Vec:
+    """The cleared vector (re, im, den) of Scalar coordinates: den the lcm
+    of their denominators, which leaves gcd(den, *re, *im) = 1."""
+    nz, den, rational = _cleared(values)
+    re = [0] * len(values)
+    im = None if rational else [0] * len(values)
+    for i, a, b in nz:
+        re[i] = a
+        if im is not None:
+            im[i] = b
+    return tuple(re), None if rational else tuple(im), den
+
+
+def reduced(re: Sequence[int], im: Optional[Sequence[int]], den: int) -> Vec:
+    """The cleared vector of (re + im i) / den, for den > 0: divided by
+    gcd(den, *re, *im), with im None when it is zero."""
+    if im is not None and not any(im):
+        im = None
+    g = gcd(den, *re) if im is None else gcd(den, *re, *im)
+    if g == 1:
+        return tuple(re), None if im is None else tuple(im), den
+    return (tuple(v // g for v in re), None if im is None else tuple(v // g for v in im),
+            den // g)
+
+
+def vec_scalars(re: Sequence[int], im: Optional[Sequence[int]], den: int) -> List[Scalar]:
+    """The Scalar coordinates (re + im i) / den; zeros are the shared ZERO."""
+    if im is None:
+        return [_make(_Q(v, den), _Q0) if v else ZERO for v in re]
+    return [_make(_Q(u, den), _Q(v, den)) if u or v else ZERO for u, v in zip(re, im)]
+
+
+def _nonzero(v: Vec) -> List[Tuple[int, int, int]]:
+    """(i, re_i, im_i) at the nonzero coordinates of a cleared vector."""
+    re, im = v[0], v[1]
+    if im is None:
+        return [(i, a, 0) for i, a in enumerate(re) if a]
+    return [(i, a, b) for i, (a, b) in enumerate(zip(re, im)) if a or b]
+
+
+class Element:
+    """An element of an algebra with a structure tensor (``algebra.tensor``,
+    ``algebra.dim``), kept as one cleared vector ``vec`` = (re, im, den).
+    Sums, scalings, equality and hashing read only the integers, and
+    equal elements of one algebra have equal vectors.  ``coords``, the
+    Scalar coordinates, is built on first read.  Immutable."""
+
+    __slots__ = ("algebra", "vec", "_coords")
+
+    def __init__(self, algebra, coords: Sequence):
+        cs = tuple(sc(c) for c in coords)
+        if len(cs) != algebra.dim:
+            raise ValueError("coordinate length mismatch")
+        _set_algebra(self, algebra)
+        _set_vec(self, cleared(cs))
+        _set_coords(self, None)
+
+    @classmethod
+    def _of(cls, algebra, vec: Vec):
+        """The element with the cleared vector vec, which must be reduced."""
+        e = _new(cls)
+        _set_algebra(e, algebra)
+        _set_vec(e, vec)
+        _set_coords(e, None)
+        return e
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def coords(self) -> tuple:
+        if self._coords is None:
+            _set_coords(self, tuple(vec_scalars(*self.vec)))
+        return self._coords
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int):
+        (xr, xi, dx), (yr, yi, dy) = self.vec, other.vec
+        den = lcm(dx, dy)
+        a, b = den // dx, sign * (den // dy)
+        im = None
+        if xi is not None or yi is not None:
+            zero = (0,) * len(xr)
+            im = [a * u + b * v for u, v in zip(xi or zero, yi or zero)]
+        return self._of(self.algebra, reduced([a * u + b * v for u, v in zip(xr, yr)], im, den))
+
+    def scale(self, c):
+        re, im, den = self.vec
+        (p,), q, m = cleared((sc(c),))
+        if im is None and q is None:
+            return self._of(self.algebra, reduced([p * a for a in re], None, den * m))
+        q = q[0] if q else 0
+        im = im or (0,) * len(re)
+        return self._of(self.algebra, reduced(
+            [p * a - q * b for a, b in zip(re, im)], [p * b + q * a for a, b in zip(re, im)], den * m
+        ))
+
+    def is_zero(self) -> bool:
+        return self.vec[1] is None and not any(self.vec[0])
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.algebra is other.algebra and self.vec == other.vec
+
+    def __hash__(self):
+        return hash((self.algebra, self.vec))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(algebra={self.algebra!r}, coords={self.coords!r})"
+
+
+_new = object.__new__
+_set_algebra = Element.algebra.__set__
+_set_vec = Element.vec.__set__
+_set_coords = Element._coords.__set__
 
 
 def scalar_of(row: Sequence[int], den: int) -> Scalar:
     """The Scalar (re + im i) / den of an integer cell row (re,) or (re, im)."""
     if not any(row):
         return ZERO
-    return _make(_Q(row[0], den), _Q(row[1], den) if len(row) > 1 else _Q0)
+    return _make(_Q(row[0], den), _Q(row[1], den) if len(row) > 1 and row[1] else _Q0)
 
 
 def int_array(values) -> np.ndarray:
@@ -155,7 +299,7 @@ def scalar_rows(x: np.ndarray, den: int) -> List[List[Scalar]]:
     of (re, im) over Q(i)."""
     if x.ndim == 3:
         return [[scalar_of(c, den) for c in row] for row in x.tolist()]
-    return [[_make(_Q(v, den), _Q0) if v else ZERO for v in row] for row in x.tolist()]
+    return [vec_scalars(row, None, den) for row in x.tolist()]
 
 
 def _cleared(v: Sequence[Scalar]):

@@ -1,5 +1,6 @@
-"""Differential tests of the sparse structure tensor against a plain Scalar
-product loop over the basis products."""
+"""Differential tests of the sparse structure tensor, and of the algebra
+elements kept as cleared integer vectors, against a plain Scalar product
+loop over the basis products and plain Scalar arithmetic."""
 
 import functools
 import random
@@ -7,11 +8,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from excalg import jordan as jd
 from excalg import liealg as ll
-from excalg.composition import named_algebra
+from excalg.composition import CompAlgebra, named_algebra
 from excalg.jordan import jordan_algebra
-from excalg.linalg import unit_vec
-from excalg.scalar import ZERO, Scalar, rand_scalar
+from excalg.linalg import unit_vec, vec_dot
+from excalg.scalar import I, ZERO, Scalar, rand_scalar, sc
 
 
 def reference_product(alg, x, y):
@@ -122,3 +124,116 @@ def test_sc_tensor_is_built_on_first_use():
     built = vars(g)["tensor"]
     g.bracket_coords(unit_vec(4, 0), unit_vec(4, 1))
     assert g.tensor is built
+
+
+# -- elements kept as cleared integer vectors ---------------------------------------
+
+
+def gaussian_gram_algebra():
+    """K[u] with u^2 = -2i, u = (1 + i) e1 in C tensor Q(i): a Gaussian
+    Gram matrix and Gaussian constants."""
+    return CompAlgebra([[[1, 0], [0, 1]], [[0, 1], [sc(-2) * I, 0]]], name="gaussian-C")
+
+
+ELEMENT_ALGEBRAS = {
+    "O": lambda: named_algebra("o"),
+    "split-O": lambda: named_algebra("split-o"),
+    "sedenion": lambda: named_algebra("sedenion"),
+    "sextonion": lambda: named_algebra("sextonion"),
+    "gaussian-C": gaussian_gram_algebra,
+}
+
+# numerators and denominators past 2^63, so no path may rely on int64
+huge = st.builds(
+    lambda n, d: Scalar.rational(n, d),
+    st.integers(-(2 ** 90), 2 ** 90), st.integers(2 ** 63, 2 ** 70),
+)
+wide_coordinates = st.one_of(
+    coordinates, huge, st.builds(lambda a, b: Scalar(a.re, b.re), huge, rationals),
+)
+
+
+def wide_vectors(d):
+    return st.one_of(vectors(d), st.lists(wide_coordinates, min_size=d, max_size=d))
+
+
+def same_scalars(got, want):
+    """Equal, equally hashed and equally printed Scalar coordinates."""
+    got, want = list(got), list(want)
+    assert got == want
+    assert [hash(c) for c in got] == [hash(c) for c in want]
+    assert [str(c) for c in got] == [str(c) for c in want]
+
+
+def gram_form(alg, x, y):
+    return vec_dot(x, alg.gram.apply(list(y)))
+
+
+@functools.cache
+def element_algebra(name):
+    return ELEMENT_ALGEBRAS[name]()
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENT_ALGEBRAS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_alg_element_matches_scalar_path(name, data):
+    alg = element_algebra(name)
+    d = alg.dim
+    x, y, z, w = (data.draw(wide_vectors(d)) for _ in range(4))
+    c = data.draw(wide_coordinates)
+    X, Y, Z, W = (alg.element(v) for v in (x, y, z, w))
+    same_scalars(X.coords, x)
+    xy = reference_product(alg, x, y)
+    same_scalars((X * Y).coords, xy)
+    # a chain of four products, never read back in between
+    chain = reference_product(alg, reference_product(alg, xy, z), w)
+    same_scalars((((X * Y) * Z) * W).coords, chain)
+    same_scalars((X + Y).coords, [a + b for a, b in zip(x, y)])
+    same_scalars((X - Y).coords, [a - b for a, b in zip(x, y)])
+    same_scalars(X.scale(c).coords, [c * a for a in x])
+    same_scalars(X.conj().coords, [sc(s) * a for s, a in zip(alg.conj_signs, x)])
+    same_scalars([X.norm(), (X * Y).norm()], [gram_form(alg, x, x), gram_form(alg, xy, xy)])
+    same_scalars([X.real_part()], [gram_form(alg, x, unit_vec(d, 0))])
+    # built from Scalars or obtained as a product: one element, one hash
+    for built, product in ((alg.element(xy), X * Y), (alg.element(chain), ((X * Y) * Z) * W)):
+        assert built == product and hash(built) == hash(product)
+    assert (X * alg.unit() == X) and hash(X * alg.unit()) == hash(X)
+    assert (X == Y) == (x == y)
+    assert (X - X).is_zero() and X.is_zero() == all(not a for a in x)
+
+
+JORDAN_CASES = {"a=1": 1, "a=2": 2, "a=4": 4, "a=8": 8}
+
+
+def scalar_trace_form(alg, x, y):
+    return sum((w * a * b for w, a, b in zip(alg.trace_weights, x, y)), ZERO)
+
+
+@pytest.mark.parametrize("name", sorted(JORDAN_CASES))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_jordan_element_matches_scalar_path(name, data):
+    alg = jordan_algebra(JORDAN_CASES[name])
+    x, y = (data.draw(wide_vectors(alg.dim)) for _ in range(2))
+    c = data.draw(wide_coordinates)
+    X, Y = alg.element(x), alg.element(y)
+    x2 = reference_product(alg, x, x)
+    same_scalars(jd.jordan_product(X, X).coords, x2)
+    same_scalars((X + Y).coords, [a + b for a, b in zip(x, y)])
+    same_scalars((X - Y).coords, [a - b for a, b in zip(x, y)])
+    same_scalars(X.scale(c).coords, [c * a for a in x])
+    t1, t2 = x[0] + x[1] + x[2], x2[0] + x2[1] + x2[2]
+    t3 = scalar_trace_form(alg, x, x2)
+    det = t3 / sc(3) - t1 * t2 / sc(2) + t1 * t1 * t1 / sc(6)
+    same_scalars(
+        [jd.trace(X), jd.trace_pairing(X, Y), jd.det_cubic(X)],
+        [t1, scalar_trace_form(alg, x, y), det],
+    )
+    # the adjugate against x^2 - T(x) x + S(x) 1 in Scalar arithmetic
+    sigma2 = (t1 * t1 - t2) / sc(2)
+    sharp = [p - t1 * a + (sigma2 if k < 3 else ZERO) for k, (p, a) in enumerate(zip(x2, x))]
+    adj = jd.adjugate(X)
+    same_scalars(adj.coords, sharp)
+    built = alg.element(sharp)
+    assert built == adj and hash(built) == hash(adj)
