@@ -12,13 +12,19 @@ trivector pullbacks), then runs them warm in this fresh interpreter with
   ``StructureTensor.product`` (the Scalar product) or of
   ``StructureTensor.vec_product`` (the product of cleared integer vectors),
   whichever the source has; the layer includes clearing the inputs and
-  building the output.
+  building the output;
+- the pullback checks split into five stages, by the functions of
+  ``PULLBACK_STAGES`` that the source has (the outermost one counts): the
+  pullback itself, the support rank, the Gram matrix of q, its rank, and
+  the linear-divisor test; ``rest`` is the remainder of the kind's time
+  (clearing the coefficients and the classification's own code).
 
 Prints one JSON line: the set-up time, the median pass time, each kind's
 time per pass and share of a pass, the product layer's time per pass and
-share, and the peak resident set.  Nothing under ``perfbench/`` is changed;
-the checks use public element operations only, as the workload's do.  Run
-it in a fresh interpreter per measurement:
+share, each pullback stage's time per pass and share, and the peak
+resident set.  Nothing under ``perfbench/`` is changed; the checks use
+public element operations only, as the workload's do.  Run it in a fresh
+interpreter per measurement:
 
     PYTHONPATH=src python scripts/identity_stages.py [--seed N] [--passes K]
 """
@@ -36,6 +42,18 @@ import workloads  # noqa: E402
 
 clock = time.perf_counter
 PRODUCT_LOOP = ("product", "vec_product")
+# (stage, module, attribute): the Scalar path calls forms.form_rank, q_of,
+# QuadForm.rank and linear_divisor_dim; the integer path calls _nullity on
+# a named table, _quad_form and QuadForm.rank
+PULLBACK_STAGES = (
+    ("pullback", "forms", "pullback"),
+    ("support_rank", "forms", "form_rank"),
+    ("gram", "threeform", "q_of"),
+    ("gram", "threeform", "_quad_form"),
+    ("divisor", "threeform", "linear_divisor_dim"),
+    ("table", "threeform", "_nullity"),
+)
+TABLE_STAGE = {"contraction": "support_rank", "divisor": "divisor", "action": "stabilizer"}
 
 
 def setup(seed, passes):
@@ -103,30 +121,61 @@ def check(req, args):
     return tf.classify(fm.pullback(g, rep)).label == req["param"]
 
 
+def outermost(fn, depth, book):
+    """fn timed only when no other function sharing the one-element list
+    `depth` is running; each timed call's seconds go to book(args, seconds)."""
+
+    def wrapper(*args, **kwargs):
+        if depth[0]:
+            return fn(*args, **kwargs)
+        depth[0] = 1
+        t = clock()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            depth[0] = 0
+            book(args, clock() - t)
+
+    return wrapper
+
+
 def time_product_loop(spent):
     """Wrap the product methods that exist; only the outermost call counts."""
     from excalg import tensor
 
+    def book(args, seconds):
+        spent[0] += seconds
+
     depth = [0]
-
-    def timed(fn):
-        def wrapper(*args, **kwargs):
-            if depth[0]:
-                return fn(*args, **kwargs)
-            depth[0] = 1
-            t = clock()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                depth[0] = 0
-                spent[0] += clock() - t
-
-        return wrapper
-
     names = [n for n in PRODUCT_LOOP if hasattr(tensor.StructureTensor, n)]
     for name in names:
-        setattr(tensor.StructureTensor, name, timed(getattr(tensor.StructureTensor, name)))
+        setattr(tensor.StructureTensor, name, outermost(getattr(tensor.StructureTensor, name), depth, book))
     return names
+
+
+def time_pullback_stages(spent):
+    """Wrap the stage functions that exist, and QuadForm.rank; only the
+    outermost stage of a call counts.  _nullity is booked by its table."""
+    import importlib
+
+    from excalg import threeform as tf
+
+    def booker(stage):
+        def book(args, seconds):
+            name = TABLE_STAGE[args[3]] if stage == "table" else stage
+            spent[name] = spent.get(name, 0.0) + seconds
+
+        return book
+
+    depth = [0]
+    wrapped = []
+    for stage, module, name in PULLBACK_STAGES:
+        owner = importlib.import_module(f"excalg.{module}")
+        if hasattr(owner, name):
+            setattr(owner, name, outermost(getattr(owner, name), depth, booker(stage)))
+            wrapped.append(f"{module}.{name}")
+    tf.QuadForm.rank = property(outermost(tf.QuadForm.rank.fget, depth, booker("q_rank")))
+    return wrapped + ["threeform.QuadForm.rank"]
 
 
 def main():
@@ -139,6 +188,8 @@ def main():
     setup_s = clock() - start
     product_s = [0.0]
     wrapped = time_product_loop(product_s)
+    stage_s = {}
+    stages_wrapped = time_pullback_stages(stage_s)
     by_kind, walls, products = {}, [], []
     for requests in prepared:
         before, t0 = product_s[0], clock()
@@ -163,6 +214,10 @@ def main():
     for kind in sorted(by_kind):
         report[f"{kind}_s_per_pass"] = round(by_kind[kind] / args.passes, 5)
         report[f"{kind}_share"] = round(by_kind[kind] / total, 3)
+    stage_s["rest"] = by_kind.get("pullback", 0.0) - sum(stage_s.values())
+    report["pullback_stage_functions"] = stages_wrapped
+    report["pullback_stage_s_per_pass"] = {k: round(v / args.passes, 5) for k, v in stage_s.items()}
+    report["pullback_stage_share"] = {k: round(v / total, 3) for k, v in stage_s.items()}
     report["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     print(json.dumps(report))
 

@@ -296,14 +296,11 @@ def pullback(g: Matrix, a: KForm) -> KForm:
     Each e^J pulls back to (row_j1 g) ^ ... ^ (row_jk g) = sum_I det(g[J, I])
     e^I.  The minors are expanded along their first row in the Gaussian
     integers of g cleared to one denominator den, with a cleared likewise,
-    and each coefficient is divided once by den_a * den^k."""
+    and each coefficient is divided once by den_a * den^k.  The minor of
+    all rows, den^n det(g), proves g invertible."""
     n = a.n
     if g.rows != n or g.cols != n:
         raise ValueError("matrix shape does not match ambient dimension")
-    if mat_rank(g) < n:
-        raise ValueError("pullback requires an invertible matrix")
-    if a.k == 0:
-        return a
     cells, den, _ = _cleared([x for row in g.entries for x in row])
     entries = [[(0, 0)] * n for _ in range(n)]
     for t, x, y in cells:
@@ -329,6 +326,10 @@ def pullback(g: Matrix, a: KForm) -> KForm:
             minors[rows] = out
         return minors[rows]
 
+    if not any(minors_of(tuple(range(n)))[tuple(range(n))]):
+        raise ValueError("pullback requires an invertible matrix")
+    if a.k == 0:
+        return a
     index_tuples = list(a.terms)
     coeffs, den_a, _ = _cleared(list(a.terms.values()))
     sums = {I: [0, 0] for I in itertools.combinations(range(n), a.k)}

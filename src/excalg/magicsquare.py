@@ -721,18 +721,11 @@ def vector_model_g2() -> TraceFreeModel:
 
 def module_annihilates_form(module, form) -> bool:
     """True when every generator kills the trivector (linearized action)."""
-    from . import forms as fm
-    from .threeform import elementary_action
+    from .threeform import action_matrix
 
-    for m in module.matrices:
-        acted = fm.KForm.zero(form.k, form.n)
-        for a in range(form.n):
-            for b in range(form.n):
-                if not m[a, b].is_zero():
-                    acted = acted + elementary_action(a + 1, b + 1, form).scale(m[a, b])
-        if not acted.is_zero():
-            return False
-    return True
+    act, n = action_matrix(form.n, form), form.n
+    return all(not any(act.apply([m[a, b] for a in range(n) for b in range(n)]))
+               for m in module.matrices)
 
 
 def module_annihilates_quadric(module, gram: Matrix) -> bool:

@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from . import forms as fm
+from . import intlin
 from .forms import KForm
-from .linalg import Matrix, Subspace, kernel, rank as mat_rank, unit_vec, zero_vec
-from .scalar import _Q, ZERO, Scalar, _make, sc
-from .tensor import _cleared
+from .linalg import Matrix, Subspace, kernel, unit_vec, zero_vec
+from .scalar import ZERO, Scalar, sc
+from .tensor import biggest, cleared_ints, scalar_rows
 
 ZERO_LABEL = "ZERO"
 RANK3_DECOMPOSABLE = "RANK3_DECOMPOSABLE"
@@ -49,73 +52,113 @@ def representative(label: str) -> KForm:
     raise ValueError(f"no canonical representative for {label!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class QuadForm:
-    """A symmetric bilinear form by its Gram matrix."""
+    """A symmetric bilinear form by its Gram matrix ints / den: ints an
+    integer array [n, n], or [n, n, 2] of (re, im) over Q(i)."""
 
     n: int
-    gram: Matrix
+    ints: np.ndarray
+    den: int
+
+    @cached_property
+    def gram(self) -> Matrix:
+        return Matrix(scalar_rows(self.ints, self.den))
 
     @property
     def rank(self) -> int:
-        return mat_rank(self.gram)
+        return self.n - len(intlin.kernel_array(self.ints, self.n)[0])
 
 
 @lru_cache(maxsize=None)
-def _q_table() -> List[List[Tuple[int, int, int, int]]]:
-    """For each entry (a, b), a <= b, of q_of's Gram matrix in row order, the
-    monomials (sign, t1, t2, t3) over the indices of the 35 sorted triples:
-    B(a, b) = sum sign * w[{a} u jk] * w[{b} u lm] * w[npq] over the splits
-    {j,k}, {l,m}, {n,p,q} of {1..7}, the sign that of e_a -| e^{a jk},
-    e_b -| e^{b lm} and e^{jk} ^ e^{lm} ^ e^{npq} = sign * e^{1..7}."""
-    triples = list(itertools.combinations(range(1, 8), 3))
-    index = {t: r for r, t in enumerate(triples)}
-    full = frozenset(range(1, 8))
-    table = []
-    for a in range(1, 8):
-        for b in range(a, 8):
-            rows = []
-            for jk in itertools.combinations(sorted(full - {a}), 2):
-                for lm in itertools.combinations(sorted(full - {b} - set(jk)), 2):
-                    npq = tuple(sorted(full - set(jk) - set(lm)))
-                    t1, s1 = fm._sort_with_sign((a,) + jk)
-                    t2, s2 = fm._sort_with_sign((b,) + lm)
-                    _, s3 = fm._sort_with_sign(jk + lm + npq)
-                    rows.append((s1 * s2 * s3, index[t1], index[t2], index[npq]))
-            table.append(rows)
-    return table
+def _tables(n: int, k: int) -> Dict[str, tuple]:
+    """Index and sign tables that read matrices off the coefficient vector
+    x of a k-form w in n variables (x[r] at the r-th sorted k-tuple), each
+    (shape, pos, src, sign): entry pos of the flattened matrix is sign *
+    x[src], and every other entry is zero.
+
+    - contraction [S, j]: coefficient j of e_S -| w over the sorted
+      (k-1)-tuples S, the rows that forms.support spans;
+    - divisor [J, j]: coefficient J of e^j ^ w over the sorted (k+1)-tuples;
+    - action [t, a n + b]: coefficient t of E_ab . w, in which each index a
+      of a term is replaced by b;
+    - wedge [jk, lm], for trivectors in seven variables: the top coefficient
+      of e^jk ^ e^lm ^ w, +-w[{1..7} - jk - lm]."""
+    lower, middle, upper = (list(itertools.combinations(range(1, n + 1), d)) for d in (k - 1, k, k + 1))
+    src = {t: r for r, t in enumerate(middle)}
+
+    def packed(rows: list, cols: int, cells) -> tuple:
+        """cells: (row tuple, column, source k-tuple, sign); zero signs dropped."""
+        at = {t: r for r, t in enumerate(rows)}
+        a = np.array([(at[r] * cols + c, src[t], s) for r, c, t, s in cells if s], dtype=np.int64)
+        return ((len(rows), cols),) + tuple(a.reshape(-1, 3).T)
+
+    sort = fm._sort_with_sign
+    tables = {
+        "contraction": packed(lower, n, (
+            (t[:p] + t[p + 1:], j - 1, t, (-1) ** p) for t in middle for p, j in enumerate(t))),
+        "divisor": packed(upper, n, (
+            (J, j - 1, J[:p] + J[p + 1:], (-1) ** p) for J in upper for p, j in enumerate(J))),
+        "action": packed(middle, n * n, (
+            (u, (a - 1) * n + b - 1, t, s) for t in middle for p, a in enumerate(t)
+            for b in range(1, n + 1) for u, s in [sort(t[:p] + (b,) + t[p + 1:])])),
+    }
+    if (n, k) == (7, 3):
+        tables["wedge"] = packed(lower, 21, (
+            (S, c, u, sort(S + T + u)[1]) for S in lower for c, T in enumerate(lower)
+            for u in [tuple(sorted(set(range(1, 8)) - set(S + T)))] if len(u) == 3))
+    return tables
+
+
+def _cleared_form(w: KForm, n: Optional[int] = None) -> Tuple[np.ndarray, int]:
+    """(x, den): the coefficients of w over the sorted k-tuples in n
+    variables (w.n by default), cleared by tensor.cleared_ints."""
+    tuples = list(itertools.combinations(range(1, (n or w.n) + 1), w.k))
+    return cleared_ints([w.terms.get(t, ZERO) for t in tuples], (len(tuples),))
+
+
+def _matrix(x: np.ndarray, n: int, k: int, name: str) -> np.ndarray:
+    """The integer matrix that table `name` of _tables(n, k) reads off x,
+    with x's dtype and trailing (re, im) axis."""
+    shape, pos, src, sign = _tables(n, k)[name]
+    out = np.zeros((shape[0] * shape[1],) + x.shape[1:], dtype=x.dtype)
+    out[pos] = x[src] * sign.reshape(sign.shape + (1,) * (x.ndim - 1))
+    return out.reshape(shape + x.shape[1:])
+
+
+def _nullity(x: np.ndarray, n: int, k: int, name: str) -> int:
+    """The kernel dimension of the matrix that table `name` of _tables(n,
+    k) reads off x, by the certified kernel."""
+    m = _matrix(x, n, k, name)
+    return len(intlin.kernel_array(m, m.shape[1])[0])
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for integer matrices, or Gaussian ones [.., .., 2]."""
+    if a.ndim == 2:
+        return a @ b
+    (ar, ai), (br, bi) = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
+    return np.stack((ar @ br - ai @ bi, ar @ bi + ai @ br), axis=-1)
+
+
+def _quad_form(x: np.ndarray, den: int) -> QuadForm:
+    """q_of from the cleared coefficients of a trivector in seven variables:
+    with C the contraction matrix (column a is e_a -| w) and M the wedge
+    matrix, the Gram matrix is C^T M C / den^3, int64 while the bound of
+    its 21 * 21 products of three Gaussian entries fits."""
+    dtype = intlin.int_dtype(4 * 21 * 21 * biggest(x) ** 3)
+    c, m = (_matrix(x, 7, 3, name).astype(dtype) for name in ("contraction", "wedge"))
+    return QuadForm(7, _mul(_mul(c.swapaxes(0, 1), m), c), den ** 3)
 
 
 def q_of(w: KForm) -> QuadForm:
     """The quadratic form v -> (v -| w)^2 ^ w in seven variables, under the
     volume identification e^{1..7} -> 1.  The Gram entry (a, b) is the top
     coefficient of (e_a -| w) ^ (e_b -| w) ^ w, the polarization
-    (q(u+v) - q(u) - q(v)) / 2: one fixed cubic contraction of the
-    coefficients cleared to Gaussian integers, summed in Python integers and
-    divided once by den^3."""
+    (q(u+v) - q(u) - q(v)) / 2."""
     if w.k != 3 or w.n != 7:
         raise ValueError("q_of expects a trivector in seven variables")
-    coeffs, den, _ = _cleared(
-        [w.terms.get(t, ZERO) for t in itertools.combinations(range(1, 8), 3)]
-    )
-    re, im = [0] * 35, [0] * 35
-    for t, x, y in coeffs:
-        re[t], im[t] = x, y
-    den3 = den ** 3
-    gram = [[ZERO] * 7 for _ in range(7)]
-    cells = iter(_q_table())
-    for i in range(7):
-        for j in range(i, 7):
-            total_re = total_im = 0
-            for sign, t1, t2, t3 in next(cells):
-                # (x1 + y1 i)(x2 + y2 i)(x3 + y3 i) in Gaussian integers
-                x1, y1, x2, y2 = re[t1], im[t1], re[t2], im[t2]
-                u, v = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2
-                x3, y3 = re[t3], im[t3]
-                total_re += sign * (u * x3 - v * y3)
-                total_im += sign * (u * y3 + v * x3)
-            gram[i][j] = gram[j][i] = _make(_Q(total_re, den3), _Q(total_im, den3))
-    return QuadForm(7, Matrix(gram))
+    return _quad_form(*_cleared_form(w))
 
 
 def psi(w: KForm) -> Matrix:
@@ -147,74 +190,33 @@ def lambda_quartic(w: KForm) -> Scalar:
     return tr / sc(6)
 
 
-def elementary_action(a: int, b: int, w: KForm) -> KForm:
-    """Derivative of the pullback action along the elementary matrix E_ab
-    (1-based): each occurrence of index a is replaced by b."""
-    items = []
-    for idx, c in w.terms.items():
-        for pos, i in enumerate(idx):
-            if i == a:
-                new = idx[:pos] + (b,) + idx[pos + 1 :]
-                items.append((new, c))
-    return KForm.from_terms(w.k, w.n, items)
-
-
 def action_matrix(n: int, w: KForm) -> Matrix:
     """Matrix of gl_n acting infinitesimally on w: rows are indexed by
     k-tuples, columns by the n^2 elementary matrices E_ab."""
-    tuples = list(itertools.combinations(range(1, n + 1), w.k))
-    tindex = {t: r for r, t in enumerate(tuples)}
-    cols = []
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            col = [ZERO] * len(tuples)
-            acted = elementary_action(a, b, w)
-            for idx, c in acted.terms.items():
-                col[tindex[idx]] = c
-            cols.append(col)
-    return Matrix.from_cols(cols)
+    x, den = _cleared_form(w, n)
+    return Matrix(scalar_rows(_matrix(x, n, w.k, "action"), den))
 
 
 def stabilizer_dim(w: KForm) -> int:
     """dim { X in gl_n : X . w = 0 } for the linearized pullback action."""
-    return kernel(action_matrix(w.n, w)).dim
+    return _nullity(_cleared_form(w)[0], w.n, w.k, "action")
 
 
 def linear_divisor_dim(w: KForm) -> int:
     """Dimension of { alpha in V* : alpha ^ w = 0 }."""
-    n = w.n
-    cols = []
-    tuples = list(itertools.combinations(range(1, n + 1), w.k + 1))
-    tindex = {t: r for r, t in enumerate(tuples)}
-    for j in range(1, n + 1):
-        # e^j ^ e^idx = sign * e^sorted, zero when j is in idx
-        col = [ZERO] * len(tuples)
-        for idx, c in w.terms.items():
-            t, sign = fm._sort_with_sign((j,) + idx)
-            if sign:
-                col[tindex[t]] = c if sign > 0 else -c
-        cols.append(col)
-    return n - mat_rank(Matrix.from_cols(cols))
+    return _nullity(_cleared_form(w)[0], w.n, w.k, "divisor")
 
 
 def restrict_to_support(w: KForm) -> KForm:
     """Express the form inside its support, as a trivector in r = rank(w)
     variables."""
     sup = fm.support(w)
-    r = sup.dim
-    n = w.n
-    basis = [list(v) for v in sup.basis]
-    # complete the support basis to a basis of the dual space
-    rows = list(basis)
-    for j in range(n):
-        cand = rows + [unit_vec(n, j)]
-        if Subspace(n, cand).dim == len(rows) + 1:
-            rows.append(unit_vec(n, j))
-        if len(rows) == n:
-            break
-    b = Matrix(rows)  # rows: new dual basis in old coordinates
-    g = b.inverse().transpose()
-    moved = fm.pullback(g.transpose(), w)
+    r, n = sup.dim, w.n
+    # the echelon basis and the unit vectors off its pivots span the dual
+    # space; rows: the new dual basis in old coordinates
+    pivots = {next(j for j, c in enumerate(v) if c) for v in sup.basis}
+    b = Matrix(sup.basis + [unit_vec(n, j) for j in range(n) if j not in pivots])
+    moved = fm.pullback(b.inverse(), w)
     # after the change of coordinates all indices lie in 1..r
     for idx in moved.terms:
         if any(i > r for i in idx):
@@ -262,27 +264,20 @@ def classify(w: KForm, with_stabilizer: bool = False) -> OrbitLabel:
         raise ValueError("classify expects trivectors")
     if w.n > 7:
         raise ValueError("classification implemented for n <= 7 only")
-    if w.is_zero():
-        rec = OrbitRecord(0)
-        if with_stabilizer:
-            rec.stab_dim = w.n * w.n
-        return OrbitLabel(w.n, ZERO_LABEL, rec)
-    r = fm.form_rank(w)
+    x, den = _cleared_form(w)
+    r = w.n - _nullity(x, w.n, 3, "contraction")
     rec = OrbitRecord(r)
     if with_stabilizer:
-        rec.stab_dim = stabilizer_dim(w)
-    if r == 3:
-        return OrbitLabel(w.n, RANK3_DECOMPOSABLE, rec)
-    if r == 5:
-        return OrbitLabel(w.n, RANK5, rec)
+        rec.stab_dim = _nullity(x, w.n, 3, "action")
+    if r in (0, 3, 5):
+        return OrbitLabel(w.n, {0: ZERO_LABEL, 3: RANK3_DECOMPOSABLE, 5: RANK5}[r], rec)
     if r == 6:
         inner = restrict_to_support(w) if w.n != 6 else w
         lam = lambda_quartic(inner)
         rec.lambda_is_zero = lam.is_zero()
         return OrbitLabel(w.n, RANK6_TANGENT if lam.is_zero() else RANK6_GENERIC, rec)
     if r == 7:
-        q = q_of(w)
-        qr = q.rank
+        qr = _quad_form(x, den).rank
         rec.q_rank = qr
         if qr == 7:
             rec.i7_is_zero = False
@@ -295,10 +290,10 @@ def classify(w: KForm, with_stabilizer: bool = False) -> OrbitLabel:
         if qr == 1:
             # the closed rank-one orbit consists of forms with a linear
             # divisor; the stabilizer dimensions 28 vs 21 confirm the split
-            has_divisor = linear_divisor_dim(w) > 0
+            has_divisor = _nullity(x, 7, 3, "divisor") > 0
             return OrbitLabel(w.n, W1 if has_divisor else W2, rec)
         raise AssertionError(f"unexpected q-rank {qr} at support rank 7")
-    raise AssertionError(f"impossible support rank {r} for a nonzero trivector")
+    raise AssertionError(f"impossible support rank {r} for a trivector")
 
 
 # -- degree seven semi-invariant ------------------------------------------------

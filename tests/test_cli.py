@@ -91,6 +91,49 @@ class TestOutputPin:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def moved_form(label, seed, field="rational"):
+    """The text of a representative, embedded in seven variables, pulled
+    back by a seeded invertible matrix."""
+    from excalg import forms as fm
+    from excalg import threeform as tf
+    from excalg.linalg import random_invertible
+
+    rep = tf.representative(label)
+    g = random_invertible(7, seed=seed, height=2, field=field)
+    return fm.pullback(g, fm.KForm(3, 7, dict(rep.terms))).to_text()
+
+
+class TestClassifyFormPin:
+    # SHA-256 of `classify-form` stdout, recorded before the trivector
+    # invariants moved to integer arrays; the JSON must stay byte-identical
+    @pytest.mark.parametrize(
+        "form, digest",
+        [
+            (("W1", 11), "1791290364ae5e30d3ad7832a8397e71f345e601962d0eb3e70e30fb5ddad3ce"),
+            (("W2", 12), "5cca07be1a8eff3298e2d6032c92dc6130a77bc9a7b7edec1c1eff5455aa18f7"),
+            (("W3", 13), "8325ee45fce1cf78353a8590ebd67ed9f3a374c3c3cf9484ca9ddb413d4ff188"),
+            (("W4", 14), "40f41293e0477fd9bcb476fd17e63e059479c9e694d84350c9ca6d86ebc3f009"),
+            (("W5", 15), "8962604cf164ca0a84f905bb382d4d936a9d794fe2ad4cc3c5c7c36444c5c0df"),
+            (("W4", 16, "gaussian"),
+             "40f41293e0477fd9bcb476fd17e63e059479c9e694d84350c9ca6d86ebc3f009"),
+            (("RANK6_GENERIC", 17), "8947289364c0115cfbd4b21708bea4096b6ef3e2daa848293d00df429b7e0d08"),
+            (("RANK6_TANGENT", 18), "c95e5ea10b1613853a4233923daf7bcf955564ac57277e45261ea63a9a29b22d"),
+            (("RANK5", 19), "cd679531e31f9e78003031e2dcf1e0cdfbd1deacc0c9de2f60fbe8722264dcff"),
+            (("RANK3_DECOMPOSABLE", 20),
+             "8aa3152dbb4770c2e90ff2fc9f2a9785f498e5fce1a2fa2cb8b0652853e0b5d3"),
+            ("99999999999999999999*e[1,2,5]+e[1,3,6]+e[1,4,7]+e[2,3,4]+e[5,6,7]",
+             "8962604cf164ca0a84f905bb382d4d936a9d794fe2ad4cc3c5c7c36444c5c0df"),
+        ],
+        ids=["W1", "W2", "W3", "W4", "W5", "gaussian-W4", "rank6-generic", "rank6-tangent",
+             "rank5", "rank3", "W5-past-2^63"],
+    )
+    def test_stdout_digest(self, capsys, form, digest):
+        text = form if isinstance(form, str) else moved_form(*form)
+        code, out = run_cli(capsys, "classify-form", "--n", "7", "--form", text)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestVerifyFile:
     def test_roundtrip(self, capsys, tmp_path):
         code, out = run_cli(capsys, "derive", "--algebra", "H", "--constants")

@@ -122,6 +122,16 @@ class TestPullback:
         with pytest.raises(ValueError):
             fm.pullback(Matrix.zero(2, 2), fm.parse_form("e[1,2]", 2))
 
+    def test_singular_over_gaussians_rejected(self):
+        # row 2 is i times row 1: singular over Q(i), with no repeated row
+        g = random_invertible(7, seed=3, height=2, field="gaussian")
+        rows = [g.row(0), [I * x for x in g.row(0)]] + [g.row(i) for i in range(2, 7)]
+        singular = Matrix(rows)
+        assert rank(singular) == 6
+        for k in (0, 3):
+            with pytest.raises(ValueError):
+                fm.pullback(singular, fm.KForm(k, 7, {tuple(range(1, k + 1)): ONE}))
+
     def test_composition_contravariant(self):
         a = small_form(9, k=3, n=5)
         g = random_invertible(5, seed=1, height=3)

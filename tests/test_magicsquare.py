@@ -476,3 +476,11 @@ class TestVectorModel:
 
         model = ms.vector_model_g2()
         assert tf.classify(model.invariant_form).label == tf.W5
+
+    def test_perturbed_form_is_not_annihilated(self):
+        from excalg import forms as fm
+
+        model = ms.vector_model_g2()
+        assert ms.module_annihilates_form(model.module, model.invariant_form)
+        moved = model.invariant_form + fm.parse_form("e[1,2,3]", 7)
+        assert not ms.module_annihilates_form(model.module, moved)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from excalg import forms as fm
 from excalg import threeform as tf
-from excalg.linalg import Matrix, kernel, random_invertible
+from excalg.linalg import Matrix, kernel, random_invertible, rank
 from excalg.scalar import ONE, ZERO, Scalar, sc
 
 ALL_LABELS = (
@@ -278,6 +278,77 @@ class TestLinearDivisor:
         for seed in range(6):
             w = random_trivector(seed, n=6, height=2)
             assert tf.linear_divisor_dim(w) == linear_divisor_reference(w)
+
+
+def action_matrix_reference(w):
+    """The columns E_ab . w, a then b, from the terms of w with each index a
+    replaced by b in turn, as Scalar KForms."""
+    n = w.n
+    tuples = list(itertools.combinations(range(1, n + 1), w.k))
+    cols = []
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            acted = fm.KForm.from_terms(w.k, n, [
+                (idx[:pos] + (b,) + idx[pos + 1:], c)
+                for idx, c in w.terms.items() for pos, i in enumerate(idx) if i == a
+            ])
+            cols.append([acted.terms.get(t, ZERO) for t in tuples])
+    return Matrix.from_cols(cols)
+
+
+def record_reference(w):
+    """The OrbitRecord of classify(w, with_stabilizer=True) and its label,
+    from the Scalar references: the support through Subspace, the Gram
+    matrix pair by pair, and the wedge and action matrices from KForms."""
+    r = fm.form_rank(w)
+    rec = tf.OrbitRecord(r, stab_dim=kernel(action_matrix_reference(w)).dim)
+    if r < 6:
+        return rec, {0: tf.ZERO_LABEL, 3: tf.RANK3_DECOMPOSABLE, 5: tf.RANK5}[r]
+    if r == 6:
+        rec.lambda_is_zero = tf.lambda_quartic(tf.restrict_to_support(w)).is_zero()
+        return rec, tf.RANK6_TANGENT if rec.lambda_is_zero else tf.RANK6_GENERIC
+    rec.q_rank = rank(Matrix(q_gram_reference(w)))
+    rec.i7_is_zero = rec.q_rank < 7
+    by_rank = {7: tf.W5, 4: tf.W4, 2: tf.W3}
+    if rec.q_rank in by_rank:
+        return rec, by_rank[rec.q_rank]
+    return rec, tf.W1 if linear_divisor_reference(w) else tf.W2
+
+
+class TestIntegerPathMatchesReferences:
+    @pytest.mark.parametrize("field", ["rational", "gaussian"])
+    def test_records_of_moved_representatives(self, field):
+        rng = random.Random(7)
+        for label in ALL_LABELS + (tf.ZERO_LABEL,):
+            rep = fm.KForm.zero(3, 7) if label == tf.ZERO_LABEL else tf.representative(label)
+            g = random_invertible(7, seed=rng.randrange(1 << 30), height=2, field=field)
+            w = fm.pullback(g, fm.KForm(3, 7, dict(rep.terms)))
+            got = tf.classify(w, with_stabilizer=True)
+            assert (got.record, got.label) == record_reference(w)
+            assert got.label == label
+            assert tf.action_matrix(7, w) == action_matrix_reference(w)
+
+    @pytest.mark.parametrize("big", [
+        sc(10 ** 6),  # int64 coefficients whose cubes pass the bound
+        sc(99999999999999999999),  # past 2^63
+        Scalar.gaussian(3, 99999999999999999999),
+    ])
+    def test_large_coefficients(self, big):
+        w = tf.representative(tf.W5)
+        w = fm.KForm(3, 7, {**w.terms, (1, 2, 5): big})
+        q = tf.q_of(w)
+        assert q.ints.dtype == object
+        assert q.gram.entries == q_gram_reference(w)
+        got = tf.classify(w, with_stabilizer=True)
+        assert (got.record, got.label) == record_reference(w)
+        assert got.label == tf.W5
+
+    def test_action_matrix_of_two_forms(self):
+        for field in ("rational", "gaussian"):
+            g = random_invertible(5, seed=4, height=2, field=field)
+            w = fm.pullback(g, fm.parse_form("e[1,2]+e[3,4]", 5))
+            assert tf.action_matrix(5, w) == action_matrix_reference(w)
+            assert tf.stabilizer_dim(w) == kernel(action_matrix_reference(w)).dim
 
 
 class TestHasse:
