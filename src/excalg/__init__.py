@@ -7,24 +7,35 @@ seven variables, derivation and triality Lie algebras as exact kernels,
 cubic Jordan algebras with their determinant calculus, the magic square
 of Lie algebras with verified structure constants, root-system gradings,
 and the seven-dimensional spinor machinery.
+
+``import excalg`` is cheap: each public name is imported from its module
+on first use, and numpy only with the first module that needs it (all
+but ``excalg.scalar`` and ``excalg.rootdata`` do).
 """
 
-from .scalar import Scalar, sc
-from .linalg import Matrix, Subspace, kernel, rank, solve, random_invertible
-from .forms import KForm, parse_form, wedge, contract, pullback, support
-from .composition import (
-    AlgElement,
-    CompAlgebra,
-    canonical_octonions,
-    cayley_dickson,
-    named_algebra,
-)
-from .threeform import classify, q_of, lambda_quartic, degree7_invariant
-from .liealg import SCAlgebra, derivations, jacobi_check, stabilizer_in_gl
-from .jordan import JordanElement, jordan_algebra, det_cubic, adjugate, cubic_map
-from .magicsquare import triality_algebra, vinberg_build, tits_dimension_table
-from .rootdata import build_root_system, z_grading, zm_grading
-from .clifford import Spinor, clifford_act, omega_chi
+import importlib
+
+# Each public name by the module it lives in; __getattr__ (PEP 562)
+# imports it from there on first access.
+_HOMES = {
+    "scalar": ("Scalar", "sc"),
+    "linalg": ("Matrix", "Subspace", "kernel", "rank", "solve", "random_invertible"),
+    "forms": ("KForm", "parse_form", "wedge", "contract", "pullback", "support"),
+    "composition": (
+        "AlgElement",
+        "CompAlgebra",
+        "canonical_octonions",
+        "cayley_dickson",
+        "named_algebra",
+    ),
+    "threeform": ("classify", "q_of", "lambda_quartic", "degree7_invariant"),
+    "liealg": ("SCAlgebra", "derivations", "jacobi_check", "stabilizer_in_gl"),
+    "jordan": ("JordanElement", "jordan_algebra", "det_cubic", "adjugate", "cubic_map"),
+    "magicsquare": ("triality_algebra", "vinberg_build", "tits_dimension_table"),
+    "rootdata": ("build_root_system", "z_grading", "zm_grading"),
+    "clifford": ("Spinor", "clifford_act", "omega_chi"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -71,3 +82,17 @@ __all__ = [
     "z_grading",
     "zm_grading",
 ]
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        # also how ``from excalg import composition`` reaches the submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

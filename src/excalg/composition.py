@@ -27,7 +27,7 @@ from .linalg import (
     vec_scale,
     zero_vec,
 )
-from .scalar import I, ONE, ZERO, Scalar, sc
+from .scalar import I, ONE, ZERO, NeedsExtension, Scalar, sc
 from .tensor import Element, StructureTensor, Vec, _cleared, cleared, cleared_ints, scalar_of, scalar_rows
 
 STANDARD = "standard"
@@ -45,10 +45,6 @@ class NonIsotropic(ValueError):
 
 class NotSubalgebra(ValueError):
     """Raised when a subspace fails closure under multiplication."""
-
-
-class NeedsExtension(ValueError):
-    """Raised when a construction or an eigen-decomposition leaves Q(i)."""
 
 
 # Oriented lines of the Fano plane, matching the invariant three-form

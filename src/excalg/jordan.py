@@ -150,19 +150,15 @@ class JordanAlgebra:
         return JordanElement(self, coords)
 
     def from_parts(self, diag: Sequence, off: Optional[Sequence[Sequence]] = None):
-        coords = [sc(c) for c in diag]
-        if len(coords) != 3:
+        """The element with diagonal diag and off-diagonal slots off: none
+        (or empty) for zero, else three coordinate lists of length a."""
+        if len(diag) != 3:
             raise ValueError("need three diagonal entries")
-        if self.a == 0:
-            if off and any(any(sc(c) for c in slot) for slot in off):
-                raise ValueError("a = 0 has no off-diagonal part")
-            return self.element(coords)
-        out = coords + [ZERO] * (3 * self.a)
-        if off is not None:
-            for s, slot in enumerate(off):
-                for t, c in enumerate(slot):
-                    out[self.off_index(s, t)] = sc(c)
-        return self.element(out)
+        if not off:
+            off = [[ZERO] * self.a] * 3
+        elif len(off) != 3 or any(len(slot) != self.a for slot in off):
+            raise ValueError(f"need three off-diagonal slots of {self.a} entries")
+        return self.element([sc(c) for c in (*diag, *off[0], *off[1], *off[2])])
 
     def identity(self) -> "JordanElement":
         return self.from_parts([1, 1, 1])
@@ -229,9 +225,21 @@ class JordanElement(Element):
 
     @staticmethod
     def from_json(data: dict) -> "JordanElement":
-        alg = jordan_algebra(data["a"])
-        off = data.get("off") or None
-        return alg.from_parts(data["diag"], off)
+        """The inverse of to_json.  Anything else is a ValueError: "a" must
+        be an integer, "diag" a list of three scalars, and "off" absent,
+        empty, or three lists of a scalars, each a string or an integer."""
+        if not isinstance(data, dict):
+            raise ValueError("a Jordan element is a JSON object")
+        a, diag, off = data.get("a"), data.get("diag"), data.get("off", [])
+        if type(a) is not int:
+            raise ValueError('"a" must be an integer')
+        if not (isinstance(diag, list) and isinstance(off, list)):
+            raise ValueError('"diag" and "off" must be lists')
+        if not all(isinstance(slot, list) for slot in off):
+            raise ValueError('"off" must be a list of lists')
+        if not all(type(c) in (str, int) for c in (*diag, *(c for slot in off for c in slot))):
+            raise ValueError("Jordan entries must be scalar strings or integers")
+        return jordan_algebra(a).from_parts(diag, off)
 
 
 # -- operations --------------------------------------------------------------------

@@ -29,7 +29,6 @@ import numpy as np
 
 from . import forms as fm
 from . import intlin
-from .composition import NeedsExtension
 from .linalg import (
     Matrix,
     is_zero_vec,
@@ -40,7 +39,7 @@ from .linalg import (
     vec_scale,
     zero_vec,
 )
-from .scalar import I, ONE, ZERO, Scalar, sc
+from .scalar import I, ONE, ZERO, NeedsExtension, Scalar, sc
 from .tensor import StructureTensor, _cleared, cleared_ints, scalar_of, scalar_rows
 
 

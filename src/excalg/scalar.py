@@ -24,6 +24,10 @@ _Q1 = _Q(1)
 ScalarLike = Union["Scalar", int, str]
 
 
+class NeedsExtension(ValueError):
+    """Raised when a construction or an eigen-decomposition leaves Q(i)."""
+
+
 class Scalar:
     """An element of Q or Q(i), in canonical reduced form.
 

@@ -65,6 +65,64 @@ class TestDerive:
         assert code == 0 and json.loads(out)["derivation_dim"] == 14
 
 
+class TestJordanPayloads:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # a slot of two entries for a = 1: off_index(0, 1) is off_index(1, 0),
+            # so the "2" would be overwritten and the request answer {"det":"0/1"}
+            {"a": 1, "diag": ["1", "1", "1"], "off": [["1", "2"], ["0"], ["0"]]},
+            {"a": 1, "diag": None},
+            {"a": 1, "diag": ["1", "1", "1"], "off": [1, 2, 3]},
+            {"a": 1, "diag": ["1", "1", "1"], "off": [["1"], ["0"], ["0"], ["0"]]},
+            {"a": [1], "diag": ["1", "1", "1"]},
+            {"a": 1, "diag": ["1", "1"]},
+            {"a": 1, "diag": ["1", "1", None]},
+            {"a": 1, "diag": ["1", "1", "1"], "off": [["1"], ["0"]]},
+            {"a": 0, "diag": ["1", "1", "1"], "off": [["0"], ["0"], ["0"]]},
+            {"a": True, "diag": ["1", "1", "1"]},
+            {"diag": ["1", "1", "1"]},
+        ],
+        ids=["slot-too-long", "diag-null", "off-not-lists", "fourth-slot", "a-list", "diag-short",
+             "diag-null-entry", "two-slots", "a0-entries", "a-bool", "a-missing"],
+    )
+    def test_malformed_exit_two(self, capsys, payload):
+        code = cli.main(["jordan", "--a", "1", "det", "--input", json.dumps(payload)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ")
+
+    def test_non_object_file_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "element.json"
+        path.write_text("[1, 2, 3]")
+        assert cli.main(["jordan", "--a", "1", "det", "--input", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "payload, det",
+        [
+            ({"a": 1, "diag": ["2", "3", "5"]}, "30/1"),
+            ({"a": 0, "diag": ["2", "3", "5"], "off": [[], [], []]}, "30/1"),
+            ({"a": 2, "diag": [1, 1, 1], "off": []}, "1/1"),
+            ({"a": 2, "diag": ["1", "1", "1"], "off": [["1", "2"], ["0", "0"], ["0", "0"]]}, "-4/1"),
+        ],
+        ids=["off-omitted", "a0-empty-slots", "off-empty", "a2-slot"],
+    )
+    def test_valid(self, capsys, payload, det):
+        code, out = run_cli(capsys, "jordan", "--a", str(payload["a"]), "det", "--input", json.dumps(payload))
+        assert code == 0 and json.loads(out) == {"det": det}
+
+
+class TestCheckFailure:
+    def test_calibration_failure_exit_one(self, capsys, monkeypatch):
+        from excalg import magicsquare as ms
+
+        def fail(*args, **kwargs):
+            raise ms.CalibrationFailed("inconsistent")
+
+        monkeypatch.setattr(ms, "vinberg_build", fail)
+        code = cli.main(["magic-square", "--build", "r", "r"])
+        assert code == 1 and capsys.readouterr().err == "check failed: inconsistent\n"
+
+
 class TestOutputPin:
     # SHA-256 of stdout, recorded before every rational elimination moved to
     # the certified modular path; the JSON must stay byte-identical

@@ -153,6 +153,35 @@ def test_verify_payload_exit_codes(data, mode, samples):
         exit_code(["verify", str(path), "--mode", mode, "--samples", str(samples)])
 
 
+@st.composite
+def jordan_payloads(draw):
+    """Jordan element JSON near the to_json schema: a in {0, 1, 2, 4, 8} or
+    junk, diag and off lists around three slots of a entries."""
+    a = draw(st.sampled_from([0, 1, 2, 4, 8]) | json_leaf | junk)
+    size = a if type(a) is int and a >= 0 else 1
+    entry = scalar | json_leaf
+    data = {"a": a, "diag": draw(st.lists(entry, min_size=2, max_size=4) | json_leaf)}
+    if draw(st.booleans()):
+        slot = st.lists(entry, min_size=max(size - 1, 0), max_size=size + 1) | json_leaf
+        data["off"] = draw(st.lists(slot, max_size=4) | json_leaf)
+    return data
+
+
+@FUZZ
+@given(st.one_of(jordan_payloads(), json_any), st.sampled_from(["det", "adj", "rank", "ch-check"]))
+@example({"a": 1, "diag": ["1", "1", "1"], "off": [["1", "2"], ["0"], ["0"]]}, "det")  # "2" dropped
+@example({"a": 1, "diag": None}, "det")  # TypeError escaped
+@example({"a": 1, "diag": ["1", "1", "1"], "off": [1, 2, 3]}, "det")  # TypeError escaped
+@example({"a": 1, "diag": ["1", "1", "1"], "off": [["1"], ["0"], ["0"], ["0"]]}, "det")  # IndexError escaped
+@example({"a": [1], "diag": ["1", "1", "1"]}, "det")  # TypeError escaped
+def test_jordan_payload_exit_codes(data, op):
+    a = data["a"] if isinstance(data, dict) and type(data.get("a")) is int else 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "element.json"
+        path.write_text(json.dumps(data), encoding="utf8")
+        assert exit_code(["jordan", "--a", str(a), op, "--input", str(path)]) in (0, 2)
+
+
 @FUZZ
 @given(st.text(max_size=40))
 def test_verify_raw_text_exit_codes(text):
