@@ -79,6 +79,14 @@ def _primes_below(start: int) -> Iterator[int]:
 _PRIMES = list(itertools.islice(_primes_below(1 << 30), 64))
 
 _FLOAT_EXACT = 1 << 53
+# OpenBLAS runs a product of at most _SERIAL_MADDS multiply-adds on the
+# calling thread and wakes its worker threads for a larger one.  Up to
+# _BLOCKED_MADDS the wake-up costs more than the product (a 28 x 406 x 378
+# product took 24 ms on two threads against 0.4 ms on one, on a 2-vCPU
+# VM) and makes its time follow the machine's load, so _float_matmul cuts
+# such products into serial pieces.
+_SERIAL_MADDS = 1 << 18
+_BLOCKED_MADDS = 1 << 24
 
 
 def _mod_p_rref(a: np.ndarray, p: int):
@@ -135,7 +143,7 @@ def _compress(a: np.ndarray, rng: random.Random) -> np.ndarray:
     bound = float(m) * (rmax - 1) * max(amax, 1)
     if bound >= _FLOAT_EXACT:
         raise ValueError("entries too large for exact float compression")
-    return np.rint(r.astype(np.float64) @ a.astype(np.float64)).astype(np.int64)
+    return np.rint(_float_matmul(r.astype(np.float64), a.astype(np.float64))).astype(np.int64)
 
 
 def _rational_reconstruct(v: int, modulus: int) -> Optional[tuple[int, int]]:
@@ -160,11 +168,30 @@ def _rational_reconstruct(v: int, modulus: int) -> Optional[tuple[int, int]]:
     return num // g, den // g
 
 
+def _float_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of float64 arrays.  A product of up to _BLOCKED_MADDS
+    multiply-adds runs in pieces of about _SERIAL_MADDS, split along the
+    longer of a's rows and b's columns."""
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-2] * a.shape[-1] * b.shape[-1] > _BLOCKED_MADDS:
+        return a @ b
+    (m, k), n = a.shape[-2:], b.shape[-1]
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n))
+    axis = -1 if n >= m else -2
+    pieces = max(1, min(-(-m * k * n // _SERIAL_MADDS), out.shape[axis]))
+    if axis == -1:
+        a_parts, b_parts = [a] * pieces, np.array_split(b, pieces, axis)
+    else:
+        a_parts, b_parts = np.array_split(a, pieces, axis), [b] * pieces
+    for part_a, part_b, dest in zip(a_parts, b_parts, np.array_split(out, pieces, axis)):
+        np.matmul(part_a, part_b, out=dest)
+    return out
+
+
 def checked_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer product a @ b of integer arrays (stacks broadcast as
     in np.matmul), via float64 when provably safe."""
     if biggest(a) * biggest(b) * a.shape[-1] < _FLOAT_EXACT:
-        return np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        return np.rint(_float_matmul(a.astype(np.float64), b.astype(np.float64))).astype(np.int64)
     return a.astype(object) @ b.astype(object)
 
 

@@ -219,6 +219,27 @@ class TestExactProduct:
             [[7, 10], [15, 22]], [[1 << 126, 0], [0, 1]]
         ]
 
+    @pytest.mark.parametrize(
+        "shape_a, shape_b",
+        [
+            ((28, 406), (406, 378)),  # cut along b's columns
+            ((600, 40), (40, 30)),  # cut along a's rows
+            ((2, 40, 300), (300, 50)),  # a stack, cut along b's columns
+            ((3, 8, 8), (8, 3, 8, 8)),  # broadcast stacks, one piece
+            ((2000, 100), (100, 100)),  # past _BLOCKED_MADDS, one product
+            ((0, 5), (5, 7)),
+            ((4, 5), (5,)),
+        ],
+    )
+    def test_float_products_in_pieces_are_exact(self, shape_a, shape_b):
+        import numpy as np
+
+        rng = np.random.default_rng(len(shape_a) + shape_b[-1])
+        a = rng.integers(-1 << 20, 1 << 20, shape_a)
+        b = rng.integers(-1 << 20, 1 << 20, shape_b)
+        got = intlin.checked_int_matmul(a, b)
+        assert got.dtype == np.int64 and np.array_equal(got, a @ b)
+
 
 def _coordinates(vectors, targets):
     """span_coordinates of Scalar vectors and targets, cleared over one
