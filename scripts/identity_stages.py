@@ -43,8 +43,9 @@ import workloads  # noqa: E402
 clock = time.perf_counter
 PRODUCT_LOOP = ("product", "vec_product")
 # (stage, module, attribute): the Scalar path calls forms.form_rank, q_of,
-# QuadForm.rank and linear_divisor_dim; the integer path calls _nullity on
-# a named table, _quad_form and QuadForm.rank
+# QuadForm.rank and linear_divisor_dim; the integer path calls _quad_form,
+# QuadForm.rank and, on a named table, _kernel (named _nullity before it
+# returned the kernel vectors)
 PULLBACK_STAGES = (
     ("pullback", "forms", "pullback"),
     ("support_rank", "forms", "form_rank"),
@@ -52,6 +53,7 @@ PULLBACK_STAGES = (
     ("gram", "threeform", "_quad_form"),
     ("divisor", "threeform", "linear_divisor_dim"),
     ("table", "threeform", "_nullity"),
+    ("table", "threeform", "_kernel"),
 )
 TABLE_STAGE = {"contraction": "support_rank", "divisor": "divisor", "action": "stabilizer"}
 
@@ -155,7 +157,8 @@ def time_product_loop(spent):
 
 def time_pullback_stages(spent):
     """Wrap the stage functions that exist, and QuadForm.rank; only the
-    outermost stage of a call counts.  _nullity is booked by its table."""
+    outermost stage of a call counts.  _kernel (or _nullity) is booked by
+    its table."""
     import importlib
 
     from excalg import threeform as tf

@@ -208,23 +208,20 @@ def parse_form(text: str, n: int, degree: int | None = None) -> KForm:
         indices = tuple(int(t) for t in m.group(1).split(","))
         if k is None:
             k = len(indices)
-        coeff_text = (term[: m.start()] + term[m.end() :]).strip("*")
-        if coeff_text in ("", "+"):
-            coeff = ONE
-        elif coeff_text == "-":
-            coeff = sc(-1)
-        else:
-            sign = ONE
-            while coeff_text and coeff_text[0] in "+-":
-                if coeff_text[0] == "-":
-                    sign = -sign
-                coeff_text = coeff_text[1:]
-            if coeff_text.startswith("(") and coeff_text.endswith(")"):
-                inner = coeff_text[1:-1]
+        head, tail = term[: m.start()], term[m.end() :]
+        sign = -ONE if head.startswith("-") else ONE
+        if head.startswith(("+", "-")):
+            head = head[1:]
+        if head and tail:
+            raise ValueError(f"term {term!r} has a coefficient on both sides")
+        coeff = sign
+        if head or tail:
+            # the coefficient, joined to e[..] by at most one "*", is never empty
+            coeff_text = head.removesuffix("*") or tail.removeprefix("*")
+            if coeff_text.startswith("(") and coeff_text.endswith(")") and "i" not in coeff_text:
                 # strip only a plain arithmetic group, not a scalar literal
-                if "i" not in inner:
-                    coeff_text = inner
-            coeff = sign * Scalar.parse(coeff_text.rstrip("*"))
+                coeff_text = coeff_text[1:-1]
+            coeff = sign * Scalar.parse(coeff_text)
         items.append((indices, coeff))
     return KForm.from_terms(k, n, items)
 

@@ -74,7 +74,9 @@ class Scalar:
     def parse(text: str) -> "Scalar":
         """Parse "p/q", "p", "(p1/q1)+(p2/q2)i", and light variants.
 
-        Accepted shorthand: "i", "-i", "3i", "-1/2i", "2+3i", "1-i".
+        Accepted shorthand: "i", "-i", "3i", "-1/2i", "2+3i", "1-i".  Only
+        the coefficient of i may omit its digits; "", "()", "+" and "-"
+        raise ValueError.
         """
         s = text.strip().replace(" ", "")
         # strip an outermost grouping pair: "(a+bi)" -> "a+bi"
@@ -117,12 +119,8 @@ class Scalar:
             # split a trailing imaginary term off "a+bi" / "a-bi"
             for k in range(len(head) - 1, 0, -1):
                 if head[k] in "+-" and head[k - 1] not in "+-/*(":
-                    return Scalar(_parse_q(head[:k]), _parse_q(head[k:] or "1"))
-            if head in ("", "+"):
-                return Scalar(_Q0, _Q1)
-            if head == "-":
-                return Scalar(_Q0, -_Q1)
-            return Scalar(_Q0, _parse_q(head))
+                    return Scalar(_parse_q(head[:k]), _parse_unit(head[k:]))
+            return Scalar(_Q0, _parse_unit(head))
         return Scalar(_parse_q(s))
 
     # -- predicates ----------------------------------------------------
@@ -250,16 +248,22 @@ class Scalar:
 
 def _parse_q(text: str):
     t = text.strip()
-    if t in ("", "+"):
-        return _Q1
-    if t == "-":
-        return -_Q1
+    if t in ("", "+", "-"):
+        raise ValueError(f"scalar literal {text!r} has no digits")
     if "/" in t:
         num, den = (int(x) for x in t.split("/"))
         if not den:
             raise ValueError(f"zero denominator in {text!r}")
         return _Q(num, den)
     return _Q(int(t))
+
+
+def _parse_unit(text: str):
+    """The coefficient of i, whose digits may be omitted: "", "+" and "-"
+    read as 1, 1 and -1."""
+    if text in ("", "+", "-"):
+        return -_Q1 if text == "-" else _Q1
+    return _parse_q(text)
 
 
 def _fmt_q(q) -> str:

@@ -5,6 +5,11 @@ The classifier works with invariants only (support rank, the rank of the
 associated quadratic form, the six-variable quartic, a degree-seven
 semi-invariant, and a linear-divisor test); it never builds a normalizing
 change of basis, which may require field extensions.
+
+Every invariant is computed from the coefficients of w cleared once to an
+integer vector: cached index and sign tables read integer matrices off it
+(see _table), and the invariants are exact integer products of those
+matrices over a power of the common denominator.
 """
 
 from __future__ import annotations
@@ -12,16 +17,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import forms as fm
 from . import intlin
 from .forms import KForm
-from .linalg import Matrix, Subspace, kernel, unit_vec, zero_vec
+from .linalg import Matrix, Subspace, kernel
 from .scalar import ZERO, Scalar, sc
-from .tensor import biggest, cleared_ints, scalar_rows
+from .tensor import biggest, cleared_ints, scalar_of, scalar_rows
 
 ZERO_LABEL = "ZERO"
 RANK3_DECOMPOSABLE = "RANK3_DECOMPOSABLE"
@@ -71,21 +76,24 @@ class QuadForm:
 
 
 @lru_cache(maxsize=None)
-def _tables(n: int, k: int) -> Dict[str, tuple]:
-    """Index and sign tables that read matrices off the coefficient vector
-    x of a k-form w in n variables (x[r] at the r-th sorted k-tuple), each
-    (shape, pos, src, sign): entry pos of the flattened matrix is sign *
-    x[src], and every other entry is zero.
+def _table(n: int, k: int, name) -> tuple:
+    """An index and sign table that reads a matrix off the coefficient
+    vector x of a k-form w in n variables (x[r] at the r-th sorted k-tuple),
+    as (shape, pos, src, sign): entry pos of the flattened matrix is sign *
+    x[src], and every other entry is zero.  Built on first use.
 
-    - contraction [S, j]: coefficient j of e_S -| w over the sorted
+    - "contraction" [S, j]: coefficient j of e_S -| w over the sorted
       (k-1)-tuples S, the rows that forms.support spans;
-    - divisor [J, j]: coefficient J of e^j ^ w over the sorted (k+1)-tuples;
-    - action [t, a n + b]: coefficient t of E_ab . w, in which each index a
+    - "divisor" [J, j]: coefficient J of e^j ^ w over the sorted (k+1)-tuples;
+    - "action" [t, a n + b]: coefficient t of E_ab . w, in which each index a
       of a term is replaced by b;
-    - wedge [jk, lm], for trivectors in seven variables: the top coefficient
-      of e^jk ^ e^lm ^ w, +-w[{1..7} - jk - lm]."""
-    lower, middle, upper = (list(itertools.combinations(range(1, n + 1), d)) for d in (k - 1, k, k + 1))
-    src = {t: r for r, t in enumerate(middle)}
+    - (p, q), p + q = n - k, the complement rule [P, Q] over the sorted p-
+      and q-tuples: the top coefficient of e^P ^ e^Q ^ w, sign(P + Q + T) *
+      w[T] with T = {1..n} - P - Q, and zero when P and Q overlap."""
+    def tuples(d: int) -> list:
+        return list(itertools.combinations(range(1, n + 1), d))
+
+    src = {t: r for r, t in enumerate(tuples(k))}
 
     def packed(rows: list, cols: int, cells) -> tuple:
         """cells: (row tuple, column, source k-tuple, sign); zero signs dropped."""
@@ -94,20 +102,21 @@ def _tables(n: int, k: int) -> Dict[str, tuple]:
         return ((len(rows), cols),) + tuple(a.reshape(-1, 3).T)
 
     sort = fm._sort_with_sign
-    tables = {
-        "contraction": packed(lower, n, (
-            (t[:p] + t[p + 1:], j - 1, t, (-1) ** p) for t in middle for p, j in enumerate(t))),
-        "divisor": packed(upper, n, (
-            (J, j - 1, J[:p] + J[p + 1:], (-1) ** p) for J in upper for p, j in enumerate(J))),
-        "action": packed(middle, n * n, (
-            (u, (a - 1) * n + b - 1, t, s) for t in middle for p, a in enumerate(t)
-            for b in range(1, n + 1) for u, s in [sort(t[:p] + (b,) + t[p + 1:])])),
-    }
-    if (n, k) == (7, 3):
-        tables["wedge"] = packed(lower, 21, (
-            (S, c, u, sort(S + T + u)[1]) for S in lower for c, T in enumerate(lower)
-            for u in [tuple(sorted(set(range(1, 8)) - set(S + T)))] if len(u) == 3))
-    return tables
+    if name == "contraction":
+        return packed(tuples(k - 1), n, (
+            (t[:p] + t[p + 1:], j - 1, t, (-1) ** p) for t in src for p, j in enumerate(t)))
+    if name == "divisor":
+        return packed(tuples(k + 1), n, (
+            (J, j - 1, J[:p] + J[p + 1:], (-1) ** p) for J in tuples(k + 1) for p, j in enumerate(J)))
+    if name == "action":
+        return packed(tuples(k), n * n, (
+            (u, (a - 1) * n + b - 1, t, s) for t in src for p, a in enumerate(t)
+            for b in range(1, n + 1) for u, s in [sort(t[:p] + (b,) + t[p + 1:])]))
+    p, q = name
+    full = set(range(1, n + 1))
+    return packed(tuples(p), len(tuples(q)), (
+        (P, c, T, sort(P + Q + T)[1]) for P in tuples(p) for c, Q in enumerate(tuples(q))
+        for T in [tuple(sorted(full - set(P + Q)))] if len(T) == k))
 
 
 def _cleared_form(w: KForm, n: Optional[int] = None) -> Tuple[np.ndarray, int]:
@@ -117,37 +126,43 @@ def _cleared_form(w: KForm, n: Optional[int] = None) -> Tuple[np.ndarray, int]:
     return cleared_ints([w.terms.get(t, ZERO) for t in tuples], (len(tuples),))
 
 
-def _matrix(x: np.ndarray, n: int, k: int, name: str) -> np.ndarray:
-    """The integer matrix that table `name` of _tables(n, k) reads off x,
-    with x's dtype and trailing (re, im) axis."""
-    shape, pos, src, sign = _tables(n, k)[name]
+def _matrix(x: np.ndarray, n: int, k: int, name) -> np.ndarray:
+    """The integer matrix that _table(n, k, name) reads off x, with x's
+    dtype and trailing (re, im) axis."""
+    shape, pos, src, sign = _table(n, k, name)
     out = np.zeros((shape[0] * shape[1],) + x.shape[1:], dtype=x.dtype)
     out[pos] = x[src] * sign.reshape(sign.shape + (1,) * (x.ndim - 1))
     return out.reshape(shape + x.shape[1:])
 
 
-def _nullity(x: np.ndarray, n: int, k: int, name: str) -> int:
-    """The kernel dimension of the matrix that table `name` of _tables(n,
-    k) reads off x, by the certified kernel."""
+def _kernel(x: np.ndarray, n: int, k: int, name: str) -> np.ndarray:
+    """The kernel vectors, as rows over one denominator, of the matrix that
+    _table(n, k, name) reads off x, by the certified kernel."""
     m = _matrix(x, n, k, name)
-    return len(intlin.kernel_array(m, m.shape[1])[0])
+    return intlin.kernel_array(m, m.shape[1])[0]
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for integer matrices, or Gaussian ones [.., .., 2]."""
+    """a @ b for integer matrices, or Gaussian ones [.., .., 2], exactly: in
+    int64 while 2 * inner * max|a| * max|b| fits, else in Python integers."""
+    dtype = intlin.int_dtype(2 * a.shape[1] * biggest(a) * biggest(b))
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
     if a.ndim == 2:
         return a @ b
     (ar, ai), (br, bi) = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
     return np.stack((ar @ br - ai @ bi, ar @ bi + ai @ br), axis=-1)
 
 
+def _scalar(v, den: int) -> Scalar:
+    """The Scalar v / den of an integer or an (re, im) pair."""
+    return scalar_of(np.reshape(v, -1).tolist(), den)
+
+
 def _quad_form(x: np.ndarray, den: int) -> QuadForm:
     """q_of from the cleared coefficients of a trivector in seven variables:
-    with C the contraction matrix (column a is e_a -| w) and M the wedge
-    matrix, the Gram matrix is C^T M C / den^3, int64 while the bound of
-    its 21 * 21 products of three Gaussian entries fits."""
-    dtype = intlin.int_dtype(4 * 21 * 21 * biggest(x) ** 3)
-    c, m = (_matrix(x, 7, 3, name).astype(dtype) for name in ("contraction", "wedge"))
+    with C the contraction matrix (column a is e_a -| w) and M the (2, 2)
+    complement matrix, the Gram matrix is C^T M C / den^3."""
+    c, m = (_matrix(x, 7, 3, name) for name in ("contraction", (2, 2)))
     return QuadForm(7, _mul(_mul(c.swapaxes(0, 1), m), c), den ** 3)
 
 
@@ -161,33 +176,37 @@ def q_of(w: KForm) -> QuadForm:
     return _quad_form(*_cleared_form(w))
 
 
-def psi(w: KForm) -> Matrix:
-    """The 6x6 matrix of v -> u where (v -| w) ^ w = u -| e^{123456}."""
+def _psi(x: np.ndarray) -> np.ndarray:
+    """den^2 psi from the cleared coefficients of a trivector in six
+    variables: u_i is the top coefficient of e^i ^ (v -| w) ^ w, so psi is
+    H C, with H the (1, 2) complement matrix and C the contraction matrix
+    (column a is e_a -| w)."""
+    return _mul(_matrix(x, 6, 3, (1, 2)), _matrix(x, 6, 3, "contraction"))
+
+
+def _quartic(x: np.ndarray) -> np.ndarray:
+    """6 den^4 lambda_quartic: tr((H C)^2), an integer or an (re, im) pair."""
+    m = _psi(x)
+    return _mul(m, m).diagonal(axis1=0, axis2=1).sum(axis=-1)
+
+
+def _cleared_six(w: KForm) -> Tuple[np.ndarray, int]:
     if w.k != 3 or w.n != 6:
         raise ValueError("psi expects a trivector in six variables")
-    top = KForm.basis(range(1, 7), 6)
-    # u -| e^{1..6}: basis vector e_j contracts to a signed basis 5-form
-    cols = []
-    for j in range(6):
-        five = fm.wedge(fm.contract(unit_vec(6, j), w), w)
-        u = zero_vec(6)
-        for idx, c in five.terms.items():
-            (miss,) = tuple(i for i in range(1, 7) if i not in idx)
-            sign = fm.contract_basis(miss, top).coefficient(idx)
-            u[miss - 1] = c / sign
-        cols.append(u)
-    return Matrix.from_cols(cols)
+    return _cleared_form(w)
+
+
+def psi(w: KForm) -> Matrix:
+    """The 6x6 matrix of v -> u where (v -| w) ^ w = u -| e^{123456}."""
+    x, den = _cleared_six(w)
+    return Matrix(scalar_rows(_psi(x), den ** 2))
 
 
 def lambda_quartic(w: KForm) -> Scalar:
     """The degree-four invariant tr(Psi o Psi) / 6 in six variables; it
     vanishes exactly off the open orbit."""
-    m = psi(w)
-    m2 = m @ m
-    tr = ZERO
-    for i in range(6):
-        tr = tr + m2[i, i]
-    return tr / sc(6)
+    x, den = _cleared_six(w)
+    return _scalar(_quartic(x), 6 * den ** 4)
 
 
 def action_matrix(n: int, w: KForm) -> Matrix:
@@ -199,29 +218,12 @@ def action_matrix(n: int, w: KForm) -> Matrix:
 
 def stabilizer_dim(w: KForm) -> int:
     """dim { X in gl_n : X . w = 0 } for the linearized pullback action."""
-    return _nullity(_cleared_form(w)[0], w.n, w.k, "action")
+    return len(_kernel(_cleared_form(w)[0], w.n, w.k, "action"))
 
 
 def linear_divisor_dim(w: KForm) -> int:
     """Dimension of { alpha in V* : alpha ^ w = 0 }."""
-    return _nullity(_cleared_form(w)[0], w.n, w.k, "divisor")
-
-
-def restrict_to_support(w: KForm) -> KForm:
-    """Express the form inside its support, as a trivector in r = rank(w)
-    variables."""
-    sup = fm.support(w)
-    r, n = sup.dim, w.n
-    # the echelon basis and the unit vectors off its pivots span the dual
-    # space; rows: the new dual basis in old coordinates
-    pivots = {next(j for j, c in enumerate(v) if c) for v in sup.basis}
-    b = Matrix(sup.basis + [unit_vec(n, j) for j in range(n) if j not in pivots])
-    moved = fm.pullback(b.inverse(), w)
-    # after the change of coordinates all indices lie in 1..r
-    for idx in moved.terms:
-        if any(i > r for i in idx):
-            raise AssertionError("support restriction failed")
-    return KForm(3, r, {idx: c for idx, c in moved.terms.items()})
+    return len(_kernel(_cleared_form(w)[0], w.n, w.k, "divisor"))
 
 
 @dataclass
@@ -265,17 +267,22 @@ def classify(w: KForm, with_stabilizer: bool = False) -> OrbitLabel:
     if w.n > 7:
         raise ValueError("classification implemented for n <= 7 only")
     x, den = _cleared_form(w)
-    r = w.n - _nullity(x, w.n, 3, "contraction")
+    kern = _kernel(x, w.n, 3, "contraction")
+    r = w.n - len(kern)
     rec = OrbitRecord(r)
     if with_stabilizer:
-        rec.stab_dim = _nullity(x, w.n, 3, "action")
+        rec.stab_dim = len(_kernel(x, w.n, 3, "action"))
     if r in (0, 3, 5):
         return OrbitLabel(w.n, {0: ZERO_LABEL, 3: RANK3_DECOMPOSABLE, 5: RANK5}[r], rec)
     if r == 6:
-        inner = restrict_to_support(w) if w.n != 6 else w
-        lam = lambda_quartic(inner)
-        rec.lambda_is_zero = lam.is_zero()
-        return OrbitLabel(w.n, RANK6_TANGENT if lam.is_zero() else RANK6_GENERIC, rec)
+        if w.n == 7:
+            # v0 spans {v : v -| w = 0}; for the first i with v0_i != 0, w is
+            # pulled back from its restriction to span{e_j : j != i} along
+            # v0, so the six-variable form left by dropping e_i has w's type
+            i = 1 + int(np.flatnonzero((kern[0] != 0).reshape(7, -1).any(axis=1))[0])
+            x = x[[i not in t for t in itertools.combinations(range(1, 8), 3)]]
+        rec.lambda_is_zero = not np.any(_quartic(x))
+        return OrbitLabel(w.n, RANK6_TANGENT if rec.lambda_is_zero else RANK6_GENERIC, rec)
     if r == 7:
         qr = _quad_form(x, den).rank
         rec.q_rank = qr
@@ -290,7 +297,7 @@ def classify(w: KForm, with_stabilizer: bool = False) -> OrbitLabel:
         if qr == 1:
             # the closed rank-one orbit consists of forms with a linear
             # divisor; the stabilizer dimensions 28 vs 21 confirm the split
-            has_divisor = _nullity(x, 7, 3, "divisor") > 0
+            has_divisor = len(_kernel(x, 7, 3, "divisor")) > 0
             return OrbitLabel(w.n, W1 if has_divisor else W2, rec)
         raise AssertionError(f"unexpected q-rank {qr} at support rank 7")
     raise AssertionError(f"impossible support rank {r} for a trivector")
@@ -299,79 +306,28 @@ def classify(w: KForm, with_stabilizer: bool = False) -> OrbitLabel:
 # -- degree seven semi-invariant ------------------------------------------------
 
 
-def _nu_from_four_form(four: KForm) -> Dict[tuple, Scalar]:
-    """Solve (nu -| e^{1..7}) = four for a trivector nu, coefficientwise."""
-    top = KForm.basis(range(1, 8), 7)
-    out: Dict[tuple, Scalar] = {}
-    for idx4, c in four.terms.items():
-        tri = tuple(i for i in range(1, 8) if i not in idx4)
-        contracted = top
-        for i in tri:
-            contracted = fm.contract_basis(i, contracted)
-        sign = contracted.coefficient(idx4)
-        out[tri] = c / sign
-    return out
-
-
 def degree7_invariant(w: KForm) -> Scalar:
     """The degree-seven semi-invariant of a trivector in seven variables,
-    via the chain: quadratic endomorphism-valued map, transpose through
-    End of the trivector space, trace contraction, and pairing with the
-    polarized quadratic form.
+    I7 = sum_cd q_cd tr(W_c W_d), with q the Gram matrix of q_of and W_c the
+    endomorphism whose entry (a, b) is the top coefficient of e^c ^ (E_ab .
+    w) ^ w: row c of N A, with N the (1, 3) complement matrix and A the
+    action matrix, read as a 7 x 7 matrix.  On cleared coefficients this is
+    one integer sum over den^7.
 
     Its vanishing locus is the closure of the orbit below the open one;
     the overall normalization is a fixed convention of this package.
     """
     if w.k != 3 or w.n != 7:
         raise ValueError("degree7_invariant expects a trivector in 7 variables")
-    tuples = list(itertools.combinations(range(1, 8), 3))
-    # derivation action of E_ba on basis trivectors, tabulated once
-    w_of = {t: w.terms.get(t, ZERO) for t in tuples}
-
-    def omega_on_acted(a: int, b: int, t: tuple) -> Scalar:
-        # omega evaluated on E_ab . e_t (vector action replaces b by a)
-        total = ZERO
-        for pos, i in enumerate(t):
-            if i == b:
-                new = t[:pos] + (a,) + t[pos + 1 :]
-                srt, sign = fm._sort_with_sign(new)
-                if sign == 0:
-                    continue
-                c = w_of.get(srt, ZERO)
-                if not c.is_zero():
-                    total = total + sc(sign) * c
-        return total
-
-    wtensor: List[Matrix] = []
-    for cidx in range(1, 8):
-        four = fm.wedge(w, KForm.basis([cidx], 7))
-        nu = _nu_from_four_form(four)
-        ent = [[ZERO] * 7 for _ in range(7)]
-        for a in range(7):
-            for b in range(7):
-                total = ZERO
-                for t, coef in nu.items():
-                    if coef.is_zero():
-                        continue
-                    val = omega_on_acted(b + 1, a + 1, t)
-                    if not val.is_zero():
-                        total = total + coef * val
-                ent[a][b] = total
-        wtensor.append(Matrix(ent))
-    qgram = q_of(w).gram
-    total = ZERO
-    for c in range(7):
-        for d in range(7):
-            qcd = qgram[c, d]
-            if qcd.is_zero():
-                continue
-            m1, m2 = wtensor[c], wtensor[d]
-            tr = ZERO
-            for a in range(7):
-                for b in range(7):
-                    tr = tr + m1[a, b] * m2[b, a]
-            total = total + qcd * tr
-    return total
+    x, den = _cleared_form(w)
+    na = _mul(_matrix(x, 7, 3, (1, 3)), _matrix(x, 7, 3, "action"))
+    tail = na.shape[2:]
+    # column (a, b) of the right factor holds W_d[b, a], so entry (c, d) of
+    # the product is tr(W_c W_d)
+    swapped = na.reshape((7, 7, 7) + tail).swapaxes(1, 2).reshape(na.shape)
+    traces = _mul(na, swapped.swapaxes(0, 1))
+    gram = _quad_form(x, den).ints
+    return _scalar(_mul(gram.reshape((1, 49) + tail), traces.reshape((49, 1) + tail)), den ** 7)
 
 
 # -- six-variable decomposition oracle ---------------------------------------------

@@ -149,16 +149,16 @@ class TestOutputPin:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def moved_form(label, seed, field="rational"):
-    """The text of a representative, embedded in seven variables, pulled
-    back by a seeded invertible matrix."""
+def moved_form(label, seed, field="rational", n=7):
+    """The text of a representative, embedded in n variables, pulled back
+    by a seeded invertible matrix."""
     from excalg import forms as fm
     from excalg import threeform as tf
     from excalg.linalg import random_invertible
 
     rep = tf.representative(label)
-    g = random_invertible(7, seed=seed, height=2, field=field)
-    return fm.pullback(g, fm.KForm(3, 7, dict(rep.terms))).to_text()
+    g = random_invertible(n, seed=seed, height=2, field=field)
+    return fm.pullback(g, fm.KForm(3, n, dict(rep.terms))).to_text()
 
 
 class TestClassifyFormPin:
@@ -181,15 +181,92 @@ class TestClassifyFormPin:
              "8aa3152dbb4770c2e90ff2fc9f2a9785f498e5fce1a2fa2cb8b0652853e0b5d3"),
             ("99999999999999999999*e[1,2,5]+e[1,3,6]+e[1,4,7]+e[2,3,4]+e[5,6,7]",
              "8962604cf164ca0a84f905bb382d4d936a9d794fe2ad4cc3c5c7c36444c5c0df"),
+            # recorded before psi, the quartic and I7 moved to integer tables
+            (("RANK6_GENERIC", 21, "gaussian"),
+             "8947289364c0115cfbd4b21708bea4096b6ef3e2daa848293d00df429b7e0d08"),
+            (("RANK6_TANGENT", 22, "gaussian"),
+             "c95e5ea10b1613853a4233923daf7bcf955564ac57277e45261ea63a9a29b22d"),
+            # the kernel of the contraction is spanned by e_7, and by e_1
+            ("e[1,2,3]+e[4,5,6]", "8947289364c0115cfbd4b21708bea4096b6ef3e2daa848293d00df429b7e0d08"),
+            ("e[2,3,4]+e[5,6,7]", "8947289364c0115cfbd4b21708bea4096b6ef3e2daa848293d00df429b7e0d08"),
         ],
         ids=["W1", "W2", "W3", "W4", "W5", "gaussian-W4", "rank6-generic", "rank6-tangent",
-             "rank5", "rank3", "W5-past-2^63"],
+             "rank5", "rank3", "W5-past-2^63", "gaussian-rank6-generic", "gaussian-rank6-tangent",
+             "rank6-kernel-e7", "rank6-kernel-e1"],
     )
     def test_stdout_digest(self, capsys, form, digest):
         text = form if isinstance(form, str) else moved_form(*form)
         code, out = run_cli(capsys, "classify-form", "--n", "7", "--form", text)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "form, digest",
+        [
+            (("RANK6_GENERIC", 23), "865530d7dbfe22db088dcf900011e1a699b785aa7876012d16fa5b11411c45e3"),
+            (("RANK6_TANGENT", 24), "5e55bd05f2c52555491fda7486c162741c10b3b71c5bdf9498f7e9fe8e2bec15"),
+            (("RANK6_GENERIC", 25, "gaussian"),
+             "865530d7dbfe22db088dcf900011e1a699b785aa7876012d16fa5b11411c45e3"),
+            (("RANK6_TANGENT", 26, "gaussian"),
+             "5e55bd05f2c52555491fda7486c162741c10b3b71c5bdf9498f7e9fe8e2bec15"),
+        ],
+        ids=["generic", "tangent", "gaussian-generic", "gaussian-tangent"],
+    )
+    def test_six_variable_digest(self, capsys, form, digest):
+        code, out = run_cli(capsys, "classify-form", "--n", "6", "--form", moved_form(*form, n=6))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestEmptyCoefficients:
+    # only the coefficient of i may omit its digits, and a term's coefficient
+    # sits on one side of e[..], joined by at most one "*"; each of these
+    # used to be answered with exit 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("jordan", "--a", "1", "det", "--input", '{"a":1,"diag":["","",""]}'),
+            ("jordan", "--a", "1", "det", "--input", '{"a":1,"diag":["-","+","()"]}'),
+            ("spinor", "--chi=,,,,,,,"),
+            ("spinor", "--chi=1,0,0,0,0,0,0,-"),
+            ("classify-form", "--form", "*e[1,2,3]"),
+            ("classify-form", "--form", "e[1,2,3]*"),
+            ("classify-form", "--form", "()*e[1,2,3]"),
+            ("classify-form", "--form=-*e[1,2,3]"),
+            ("classify-form", "--form", "(+)*e[1,2,3]"),
+            # read as 23 and as 2
+            ("classify-form", "--form", "2e[1,2,3]3"),
+            ("classify-form", "--form", "2**e[1,2,3]"),
+        ],
+        ids=["jordan-empty", "jordan-signs", "spinor-empty", "spinor-sign", "form-star-before",
+             "form-star-after", "form-empty-group", "form-sign-star", "form-sign-group",
+             "form-both-sides", "form-two-stars"],
+    )
+    def test_exit_two(self, capsys, argv):
+        code = cli.main(list(argv))
+        assert code == 2 and capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "form, terms",
+        [
+            ("e[1,2,3]", [[1, 2, 3], "1/1"]),
+            ("-e[1,2,3]", [[1, 2, 3], "-1/1"]),
+            ("2*e[1,2,3]", [[1, 2, 3], "2/1"]),
+            ("i*e[1,2,3]", [[1, 2, 3], "(0/1)+(1/1)i"]),
+            ("-i*e[1,2,3]", [[1, 2, 3], "(0/1)+(-1/1)i"]),
+            ("(2+i)*e[1,2,3]", [[1, 2, 3], "(2/1)+(1/1)i"]),
+            ("(1-i)*e[1,2,3]", [[1, 2, 3], "(1/1)+(-1/1)i"]),
+            ("(1/2)*e[1,2,3]", [[1, 2, 3], "1/2"]),
+            ("e[1,2,3]*2", [[1, 2, 3], "2/1"]),
+        ],
+    )
+    def test_valid(self, capsys, form, terms):
+        from excalg import forms as fm
+
+        w = fm.parse_form(form, 7)
+        assert [[list(idx), str(c)] for idx, c in w.terms.items()] == [terms]
+        code, out = run_cli(capsys, "classify-form", f"--form={form}")
+        assert code == 0 and json.loads(out)["label"] == "RANK3_DECOMPOSABLE"
 
 
 class TestVerifyFile:

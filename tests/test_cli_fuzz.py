@@ -182,6 +182,20 @@ def test_jordan_payload_exit_codes(data, op):
         assert exit_code(["jordan", "--a", str(a), op, "--input", str(path)]) in (0, 2)
 
 
+coefficient_text = st.text(alphabet="0123456789+-/*()i", max_size=8)
+
+
+@FUZZ
+@given(coefficient_text)
+@example("")  # read as 1, exit 0
+@example("()*")
+@example("-")
+def test_coefficient_text_exit_codes(text):
+    # a term's coefficient and a spinor coordinate: exit 0 or 2, never 1
+    assert exit_code(["classify-form", "--form", text + "e[1,2,3]"]) in (0, 2)
+    assert exit_code(["spinor", "--chi", ",".join([text] + ["0"] * 7)]) in (0, 2)
+
+
 @FUZZ
 @given(st.text(max_size=40))
 def test_verify_raw_text_exit_codes(text):

@@ -1,12 +1,13 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from excalg import forms as fm
 from excalg import threeform as tf
-from excalg.linalg import Matrix, kernel, random_invertible, rank
+from excalg.linalg import Matrix, kernel, random_invertible, rank, unit_vec, zero_vec
 from excalg.scalar import ONE, ZERO, Scalar, sc
 
 ALL_LABELS = (
@@ -29,6 +30,19 @@ def random_trivector(seed, n=7, height=1):
         c = rng.randint(-height, height)
         if c:
             terms[idx] = sc(c)
+    return fm.KForm(3, n, terms)
+
+
+def random_form(n, seed, height, field, density):
+    """A trivector in n variables with coefficients a / d (a + b i over
+    Q(i)), |a|, |b| <= height and d in 1..3, on each triple with probability
+    density."""
+    rng = random.Random(seed)
+    terms = {}
+    for idx in itertools.combinations(range(1, n + 1), 3):
+        if rng.random() < density:
+            im = rng.randint(-height, height) if field == "gaussian" else 0
+            terms[idx] = Scalar.rational(rng.randint(-height, height), rng.randint(1, 3)) + sc(im) * sc("i")
     return fm.KForm(3, n, terms)
 
 
@@ -68,6 +82,80 @@ def q_gram_reference(w):
     """The Gram matrix of q_of from the 2-forms e_a -| w, pair by pair."""
     alphas = [fm.contract_basis(i, w).terms for i in range(1, 8)]
     return [[_top3(alphas[i], alphas[j], w.terms) for j in range(7)] for i in range(7)]
+
+
+def psi_reference(w):
+    """psi from Scalar KForms: column j reads (e_j -| w) ^ w as u -| e^{1..6}."""
+    top = fm.KForm.basis(range(1, 7), 6)
+    cols = []
+    for j in range(6):
+        five = fm.wedge(fm.contract(unit_vec(6, j), w), w)
+        u = zero_vec(6)
+        for idx, c in five.terms.items():
+            (miss,) = tuple(i for i in range(1, 7) if i not in idx)
+            u[miss - 1] = c / fm.contract_basis(miss, top).coefficient(idx)
+        cols.append(u)
+    return Matrix.from_cols(cols)
+
+
+def lambda_quartic_reference(w):
+    """tr(psi o psi) / 6 as a Scalar trace of psi_reference."""
+    m = psi_reference(w)
+    m2 = m @ m
+    tr = ZERO
+    for i in range(6):
+        tr = tr + m2[i, i]
+    return tr / sc(6)
+
+
+def degree7_reference(w):
+    """I7 by the Scalar chain: nu_c with nu_c -| e^{1..7} = w ^ e^c, W_c[a, b]
+    the pairing of nu_c with w on E_ba-acted basis trivectors, and the
+    polarized pairing sum_cd q_cd tr(W_c W_d)."""
+    top = fm.KForm.basis(range(1, 8), 7)
+
+    def omega_on_acted(a, b, t):
+        # w evaluated on E_ab . e_t: each index b of t replaced by a
+        total = ZERO
+        for pos, i in enumerate(t):
+            if i == b:
+                srt, sign = fm._sort_with_sign(t[:pos] + (a,) + t[pos + 1:])
+                if sign:
+                    total = total + sc(sign) * w.terms.get(srt, ZERO)
+        return total
+
+    wtensor = []
+    for c in range(1, 8):
+        nu = {}
+        for idx4, coef in fm.wedge(w, fm.KForm.basis([c], 7)).terms.items():
+            tri = tuple(i for i in range(1, 8) if i not in idx4)
+            contracted = top
+            for i in tri:
+                contracted = fm.contract_basis(i, contracted)
+            nu[tri] = coef / contracted.coefficient(idx4)
+        wtensor.append(Matrix([
+            [sum((coef * omega_on_acted(b, a, t) for t, coef in nu.items()), ZERO)
+             for b in range(1, 8)] for a in range(1, 8)]))
+    qgram = Matrix(q_gram_reference(w))
+    total = ZERO
+    for c in range(7):
+        for d in range(7):
+            tr = sum((wtensor[c][a, b] * wtensor[d][b, a] for a in range(7) for b in range(7)), ZERO)
+            total = total + qgram[c, d] * tr
+    return total
+
+
+def restrict_to_support_reference(w):
+    """w as a trivector in r = rank(w) variables: the echelon support basis,
+    completed by the unit vectors off its pivots, pulled back by the
+    inverse."""
+    sup = fm.support(w)
+    r, n = sup.dim, w.n
+    pivots = {next(j for j, c in enumerate(v) if c) for v in sup.basis}
+    b = Matrix(sup.basis + [unit_vec(n, j) for j in range(n) if j not in pivots])
+    moved = fm.pullback(b.inverse(), w)
+    assert all(i <= r for idx in moved.terms for i in idx)
+    return fm.KForm(3, r, moved.terms)
 
 
 _coefficients = st.one_of(
@@ -299,13 +387,14 @@ def action_matrix_reference(w):
 def record_reference(w):
     """The OrbitRecord of classify(w, with_stabilizer=True) and its label,
     from the Scalar references: the support through Subspace, the Gram
-    matrix pair by pair, and the wedge and action matrices from KForms."""
+    matrix pair by pair, the quartic on the support, and the wedge and
+    action matrices from KForms."""
     r = fm.form_rank(w)
     rec = tf.OrbitRecord(r, stab_dim=kernel(action_matrix_reference(w)).dim)
     if r < 6:
         return rec, {0: tf.ZERO_LABEL, 3: tf.RANK3_DECOMPOSABLE, 5: tf.RANK5}[r]
     if r == 6:
-        rec.lambda_is_zero = tf.lambda_quartic(tf.restrict_to_support(w)).is_zero()
+        rec.lambda_is_zero = lambda_quartic_reference(restrict_to_support_reference(w)).is_zero()
         return rec, tf.RANK6_TANGENT if rec.lambda_is_zero else tf.RANK6_GENERIC
     rec.q_rank = rank(Matrix(q_gram_reference(w)))
     rec.i7_is_zero = rec.q_rank < 7
@@ -328,16 +417,19 @@ class TestIntegerPathMatchesReferences:
             assert got.label == label
             assert tf.action_matrix(7, w) == action_matrix_reference(w)
 
-    @pytest.mark.parametrize("big", [
-        sc(10 ** 6),  # int64 coefficients whose cubes pass the bound
-        sc(99999999999999999999),  # past 2^63
-        Scalar.gaussian(3, 99999999999999999999),
-    ])
-    def test_large_coefficients(self, big):
-        w = tf.representative(tf.W5)
+    @pytest.mark.parametrize("scale, big, dtype", [
+        # the products of one coefficient 10^6 with small ones fit int64
+        (sc(1), sc(10 ** 6), np.int64),
+        (sc(1), sc(99999999999999999999), object),  # past 2^63
+        (sc(1), Scalar.gaussian(3, 99999999999999999999), object),
+        # every coefficient 10^6: int64 cells whose products pass 2^63
+        (sc(10 ** 6), sc(10 ** 6), object),
+    ], ids=["big0", "big1", "big2", "all-big"])
+    def test_large_coefficients(self, scale, big, dtype):
+        w = tf.representative(tf.W5).scale(scale)
         w = fm.KForm(3, 7, {**w.terms, (1, 2, 5): big})
         q = tf.q_of(w)
-        assert q.ints.dtype == object
+        assert q.ints.dtype == dtype
         assert q.gram.entries == q_gram_reference(w)
         got = tf.classify(w, with_stabilizer=True)
         assert (got.record, got.label) == record_reference(w)
@@ -349,6 +441,35 @@ class TestIntegerPathMatchesReferences:
             w = fm.pullback(g, fm.parse_form("e[1,2]+e[3,4]", 5))
             assert tf.action_matrix(5, w) == action_matrix_reference(w)
             assert tf.stabilizer_dim(w) == kernel(action_matrix_reference(w)).dim
+
+
+FORM_CASES = [
+    pytest.param(field, height, density, id=f"{field}-{label}-{'dense' if density == 1 else 'sparse'}")
+    for field in ("rational", "gaussian")
+    # 2^70: every cleared coefficient and product in Python integers
+    for height, label in ((2, "small"), (2 ** 70, "past-2^63"))
+    for density in (0.4, 1.0)
+]
+
+
+class TestTablePathMatchesReferences:
+    @pytest.mark.parametrize("field, height, density", FORM_CASES)
+    def test_psi_and_quartic(self, field, height, density):
+        for seed in range(3):
+            w = random_form(6, seed, height, field, density)
+            assert tf.psi(w) == psi_reference(w)
+            assert tf.lambda_quartic(w) == lambda_quartic_reference(w)
+
+    @pytest.mark.parametrize("field, height, density", FORM_CASES)
+    def test_degree_seven(self, field, height, density):
+        w = random_form(7, 5, height, field, density)
+        assert tf.degree7_invariant(w) == degree7_reference(w)
+
+    def test_degree_seven_on_representatives(self):
+        for label in (tf.W1, tf.W2, tf.W3, tf.W4, tf.W5):
+            w = tf.representative(label)
+            assert tf.degree7_invariant(w) == degree7_reference(w)
+        assert tf.degree7_invariant(tf.representative(tf.W5)) == sc(-252)
 
 
 class TestHasse:
@@ -413,8 +534,20 @@ class TestDecomposition:
 
 class TestSupportRestriction:
     def test_rank6_in_seven_variables(self):
-        w = fm.parse_form("e[1,2,3]+e[4,5,6]", 7)
-        g = random_invertible(7, seed=9, height=2)
-        inner = tf.restrict_to_support(fm.pullback(g, w))
-        assert inner.n == 6
-        assert tf.classify(inner).label == tf.RANK6_GENERIC
+        w = fm.pullback(random_invertible(7, seed=9, height=2), fm.parse_form("e[1,2,3]+e[4,5,6]", 7))
+        got = tf.classify(w)
+        assert (got.label, got.record.lambda_is_zero) == (tf.RANK6_GENERIC, False)
+        inner = restrict_to_support_reference(w)
+        assert inner.n == 6 and tf.classify(inner).label == tf.RANK6_GENERIC
+
+    @pytest.mark.parametrize("text, label", [
+        ("e[1,2,3]+e[4,5,6]", tf.RANK6_GENERIC),  # the kernel is spanned by e_7
+        ("e[2,3,4]+e[5,6,7]", tf.RANK6_GENERIC),  # by e_1
+        ("e[1,2,4]+e[1,3,5]+e[2,3,6]", tf.RANK6_TANGENT),
+        ("e[2,3,5]+e[2,4,6]+e[3,4,7]", tf.RANK6_TANGENT),
+        # by e_6 + e_7 - e_3, so coordinate 3 is dropped
+        ("e[1,2,3]+e[4,5,6]+e[1,2,7]-e[4,5,7]", tf.RANK6_GENERIC),
+    ])
+    def test_unmoved_forms_drop_a_live_coordinate(self, text, label):
+        w = fm.parse_form(text, 7)
+        assert tf.classify(w).label == label == record_reference(w)[1]
