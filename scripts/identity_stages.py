@@ -5,7 +5,10 @@ Sets up the passes of ``perfbench/workloads.py``'s ``identity_requests``
 (the same seeded inputs and proportions as the ``identities`` workload:
 alternative, Moufang and norm identities on O and split-O, sedenion
 counterexamples, Cayley-Hamilton and adj(adj x) = det(x) x in H3(a), and
-trivector pullbacks), then runs them warm in this fresh interpreter with
+trivector pullbacks), then runs one untimed warm-up pass on inputs of
+their own, so that the one-time builds of cached tables (the index tables
+of ``threeform._tables``, for one) are charged to no stage, and then the
+timed passes, warm in this fresh interpreter, with
 
 - each check timed and summed by identity kind;
 - the element product loop timed as one layer: the outermost call of
@@ -19,7 +22,8 @@ trivector pullbacks), then runs them warm in this fresh interpreter with
   the linear-divisor test; ``rest`` is the remainder of the kind's time
   (clearing the coefficients and the classification's own code).
 
-Prints one JSON line: the set-up time, the median pass time, each kind's
+Prints one JSON line: the set-up time (the warm-up pass's inputs
+included), the warm-up pass's time, the median pass time, each kind's
 time per pass and share of a pass, the product layer's time per pass and
 share, each pullback stage's time per pass and share, and the peak
 resident set.  Nothing under ``perfbench/`` is changed; the checks use
@@ -59,8 +63,9 @@ TABLE_STAGE = {"contraction": "support_rank", "divisor": "divisor", "action": "s
 
 
 def setup(seed, passes):
-    """The algebras, the prepared requests of each pass, and the Jordan
-    adjugate cache filled, as the workload's set-up does."""
+    """The algebras, the prepared requests of each pass (passes 0 to
+    passes - 1, then the warm-up pass), and the Jordan adjugate cache
+    filled, as the workload's set-up does."""
     from excalg import composition as co
     from excalg import jordan as jd
     from excalg import linalg as la
@@ -85,11 +90,21 @@ def setup(seed, passes):
 
     prepared = [
         [(req, prepare(req)) for req in workloads.identity_requests(seed, p)]
-        for p in range(passes)
+        for p in range(passes + 1)
     ]
     for a in (1, 2, 4, 8):
         jd.jordan_algebra(a).basis_adjugates()
     return prepared
+
+
+def run_pass(requests, by_kind):
+    """Check every request of one pass, adding each check's time to its
+    kind in by_kind."""
+    for req, elems in requests:
+        t = clock()
+        if not check(req, elems):
+            raise SystemExit(f"check {req['id']} ({req['kind']}, {req['param']}) failed")
+        by_kind[req["kind"]] = by_kind.get(req["kind"], 0.0) + clock() - t
 
 
 def check(req, args):
@@ -187,8 +202,11 @@ def main():
     parser.add_argument("--passes", type=int, default=6)
     args = parser.parse_args()
     start = clock()
-    prepared = setup(args.seed, args.passes)
+    *prepared, warm_up = setup(args.seed, args.passes)
     setup_s = clock() - start
+    start = clock()
+    run_pass(warm_up, {})
+    warm_up_s = clock() - start
     product_s = [0.0]
     wrapped = time_product_loop(product_s)
     stage_s = {}
@@ -196,11 +214,7 @@ def main():
     by_kind, walls, products = {}, [], []
     for requests in prepared:
         before, t0 = product_s[0], clock()
-        for req, elems in requests:
-            t = clock()
-            if not check(req, elems):
-                raise SystemExit(f"check {req['id']} ({req['kind']}, {req['param']}) failed")
-            by_kind[req["kind"]] = by_kind.get(req["kind"], 0.0) + clock() - t
+        run_pass(requests, by_kind)
         walls.append(clock() - t0)
         products.append(product_s[0] - before)
     total = sum(walls)
@@ -208,6 +222,7 @@ def main():
         "seed": args.seed,
         "passes": args.passes,
         "setup_s": round(setup_s, 4),
+        "warm_up_s": round(warm_up_s, 4),
         "pass_s_median": round(statistics.median(walls), 5),
         "pass_s": [round(w, 5) for w in walls],
         "product_layer": wrapped,

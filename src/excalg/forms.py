@@ -17,7 +17,7 @@ import re as _re
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .linalg import Matrix, Subspace, rank as mat_rank
-from .scalar import _Q, ONE, ZERO, Scalar, _make, sc
+from .scalar import ONE, ZERO, Scalar, _make, sc
 from .tensor import _cleared
 
 IndexTuple = Tuple[int, ...]
@@ -338,7 +338,7 @@ def pullback(g: Matrix, a: KForm) -> KForm:
                 acc[1] += x * v + y * u
     scale = den_a * den ** a.k
     return KForm(a.k, n, {
-        tuple(i + 1 for i in I): _make(_Q(re, scale), _Q(im, scale))
+        tuple(i + 1 for i in I): _make(re, im, scale)
         for I, (re, im) in sums.items() if re or im
     })
 

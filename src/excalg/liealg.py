@@ -775,7 +775,7 @@ def _gaussian_divisors(z: Scalar) -> List[Scalar]:
     of its prime factors, found by trial division of its norm, times the
     four units."""
     divisors = [ONE, -ONE, I, -I]
-    norm, p = int(z.re * z.re + z.im * z.im), 2
+    norm, p = z.x * z.x + z.y * z.y, 2
     while norm > 1:
         if p * p > norm:
             p = norm
@@ -786,7 +786,7 @@ def _gaussian_divisors(z: Scalar) -> List[Scalar]:
             norm //= p
         for prime in _gaussian_primes_over(p):
             powers, q = [], z / prime
-            while _cleared([q])[1] == 1:  # q is a Gaussian integer
+            while q.d == 1:  # q is a Gaussian integer
                 z, q = q, q / prime
                 powers.append(powers[-1] * prime if powers else prime)
             divisors += [d * t for d in divisors for t in powers]
@@ -884,7 +884,7 @@ def cartan_matrix_from_roots(roots: Sequence[tuple]) -> Matrix:
             break
     else:
         raise ValueError("no generic functional found")
-    positives = {r for r in root_set if (v := f(r)).re > 0 or (not v.re and v.im > 0)}
+    positives = {r for r in root_set if (v := f(r)).x > 0 or (not v.x and v.y > 0)}
     simple = sorted(
         (r for r in positives if not any(
             tuple(x + y for x, y in zip(a, b)) == r for a in positives for b in positives

@@ -187,12 +187,6 @@ class Matrix:
         return Matrix([row[n:] for row in reduced])
 
 
-def rref(m: Matrix) -> tuple[Matrix, List[int]]:
-    """Reduced row echelon form and the pivot column list."""
-    reduced, pivots = _rref([list(r) for r in m.entries])
-    return Matrix(reduced) if reduced else Matrix.zero(0, m.cols), pivots
-
-
 def rank(m: Matrix) -> int:
     """Row rank over the field, exact."""
     _, pivots = _rref([list(r) for r in m.entries])

@@ -39,7 +39,6 @@ from .liealg import (
     _summed,
     commutator_closure_algebra,
     derivations,
-    derived_dimension,
     jacobi_check,
     killing_nondegenerate,
     leibniz_kernel,
@@ -511,33 +510,6 @@ def tits_dimension_table() -> List[List[Tuple[str, int]]]:
         return SQUARE_NAMES[ALGEBRA_ORDER.index(ka)][ALGEBRA_ORDER.index(kb)], dim
 
     return [[entry(ka, kb) for kb in ALGEBRA_ORDER] for ka in ALGEBRA_ORDER]
-
-
-@dataclass
-class SymmetryReport:
-    pair: Tuple[str, str]
-    dims: Tuple[int, int]
-    derived_dims: Tuple[int, int]
-    killing_ok: Tuple[bool, bool]
-
-    @property
-    def symmetric(self) -> bool:
-        return (
-            self.dims[0] == self.dims[1]
-            and self.derived_dims[0] == self.derived_dims[1]
-            and self.killing_ok[0] == self.killing_ok[1]
-        )
-
-
-def square_symmetry_check(key_a: str, key_b: str) -> SymmetryReport:
-    g1 = built_square_entry(key_a, key_b)
-    g2 = built_square_entry(key_b, key_a)
-    return SymmetryReport(
-        (key_a, key_b),
-        (g1.dim, g2.dim),
-        (derived_dimension(g1.algebra), derived_dimension(g2.algebra)),
-        (killing_nondegenerate(g1.algebra), killing_nondegenerate(g2.algebra)),
-    )
 
 
 # -- three models of the smallest exceptional algebra ---------------------------

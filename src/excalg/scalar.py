@@ -1,25 +1,20 @@
 """Exact scalars: rational numbers and Gaussian rationals.
 
-Every computation in this package happens over Q or Q(i).  A Scalar is a
-pair (re, im) of exact rationals; purely rational values keep im == 0 and
-take fast paths through the arithmetic.  Values are immutable and hashable,
-so they are safe to share between concurrent workers.
+Every computation in this package happens over Q or Q(i).  A Scalar is the
+cleared integer triple (x, y, d), meaning (x + y i) / d, with d > 0 and
+gcd(x, y, d) = 1: :func:`excalg.tensor.reduced` in dimension one.  Equal
+values are equal triples, and each operation reduces its result by one gcd.
+Purely rational values keep y == 0.  Values are immutable and hashable, so
+they are safe to share between concurrent workers.
 
 Serialization follows the convention "p/q" for rationals and
-"(p1/q1)+(p2/q2)i" for Gaussian rationals.
+"(p1/q1)+(p2/q2)i" for Gaussian rationals, each part reduced on its own.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Union
-
-try:  # gmpy2.mpq is several times faster than fractions.Fraction
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as _Q
-
-_Q0 = _Q(0)
-_Q1 = _Q(1)
 
 ScalarLike = Union["Scalar", int, str]
 
@@ -29,22 +24,37 @@ class NeedsExtension(ValueError):
 
 
 class Scalar:
-    """An element of Q or Q(i), in canonical reduced form.
+    """An element of Q or Q(i), in canonical reduced form (x + y i) / d.
 
-    The field tag is derived: a Scalar is RATIONAL when im == 0 and
-    GAUSSIAN otherwise.  Denominators are kept positive and reduced by the
-    underlying rational type.
+    The field tag is derived: a Scalar is RATIONAL when y == 0 and GAUSSIAN
+    otherwise.  ``re`` and ``im`` read the parts as fractions.Fraction.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("x", "y", "d")
 
-    def __init__(self, re=_Q0, im=_Q0):
-        # Arguments must already be exact rationals (mpq/Fraction/int).
-        object.__setattr__(self, "re", _Q(re))
-        object.__setattr__(self, "im", _Q(im))
+    def __init__(self, re=0, im=0):
+        # re and im are exact rationals: ints or Fractions
+        p, q = int(re.numerator), int(re.denominator)
+        r, s = int(im.numerator), int(im.denominator)
+        v = _make(p * s, r * q, q * s)
+        _set_x(self, v.x)
+        _set_y(self, v.y)
+        _set_d(self, v.d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def re(self):
+        from fractions import Fraction
+
+        return Fraction(self.x, self.d)
+
+    @property
+    def im(self):
+        from fractions import Fraction
+
+        return Fraction(self.y, self.d)
 
     # -- constructors -------------------------------------------------
 
@@ -52,23 +62,23 @@ class Scalar:
     def of(value: ScalarLike) -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        if isinstance(value, int):
-            return Scalar(_Q(value))
         if isinstance(value, str):
             return Scalar.parse(value)
-        return Scalar(_Q(value))
+        return Scalar(value)
 
     @staticmethod
     def rational(num: int, den: int = 1) -> "Scalar":
-        return Scalar(_Q(num, den))
+        if not den:
+            raise ZeroDivisionError(f"rational({num}, 0)")
+        return _make(num, 0, den)
 
     @staticmethod
     def gaussian(re: ScalarLike, im: ScalarLike) -> "Scalar":
         a = Scalar.of(re)
         b = Scalar.of(im)
-        if a.im != 0 or b.im != 0:
+        if a.y or b.y:
             raise ValueError("gaussian() parts must be rational")
-        return Scalar(a.re, b.re)
+        return _make(a.x * b.d, b.x * a.d, a.d * b.d)
 
     @staticmethod
     def parse(text: str) -> "Scalar":
@@ -76,7 +86,7 @@ class Scalar:
 
         Accepted shorthand: "i", "-i", "3i", "-1/2i", "2+3i", "1-i".  Only
         the coefficient of i may omit its digits; "", "()", "+" and "-"
-        raise ValueError.
+        raise ValueError.  Digits are ASCII: every integer is [+-]?[0-9]+.
         """
         s = text.strip().replace(" ", "")
         # strip an outermost grouping pair: "(a+bi)" -> "a+bi"
@@ -112,28 +122,28 @@ class Scalar:
                 raise ValueError(f"bad scalar literal: {text!r}")
             re_part = body[:split].strip("()")
             sign = -1 if body[split] == "-" else 1
-            im_part = body[split + 1 :].strip("()")
-            return Scalar(_parse_q(re_part), sign * _parse_q(im_part))
+            num, den = _parse_q(body[split + 1 :].strip("()"))
+            return _gaussian(_parse_q(re_part), (sign * num, den))
         if s.endswith("i"):
             head = s[:-1]
             # split a trailing imaginary term off "a+bi" / "a-bi"
             for k in range(len(head) - 1, 0, -1):
                 if head[k] in "+-" and head[k - 1] not in "+-/*(":
-                    return Scalar(_parse_q(head[:k]), _parse_unit(head[k:]))
-            return Scalar(_Q0, _parse_unit(head))
-        return Scalar(_parse_q(s))
+                    return _gaussian(_parse_q(head[:k]), _parse_unit(head[k:]))
+            return _gaussian((0, 1), _parse_unit(head))
+        return _gaussian(_parse_q(s), (0, 1))
 
     # -- predicates ----------------------------------------------------
 
     @property
     def field(self) -> str:
-        return "RATIONAL" if self.im == 0 else "GAUSSIAN"
+        return "RATIONAL" if not self.y else "GAUSSIAN"
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.x and not self.y
 
     def is_rational(self) -> bool:
-        return self.im == 0
+        return not self.y
 
     # -- arithmetic ----------------------------------------------------
 
@@ -142,63 +152,58 @@ class Scalar:
             o = _coerce(o)
             if o is NotImplemented:
                 return NotImplemented
-        if not self.im and not o.im:
-            return _make(self.re + o.re, _Q0)
-        return _make(self.re + o.re, self.im + o.im)
+        d, e = self.d, o.d
+        if d == e:
+            return _make(self.x + o.x, self.y + o.y, d)
+        return _make(self.x * e + o.x * d, self.y * e + o.y * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(-self.re, -self.im)
+        return _make(-self.x, -self.y, self.d)
 
     def __sub__(self, o):
         if type(o) is not Scalar:
             o = _coerce(o)
             if o is NotImplemented:
                 return NotImplemented
-        if not self.im and not o.im:
-            return _make(self.re - o.re, _Q0)
-        return _make(self.re - o.re, self.im - o.im)
+        d, e = self.d, o.d
+        if d == e:
+            return _make(self.x - o.x, self.y - o.y, d)
+        return _make(self.x * e - o.x * d, self.y * e - o.y * d, d * e)
 
     def __rsub__(self, other):
         o = _coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return Scalar(o.re - self.re, o.im - self.im)
+        return o - self
 
     def __mul__(self, o):
         if type(o) is not Scalar:
             o = _coerce(o)
             if o is NotImplemented:
                 return NotImplemented
-        if not self.im and not o.im:
-            return _make(self.re * o.re, _Q0)
-        return _make(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, c, e = self.x, self.y, o.x, o.y
+        if not b and not e:
+            return _make(a * c, 0, self.d * o.d)
+        return _make(a * c - b * e, a * e + b * c, self.d * o.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero scalar")
-        if self.im == 0:
-            return Scalar(1 / self.re)
-        n = self.re * self.re + self.im * self.im
-        return Scalar(self.re / n, -self.im / n)
+        return _quotient(ONE, self)
 
     def __truediv__(self, other):
         o = _coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self * o.inverse()
+        return _quotient(self, o)
 
     def __rtruediv__(self, other):
         o = _coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o * self.inverse()
+        return _quotient(o, self)
 
     def __pow__(self, exponent: int) -> "Scalar":
         if not isinstance(exponent, int):
@@ -216,7 +221,7 @@ class Scalar:
         return out
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _make(self.x, -self.y, self.d)
 
     # -- comparisons / hashing ------------------------------------------
 
@@ -225,12 +230,12 @@ class Scalar:
             o = _coerce(o)
             if o is NotImplemented:
                 return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.x == o.x and self.y == o.y and self.d == o.d
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if self.d == 1 and not self.y:
+            return hash(self.x)  # equal to the int it equals
+        return hash((self.x, self.y, self.d))
 
     def __bool__(self):
         return not self.is_zero()
@@ -238,63 +243,90 @@ class Scalar:
     # -- formatting ------------------------------------------------------
 
     def __str__(self):
-        if self.im == 0:
-            return _fmt_q(self.re)
-        return f"({_fmt_q(self.re)})+({_fmt_q(self.im)})i"
+        x, y, d = self.x, self.y, self.d
+        if not y:
+            return f"{x}/{d}"
+        g, h = gcd(x, d), gcd(y, d)
+        return f"({x // g}/{d // g})+({y // h}/{d // h})i"
 
     def __repr__(self):
         return f"Scalar({self})"
 
 
+def _int(text: str) -> int:
+    """The integer of an ASCII literal [+-]?[0-9]+."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad integer literal {text!r}")
+    return int(text)
+
+
 def _parse_q(text: str):
-    t = text.strip()
-    if t in ("", "+", "-"):
-        raise ValueError(f"scalar literal {text!r} has no digits")
-    if "/" in t:
-        num, den = (int(x) for x in t.split("/"))
-        if not den:
-            raise ValueError(f"zero denominator in {text!r}")
-        return _Q(num, den)
-    return _Q(int(t))
+    """(p, q) of a rational literal "p/q" or "p"; q is nonzero, maybe
+    negative."""
+    num, slash, den = text.partition("/")
+    p, q = _int(num), _int(den) if slash else 1
+    if not q:
+        raise ValueError(f"zero denominator in {text!r}")
+    return p, q
 
 
 def _parse_unit(text: str):
     """The coefficient of i, whose digits may be omitted: "", "+" and "-"
     read as 1, 1 and -1."""
     if text in ("", "+", "-"):
-        return -_Q1 if text == "-" else _Q1
+        return (-1 if text == "-" else 1), 1
     return _parse_q(text)
 
 
-def _fmt_q(q) -> str:
-    return f"{q.numerator}/{q.denominator}"
+def _gaussian(re, im) -> Scalar:
+    """The Scalar re + im i of two integer pairs (p, q) meaning p / q."""
+    (p, q), (r, s) = re, im
+    return _make(p * s, r * q, q * s)
 
 
 _new = object.__new__
-_set_re = Scalar.re.__set__
-_set_im = Scalar.im.__set__
+_set_x = Scalar.x.__set__
+_set_y = Scalar.y.__set__
+_set_d = Scalar.d.__set__
 
 
-def _make(re, im) -> Scalar:
-    """A Scalar from parts that already have the rational type _Q; unlike
-    Scalar(re, im) it does not pass them through _Q again."""
+def _make(x: int, y: int, d: int) -> Scalar:
+    """The Scalar (x + y i) / d for d != 0, reduced to d > 0 and
+    gcd(x, y, d) = 1 by one gcd: the constructor of every result."""
+    if d < 0:
+        x, y, d = -x, -y, -d
+    g = gcd(x, y, d)
+    if g != 1:
+        x, y, d = x // g, y // g, d // g
     s = _new(Scalar)
-    _set_re(s, re)
-    _set_im(s, im)
+    _set_x(s, x)
+    _set_y(s, y)
+    _set_d(s, d)
     return s
+
+
+def _quotient(a: Scalar, b: Scalar) -> Scalar:
+    """a / b: (a.x + a.y i)(b.x - b.y i) b.d / (a.d (b.x^2 + b.y^2))."""
+    x, y = b.x, b.y
+    if not y:
+        if not x:
+            raise ZeroDivisionError("division by zero scalar")
+        return _make(a.x * b.d, a.y * b.d, a.d * x)
+    return _make((a.x * x + a.y * y) * b.d, (a.y * x - a.x * y) * b.d, a.d * (x * x + y * y))
 
 
 def _coerce(value):
     if isinstance(value, Scalar):
         return value
     if isinstance(value, int):
-        return Scalar(_Q(value))
+        return Scalar(value)
     return NotImplemented
 
 
 ZERO = Scalar()
-ONE = Scalar(_Q1)
-I = Scalar(_Q0, _Q1)
+ONE = Scalar(1)
+I = Scalar(0, 1)
 
 
 def sc(value: ScalarLike) -> Scalar:
@@ -302,16 +334,9 @@ def sc(value: ScalarLike) -> Scalar:
     return Scalar.of(value)
 
 
-def rand_rational(rng, height: int):
-    """A bounded-height random rational, reproducible from the caller's rng."""
-    num = rng.randint(-height, height)
-    den = rng.randint(1, height)
-    return _make(_Q(num, den), _Q0)
-
-
 def rand_scalar(rng, height: int, gaussian: bool = False) -> Scalar:
-    a = rand_rational(rng, height)
-    if not gaussian:
-        return a
-    b = rand_rational(rng, height)
-    return _make(a.re, b.re)
+    """A bounded-height random scalar, reproducible from the caller's rng:
+    a numerator and a denominator for each part, the real part first."""
+    re = rng.randint(-height, height), rng.randint(1, height)
+    im = (rng.randint(-height, height), rng.randint(1, height)) if gaussian else (0, 1)
+    return _gaussian(re, im)

@@ -10,8 +10,10 @@ these arrays.
 Vectors that are multiplied are cleared: a vector is the triple (re, im,
 den) of integer tuples over one positive denominator, im None when every
 coordinate is rational, reduced so that gcd(den, *re, *im) = 1.  Equal
-vectors are then equal triples.  :func:`cleared` builds one from Scalars,
-:func:`reduced` from integer sums and :func:`vec_scalars` reads one back.
+vectors are then equal triples.  A Scalar is the same triple in dimension
+one, (x, y, d), so :func:`cleared` builds a vector from Scalars by scaling
+their integers to the lcm of their d, :func:`reduced` builds one from
+integer sums and :func:`vec_scalars` reads one back.
 The one product loop (:meth:`StructureTensor.sums`) adds up den c_ij^k x_i
 y_j in Python integers (exact at any size, so no overflow bound is
 needed); the product of two cleared vectors is those sums over den dx dy,
@@ -27,7 +29,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .scalar import _Q, _Q0, ZERO, Scalar, _make, sc
+from .scalar import ZERO, Scalar, _make, sc
 
 
 class StructureTensor:
@@ -160,8 +162,8 @@ def reduced(re: Sequence[int], im: Optional[Sequence[int]], den: int) -> Vec:
 def vec_scalars(re: Sequence[int], im: Optional[Sequence[int]], den: int) -> List[Scalar]:
     """The Scalar coordinates (re + im i) / den; zeros are the shared ZERO."""
     if im is None:
-        return [_make(_Q(v, den), _Q0) if v else ZERO for v in re]
-    return [_make(_Q(u, den), _Q(v, den)) if u or v else ZERO for u, v in zip(re, im)]
+        return [_make(v, 0, den) if v else ZERO for v in re]
+    return [_make(u, v, den) if u or v else ZERO for u, v in zip(re, im)]
 
 
 def _nonzero(v: Vec) -> List[Tuple[int, int, int]]:
@@ -225,10 +227,10 @@ class Element:
 
     def scale(self, c):
         re, im, den = self.vec
-        (p,), q, m = cleared((sc(c),))
-        if im is None and q is None:
+        c = sc(c)
+        p, q, m = c.x, c.y, c.d
+        if im is None and not q:
             return self._of(self.algebra, reduced([p * a for a in re], None, den * m))
-        q = q[0] if q else 0
         im = im or (0,) * len(re)
         return self._of(self.algebra, reduced(
             [p * a - q * b for a, b in zip(re, im)], [p * b + q * a for a, b in zip(re, im)], den * m
@@ -257,7 +259,7 @@ def scalar_of(row: Sequence[int], den: int) -> Scalar:
     """The Scalar (re + im i) / den of an integer cell row (re,) or (re, im)."""
     if not any(row):
         return ZERO
-    return _make(_Q(row[0], den), _Q(row[1], den) if len(row) > 1 and row[1] else _Q0)
+    return _make(row[0], row[1] if len(row) > 1 else 0, den)
 
 
 def int_array(values) -> np.ndarray:
@@ -274,10 +276,6 @@ def int_array(values) -> np.ndarray:
 def biggest(x: np.ndarray) -> int:
     """The largest absolute entry of an integer array, 0 when empty."""
     return max(int(x.max()), -int(x.min())) if x.size else 0
-
-
-def _scaled(q, den: int) -> int:
-    return q.numerator * (den // q.denominator)
 
 
 def cleared_ints(values: Iterable[Scalar], shape: Tuple[int, ...]) -> Tuple[np.ndarray, int]:
@@ -305,7 +303,7 @@ def scalar_rows(x: np.ndarray, den: int) -> List[List[Scalar]]:
 def _cleared(v: Sequence[Scalar]):
     """(nonzero coordinates as (index, re, im) integers, their common
     denominator, whether every coordinate is rational)."""
-    nz = [(i, s.re, s.im) for i, s in enumerate(v) if s.re or s.im]
-    den = lcm(1, *(q.denominator for _, re, im in nz for q in (re, im)))
-    out = [(i, _scaled(re, den), _scaled(im, den)) for i, re, im in nz]
-    return out, den, all(not im for _, _, im in out)
+    nz = [(i, s) for i, s in enumerate(v) if s.x or s.y]
+    den = lcm(1, *(s.d for _, s in nz))
+    out = [(i, s.x * (den // s.d), s.y * (den // s.d)) for i, s in nz]
+    return out, den, all(not s.y for _, s in nz)

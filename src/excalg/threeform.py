@@ -360,46 +360,45 @@ def split_search_six(w: KForm) -> List[Tuple[frozenset, frozenset]]:
     return hits
 
 
-def _scalar_sqrt(x: Scalar) -> Optional[Scalar]:
+def _scalar_sqrt(z: Scalar) -> Optional[Scalar]:
     """Exact square root in Q(i) when it exists (rational case plus the
     purely imaginary construction)."""
     import math
 
-    if x.is_zero():
+    if z.is_zero():
         return ZERO
 
-    def qsqrt(q):
-        num, den = int(q.numerator), int(q.denominator)
+    def qsqrt(num, den):
+        """sqrt(num / den) for den > 0 when it is rational: num den is then
+        a square."""
         if num < 0:
             return None
-        a, b = math.isqrt(num), math.isqrt(den)
-        if a * a == num and b * b == den:
-            return Scalar.rational(a, b)
-        return None
+        r = math.isqrt(num * den)
+        return Scalar.rational(r, den) if r * r == num * den else None
 
-    if x.is_rational():
-        r = qsqrt(x.re)
+    x, y, d = z.x, z.y, z.d
+    if z.is_rational():
+        r = qsqrt(x, d)
         if r is not None:
             return r
-        r = qsqrt(-x.re)
+        r = qsqrt(-x, d)
         if r is not None:
             # sqrt(-c) = i sqrt(c)
             from .scalar import I as _I
 
             return _I * r
         return None
-    # (a+bi)^2 = x: solve a^2 = (|x| + re)/2 with |x| rational
-    mod2 = x.re * x.re + x.im * x.im
-    m = qsqrt(mod2.re)
+    # (a+bi)^2 = z: solve a^2 = (|z| + re)/2 with |z| rational
+    m = qsqrt(x * x + y * y, d * d)
     if m is None:
         return None
-    a2 = (m + x.re) / sc(2)
-    a = qsqrt(a2.re) if a2.is_rational() else None
+    a2 = (m + Scalar.rational(x, d)) / sc(2)
+    a = qsqrt(a2.x, a2.d)
     if a is None or a.is_zero():
         return None
-    b = x.im / (sc(2) * a)
-    cand = Scalar(a.re, b.re)
-    return cand if cand * cand == x else None
+    b = Scalar.rational(y, d) / (sc(2) * a)
+    cand = Scalar.gaussian(a, b)
+    return cand if cand * cand == z else None
 
 
 def decompose_generic_six(w: KForm) -> Tuple[Subspace, Subspace]:

@@ -269,6 +269,22 @@ class TestEmptyCoefficients:
         assert code == 0 and json.loads(out)["label"] == "RANK3_DECOMPOSABLE"
 
 
+class TestAsciiDigits:
+    # every integer in a scalar literal is [+-]?[0-9]+; int() alone would
+    # read "1_0" as 10 and the Arabic-Indic digit three as 3
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify-form", "--n", "7", "--form", "1_0*e[1,2,3]"),
+            ("jordan", "--a", "1", "det", "--input", json.dumps({"a": 1, "diag": ["\u0663", "1", "1"]})),
+        ],
+        ids=["underscore", "arabic-indic"],
+    )
+    def test_exit_two(self, capsys, argv):
+        code = cli.main(list(argv))
+        assert code == 2 and capsys.readouterr().out == ""
+
+
 class TestVerifyFile:
     def test_roundtrip(self, capsys, tmp_path):
         code, out = run_cli(capsys, "derive", "--algebra", "H", "--constants")

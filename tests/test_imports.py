@@ -130,6 +130,22 @@ def test_verify_does_not_load_composition(tmp_path):
     assert "excalg.composition" not in loaded
 
 
+def test_scalar_loads_no_fractions():
+    # Scalars are integer triples; only reading .re or .im builds a Fraction
+    printed, loaded = loaded_after(
+        "from excalg.scalar import Scalar, sc\n"
+        "print(Scalar.parse('(1/2)+(-3/4)i') * sc(3) / sc(7) - 1)"
+    )
+    assert printed == ["(-11/14)+(-9/28)i"]
+    assert "fractions" not in loaded
+    from fractions import Fraction
+
+    from excalg.scalar import Scalar
+
+    half = Scalar.rational(1, 2)
+    assert type(half.re) is Fraction and (half.re, half.im) == (Fraction(1, 2), 0)
+
+
 def test_all_is_unchanged():
     assert excalg.__all__ == PUBLIC
 

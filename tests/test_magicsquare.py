@@ -7,6 +7,7 @@ from excalg import cli
 from excalg import magicsquare as ms
 from excalg import scalar
 from excalg.liealg import (
+    derived_dimension,
     jacobi_check,
     killing_nondegenerate,
     leibniz_kernel,
@@ -304,10 +305,13 @@ class TestVinberg:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_symmetry_pairs(self):
-        rep = ms.square_symmetry_check("c", "h")
-        assert rep.symmetric and rep.dims == (35, 35)
-        rep = ms.square_symmetry_check("r", "r")
-        assert rep.symmetric
+        # (A, B) and (B, A) agree in dimension, derived dimension and
+        # Killing nondegeneracy
+        for pair, dim in ((("c", "h"), 35), (("r", "r"), 3)):
+            g1, g2 = (ms.built_square_entry(*p).algebra for p in (pair, pair[::-1]))
+            assert g1.dim == g2.dim == dim
+            assert derived_dimension(g1) == derived_dimension(g2)
+            assert killing_nondegenerate(g1) and killing_nondegenerate(g2)
 
     def test_rank_one_entry_is_simple_rank_one(self):
         entry = ms.vinberg_build("r", "r")

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,27 @@ rationals = st.builds(
 scalars = st.builds(
     lambda a, b: Scalar(a.re, b.re), rationals, rationals
 )
+# numerators and denominators past 2^63
+big = st.integers(-(2 ** 70), 2 ** 70)
+wide_rationals = st.builds(lambda n, d: Scalar.rational(n, d), big, st.integers(1, 2 ** 70))
+any_scalars = st.one_of(
+    rationals, scalars, wide_rationals,
+    st.builds(lambda a, b: Scalar(a.re, b.re), wide_rationals, st.one_of(rationals, wide_rationals)),
+)
+
+
+def parts(a):
+    """The Fraction-pair reference of a Scalar: (re, im)."""
+    return a.re, a.im
+
+
+def part_product(p, q):
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def part_inverse(p):
+    n = Fraction(p[0]) ** 2 + Fraction(p[1]) ** 2
+    return p[0] / n, -p[1] / n
 
 
 class TestScalar:
@@ -58,28 +81,58 @@ class TestScalar:
         assert sc(2) ** 5 == sc(32)
         assert (ONE + I) ** 2 == sc(2) * I
 
-    @given(st.one_of(rationals, scalars), st.one_of(rationals, scalars))
-    @settings(max_examples=60, deadline=None)
-    def test_fast_paths_match_part_arithmetic(self, a, b):
-        # + - * and == on Scalars against the same formulas on the parts
+    @given(any_scalars, any_scalars, st.integers(-3, 3), big)
+    @settings(max_examples=100, deadline=None)
+    def test_fast_paths_match_part_arithmetic(self, a, b, k, n):
+        # every operation on Scalars against the same formulas on the
+        # Fraction parts (re, im)
         assert a + b == Scalar(a.re + b.re, a.im + b.im)
         assert a - b == Scalar(a.re - b.re, a.im - b.im)
-        assert a * b == Scalar(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+        assert a * b == Scalar(*part_product(parts(a), parts(b)))
         assert -a == Scalar(-a.re, -a.im)
-        assert (a == b) == (a.re == b.re and a.im == b.im)
+        assert (a == b) == (parts(a) == parts(b))
         assert a.is_zero() == (a.re == 0 and a.im == 0)
         assert a + 2 == 2 + a == Scalar(a.re + 2, a.im)
         assert a * 3 == 3 * a == Scalar(3 * a.re, 3 * a.im)
+        if b:
+            assert b.inverse() == Scalar(*part_inverse(parts(b)))
+            assert a / b == Scalar(*part_product(parts(a), part_inverse(parts(b))))
+            assert 3 / b == Scalar(*part_product((3, 0), part_inverse(parts(b))))
+        else:
+            for quotient in (b.inverse, lambda: a / b, lambda: 3 / b):
+                with pytest.raises(ZeroDivisionError):
+                    quotient()
+        if a or k >= 0:
+            power = (1, 0)
+            base = parts(a) if k >= 0 else part_inverse(parts(a))
+            for _ in range(abs(k)):
+                power = part_product(power, base)
+            assert a ** k == Scalar(*power)
+        # hashing: equal values hash equally, and an integer hashes as itself
+        assert hash(a) == hash(Scalar(a.re, a.im)) == hash(a + b - b)
+        assert sc(n) == n and hash(sc(n)) == hash(n)
+        if a.im == 0 and a.re.denominator == 1:
+            assert hash(a) == hash(int(a.re))
+        # text: each part printed reduced on its own, and read back
+        re, im = parts(a)
+        want = f"{re.numerator}/{re.denominator}"
+        if im:
+            want = f"({want})+({im.numerator}/{im.denominator})i"
+        assert str(a) == want and Scalar.parse(str(a)) == a
 
-    @given(scalars)
-    @settings(max_examples=40, deadline=None)
-    def test_make_matches_constructor(self, a):
-        made = _make(a.re, a.im)
-        built = Scalar(a.re, a.im)
+    @given(big, big, big.filter(bool))
+    @settings(max_examples=60, deadline=None)
+    def test_make_matches_constructor(self, x, y, d):
+        made = _make(x, y, d)
+        built = Scalar(Fraction(x, d), Fraction(y, d))
+        assert (made.re, made.im) == (Fraction(x, d), Fraction(y, d))
+        assert made.d > 0 and gcd(made.x, made.y, made.d) == 1
+        assert (made.x, made.y, made.d) == (built.x, built.y, built.d)
         assert made == built and hash(made) == hash(built)
         assert str(made) == str(built) and made.field == built.field
-        with pytest.raises(AttributeError):
-            made.re = built.im
+        for name in ("x", "re"):
+            with pytest.raises(AttributeError):
+                setattr(made, name, 1)
         assert made == built
 
 
