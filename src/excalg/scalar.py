@@ -78,7 +78,7 @@ class Scalar:
         b = Scalar.of(im)
         if a.y or b.y:
             raise ValueError("gaussian() parts must be rational")
-        return _make(a.x * b.d, b.x * a.d, a.d * b.d)
+        return _gaussian((a.x, a.d), (b.x, b.d))
 
     @staticmethod
     def parse(text: str) -> "Scalar":
