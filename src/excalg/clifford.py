@@ -124,7 +124,7 @@ def clifford_act(v: Sequence, s: Spinor) -> Spinor:
     return Spinor(out)
 
 
-def clifford_relation_holds(samples: bool = False) -> int:
+def clifford_relation_holds() -> int:
     """Exhaustive Clifford-relation check on all basis pairs and basis
     spinors; returns the number of identities verified."""
     gram = bilinear_gram()

@@ -579,6 +579,8 @@ def legendrian_check(a: int, samples: int = 20, seed: int = 0) -> LegendrianRepo
     dimension dim H3 + 1 and be isotropic for the symplectic pairing."""
     import random as _random
 
+    if samples < 1:
+        raise ValueError(f"legendrian_check needs at least one sample, got {samples}")
     alg = jordan_algebra(a)
     rng = _random.Random(seed)
     expected = alg.dim + 1

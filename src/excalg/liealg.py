@@ -379,6 +379,8 @@ def jacobi_check(
     triples up to the end of the witness's first index."""
     if not g.skew:
         raise ValueError("jacobi_check requires the skew flag")
+    if mode == "sampled" and samples < 1:
+        raise ValueError(f"sampled mode needs at least one sample, got {samples}")
     d = g.dim
     if d == 0:
         return JacobiReport(True, 0)

@@ -24,8 +24,9 @@ sums back as the same canonical Scalars that Scalar arithmetic gives.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import combinations_with_replacement
 from math import gcd, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -298,6 +299,19 @@ def scalar_rows(x: np.ndarray, den: int) -> List[List[Scalar]]:
     if x.ndim == 3:
         return [[scalar_of(c, den) for c in row] for row in x.tolist()]
     return [vec_scalars(row, None, den) for row in x.tolist()]
+
+
+def lattice(dim: int, degree: int) -> Iterator[Tuple[int, ...]]:
+    """The C(dim + degree - 1, degree) integer points alpha >= 0 with
+    |alpha| = degree, ordered by the basis indices they add up (2 e_0,
+    e_0 + e_1, ...).  They are unisolvent (Chung and Yao, SIAM J. Numer.
+    Anal. 14, 1977): a map homogeneous of degree d_k in each argument x_k
+    vanishes identically iff it vanishes with each x_k on lattice(dim, d_k)."""
+    for picks in combinations_with_replacement(range(dim), degree):
+        alpha = [0] * dim
+        for i in picks:
+            alpha[i] += 1
+        yield tuple(alpha)
 
 
 def _cleared(v: Sequence[Scalar]):

@@ -1,6 +1,6 @@
 import pytest
 
-from excalg.composition import canonical_octonions, named_algebra
+from excalg.composition import CompAlgebra, canonical_octonions, named_algebra
 
 
 @pytest.fixture(scope="session")
@@ -11,6 +11,17 @@ def octonions():
 @pytest.fixture(scope="session")
 def quaternions():
     return named_algebra("h")
+
+
+@pytest.fixture(scope="session")
+def corrupted_octonions():
+    """The octonion table with e1 e2 and e2 e1 negated: still unital with an
+    antiautomorphic conjugation, but neither alternative nor a composition
+    algebra."""
+    table = [[list(cell) for cell in row] for row in canonical_octonions().table]
+    for i, j in ((1, 2), (2, 1)):
+        table[i][j] = [-c for c in table[i][j]]
+    return CompAlgebra(table, name="corrupted", check=False)
 
 
 def fraction_closure(matrices):

@@ -306,6 +306,16 @@ class TestVerifyFile:
         code, out = run_cli(capsys, "verify", str(path))
         assert code == 0 and json.loads(out)["passed"]
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_sampled_needs_a_sample(self, capsys, tmp_path, samples):
+        _, out = run_cli(capsys, "derive", "--algebra", "H", "--constants")
+        path = tmp_path / "derH.json"
+        path.write_text(out)
+        code = cli.main(["verify", str(path), "--mode", "sampled", "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: sampled mode needs at least one sample, got {samples}\n"
+
     def test_corrupted_fails(self, capsys, tmp_path):
         code, out = run_cli(capsys, "derive", "--algebra", "O", "--constants")
         constants = json.loads(out)["structure_constants"]

@@ -63,22 +63,60 @@ class TestCayleyDickson:
             )
 
 
+def witness_elements(alg, rep):
+    return tuple(alg.element([sc(c) for c in w]) for w in rep.witness)
+
+
 class TestIdentities:
     def test_octonions_pass(self, octonions):
-        for which in (co.ALTERNATIVE, co.MOUFANG, co.NORM_MULT):
-            assert co.check_identities(octonions, which, samples=40, seed=0).passed
+        # every tuple of the lattices of degrees (2, 1), (1, 1, 2), (2, 2):
+        # 36 points of degree 2 and 8 of degree 1
+        reps = [co.check_identities(octonions, w) for w in (co.ALTERNATIVE, co.MOUFANG, co.NORM_MULT)]
+        assert all(r.passed and r.witness is None for r in reps)
+        assert [r.checked for r in reps] == [36 * 8, 8 * 8 * 36, 36 * 36]
 
     def test_quaternions_associative(self, quaternions):
-        assert co.check_identities(quaternions, co.ASSOCIATIVE, samples=40, seed=0).passed
+        rep = co.check_identities(quaternions, co.ASSOCIATIVE)
+        assert rep.passed and rep.checked == 4 ** 3
 
     def test_octonions_not_associative(self, octonions):
-        rep = co.check_identities(octonions, co.ASSOCIATIVE, samples=0, seed=0)
-        assert not rep.passed and rep.witness is not None
+        rep = co.check_identities(octonions, co.ASSOCIATIVE)
+        assert not rep.passed
+        x, y, z = witness_elements(octonions, rep)
+        assert (x, y, z) == (octonions.basis(1), octonions.basis(2), octonions.basis(4))
+        assert (x * y) * z != x * (y * z)
 
     def test_sedenions_fail_norm(self):
+        # no pair of basis vectors breaks norm multiplicativity; the first
+        # lattice pair that does is (e1 + e10, e4 + e15)
         sed = co.named_algebra("sedenion")
-        rep = co.check_identities(sed, co.NORM_MULT, samples=1500, seed=0)
+        assert all(
+            co._identity_holds(sed, co.NORM_MULT, (sed.basis(i), sed.basis(j)))
+            for i in range(16) for j in range(16)
+        )
+        rep = co.check_identities(sed, co.NORM_MULT)
+        u, v = witness_elements(sed, rep)
         assert not rep.passed
+        assert (u, v) == (sed.basis(1) + sed.basis(10), sed.basis(4) + sed.basis(15))
+        assert (u * v).norm() != u.norm() * v.norm()
+
+    def test_unknown_identity_rejected(self, octonions):
+        with pytest.raises(ValueError):
+            co.check_identities(octonions, "commutative")
+
+    @pytest.mark.parametrize("which", [co.ALTERNATIVE, co.MOUFANG, co.NORM_MULT])
+    def test_corrupted_table_fails(self, corrupted_octonions, which):
+        bad = corrupted_octonions
+        rep = co.check_identities(bad, which)
+        assert not rep.passed
+        elems = witness_elements(bad, rep)
+        # a lattice tuple: nonnegative integer coordinates of sum the degree
+        degrees = tuple(sum(e.vec[0]) for e in elems if e.vec[2] == 1 and min(e.vec[0]) >= 0)
+        assert degrees == co._DEGREES[which]
+        assert not co._identity_holds(bad, which, elems)
+        # the differential check: random elements of the same table fail too
+        rng = random.Random(0)
+        assert not co._identity_holds(bad, which, [bad.random_element(rng) for _ in elems])
 
     def test_norm_multiplicativity_random(self, octonions):
         rng = random.Random(1)

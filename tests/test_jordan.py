@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from excalg import jordan as jd
 from excalg.linalg import Matrix, unit_vec, vec_dot
 from excalg.scalar import I, ONE, ZERO, Scalar, sc
+from excalg.tensor import lattice
 
 ALL_A = (0, 1, 2, 4, 8)
 
@@ -139,6 +140,15 @@ class TestCayleyHamilton:
             for _ in range(15):
                 assert jd.cayley_hamilton_check(alg.random_element(rng)).passed
 
+    def test_corrupted_octonions_fail_on_lattice(self, corrupted_octonions):
+        # H3 over an octonion table with one product and its mirror negated:
+        # the 112th point of the degree-3 lattice breaks Cayley-Hamilton
+        alg = jd.JordanAlgebra(corrupted_octonions)
+        points = (jd.JordanElement._of(alg, (p, None, 1)) for p in lattice(alg.dim, 3))
+        first = next(k for k, x in enumerate(points, 1) if not jd.cayley_hamilton_check(x).passed)
+        assert first == 112
+        assert not jd.cayley_hamilton_check(alg.random_element(random.Random(0))).passed
+
 
 class TestRank:
     def test_rank_chain(self):
@@ -212,6 +222,11 @@ class TestFreudenthal:
         for a in (0, 1):
             rep = jd.legendrian_check(a, samples=5, seed=0)
             assert rep.passed and rep.tangent_dim == 3 * a + 4
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_legendrian_needs_a_sample(self, samples):
+        with pytest.raises(ValueError, match="at least one sample"):
+            jd.legendrian_check(0, samples=samples)
 
     @pytest.mark.parametrize("a", [1, 2])
     def test_frame_gram_matches_pairing(self, a):

@@ -3,6 +3,7 @@ elements kept as cleared integer vectors, against a plain Scalar product
 loop over the basis products and plain Scalar arithmetic."""
 
 import functools
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from excalg.composition import CompAlgebra, named_algebra
 from excalg.jordan import jordan_algebra
 from excalg.linalg import unit_vec, vec_dot
 from excalg.scalar import I, ZERO, Scalar, rand_scalar, sc
+from excalg.tensor import lattice
 
 
 def reference_product(alg, x, y):
@@ -124,6 +126,23 @@ def test_sc_tensor_is_built_on_first_use():
     built = vars(g)["tensor"]
     g.bracket_coords(unit_vec(4, 0), unit_vec(4, 1))
     assert g.tensor is built
+
+
+@pytest.mark.parametrize("dim, degree", [(1, 3), (7, 2), (8, 1), (16, 2), (27, 3)])
+def test_lattice_points(dim, degree):
+    points = list(lattice(dim, degree))
+    assert len(set(points)) == len(points) == math.comb(dim + degree - 1, degree)
+    assert all(len(p) == dim and min(p) >= 0 and sum(p) == degree for p in points)
+
+
+def test_lattice_catches_what_basis_vectors_miss():
+    # x_2 x_5 is a quadratic form that vanishes on every basis vector and
+    # on its double, but not on e_2 + e_5
+    def residual(x):
+        return x[2] * x[5]
+
+    assert not any(residual(unit_vec(7, i)) for i in range(7))
+    assert [p for p in lattice(7, 2) if residual(p)] == [(0, 0, 1, 0, 0, 1, 0)]
 
 
 # -- elements kept as cleared integer vectors ---------------------------------------
