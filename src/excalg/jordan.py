@@ -68,6 +68,7 @@ class JordanAlgebra:
             raise ValueError("the trace weights must be rational")
         self._weight_ints = weights.tolist()
         self._basis_adjugates = None
+        self._identity = self.from_parts([1, 1, 1])
 
     # -- basis bookkeeping ---------------------------------------------------
 
@@ -161,7 +162,7 @@ class JordanAlgebra:
         return self.element([sc(c) for c in (*diag, *off[0], *off[1], *off[2])])
 
     def identity(self) -> "JordanElement":
-        return self.from_parts([1, 1, 1])
+        return self._identity
 
     def random_element(self, rng, height: int = 2) -> "JordanElement":
         from .scalar import rand_scalar

@@ -3,8 +3,8 @@
 Covers derivation algebras as exact kernels of the Leibniz system, Jacobi
 verification (on every triple, certified from a generating set or by a
 scan, or sampled), stabilizer subalgebras of trivectors inside gl_n,
-weight decompositions relative to a designated commuting family, and
-Cartan matrix extraction from an abstract root list.
+weights of a designated commuting family checked on a given eigenbasis,
+and Cartan matrix extraction from an abstract root list.
 
 The skew check, the Leibniz system, the Jacobi verification and the
 Killing form are array joins over the flat integer cells of the structure
@@ -33,13 +33,13 @@ from .linalg import (
     Matrix,
     is_zero_vec,
     kernel,
-    solve,
+    rank,
     unit_vec,
     vec_add,
     vec_scale,
     zero_vec,
 )
-from .scalar import I, ONE, ZERO, NeedsExtension, Scalar, sc
+from .scalar import ONE, ZERO, Scalar, sc
 from .tensor import StructureTensor, _cleared, cleared_ints, scalar_of, scalar_rows
 
 
@@ -719,144 +719,39 @@ def adjoint_module(g: SCAlgebra) -> ModuleRep:
     )
 
 
-def _charpoly(m: Matrix) -> List[Scalar]:
-    """Coefficients of det(tI - m), low degree first, by interpolation."""
-    s = m.rows
-    pts = [sc(t) for t in range(s + 1)]
-    vals = [
-        (Matrix.identity(s).scale(t) - m).det() for t in pts
-    ]
-    vander = Matrix([[t ** k if k else ONE for k in range(s + 1)] for t in pts])
-    coeffs = solve(vander, vals)
-    assert coeffs is not None
-    return coeffs
-
-
-def _poly_eval(coeffs: List[Scalar], x: Scalar) -> Scalar:
-    total = ZERO
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
-
-def _rational_eigenvalues(m: Matrix) -> Optional[List[Scalar]]:
-    """All eigenvalues when they lie in Q(i) (counted with multiplicity);
-    None when some root leaves the field.
-
-    Rational root theorem over Z[i]: once the zero roots are split off and
-    the denominators cleared, every root of a_n x^n + ... + a_0 in Q(i) is
-    p/q with p | a_0 and q | a_n."""
-    coeffs = _charpoly(m)
-    zeros = next(k for k, c in enumerate(coeffs) if c)
-    current = coeffs[zeros:]
-    roots = [ZERO] * zeros
-
-    def deflate(cs, r):
-        # synthetic division by (x - r); cs low-first
-        deg = len(cs) - 1
-        out = [ZERO] * deg
-        acc = cs[deg]
-        for k in range(deg - 1, -1, -1):
-            out[k] = acc
-            acc = cs[k] + r * acc
-        assert acc.is_zero()
-        return out
-
-    ints = _cleared(current)[0]
-    a0, an = (Scalar(re, im) for _, re, im in (ints[0], ints[-1]))
-    candidates = {p / q for p in _gaussian_divisors(a0) for q in _gaussian_divisors(an)}
-    for r in candidates:
-        while len(current) > 1 and not _poly_eval(current, r):
-            roots.append(r)
-            current = deflate(current, r)
-    return roots if len(current) == 1 else None
-
-
-def _gaussian_divisors(z: Scalar) -> List[Scalar]:
-    """Every divisor in Z[i] of the nonzero Gaussian integer z: the products
-    of its prime factors, found by trial division of its norm, times the
-    four units."""
-    divisors = [ONE, -ONE, I, -I]
-    norm, p = z.x * z.x + z.y * z.y, 2
-    while norm > 1:
-        if p * p > norm:
-            p = norm
-        if norm % p:
-            p += 1
-            continue
-        while norm % p == 0:
-            norm //= p
-        for prime in _gaussian_primes_over(p):
-            powers, q = [], z / prime
-            while q.d == 1:  # q is a Gaussian integer
-                z, q = q, q / prime
-                powers.append(powers[-1] * prime if powers else prime)
-            divisors += [d * t for d in divisors for t in powers]
-    return divisors
-
-
-def _gaussian_primes_over(p: int) -> List[Scalar]:
-    """The Gaussian primes dividing the rational prime p, up to units."""
-    if p == 2:
-        return [ONE + I]
-    if p % 4 == 3:
-        return [sc(p)]
-    x = next(x for x in range(1, p) if math.isqrt(p - x * x) ** 2 == p - x * x)
-    y = math.isqrt(p - x * x)
-    return [Scalar.gaussian(x, y), Scalar.gaussian(x, -y)]
-
-
 def weight_decomposition(
-    g: SCAlgebra, module: ModuleRep
+    g: SCAlgebra, module: ModuleRep, eigenbasis: Sequence[Sequence[Scalar]]
 ) -> List[Tuple[tuple, int]]:
-    """Joint eigenspace decomposition of the designated Cartan family on a
-    module; returns (weight tuple, multiplicity) pairs sorted by weight.
+    """Weights of the designated Cartan family on a module, checked on a
+    given eigenbasis; returns (weight tuple, multiplicity) pairs sorted by
+    weight.
 
-    Raises NeedsExtension when an action is not diagonalizable over Q(i).
+    The basis must have rank module.dim, and h b = lambda(h) b must hold
+    exactly for each Cartan element h and basis vector b; otherwise
+    ValueError.  Nothing is searched: the check is the certificate.
     """
     if g.cartan is None:
         raise ValueError("algebra carries no designated Cartan")
     n = module.dim
+    basis = [[sc(x) for x in b] for b in eigenbasis]
+    if len(basis) != n or any(len(b) != n for b in basis) or rank(Matrix(basis)) != n:
+        raise ValueError(f"eigenbasis does not have rank {n}")
     h_mats = [
         sum((module.matrices[i].scale(c) for i, c in enumerate(h) if c), Matrix.zero(n, n))
         for h in g.cartan
     ]
-    # iteratively refine joint eigenspaces
-    spaces: List[Tuple[tuple, List[List[Scalar]]]] = [
-        ((), [unit_vec(module.dim, j) for j in range(module.dim)])
-    ]
-    for hm in h_mats:
-        refined: List[Tuple[tuple, List[List[Scalar]]]] = []
-        for weight, basis in spaces:
-            restricted_cols = []
-            for b in basis:
-                img = hm.apply(b)
-                coords = solve(Matrix.from_cols(basis), img)
-                if coords is None:
-                    raise NeedsExtension("family does not preserve the subspace")
-                restricted_cols.append(coords)
-            rmat = Matrix.from_cols(restricted_cols)
-            eigs = _rational_eigenvalues(rmat)
-            if eigs is None:
-                raise NeedsExtension("eigenvalue outside Q(i)")
-            total = 0
-            for lam in sorted(set(eigs), key=str):
-                ker = kernel(rmat - Matrix.identity(rmat.rows).scale(lam))
-                if ker.dim == 0:
-                    continue
-                new_basis = []
-                for w in ker.basis:
-                    v = zero_vec(module.dim)
-                    for cc, b in zip(w, basis):
-                        v = vec_add(v, vec_scale(cc, b))
-                    new_basis.append(v)
-                refined.append((weight + (lam,), new_basis))
-                total += ker.dim
-            if total != len(basis):
-                raise NeedsExtension("action not diagonalizable over Q(i)")
-        spaces = refined
-    out = [(w, len(b)) for w, b in spaces]
-    return sorted(out, key=lambda t: tuple(str(x) for x in t[0]))
+    counts: Dict[tuple, int] = {}
+    for b in basis:
+        lead = next(k for k, x in enumerate(b) if x)
+        weight = []
+        for hm in h_mats:
+            img = hm.apply(b)
+            lam = img[lead] / b[lead]
+            if img != vec_scale(lam, b):
+                raise ValueError("basis vector is not a Cartan eigenvector")
+            weight.append(lam)
+        counts[tuple(weight)] = counts.get(tuple(weight), 0) + 1
+    return sorted(counts.items(), key=lambda t: tuple(str(x) for x in t[0]))
 
 
 # -- Cartan matrices from roots ---------------------------------------------------
@@ -873,20 +768,18 @@ def cartan_matrix_from_roots(roots: Sequence[tuple]) -> Matrix:
     if not root_set:
         raise ValueError("empty root list")
     for r in root_set:
-        if tuple(-x for x in r) not in root_set:
-            raise ValueError("root list not closed under negation")
-    rank_guess = len(next(iter(root_set)))
+        if not any(r) or tuple(-x for x in r) not in root_set:
+            raise ValueError("root list not nonzero and closed under negation")
+    dim = len(next(iter(root_set)))
 
-    def functional(n):
-        return lambda r: sum((sc(n ** k) * x for k, x in zip(range(rank_guess), r)), ZERO)
+    def f(n, r):
+        return sum((sc(n ** k) * x for k, x in enumerate(r)), ZERO)
 
-    for n in range(1, 200):
-        f = functional(n)
-        if all(not f(r).is_zero() for r in root_set):
-            break
-    else:
-        raise ValueError("no generic functional found")
-    positives = {r for r in root_set if (v := f(r)).x > 0 or (not v.x and v.y > 0)}
+    # f(n, r) is a nonzero polynomial in n of degree below dim for each root
+    # r, so at most |roots| (dim - 1) values of n make some f(n, r) vanish
+    n = next(n for n in range(1, len(root_set) * (dim - 1) + 2)
+             if all(f(n, r) for r in root_set))
+    positives = {r for r in root_set if (v := f(n, r)).x > 0 or (not v.x and v.y > 0)}
     simple = sorted(
         (r for r in positives if not any(
             tuple(x + y for x, y in zip(a, b)) == r for a in positives for b in positives
@@ -910,15 +803,3 @@ def string_pairing(alpha: tuple, beta: tuple, root_set) -> int:
 
     return steps(tuple(-y for y in beta)) - steps(beta)
 
-
-def cartan_matrices_equivalent(a: Matrix, b: Matrix) -> bool:
-    """Equality up to simultaneous permutation of rows and columns."""
-    if a.rows != b.rows:
-        return False
-    n = a.rows
-    for perm in itertools.permutations(range(n)):
-        if all(
-            a[i, j] == b[perm[i], perm[j]] for i in range(n) for j in range(n)
-        ):
-            return True
-    return False

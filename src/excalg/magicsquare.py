@@ -739,10 +739,14 @@ def g2_models_crosscheck() -> G2ModelsReport:
     """Build the rank-two exceptional algebra three ways (octonion
     derivations, trivector stabilizer, vector-covector model) and verify
     the dimensions, the subspace equality of the first two, the root data
-    of the third, and the invariants of its seven-dimensional module."""
+    of the third, and the invariants of its seven-dimensional module.
+
+    The Cartan elements of the vector model act diagonally on its adjoint
+    and on its seven-dimensional module, so both weight decompositions are
+    checked on the standard basis, and the Cartan matrix of the roots is
+    named by :func:`rootdata.diagram_type`."""
     from .composition import associative_form, canonical_octonions
     from .liealg import (
-        cartan_matrices_equivalent,
         cartan_matrix_from_roots,
         derivations,
         adjoint_module,
@@ -750,6 +754,7 @@ def g2_models_crosscheck() -> G2ModelsReport:
         stabilizer_in_gl,
         weight_decomposition,
     )
+    from .rootdata import diagram_type
 
     oct8 = canonical_octonions()
     der = derivations(oct8, name="der(O)")
@@ -771,15 +776,18 @@ def g2_models_crosscheck() -> G2ModelsReport:
         _jacobi(model.algebra, "full").passed,
     )
 
-    adj = weight_decomposition(model.algebra, adjoint_module(model.algebra))
+    adj = weight_decomposition(
+        model.algebra, adjoint_module(model.algebra), Matrix.identity(14).entries
+    )
     roots = [w for w, mult in adj if any(not x.is_zero() for x in w) for _ in range(mult)]
     zero_dim = sum(mult for w, mult in adj if all(x.is_zero() for x in w))
     cartan = cartan_matrix_from_roots(roots)
-    reference = Matrix([[2, -1], [-3, 2]])
-    cartan_ok = cartan_matrices_equivalent(cartan, reference) and zero_dim == 2
+    cartan_ok = zero_dim == 2 and diagram_type(
+        [[int(x.re) for x in row] for row in cartan.entries]
+    ) == "G2"
 
     shorts, longs = _short_long_split(roots)
-    mod_weights = weight_decomposition(model.algebra, model.module)
+    mod_weights = weight_decomposition(model.algebra, model.module, Matrix.identity(7).entries)
     nonzero = [w for w, mult in mod_weights if any(not x.is_zero() for x in w)]
     zero_mult = sum(m for w, m in mod_weights if all(x.is_zero() for x in w))
     module_ok = (

@@ -1,7 +1,7 @@
-"""Abstract root systems generated from Cartan matrices, integer gradings
-by a node, cyclic gradings by a node of the extended diagram, the
-dimension formulas of the exceptional series, and line-family combinatorics
-read from the diagram.
+"""Abstract root systems generated from Cartan matrices, Dynkin types read
+from the shape of the diagram, integer gradings by a node, cyclic gradings
+by a node of the extended diagram, the dimension formulas of the
+exceptional series, and line-family combinatorics read from the diagram.
 
 Roots live in the simple-root basis as integer tuples and are generated by
 closing the simple roots under the simple reflections, so the same code
@@ -12,7 +12,6 @@ the trivial grading.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -241,59 +240,77 @@ def zm_grading(rs: RootSystem, node: int) -> GradingReport:
 
 def deleted_node_type(rs: RootSystem, nodes: Sequence[int]) -> str:
     """Dynkin type of the diagram after deleting the listed 1-based nodes,
-    e.g. "B3" or "A2+A1"."""
-    removed = set(n - 1 for n in nodes)
-    keep = [i for i in range(rs.rank) if i not in removed]
-    sub = [[rs.cartan[i][j] for j in keep] for i in keep]
-    comps = _components(sub)
-    names = sorted(
-        _identify_component([[sub[i][j] for j in comp] for i in comp])
-        for comp in comps
-    )
-    return "+".join(names) if names else "0"
+    e.g. "B3" or "A2+A1", named by :func:`diagram_type`."""
+    keep = [i for i in range(rs.rank) if i + 1 not in nodes]
+    return diagram_type([[rs.cartan[i][j] for j in keep] for i in keep])
 
 
-def _components(a: List[List[int]]) -> List[List[int]]:
+def diagram_type(a: Sequence[Sequence[int]]) -> str:
+    """Dynkin type of a Cartan matrix given by int rows, e.g. "A2+A1"; "0"
+    for the empty matrix.
+
+    Each connected component is named from its shape: the bond
+    multiplicities a_ij a_ji, which end of a double bond is short
+    (|a_ij| = 2 means alpha_j is short), and the arm lengths at a branch
+    node.  C2 is reported as B2 and D3 as A3.  Any other shape (a cycle,
+    two branch nodes, two multiple bonds, a bond of 4 or more) raises
+    ValueError."""
     n = len(a)
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = []
-        stack = [s]
-        seen[s] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if not seen[j] and a[i][j] != 0:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(sorted(comp))
-    return comps
+    for i in range(n):
+        if a[i][i] != 2 or any(a[i][j] > 0 or bool(a[i][j]) != bool(a[j][i])
+                               for j in range(n) if j != i):
+            raise ValueError("not a Cartan matrix")
+    nbrs = {i: [j for j in range(n) if j != i and a[i][j]] for i in range(n)}
+    names, left = [], set(range(n))
+    while left:
+        comp = _reach(nbrs, min(left), set())
+        left -= comp
+        names.append(_component_type(a, comp, nbrs))
+    return "+".join(sorted(names)) or "0"
 
 
-def _identify_component(a: List[List[int]]) -> str:
-    n = len(a)
-    for family in ("A", "B", "C", "D", "E", "F", "G"):
-        try:
-            ref = cartan_matrix(family, n)
-        except ValueError:
-            continue
-        for perm in itertools.permutations(range(n)):
-            if all(
-                a[i][j] == ref[perm[i]][perm[j]] for i in range(n) for j in range(n)
-            ):
-                # report the canonical name (B2 = C2, D3 = A3, D2 = A1+A1)
-                if family == "C" and n == 2:
-                    return "B2"
-                if family == "D" and n == 3:
-                    return "A3"
-                return f"{family}{n}"
-        if n > 8:
-            break
+def _component_type(a, comp: set, nbrs: Dict[int, List[int]]) -> str:
+    n = len(comp)
+    bonds = {(i, j): a[i][j] * a[j][i] for i in comp for j in nbrs[i] if i < j}
+    multiple = [ij for ij, m in bonds.items() if m > 1]
+    branches = [i for i in comp if len(nbrs[i]) > 2]
+    if len(bonds) != n - 1 or max(bonds.values(), default=1) > 3:
+        raise ValueError("diagram has a cycle or a bond of 4 or more")
+    if len(multiple) + len(branches) > 1:
+        raise ValueError("diagram has two branch nodes or multiple bonds")
+    if branches:
+        b = branches[0]
+        arms = sorted(len(_reach(nbrs, j, {b})) for j in nbrs[b])
+        if len(arms) == 3 and arms[:2] == [1, 1]:
+            return f"D{n}"
+        if arms in ([1, 2, 2], [1, 2, 3], [1, 2, 4]):
+            return f"E{n}"
+    elif not multiple:
+        return f"A{n}"
+    elif bonds[multiple[0]] == 3 and n == 2:
+        return "G2"
+    elif bonds[multiple[0]] == 2:
+        i, j = multiple[0]
+        long_, short = (i, j) if a[i][j] == -2 else (j, i)
+        shorts = len(_reach(nbrs, short, {long_}))
+        if shorts == 1:
+            return f"B{n}"
+        if shorts == n - 1:
+            return f"C{n}"
+        if n == 4:
+            return "F4"
     raise ValueError("component is not of finite type")
+
+
+def _reach(nbrs: Dict[int, List[int]], start: int, avoid: set) -> set:
+    """The nodes reached from start without passing through avoid."""
+    seen, stack = {start} | avoid, [start]
+    while stack:
+        for k in nbrs[stack.pop()]:
+            if k not in seen:
+                seen.add(k)
+                stack.append(k)
+    return seen - avoid
 
 
 # -- dimension formulas of the exceptional series --------------------------------

@@ -359,6 +359,11 @@ class TestGradingAndDims:
         data = json.loads(out)
         assert code == 0 and data["dims"] == {"0": 120, "1": 128}
 
+    @pytest.mark.parametrize("typ,zero", [("B10", "B9"), ("C10", "C9"), ("D12", "D11")])
+    def test_grading_above_rank_eight(self, capsys, typ, zero):
+        code, out = run_cli(capsys, "grading", "--type", typ, "--node", "1")
+        assert code == 0 and json.loads(out)["zero_part_type"] == zero
+
     def test_dims(self, capsys):
         code, out = run_cli(capsys, "dims", "--a", "8")
         assert code == 0 and json.loads(out)["dim_V4"] == 248

@@ -9,11 +9,13 @@ from excalg import intlin
 from excalg import forms as fm
 from excalg import liealg as ll
 from excalg import linalg as la
+from excalg import scalar
 from excalg import threeform as tf
 from excalg.composition import associative_form, canonical_octonions, named_algebra
 from excalg.jordan import jordan_algebra
 from excalg.linalg import Matrix, Subspace, kernel, random_invertible, unit_vec
 from excalg.magicsquare import _so_basis
+from excalg.rootdata import diagram_type
 from excalg.scalar import I, ONE, ZERO, sc
 from excalg.tensor import StructureTensor
 
@@ -607,25 +609,39 @@ class TestStabilizerInGl:
         assert stab.dim == 16
 
 
+# e0 and e1 -/+ i e2 diagonalize ad(e0) on so3: [e0, e1 + i e2] = -i (e1 + i e2)
+SO3_EIGENBASIS = [[ONE, ZERO, ZERO], [ZERO, ONE, I], [ZERO, ONE, -I]]
+
+
 class TestWeights:
     def test_so3_adjoint_weights(self):
         g = so3()
-        wd = ll.weight_decomposition(g, ll.adjoint_module(g))
+        wd = ll.weight_decomposition(g, ll.adjoint_module(g), SO3_EIGENBASIS)
         weights = sorted(str(w[0]) for w, mult in wd)
         assert weights == ["(0/1)+(-1/1)i", "(0/1)+(1/1)i", "0/1"]
 
     def test_abelian(self):
         g = ll.SCAlgebra(2, {}, skew=True, cartan=[[sc(1), sc(0)], [sc(0), sc(1)]])
-        wd = ll.weight_decomposition(g, ll.adjoint_module(g))
+        wd = ll.weight_decomposition(g, ll.adjoint_module(g), Matrix.identity(2).entries)
         assert wd == [((sc(0), sc(0)), 2)]
 
-    def test_needs_extension(self):
-        # sqrt(2) eigenvalues leave the field
-        g = ll.SCAlgebra(2, {}, skew=True, cartan=[[sc(1), sc(0)]])
-        module = ll.ModuleRep(2, [Matrix([[0, 1], [2, 0]]), Matrix.zero(2, 2)])
-        with pytest.raises(ll.NeedsExtension):
-            ll.weight_decomposition(g, module)
-        assert composition.NeedsExtension is ll.NeedsExtension
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            # e1 + 2i e2 is not an eigenvector of ad(e0)
+            [[ONE, ZERO, ZERO], [ZERO, ONE, sc(2) * I], [ZERO, ONE, -I]],
+            # every vector is an eigenvector, but they span only a plane
+            [[ONE, ZERO, ZERO], [ZERO, ONE, I], [ZERO, ONE, I]],
+        ],
+        ids=["corrupted-vector", "rank-deficient"],
+    )
+    def test_wrong_eigenbasis(self, basis):
+        # a failed check is a ValueError, not a field that is too small
+        g = so3()
+        with pytest.raises(ValueError) as exc:
+            ll.weight_decomposition(g, ll.adjoint_module(g), basis)
+        assert not isinstance(exc.value, scalar.NeedsExtension)
+        assert composition.NeedsExtension is scalar.NeedsExtension
 
     @pytest.mark.parametrize(
         "diagonal",
@@ -633,18 +649,18 @@ class TestWeights:
         ids=["13", "7-and-1/5", "13i-and-2"],
     )
     def test_eigenvalues_off_the_small_grid(self, diagonal):
-        # roots found by the rational root theorem over Z[i], not a fixed
-        # list of small Gaussian integers and fractions
+        # eigenvalues are read off the action on the basis, not matched
+        # against a fixed list of small Gaussian integers and fractions
         n = len(diagonal)
         h = Matrix([[diagonal[r] if r == c else 0 for c in range(n)] for r in range(n)])
         g = ll.SCAlgebra(1, {}, skew=True, cartan=[[sc(1)]])
-        wd = ll.weight_decomposition(g, ll.ModuleRep(n, [h]))
+        wd = ll.weight_decomposition(g, ll.ModuleRep(n, [h]), Matrix.identity(n).entries)
         assert sorted(wd, key=str) == sorted((((x,), 1) for x in diagonal), key=str)
 
     def test_missing_cartan(self):
         g = ll.SCAlgebra(2, {}, skew=True)
         with pytest.raises(ValueError):
-            ll.weight_decomposition(g, ll.adjoint_module(g))
+            ll.weight_decomposition(g, ll.adjoint_module(g), Matrix.identity(2).entries)
 
 
 class TestCartanMatrix:
@@ -675,11 +691,16 @@ class TestCartanMatrix:
             roots.append(vec)
             roots.append(tuple(-c for c in vec))
         m = ll.cartan_matrix_from_roots(roots)
-        assert ll.cartan_matrices_equivalent(m, Matrix([[2, -1], [-1, 2]]))
+        assert diagram_type([[int(x.re) for x in row] for row in m.entries]) == "A2"
 
     def test_not_closed_under_negation(self):
         with pytest.raises(ValueError):
             ll.cartan_matrix_from_roots([(sc(1),)])
+
+    def test_zero_is_not_a_root(self):
+        # no functional is nonzero on the zero vector
+        with pytest.raises(ValueError):
+            ll.cartan_matrix_from_roots([(sc(0), sc(0)), (sc(1), sc(0)), (sc(-1), sc(0))])
 
 
 class TestRepresentationDecomposition:

@@ -13,7 +13,7 @@ from excalg.liealg import (
     leibniz_kernel,
 )
 from excalg.linalg import Matrix, Subspace, solve, unit_vec
-from excalg.scalar import ONE, ZERO, Scalar, sc
+from excalg.scalar import I, ONE, ZERO, Scalar, sc
 from excalg.tensor import StructureTensor
 
 
@@ -326,7 +326,9 @@ class TestVinberg:
         with_cartan = SCAlgebra(
             3, g.bracket, skew=True, cartan=[unit_vec(3, 0)]
         )
-        wd = weight_decomposition(with_cartan, adjoint_module(with_cartan))
+        # e0 and e1 -/+ i e2 diagonalize ad(e0)
+        eigenbasis = [[ONE, ZERO, ZERO], [ZERO, ONE, I], [ZERO, ONE, -I]]
+        wd = weight_decomposition(with_cartan, adjoint_module(with_cartan), eigenbasis)
         roots = [w for w, mult in wd if any(not x.is_zero() for x in w)]
         assert len(roots) == 2
         cm = cartan_matrix_from_roots(roots)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -66,6 +68,19 @@ class TestZGradings:
         e6 = rd.build_root_system("E", 6)
         assert rd.z_grading(e6, 2).zero_part_type == "A5"
         assert rd.z_grading(e6, 1).zero_part_type == "D5"
+        assert rd.z_grading(rd.build_root_system("A", 1), 1).zero_part_type == "0"
+
+    def test_zero_part_types_of_every_exceptional_node(self):
+        expected = {
+            ("G", 2): ["A1", "A1"],
+            ("F", 4): ["C3", "A1+A2", "A1+A2", "B3"],
+            ("E", 6): ["D5", "A5", "A1+A4", "A1+A2+A2", "A1+A4", "D5"],
+            ("E", 7): ["D6", "A6", "A1+A5", "A1+A2+A3", "A2+A4", "A1+D5", "E6"],
+            ("E", 8): ["D7", "A7", "A1+A6", "A1+A2+A4", "A3+A4", "A2+D5", "A1+E6", "E7"],
+        }
+        for (fam, rank), names in expected.items():
+            rs = rd.build_root_system(fam, rank)
+            assert [rd.z_grading(rs, node).zero_part_type for node in range(1, rank + 1)] == names
 
     @given(st.sampled_from(TYPES), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
@@ -149,3 +164,50 @@ class TestShadows:
         a1 = rd.build_root_system("A", 1)
         rep = rd.shadow_lines(a1, 1)
         assert rep.incidence_nodes == () and rep.homogeneous
+
+
+def _shuffled(a, rng):
+    perm = list(range(len(a)))
+    rng.shuffle(perm)
+    return [[a[i][j] for j in perm] for i in perm]
+
+
+def _simply_laced(n, bonds):
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in bonds:
+        a[i][j] = a[j][i] = -1
+    return a
+
+
+class TestDiagramType:
+    @pytest.mark.parametrize("family", "ABCDEFG")
+    def test_shuffled_families(self, family):
+        rng = random.Random(family)
+        for n in range(1, 13):
+            try:
+                a = rd.cartan_matrix(family, n)
+            except ValueError:
+                continue
+            name = {"C2": "B2", "D3": "A3"}.get(f"{family}{n}", f"{family}{n}")
+            assert rd.diagram_type(_shuffled(a, rng)) == name
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            _simply_laced(3, [(0, 1), (1, 2), (0, 2)]),
+            [[2, -2], [-2, 2]],
+            [[2, -4], [-1, 2]],
+            _simply_laced(5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+            [[2, -2, 0], [-1, 2, -2], [0, -1, 2]],
+            # affine D5: nodes 0 and 1 hang off node 2, nodes 4 and 5 off node 3
+            _simply_laced(6, [(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)]),
+            # affine E8: arms of 1, 2 and 5 nodes at node 0
+            _simply_laced(9, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7), (7, 8)]),
+            [[2, -1], [0, 2]],
+        ],
+        ids=["affine-A2", "affine-A1", "bond-of-4", "affine-D4", "two-double-bonds",
+             "two-branch-nodes", "affine-E8", "not-cartan"],
+    )
+    def test_not_finite_type(self, a):
+        with pytest.raises(ValueError):
+            rd.diagram_type(a)
