@@ -64,8 +64,8 @@ TABLE_STAGE = {"contraction": "support_rank", "divisor": "divisor", "action": "s
 
 def setup(seed, passes):
     """The algebras, the prepared requests of each pass (passes 0 to
-    passes - 1, then the warm-up pass), and the Jordan adjugate cache
-    filled, as the workload's set-up does."""
+    passes - 1, then the warm-up pass), and the Jordan basis adjugates
+    computed, as the workload's set-up does."""
     from excalg import composition as co
     from excalg import jordan as jd
     from excalg import linalg as la

@@ -5,21 +5,22 @@ Elements are stored as coordinate vectors over the basis (three diagonal
 units, then the three off-diagonal slots tensored with the algebra basis);
 the lower triangle is conjugate-determined and never stored.  Matrix powers
 always use the symmetrized product.  The dual space is identified with the
-algebra through the trace pairing, which makes the derivative of the cubic
-determinant an element again; derivative extraction is exact interpolation
-at t in {-1, 0, 1, 2}, never symbolic differentiation.  The trace pairing
-is diagonal in the basis, so it is kept as one integer weight per
-coordinate over one denominator and every pairing is a weighted sum of
-products of integers.  Elements are cleared integer vectors (see
-:mod:`excalg.tensor`); the determinant and the adjugate are computed on
-them in integers and divided once.
+algebra through the trace pairing, which makes the gradient of the cubic
+determinant an element again: the adjugate, computed as the sharp map
+x# = x o x - T(x) x + S(x) 1, which is half the Freudenthal cross product
+x * x of the bilinear map x * y = 2 x o y - T(x) y - T(y) x
++ (T(x) T(y) - T(x o y)) 1.  The determinant is T(x#, x) / 3 and the
+derivative of the adjugate along y is x * y.  The trace pairing is
+diagonal in the basis, so it is kept as one integer weight per coordinate
+over one denominator and every pairing is a weighted sum of products of
+integers.  Elements are cleared integer vectors (see :mod:`excalg.tensor`);
+the cross product is computed on them in integers and divided once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .composition import CompAlgebra, canonical_octonions, named_algebra
@@ -265,76 +266,36 @@ def trace_pairing(x: JordanElement, y: JordanElement) -> Scalar:
 
 def det_cubic(x: JordanElement) -> Scalar:
     """The cubic determinant tr(M^3)/3 - tr(M) tr(M^2)/2 + tr(M)^3/6 with
-    powers taken in the symmetrized product."""
-    cubic = _Cubic(x)
-    return scalar_of(cubic.six_det(cubic.tr_x, cubic.tr_m, cubic.c0), cubic.den)
+    powers taken in the symmetrized product, as T(x#, x) / 3."""
+    return _norm(x, adjugate(x))
 
 
-class _Cubic:
-    """The cubic near x = X / D, in integers.  With the tensor's denominator
-    T and the trace weights W / Wd, x o x = M / (T D^2) for M the product
-    sums of X with itself; at any point the traces of its first three
-    powers are A / D, B / (T D^2) and C / (Wd T D^3) with Gaussian integers
-    A, B, C, and then 6 Wd T D^3 Det = 2 C - 3 Wd A B + Wd T A^3.  Holds
-    X, M, their traces, C at x itself (c0) and the denominator
-    den = 6 Wd T D^3."""
-
-    __slots__ = ("alg", "x", "d", "m", "tr_x", "tr_m", "c0", "den")
-
-    def __init__(self, x: JordanElement):
-        self.alg = alg = x.algebra
-        self.x = x.vec
-        self.d = d = x.vec[2]
-        self.m = alg.tensor.sums(x.vec, x.vec)
-        self.tr_x, self.tr_m = _tr(self.x), _tr(self.m)
-        self.c0 = _dot(alg._weight_ints, self.x, self.m)
-        self.den = 6 * alg._weight_den * alg.tensor.den * d ** 3
-
-    def six_det(self, a, b, c) -> Tuple[int, int]:
-        """6 Wd T D^3 Det at a point whose powers have the traces A, B, C."""
-        wd, t = self.alg._weight_den, self.alg.tensor.den
-        ab, a3 = _gmul(a, b), _gmul(a, _gmul(a, a))
-        return tuple(2 * u - 3 * wd * v + wd * t * w for u, v, w in zip(c, ab, a3))
+def _norm(x: JordanElement, sharp: JordanElement) -> Scalar:
+    """The cubic determinant T(x#, x) / 3 of x, given its adjugate x#."""
+    return _pair(x.algebra, sharp.vec, x.vec) / 3
 
 
-def _det_along_line(cubic: _Cubic, e: int):
-    """Values of t -> 6 Wd T D^3 Det(x + t E_e) at the interpolation nodes
-    -1, 0, 1, 2, as Gaussian integers (re, im).
-
-    With Q = X o E_e and R = E_e o E_e as product sums (over T D and T), the
-    traces at x + t E_e are, for s = t D:
-    A = tr X + s tr E_e, B = tr M + 2 s tr Q + s^2 tr R and
-    C = c0 + s (W_e M_e + 2 T(X, Q)) + s^2 (T(X, R) + 2 W_e Q_e) + s^3 W_e R_e,
-    with T(u, v) = sum_i W_i u_i v_i."""
-    alg, x, m, d = cubic.alg, cubic.x, cubic.m, cubic.d
-    unit = (tuple(int(k == e) for k in range(alg.dim)), None, 1)
-    q = alg.tensor.sums(x, unit)
-    r = alg.tensor.sums(unit, unit)
-    weights = alg._weight_ints
-    w = weights[e]
-    a1 = (int(e < 3), 0)
-    b1, b2 = tuple(2 * v for v in _tr(q)), _tr(r)
-    c1 = tuple(w * u + 2 * v for u, v in zip(_at(m, e), _dot(weights, x, q)))
-    c2 = tuple(u + 2 * w * v for u, v in zip(_dot(weights, x, r), _at(q, e)))
-    c3 = tuple(w * v for v in _at(r, e))
-    values = []
-    for t in (-1, 0, 1, 2):
-        s = t * d
-        a = tuple(u + s * v for u, v in zip(cubic.tr_x, a1))
-        b = tuple(u + s * (v + s * y) for u, v, y in zip(cubic.tr_m, b1, b2))
-        c = tuple(u + s * (v + s * (y + s * z)) for u, v, y, z in zip(cubic.c0, c1, c2, c3))
-        values.append(cubic.six_det(a, b, c))
-    return values
-
-
-def _gmul(x: Tuple[int, int], y: Tuple[int, int]) -> Tuple[int, int]:
-    """The product of two Gaussian integers given as (re, im)."""
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _at(v, k: int) -> Tuple[int, int]:
-    """Coordinate k of an integer vector (re, im, ...), as (re, im)."""
-    return v[0][k], 0 if v[1] is None else v[1][k]
+def _cross(alg: JordanAlgebra, x: Vec, y: Vec) -> Vec:
+    """The Freudenthal cross product
+    x * y = 2 x o y - T(x) y - T(y) x + (T(x) T(y) - T(x o y)) 1 of two
+    cleared vectors x = X / Dx and y = Y / Dy.  With the tensor's
+    denominator T and the product sums P of X and Y (x o y = P / (T Dx Dy))
+    it is 2 P - T tr(X) Y - T tr(Y) X + (T tr(X) tr(Y) - tr(P)) 1 over
+    T Dx Dy, summed in Gaussian integers."""
+    t = alg.tensor.den
+    p = alg.tensor.sums(x, y)
+    (ar, ai), (br, bi), (pr, pi) = _tr(x), _tr(y), _tr(p)
+    unit = (t * (ar * br - ai * bi) - pr, t * (ar * bi + ai * br) - pi)
+    ar, ai, br, bi = t * ar, t * ai, t * br, t * bi
+    zero = (0,) * alg.dim
+    re, im = [], []
+    for u, v, xr, xi, yr, yi in zip(p[0], p[1] or zero, x[0], x[1] or zero, y[0], y[1] or zero):
+        re.append(2 * u - (ar * yr - ai * yi) - (br * xr - bi * xi))
+        im.append(2 * v - (ar * yi + ai * yr) - (br * xi + bi * xr))
+    for k in range(3):
+        re[k] += unit[0]
+        im[k] += unit[1]
+    return reduced(re, im, t * x[2] * y[2])
 
 
 def _tr(v) -> Tuple[int, int]:
@@ -362,57 +323,21 @@ def _pair(alg: JordanAlgebra, x: Vec, y: Vec) -> Scalar:
 
 
 def adjugate(x: JordanElement) -> JordanElement:
-    """The gradient of the cubic determinant at x, re-expressed in the
-    algebra via the trace pairing.
-
-    Each directional derivative is the linear coefficient c1 of the cubic
-    f(t) = Det(x + tE).  On the nodes -1, 0, 1, 2 the Vandermonde system
-    has the fixed solution row c1 = (-2f(-1) - 3f(0) + 6f(1) - f(2)) / 6.
-    With f = F / (6 Wd T D^3) and the weight w_e = W_e / Wd, coordinate e
-    of the gradient is (-2F(-1) - 3F(0) + 6F(1) - F(2)) / (36 T D^3 W_e),
-    so the whole adjugate is one integer vector over 36 T D^3 lcm(W).
-    """
-    alg = x.algebra
-    weights = alg._weight_ints
-    if 0 in weights:
-        raise ZeroDivisionError("the trace form is degenerate")
-    cubic = _Cubic(x)
-    common = lcm(*weights)
-    re, im = [], []
-    for e, w in enumerate(weights):
-        fm1, f0, f1, f2 = _det_along_line(cubic, e)
-        u, v = (6 * p1 - 2 * m1 - 3 * z0 - p2 for m1, z0, p1, p2 in zip(fm1, f0, f1, f2))
-        re.append(u * (common // w))
-        im.append(v * (common // w))
-    den = 36 * alg.tensor.den * cubic.d ** 3 * common
-    return JordanElement._of(alg, reduced(re, im, den))
-
-
-def adjugate_closed_form(x: JordanElement) -> JordanElement:
-    """M o M - tr(M) M + sigma2(M) Id; agrees with the interpolated
-    gradient (asserted in the test suite) and is cheaper to polarize."""
-    alg = x.algebra
-    m2 = jordan_product(x, x)
-    t1 = trace(x)
-    sigma2 = (t1 * t1 - trace(m2)) / sc(2)
-    return m2 - x.scale(t1) + alg.identity().scale(sigma2)
+    """The sharp map x# = x o x - T(x) x + S(x) 1 with
+    S(x) = (T(x)^2 - T(x o x)) / 2, i.e. half the cross product x * x: the
+    gradient of the cubic determinant re-expressed in the algebra through
+    the trace pairing, with x## = Det(x) x."""
+    re, im, den = _cross(x.algebra, x.vec, x.vec)
+    return JordanElement._of(x.algebra, reduced(re, im, 2 * den))
 
 
 def freudenthal_cross(x: JordanElement, e: int) -> JordanElement:
     """Directional derivative of the adjugate at x along the basis element
-    E_e (the polarization of the quadratic adjugate map):
-    2 M o E - tr(E) M - tr(M) E + (tr(M) tr(E) - tr(M o E)) Id."""
+    E_e (the polarization of the quadratic adjugate map): the cross product
+    x * E_e."""
     alg = x.algebra
-    ebase = alg.element(unit_vec(alg.dim, e))
-    me = jordan_product(x, ebase)
-    t1, te = trace(x), trace(ebase)
-    sigma_prime = t1 * te - trace(me)
-    return (
-        me.scale(sc(2))
-        - x.scale(te)
-        - ebase.scale(t1)
-        + alg.identity().scale(sigma_prime)
-    )
+    unit = (tuple(int(k == e) for k in range(alg.dim)), None, 1)
+    return JordanElement._of(alg, _cross(alg, x.vec, unit))
 
 
 @dataclass
@@ -443,9 +368,10 @@ def cayley_hamilton_check(x: JordanElement) -> CayleyHamiltonReport:
 def jordan_rank(x: JordanElement) -> int:
     """3 when Det is nonzero, else 2 when the adjugate is nonzero, else 1
     for nonzero elements, else 0."""
-    if not det_cubic(x).is_zero():
+    sharp = adjugate(x)
+    if not _norm(x, sharp).is_zero():
         return 3
-    if not adjugate(x).is_zero():
+    if not sharp.is_zero():
         return 2
     return 1 if not x.is_zero() else 0
 
@@ -493,9 +419,8 @@ def freudenthal_vector(
 def cubic_map(x: JordanElement) -> FreudenthalVector:
     """M -> [1, M, dDet(M), Det(M)], the affine chart of the twisted-cubic
     image over the Jordan algebra."""
-    return FreudenthalVector(
-        x.algebra, ONE, tuple(x.coords), tuple(adjugate(x).coords), det_cubic(x)
-    )
+    sharp = adjugate(x)
+    return FreudenthalVector(x.algebra, ONE, tuple(x.coords), tuple(sharp.coords), _norm(x, sharp))
 
 
 def symplectic_pairing(p: FreudenthalVector, q: FreudenthalVector) -> Scalar:

@@ -780,10 +780,10 @@ def cartan_matrix_from_roots(roots: Sequence[tuple]) -> Matrix:
     n = next(n for n in range(1, len(root_set) * (dim - 1) + 2)
              if all(f(n, r) for r in root_set))
     positives = {r for r in root_set if (v := f(n, r)).x > 0 or (not v.x and v.y > 0)}
+    # r is a sum of two positive roots iff r - p is positive for some p != r
     simple = sorted(
         (r for r in positives if not any(
-            tuple(x + y for x, y in zip(a, b)) == r for a in positives for b in positives
-            if a != r and b != r)),
+            tuple(x - y for x, y in zip(r, p)) in positives for p in positives if p != r)),
         key=lambda r: tuple(str(x) for x in r),
     )
     return Matrix([

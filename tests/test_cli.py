@@ -123,6 +123,14 @@ class TestCheckFailure:
         assert code == 1 and capsys.readouterr().err == "check failed: inconsistent\n"
 
 
+GAUSSIAN_H3O = json.dumps({
+    "a": 8, "diag": ["1/2+i", "-3", "2-1/3i"],
+    "off": [["1", "i", "0", "-2/5", "0", "0", "1+i", "0"],
+            ["0", "3/2", "0", "0", "-i", "0", "0", "2"],
+            ["-1", "0", "1/3i", "0", "0", "4", "0", "0"]],
+})
+
+
 class TestOutputPin:
     # SHA-256 of stdout, recorded before every rational elimination moved to
     # the certified modular path; the JSON must stay byte-identical
@@ -140,8 +148,16 @@ class TestOutputPin:
             # f4, through tri(O)
             (("magic-square", "--build", "r", "o", "--constants"),
              "aa430375b36d32b3285d4056ab743e5949ee738eeaecce36dea3a25b81c83c18"),
+            # recorded while the adjugate was the interpolated gradient of Det
+            (("jordan", "--a", "8", "adj", "--input", GAUSSIAN_H3O),
+             "83853c4f12b980bdde4f31a2c24a26152a6572769aaca9ca0b4e96d511fd0523"),
+            (("jordan", "--a", "8", "det", "--input", GAUSSIAN_H3O),
+             "b027a9b5896bb2bbfae022921ddda57f116082a7afb4dbc8357ccc9a5372c822"),
+            (("jordan", "--a", "8", "rank", "--input", GAUSSIAN_H3O),
+             "261066b72993f3f09d86a42a0d00a02a5124c667a6f19aa6b585e077f88c72c6"),
         ],
-        ids=["derive-O", "magic-square-h-h", "derive-sedenion", "derive-split-O", "magic-square-r-o"],
+        ids=["derive-O", "magic-square-h-h", "derive-sedenion", "derive-split-O", "magic-square-r-o",
+             "jordan-adj", "jordan-det", "jordan-rank"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         code, out = run_cli(capsys, *argv)

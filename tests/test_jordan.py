@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from excalg import jordan as jd
 from excalg.linalg import Matrix, unit_vec, vec_dot
-from excalg.scalar import I, ONE, ZERO, Scalar, sc
+from excalg.scalar import I, ONE, ZERO, Scalar, rand_scalar, sc
 from excalg.tensor import lattice
 
 ALL_A = (0, 1, 2, 4, 8)
@@ -100,13 +100,37 @@ class TestAdjugate:
             alg = jd.jordan_algebra(a)
             assert jd.adjugate(alg.identity()) == alg.identity()
 
-    def test_interpolation_matches_closed_form(self):
+    @staticmethod
+    def assert_gradient(x):
+        """T(adj x, E_e) = d/dt Det(x + t E_e) at t = 0 for every basis
+        element E_e, the derivative read off the cubic t -> Det(x + t E_e)
+        through its values at -1, 0, 1, 2 as (-2f(-1) - 3f(0) + 6f(1) - f(2)) / 6."""
+        alg = x.algebra
+        adj = jd.adjugate(x)
+        for e in range(alg.dim):
+            unit = alg.element(unit_vec(alg.dim, e))
+            fm1, f0, f1, f2 = (jd.det_cubic(x + unit.scale(t)) for t in (-1, 0, 1, 2))
+            derivative = (sc(-2) * fm1 - sc(3) * f0 + sc(6) * f1 - f2) / sc(6)
+            assert jd.trace_pairing(adj, unit) == derivative
+
+    @pytest.mark.parametrize("a", (0, 1, 2, 4))
+    def test_gradient_on_lattice(self, a):
+        # both sides are quadratic in x, so the degree-2 lattice proves it
+        alg = jd.jordan_algebra(a)
+        for p in lattice(alg.dim, 2):
+            self.assert_gradient(alg.element(p))
+
+    def test_gradient_octonion_samples(self):
+        alg = jd.jordan_algebra(8)
         rng = random.Random(7)
-        for a in ALL_A:
-            alg = jd.jordan_algebra(a)
-            for _ in range(10):
-                x = alg.random_element(rng)
-                assert jd.adjugate(x) == jd.adjugate_closed_form(x)
+        for _ in range(3):
+            self.assert_gradient(alg.random_element(rng))
+
+    def test_gradient_gaussian(self):
+        alg = jd.jordan_algebra(8)
+        rng = random.Random(11)
+        self.assert_gradient(alg.element([rand_scalar(rng, 3, gaussian=True)
+                                          for _ in range(alg.dim)]))
 
     def test_double_adjugate(self):
         rng = random.Random(8)

@@ -15,7 +15,7 @@ from excalg.composition import associative_form, canonical_octonions, named_alge
 from excalg.jordan import jordan_algebra
 from excalg.linalg import Matrix, Subspace, kernel, random_invertible, unit_vec
 from excalg.magicsquare import _so_basis
-from excalg.rootdata import diagram_type
+from excalg.rootdata import build_root_system, diagram_type
 from excalg.scalar import I, ONE, ZERO, sc
 from excalg.tensor import StructureTensor
 
@@ -692,6 +692,12 @@ class TestCartanMatrix:
             roots.append(tuple(-c for c in vec))
         m = ll.cartan_matrix_from_roots(roots)
         assert diagram_type([[int(x.re) for x in row] for row in m.entries]) == "A2"
+
+    @pytest.mark.parametrize("family, rank", [("F", 4), ("E", 6), ("E", 8)])
+    def test_exceptional_root_lists(self, family, rank):
+        roots = build_root_system(family, rank).roots
+        m = ll.cartan_matrix_from_roots(list(roots))
+        assert diagram_type([[int(x.re) for x in row] for row in m.entries]) == f"{family}{rank}"
 
     def test_not_closed_under_negation(self):
         with pytest.raises(ValueError):
