@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Build every entry of the magic square, print the dimension table, the
 number of basis triples the exhaustive Jacobi check covered, and the
-coupling constants the Jacobi calibration produced for the top entry."""
+fixed coupling constants of the top entry."""
 
 import time
 
@@ -25,7 +25,7 @@ def main():
     e8 = ms.built_square_entry("o", "o")
     couplings = {k: str(v) for k, v in e8.calibration.items()}
     print()
-    print("couplings solved for the top entry:", couplings)
+    print("couplings for the top entry:", couplings)
 
 
 if __name__ == "__main__":

@@ -10,17 +10,14 @@ product maps with a fixed conjugation pattern, and (iv) maps Lambda^2 A_i
 family is where sign conventions hide.  Its maps are built from the
 triality projections and the ideals of tri(A) (see equivariant_pair_maps)
 and certified equivariant exactly against the whole basis of tri(A).  (v)
-One unknown coefficient per map is solved from the linear system that the
-Jacobi identity induces on a structured generating set of triples, read
-from the same cells, and the identity is then re-verified globally.
-Calibration is therefore a consistency proof, not a fit.  Each round
-assembles the constant table plus the coupled linear tables into one
-integer structure tensor, with no Scalar arithmetic.
+Each such map enters with a fixed integer coupling (COUPLINGS), so the
+bracket is one integer structure tensor, assembled with no Scalar
+arithmetic, and its certificate is the Jacobi identity verified on every
+basis triple.
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -35,7 +32,6 @@ from .jordan import jordan_algebra
 from .liealg import (
     ModuleRep,
     SCAlgebra,
-    _span,
     _summed,
     commutator_closure_algebra,
     derivations,
@@ -48,25 +44,20 @@ from .intlin import (
     biggest,
     checked_int_matmul,
     exact_product,
-    int_array,
     int_dtype,
     int_kernel,
     kernel_array,
     span_coordinates,
 )
-from .linalg import (
-    Matrix,
-    Subspace,
-    solve,
-    unit_vec,
-)
+from .linalg import Matrix, Subspace, unit_vec
 from .scalar import ONE, ZERO, Scalar, sc
 from .tensor import StructureTensor, cleared_ints, scalar_rows
 
 
 class CalibrationFailed(RuntimeError):
-    """The Jacobi system for the coupling constants is inconsistent; this
-    indicates a build bug, not a property of the inputs."""
+    """A built bracket or one of its maps fails its exact certificate (the
+    Jacobi identity, equivariance, a homomorphism); this indicates a build
+    bug, not a property of the inputs."""
 
 
 ALGEBRA_ORDER = ("r", "c", "h", "o")
@@ -275,7 +266,7 @@ class MagicSquareAlgebra:
     algebra: SCAlgebra
     tri_dims: Tuple[int, int]
     slot_dim: int
-    calibration: Dict[str, Scalar]
+    calibration: Dict[str, Scalar]  # COUPLINGS of both sides by str((side, slot, h))
     checked: int  # basis triples the final Jacobi check covers: dim ** 3
 
     @property
@@ -283,26 +274,32 @@ class MagicSquareAlgebra:
         return self.algebra.dim
 
 
+# the plain product couples the pi2- and pi3-representations into the
+# pi1-representation, so slot i carries projection SLOT_PROJ[i]
 SLOT_PROJ = (2, 3, 1)
+
+# COUPLINGS[key][i][h]: the integer that map h of equivariant_pair_maps(key,
+# SLOT_PROJ[i]) carries in slot i of the bracket, the same on either side of
+# the pair; with these the bracket satisfies the Jacobi identity, which every
+# build re-verifies on all basis triples
+COUPLINGS = {"r": ((), (), ()), "c": ((-2, -4), (-2, 2), (-4, -2)), "h": ((4, 4),) * 3, "o": ((4,),) * 3}
 
 
 class _SquareTables:
     """The bracket of tri(A) + tri(B) + A_0 (x) B_0 + A_1 (x) B_1 + A_2 (x) B_2
     as integer cells over one common denominator den.
 
-    The bracket is (T_0 + sum_u lambda_u T_u) / den: T_0 is the constant
-    table and T_u the linear table of coupling unknown u.  The cells of all
-    tables, both orientations of every pair, are held in one set of arrays
-    sorted by the pair p * dim + q: `pair`, `out` (the coordinate k),
-    `table` (0 for T_0, 1 + u for T_u) and `val`.  They are filled block by
-    block from dense integer arrays: (i) the tri(A) and tri(B) tensors; (ii)
-    tri acting on a slot through its projection, tri(A) on the left factor
-    and tri(B) on the right; (iii) the cross-slot products with the
-    conjugation pattern conj(e_a) = s_a e_a: (0,1) -> slot 2: e_a e_c (x)
+    The cells, both orientations of every pair, are held in three arrays:
+    `pair` (p * dim + q), `out` (the coordinate k) and `val` (den times the
+    constant), with repeated (pair, out) cells adding up.  They are filled
+    block by block from dense integer arrays: (i) the tri(A) and tri(B)
+    tensors; (ii) tri acting on a slot through its projection, tri(A) on the
+    left factor and tri(B) on the right; (iii) the cross-slot products with
+    the conjugation pattern conj(e_a) = s_a e_a: (0,1) -> slot 2: e_a e_c (x)
     e_b e_d, (0,2) -> slot 1: -conj(e_a) e_c (x) conj(e_b) e_d, (1,2) ->
     slot 0: e_c conj(e_a) (x) e_d conj(e_b); (iv) in one slot, psi(e_a ^
-    e_c) <e_b, e_d> in tri(A) and psi(e_b ^ e_d) <e_a, e_c> in tri(B), one
-    linear table per map psi.
+    e_c) <e_b, e_d> in tri(A) and psi(e_b ^ e_d) <e_a, e_c> in tri(B), each
+    map psi times its coupling in COUPLINGS.
     """
 
     def __init__(self, key_a: str, key_b: str):
@@ -313,20 +310,12 @@ class _SquareTables:
         self.da, self.db = da, db = alg_a.dim, alg_b.dim
         self.slot = da * db
         self.dim = pa + pb + 3 * self.slot
-        # the plain product couples the pi2- and pi3-representations into
-        # the pi1-representation, so slot i carries projection SLOT_PROJ[i]
-        psi_a = [equivariant_pair_maps(key_a, i) for i in SLOT_PROJ]
-        psi_b = [equivariant_pair_maps(key_b, i) for i in SLOT_PROJ]
-        self.unknowns: List[tuple] = []  # ("A", slot, h) and ("B", slot, h)
-        for i in range(3):
-            self.unknowns += [("A", i, h) for h in range(len(psi_a[i]))]
-            self.unknowns += [("B", i, h) for h in range(len(psi_b[i]))]
         slot, blocks = self.slot_index, []
 
-        def add(value, den, index, table=0, mirror=False):
+        def add(value, den, index, mirror=False):
             # index maps the positions of the nonzero entries to (p, q, k)
             at = np.nonzero(value)
-            blocks.append((*index(*at), value[at], den, table, mirror))
+            blocks.append((*index(*at), value[at], den, mirror))
 
         for tri, off in ((tri_a, 0), (tri_b, pa)):
             if tri.dim:
@@ -353,133 +342,68 @@ class _SquareTables:
                 mirror=True)
         ga, den_a = cleared_ints((x for row in alg_a.gram.entries for x in row), (da, da))
         gb, den_b = cleared_ints((x for row in alg_b.gram.entries for x in row), (db, db))
-        for i in range(3):
-            for h, w in enumerate(_skew_map(psi_a[i].w, da)):
-                add(exact_product(w[:, None, :, None, :], gb[None, :, None, :, None]), psi_a[i].den * den_b,
-                    lambda a, b, c, d, s: (slot(i, a, b), slot(i, c, d), s),
-                    table=1 + self.unknowns.index(("A", i, h)))
-            for h, w in enumerate(_skew_map(psi_b[i].w, db)):
-                add(exact_product(ga[:, None, :, None, None], w[None, :, None, :, :]), psi_b[i].den * den_a,
-                    lambda a, b, c, d, s: (slot(i, a, b), slot(i, c, d), pa + s),
-                    table=1 + self.unknowns.index(("B", i, h)))
+        for i, proj in enumerate(SLOT_PROJ):
+            # den * u_h psi_h as W[h, a, c] on ordered pairs, u_h the coupling
+            psi_a, psi_b = equivariant_pair_maps(key_a, proj), equivariant_pair_maps(key_b, proj)
+            ua, ub = (np.array(COUPLINGS[key][i], dtype=np.int64)[:, None, None] for key in (key_a, key_b))
+            for w in _skew_map(exact_product(psi_a.w, ua), da):
+                add(exact_product(w[:, None, :, None, :], gb[None, :, None, :, None]), psi_a.den * den_b,
+                    lambda a, b, c, d, s: (slot(i, a, b), slot(i, c, d), s))
+            for w in _skew_map(exact_product(psi_b.w, ub), db):
+                add(exact_product(ga[:, None, :, None, None], w[None, :, None, :, :]), psi_b.den * den_a,
+                    lambda a, b, c, d, s: (slot(i, a, b), slot(i, c, d), pa + s))
         self.den = lcm(1, *(b[4] for b in blocks))
         cells = []
-        for p, q, k, v, den, table, mirror in blocks:
+        for p, q, k, v, den, mirror in blocks:
             v = exact_product(v, np.array(self.den // den))
-            cells += [(p, q, k, v, table)] + ([(q, p, k, -v, table)] if mirror else [])
-        pair = np.concatenate([p * self.dim + q for p, q, _, _, _ in cells])
-        order = np.argsort(pair, kind="stable")
-        self.pair = pair[order]
-        self.out = np.concatenate([k for _, _, k, _, _ in cells])[order]
-        self.table = np.concatenate([np.full(len(k), t) for _, _, k, _, t in cells])[order]
-        self.val = np.concatenate([v for _, _, _, v, _ in cells])[order]
+            cells += [(p, q, k, v)] + ([(q, p, k, -v)] if mirror else [])
+        self.pair, self.out, self.val = (np.concatenate(column) for column in zip(
+            *((p * self.dim + q, k, v) for p, q, k, v in cells)))
 
     def slot_index(self, i: int, a, b):
         return self.pa + self.pb + i * self.slot + a * self.db + b
 
-    def tensor(self, lam: List[Scalar]) -> StructureTensor:
-        """The bracket at the couplings lam: T_0 + sum_u lam_u T_u, summed
-        cell by cell in integers and divided once."""
-        nums, den = cleared_ints(lam, (len(lam),))
-        vals = exact_product(self.val, int_array([den] + nums.tolist())[self.table], len(self.val))
+    def tensor(self) -> StructureTensor:
+        """The bracket: the cells summed per (pair, out) in integers and
+        divided once."""
+        vals = self.val.astype(int_dtype(biggest(self.val) * len(self.val)))
         keys, sums = _summed(self.pair * self.dim + self.out, vals)
         keys, sums = keys[sums != 0], sums[sums != 0]
-        g = gcd(self.den * den, *sums.tolist())
-        return StructureTensor.from_cells(self.dim, self.den * den // g, keys, sums // g)
-
-    def residual_equations(self, triples) -> Tuple[List[List[int]], List[int]]:
-        """The equations sum_u lambda_u R_u = -R_0 that the Jacobi identity
-        puts on the couplings, one for each coordinate of the residual
-        [[x,y],z] + [[y,z],x] + [[z,x],y] of a triple that involves a
-        coupling, with R the residual times den^2: (rows R_u, the -R_0)."""
-        d, width = self.dim, len(self.unknowns) + 1
-        triples = np.array(triples, dtype=np.int64).reshape(-1, 3)
-        x, y, z = triples[:, [[0, 1, 2], [1, 2, 0], [2, 0, 1]]].reshape(-1, 3).T
-        # the cells of [e_x, e_y], then those of [e_k, e_z] for each output k
-        own, e = _span(self.pair, x * d + y, x * d + y + 1)
-        q = self.out[e] * d + z[own]
-        own2, f = _span(self.pair, q, q + 1)
-        own, e = own[own2], e[own2]
-        if np.any((self.table[e] > 0) & (self.table[f] > 0)):
-            raise CalibrationFailed("coupling constants multiply; bad layering")
-        keys = ((own // 3) * d + self.out[f]) * width + self.table[e] + self.table[f]
-        keys, sums = _summed(keys, exact_product(self.val[e], self.val[f], len(f)))
-        keys, sums = keys[sums != 0], sums[sums != 0]
-        coords, row = np.unique(keys // width, return_inverse=True)
-        m = np.zeros((len(coords), width), dtype=sums.dtype)
-        m[row, keys % width] = sums
-        if not m[:, 1:].any(axis=1).all():
-            raise CalibrationFailed("inconsistent coupling-free Jacobi residual")
-        return m[:, 1:].tolist(), (-m[:, 0]).tolist()
+        g = gcd(self.den, *sums.tolist())
+        return StructureTensor.from_cells(self.dim, self.den // g, keys, sums // g)
 
 
-def _calibration_triples(tables: _SquareTables, rng: random.Random, count: int = 160):
-    """Structured triples touching every coupling family, plus random
-    filler."""
-    a2, b2, at = min(1, tables.da - 1), min(1, tables.db - 1), tables.slot_index
-    triples = [
-        triple for i in range(3) for j in range(3) for triple in (
-            (at(i, 0, 0), at(i, a2, b2), at(j, 0, b2)), (at(i, 0, b2), at(i, a2, 0), at(j, a2, b2))
-        )
-    ]
-    return triples + [tuple(rng.randrange(tables.dim) for _ in range(3)) for _ in range(count)]
-
-
-def _assemble(tables: _SquareTables, lam: List[Scalar]) -> SCAlgebra:
+def _assemble(tables: _SquareTables) -> SCAlgebra:
     name = SQUARE_NAMES[ALGEBRA_ORDER.index(tables.key_a)][ALGEBRA_ORDER.index(tables.key_b)]
-    return SCAlgebra(tables.dim, tables.tensor(lam), name=name)
+    return SCAlgebra(tables.dim, tables.tensor(), name=name)
 
 
 def vinberg_build(key_a: str, key_b: str, seed: int = 0) -> MagicSquareAlgebra:
     """Assemble the Lie algebra attached to a pair of composition algebras.
 
-    The coupling constants are solved from the Jacobi identity on a
-    structured generating set of triples.  The identity is then verified on
-    every basis triple by :func:`excalg.liealg.jacobi_check`, from the
-    derivations of a generating set or by the scan, and the first failing
-    triple is fed back into the linear system until the verification
-    closes."""
+    The couplings are the constants in COUPLINGS, so the bracket is one
+    integer table.  Its certificate is :func:`excalg.liealg.jacobi_check`
+    on every basis triple, from the derivations of a generating set or by
+    the scan; a failure raises CalibrationFailed naming the first failing
+    triple.  The build draws nothing at random: `seed` is unused and kept
+    for the callers that pass one."""
     for key in (key_a, key_b):
         if key not in ALGEBRA_ORDER:
             raise ValueError(f"unknown algebra {key!r}, expected one of {ALGEBRA_ORDER}")
     tables = _SquareTables(key_a, key_b)
-    rng = random.Random(seed)
-    nun = len(tables.unknowns)
-    rows, rhs = tables.residual_equations(_calibration_triples(tables, rng)) if nun else ([], [])
-    lam = [ZERO] * nun
-    for _ in range(6):
-        if rows:
-            sol = solve(Matrix(rows), rhs)
-            if sol is None:
-                raise CalibrationFailed(
-                    f"no consistent couplings for {key_a},{key_b}"
-                )
-            lam = sol
-        sca = _assemble(tables, lam)
-        report = jacobi_check(sca)
-        if report.passed:
-            break
-        if not nun:
-            raise CalibrationFailed("coupling-free bracket fails the Jacobi identity")
-        witness = report.witness[:3]
-        extra = [witness] + [
-            tuple(rng.randrange(tables.dim) for _ in range(3)) for _ in range(60)
-        ]
-        more_rows, more_rhs = tables.residual_equations(extra)
-        rows += more_rows
-        rhs += more_rhs
-    else:
+    sca = _assemble(tables)
+    report = jacobi_check(sca)
+    if not report.passed:
         raise CalibrationFailed(
-            f"calibration did not close for {key_a},{key_b}"
+            f"the bracket of {key_a},{key_b} fails the Jacobi identity at basis triple {report.witness[:3]}"
         )
-    return MagicSquareAlgebra(
-        (key_a, key_b),
-        sca,
-        (tables.pa, tables.pb),
-        tables.slot,
-        {str(u): lam[k] for k, u in enumerate(tables.unknowns)},
-        report.checked,
-    )
+    couplings = {
+        str((side, i, h)): sc(c)
+        for i in range(3)
+        for side, key in zip("AB", (key_a, key_b))
+        for h, c in enumerate(COUPLINGS[key][i])
+    }
+    return MagicSquareAlgebra((key_a, key_b), sca, (tables.pa, tables.pb), tables.slot, couplings, report.checked)
 
 
 @lru_cache(maxsize=None)
@@ -591,31 +515,21 @@ def _build_vector_model(c1: Scalar, c2: Scalar, c3: Scalar) -> SCAlgebra:
 
 @lru_cache(maxsize=None)
 def vector_model_g2() -> TraceFreeModel:
-    """Calibrate the vector-covector model of the rank-two exceptional
-    algebra and its seven-dimensional module.
+    """The vector-covector model of the rank-two exceptional algebra and
+    its seven-dimensional module.
 
     The three couplings carry a two-parameter rescaling gauge, so c1 and c3
-    are normalized to 1 and c2 is solved from one Jacobi residual, then the
+    are normalized to 1, and the Jacobi identity then fixes c2 = -4/3; the
     full identity is verified.  The module couplings follow from the
     homomorphism property, and the basis is rescaled so that the invariant
     trivector has unit coefficients; the invariant quadratic form is then
     x0^2 minus the sum of the three hyperbolic products.
     """
     from . import forms as fm
-    from .liealg import ModuleRep, _jacobi_witness, jacobi_check as _jacobi
 
-    one = ONE
-
-    def residual(g, i, j, k, coord):
-        s = _jacobi_witness(g, i, j, k)
-        return ZERO if s is None else s[coord]
-
-    r0 = residual(_build_vector_model(one, ZERO, one), 8, 9, 11, 9)
-    r1 = residual(_build_vector_model(one, one, one), 8, 9, 11, 9)
-    c2 = -r0 / (r1 - r0)
-    algebra = _build_vector_model(one, c2, one)
-    rep = _jacobi(algebra, "full")
-    if not rep.passed:
+    c2 = Scalar.rational(-4, 3)
+    algebra = _build_vector_model(ONE, c2, ONE)
+    if not jacobi_check(algebra, "full").passed:
         raise CalibrationFailed("vector model failed the Jacobi identity")
 
     # seven-dimensional module in the basis (s, w1, g1, w2, g2, w3, g3)
@@ -688,7 +602,7 @@ def vector_model_g2() -> TraceFreeModel:
     for i in range(3):
         quad[pos_w[i]][pos_g[i]] = -half
         quad[pos_g[i]][pos_w[i]] = -half
-    return TraceFreeModel(algebra, module, form, Matrix(quad), (one, c2, one))
+    return TraceFreeModel(algebra, module, form, Matrix(quad), (ONE, c2, ONE))
 
 
 def module_annihilates_form(module, form) -> bool:

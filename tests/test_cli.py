@@ -122,6 +122,17 @@ class TestCheckFailure:
         code = cli.main(["magic-square", "--build", "r", "r"])
         assert code == 1 and capsys.readouterr().err == "check failed: inconsistent\n"
 
+    def test_flipped_coupling_exit_one(self, capsys, monkeypatch):
+        # the real build and its Jacobi certificate, on one wrong constant
+        from excalg import magicsquare as ms
+
+        monkeypatch.setitem(ms.COUPLINGS, "c", ((-2, -4), (-2, -2), (-4, -2)))
+        code = cli.main(["magic-square", "--build", "c", "c"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("check failed: the bracket of c,c fails the Jacobi identity")
+        assert "Traceback" not in captured.err
+
 
 GAUSSIAN_H3O = json.dumps({
     "a": 8, "diag": ["1/2+i", "-3", "2-1/3i"],

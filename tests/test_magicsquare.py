@@ -342,34 +342,49 @@ class TestVinberg:
     @pytest.mark.parametrize("pair", [("c", "c"), ("h", "c")])
     @pytest.mark.parametrize("block", ["cross-slot", "psi"])
     def test_corrupted_table_is_caught(self, monkeypatch, pair, block):
-        # one cell of the constant cross-slot table, or of the first psi
-        # table, changes sign (with its mirror, so the bracket stays skew)
+        # one structure constant of a cross-slot product, or of a psi block
+        # (p and q in one slot, k in tri(A) + tri(B)), changes sign with its
+        # mirror, so the bracket stays skew
         def pick(t):
             p, q = t.pair // t.dim, t.pair % t.dim
             slot_p, slot_q = (p - t.pa - t.pb) // t.slot, (q - t.pa - t.pb) // t.slot
             if block == "psi":
-                return np.flatnonzero(t.table == 1)[0]
-            return np.flatnonzero((slot_p >= 0) & (slot_q >= 0) & (slot_p != slot_q) & (t.table == 0))[0]
+                return np.flatnonzero((slot_p >= 0) & (slot_p == slot_q) & (t.out < t.pa + t.pb))[0]
+            return np.flatnonzero((slot_p >= 0) & (slot_q >= 0) & (slot_p != slot_q))[0]
 
         class Corrupted(ms._SquareTables):
             def __init__(self, *keys):
                 super().__init__(*keys)
                 n = pick(self)
                 p, q = divmod(int(self.pair[n]), self.dim)
-                mirror = (self.pair == q * self.dim + p) & (self.out == self.out[n])
+                hit = np.isin(self.pair, [p * self.dim + q, q * self.dim + p]) & (self.out == self.out[n])
                 self.val = self.val.copy()
-                self.val[[n, *np.flatnonzero(mirror & (self.table == self.table[n]))]] *= -1
+                self.val[hit] *= -1
 
-        lam = list(ms.built_square_entry(*pair).calibration.values())
-        report = jacobi_check(ms._assemble(Corrupted(*pair), lam))
+        report = jacobi_check(ms._assemble(Corrupted(*pair)))
         assert not report.passed and len(report.witness[:3]) == 3
         monkeypatch.setattr(ms, "_SquareTables", Corrupted)
-        with pytest.raises(ms.CalibrationFailed):
+        with pytest.raises(ms.CalibrationFailed, match=r"basis triple \(\d+, \d+, \d+\)"):
             ms.vinberg_build(*pair)
+
+    @pytest.mark.parametrize("key, pair, flipped", [
+        ("c", ("c", "r"), ((2, -4), (-2, 2), (-4, -2))),
+        ("h", ("h", "r"), ((4, 4), (4, 2), (4, 4))),
+        ("o", ("r", "o"), ((4,), (4,), (-4,))),
+    ], ids=["c", "h", "o"])
+    def test_flipped_coupling_fails(self, monkeypatch, key, pair, flipped):
+        # the couplings are constants, so one wrong constant is caught by
+        # the Jacobi certificate alone, with the failing triple named
+        assert ms.COUPLINGS[key] != flipped
+        monkeypatch.setitem(ms.COUPLINGS, key, flipped)
+        with pytest.raises(ms.CalibrationFailed, match=r"basis triple \(\d+, \d+, \d+\)"):
+            ms.vinberg_build(*pair)
+
+    def test_build_solves_and_draws_nothing(self):
+        assert not hasattr(ms, "random") and not hasattr(ms, "solve")
 
     def test_e8_assembly_runs_no_scalar_arithmetic(self, monkeypatch):
         entry = ms.built_square_entry("o", "o")
-        lam = list(entry.calibration.values())
 
         def forbidden(*args):
             raise AssertionError("Scalar arithmetic in the e8 assembly")
@@ -379,7 +394,7 @@ class TestVinberg:
                          "__mul__", "__rmul__", "__neg__", "__truediv__", "inverse"):
                 m.setattr(Scalar, name, forbidden)
             m.setattr(scalar, "_make", forbidden)
-            g = ms._assemble(ms._SquareTables("o", "o"), lam)
+            g = ms._assemble(ms._SquareTables("o", "o"))
         assert "bracket" not in vars(g)
         reference = StructureTensor(g.dim, (
             (i, j, k, v) for (i, j), comp in entry.algebra.bracket.items() for k, v in comp.items()
@@ -435,7 +450,7 @@ SQUARE_DIGESTS = {
     "oo": "8b5dc30298f41356c79c60455b2e393db91b6958ea747cafd7b0bea9fbbc9cc1",
 }
 
-# The solved couplings of slot i, map h, by algebra; the same on both sides.
+# The couplings of slot i, map h, by algebra; the same on both sides.
 COUPLINGS = {"r": [], "c": [[-2, -4], [-2, 2], [-4, -2]], "h": [[4, 4]] * 3, "o": [[4]] * 3}
 
 
@@ -476,6 +491,11 @@ class TestVectorModel:
         c1, c2, c3 = model.couplings
         assert c1 == sc(1) and c3 == sc(1)
         assert c2 == sc(-4) / sc(3)
+
+    def test_opposite_coupling_fails_jacobi(self):
+        wrong = ms._build_vector_model(ONE, sc(4) / sc(3), ONE)
+        report = jacobi_check(wrong, "full")
+        assert not report.passed and len(report.witness[:3]) == 3
 
     def test_invariant_form_is_generic(self):
         from excalg import threeform as tf
