@@ -36,6 +36,14 @@ def _emit(req: CommandRequest, data, text_fn=None) -> None:
         print(text_fn(data) if text_fn else data)
 
 
+def _load_json(text: str):
+    """json.loads, with input nested too deeply for the parser a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("the JSON input is nested too deeply") from None
+
+
 def _cmd_classify_form(req: CommandRequest) -> int:
     from . import forms as fm
     from . import threeform as tf
@@ -100,7 +108,7 @@ def _cmd_verify(req: CommandRequest) -> int:
         print(f"{len(results) - failures}/{len(results)} criteria passed")
         return 1 if failures else 0
     with open(target, "r", encoding="utf8") as fh:
-        data = json.load(fh)
+        data = _load_json(fh.read())
     # what `derive --constants` and `magic-square --build --constants` print
     if isinstance(data, dict) and "structure_constants" in data:
         data = data["structure_constants"]
@@ -185,10 +193,10 @@ def _cmd_jordan(req: CommandRequest) -> int:
     op = req.flags["op"]
     payload = req.payload
     if payload and payload.strip().startswith("{"):
-        element = jd.JordanElement.from_json(json.loads(payload))
+        element = jd.JordanElement.from_json(_load_json(payload))
     elif payload:
         with open(payload, "r", encoding="utf8") as fh:
-            element = jd.JordanElement.from_json(json.load(fh))
+            element = jd.JordanElement.from_json(_load_json(fh.read()))
     else:
         raise ValueError("jordan requires --input")
     if element.algebra.a != a:

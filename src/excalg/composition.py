@@ -14,8 +14,10 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import forms as fm
-from .intlin import span_coordinates
+from .intlin import int_dtype, span_coordinates
 from .linalg import (
     Matrix,
     Subspace,
@@ -88,13 +90,11 @@ class CompAlgebra:
             conj_signs if conj_signs is not None else [1] + [-1] * (d - 1)
         )
         self.name = name
-        gram = [[ZERO] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                # <x,y> = (x conj(y) + y conj(x)) / 2, unit coordinate
-                a = self._mul_basis_conj(i, j)
-                b = self._mul_basis_conj(j, i)
-                gram[i][j] = (a + b) / sc(2)
+        # <e_i, e_j> = (e_i conj(e_j) + e_j conj(e_i)) / 2: the unit
+        # coordinates of the cells, signed and symmetrized, over 2 den
+        m = self.tensor.dense()[:, :, 0].astype(int_dtype(2 * self.tensor.biggest))
+        m = m * np.array(self.conj_signs)[None, :, None]
+        gram = scalar_rows(m + m.transpose(1, 0, 2), 2 * self.tensor.den)
         self.gram = Matrix(gram)
         # the Gram matrix cleared once: (i, j, re, im) at its nonzero
         # entries over one denominator
@@ -102,11 +102,6 @@ class CompAlgebra:
         self._form = [(*divmod(k, d), re, im) for k, re, im in nz], den, rational
         if check:
             self._check_invariants()
-
-    def _mul_basis_conj(self, i: int, j: int) -> Scalar:
-        # unit coordinate of e_i * conj(e_j)
-        cell = self.table[i][j]
-        return sc(self.conj_signs[j]) * cell[0]
 
     def _check_invariants(self):
         d = self.dim
@@ -239,34 +234,26 @@ def ground_field_algebra() -> CompAlgebra:
 def cayley_dickson(base: CompAlgebra, sign: str = STANDARD) -> CompAlgebra:
     """Double a unital algebra with conjugation.
 
-    Product on pairs: (a,b)(c,d) = (ac - conj(d) b, b conj(c) + d a) for the
-    standard sign, and (ac + conj(d) b, b conj(c) + d a) for the split sign.
-    Conjugation doubles as (a,b) -> (conj(a), -b).
+    Product on pairs: (a,b)(c,d) = (ac + eps conj(d) b, b conj(c) + d a),
+    eps = -1 for the standard sign and +1 for the split sign.  Conjugation
+    doubles as (a,b) -> (conj(a), -b).  The table is read off the base
+    tensor's dense cells m[i, j, k] = den c_ij^k (with a trailing (re, im)
+    axis) and its conjugation conj(e_j) = s_j e_j.  With d the base
+    dimension, the cells of the double are T[i, j, k] = m[i, j, k],
+    T[i, d+j, d+k] = m[j, i, k], T[d+i, j, d+k] = s_j m[i, j, k] and
+    T[d+i, d+j, k] = eps s_j m[j, i, k], over the same den.
     """
     if sign not in (STANDARD, SPLIT):
         raise ValueError(f"unknown doubling sign {sign!r}")
     d = base.dim
-    dd = 2 * d
     eps = -1 if sign == STANDARD else 1
-
-    def half(v, which):
-        return v[:d] if which == 0 else v[d:]
-
-    table = [[None] * dd for _ in range(dd)]
-    for i in range(dd):
-        for j in range(dd):
-            a = unit_vec(d, i) if i < d else zero_vec(d)
-            b = zero_vec(d) if i < d else unit_vec(d, i - d)
-            c = unit_vec(d, j) if j < d else zero_vec(d)
-            e = zero_vec(d) if j < d else unit_vec(d, j - d)
-            ac = base.mul_coords(a, c)
-            db = base.mul_coords(base.conj_coords(e), b)
-            first = [x + sc(eps) * y for x, y in zip(ac, db)]
-            bc = base.mul_coords(b, base.conj_coords(c))
-            da = base.mul_coords(e, a)
-            second = vec_add(bc, da)
-            table[i][j] = first + second
-    signs = [1] + [-1] * (dd - 1)
+    m = base.tensor.dense()
+    mt, s = m.transpose(1, 0, 2, 3), np.array(base.conj_signs)[None, :, None, None]
+    t = np.zeros((2 * d, 2 * d, 2 * d, m.shape[3]), dtype=m.dtype)
+    t[:d, :d, :d], t[:d, d:, d:], t[d:, :d, d:], t[d:, d:, :d] = m, mt, s * m, eps * s * mt
+    rows = scalar_rows(t.reshape(4 * d * d, 2 * d, -1), base.tensor.den)
+    table = [rows[k:k + 2 * d] for k in range(0, len(rows), 2 * d)]
+    signs = [1] + [-1] * (2 * d - 1)
     suffix = "'" if sign == SPLIT else ""
     return CompAlgebra(table, conj_signs=signs, name=f"CD({base.name}){suffix}")
 
@@ -298,22 +285,17 @@ def canonical_octonions() -> CompAlgebra:
 def named_algebra(name: str) -> CompAlgebra:
     """Build one of R, C, H, O, split-C, split-H, split-O, sedenion."""
     key = name.strip().lower()
-    r = ground_field_algebra()
-    if key == "r":
-        return r
-    if key in ("c", "h", "o", "sedenion"):
-        steps = {"c": 1, "h": 2, "o": 3, "sedenion": 4}[key]
-        alg = r
+    # key: (doublings of R, sign, name), the name as given when it is empty
+    doubled = {"r": (0, STANDARD, "R"), "c": (1, STANDARD, "C"), "h": (2, STANDARD, "H"),
+               "o": (3, STANDARD, "O"), "sedenion": (4, STANDARD, "sedenion"),
+               "split-c": (1, SPLIT, ""), "split-h": (2, SPLIT, ""), "split-o": (3, SPLIT, "")}
+    if key in doubled:
+        steps, sign, pretty = doubled[key]
+        alg = ground_field_algebra()
         for _ in range(steps):
-            alg = cayley_dickson(alg, STANDARD)
-        pretty = {"c": "C", "h": "H", "o": "O", "sedenion": "sedenion"}[key]
-        return CompAlgebra(alg.table, alg.conj_signs, name=pretty, check=False)
-    if key in ("split-c", "split-h", "split-o"):
-        steps = {"split-c": 1, "split-h": 2, "split-o": 3}[key]
-        alg = r
-        for _ in range(steps):
-            alg = cayley_dickson(alg, SPLIT)
-        return CompAlgebra(alg.table, alg.conj_signs, name=name, check=False)
+            alg = cayley_dickson(alg, sign)
+        alg.name = pretty or name
+        return alg
     if key == "sextonion":
         oct8 = canonical_octonions()
         return sextonions(oct8, standard_null_plane(oct8)).algebra

@@ -1,44 +1,76 @@
 """Cubic Jordan algebras of Hermitian 3x3 matrices over a composition
 algebra, including the degenerate diagonal case a = 0.
 
-Elements are stored as coordinate vectors over the basis (three diagonal
-units, then the three off-diagonal slots tensored with the algebra basis);
-the lower triangle is conjugate-determined and never stored.  Matrix powers
-always use the symmetrized product.  The dual space is identified with the
-algebra through the trace pairing, which makes the gradient of the cubic
-determinant an element again: the adjugate, computed as the sharp map
-x# = x o x - T(x) x + S(x) 1, which is half the Freudenthal cross product
-x * x of the bilinear map x * y = 2 x o y - T(x) y - T(y) x
-+ (T(x) T(y) - T(x o y)) 1.  The determinant is T(x#, x) / 3 and the
-derivative of the adjugate along y is x * y.  The trace pairing is
-diagonal in the basis, so it is kept as one integer weight per coordinate
-over one denominator and every pairing is a weighted sum of products of
-integers.  Elements are cleared integer vectors (see :mod:`excalg.tensor`);
-the cross product is computed on them in integers and divided once.
+Elements are coordinate vectors over the basis E_0, E_1, E_2 (the diagonal
+units), then F_s(e_u) for the off-diagonal slots s = (0,1), (0,2), (1,2):
+e_u in slot s and conj(e_u) in its mirror.  The product X o Y =
+(XY + YX) / 2 has a closed form on this basis (K. McCrimmon, A Taste of
+Jordan Algebras, 2004), which :func:`h3_tensor` reads off the base
+algebra's integer cells: E_d o E_d = E_d; E_r o F_s(u) = F_s(u) / 2 for r
+in s = (r, c); F_s(u) o F_s(v) = (u conj(v) + v conj(u)) E_r / 2 +
+(conj(u) v + conj(v) u) E_c / 2, both scalars; F_0(u) o F_1(v) =
+F_2(conj(u) v) / 2, F_0(u) o F_2(v) = F_1(u v) / 2, F_1(u) o F_2(v) =
+F_0(u conj(v)) / 2; all other products are zero.  The dual space is
+identified with the algebra through the trace pairing, which makes the
+gradient of the cubic determinant an element again: the adjugate,
+computed as the sharp map x# = x o x - T(x) x + S(x) 1, which is half the
+Freudenthal cross product x * x of the bilinear map x * y = 2 x o y -
+T(x) y - T(y) x + (T(x) T(y) - T(x o y)) 1.  The determinant is
+T(x#, x) / 3 and the derivative of the adjugate along y is x * y.  The
+trace pairing is diagonal in the basis, so it is kept as one integer
+weight per coordinate over one denominator and every pairing is a
+weighted sum of products of integers.  Elements are cleared integer
+vectors (see :mod:`excalg.tensor`); the cross product is computed on them
+in integers and divided once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .composition import CompAlgebra, canonical_octonions, named_algebra
-from .linalg import (
-    Matrix,
-    Subspace,
-    is_zero_vec,
-    rank as mat_rank,
-    unit_vec,
-    vec_add,
-    vec_scale,
-    zero_vec,
-)
+from .intlin import int_dtype
+from .linalg import Matrix, Subspace, rank as mat_rank, unit_vec
 from .scalar import ONE, ZERO, Scalar, sc
-from .tensor import Element, StructureTensor, Vec, cleared, cleared_ints, reduced, scalar_of
+from .tensor import Element, StructureTensor, Vec, biggest, cleared, reduced, scalar_of, vec_scalars
 
 _OFF_SLOTS = ((0, 1), (0, 2), (1, 2))
-_HALF = Scalar.rational(1, 2)
+
+
+def h3_tensor(base: Optional[CompAlgebra]) -> StructureTensor:
+    """The product of H3(base) as integer cells over 2 den, read off the
+    base's cells m[u, v] = den e_u e_v (a trailing (re, im) axis) and its
+    conjugation conj(e_u) = s_u e_u by the closed forms of the module
+    docstring, then divided by the gcd of den and the cells."""
+    m, den = (np.zeros((0, 0, 0, 1), dtype=np.int64), 1) if base is None else (base.tensor.dense(), base.tensor.den)
+    a, n = len(m), 3 + 3 * len(m)
+    m = m.astype(int_dtype(2 * max(biggest(m), den)))
+    t = np.zeros((n, n, n, m.shape[3]), dtype=m.dtype)
+    t[range(3), range(3), range(3), 0] = 2 * den
+    if a:
+        s = np.array(base.conj_signs)
+        su, sv, mt = s[:, None, None, None], s[None, :, None, None], m.transpose(1, 0, 2, 3)
+        slot = [slice(3 + k * a, 3 + (k + 1) * a) for k in range(3)]
+        for k, (r, c) in enumerate(_OFF_SLOTS):
+            u = np.arange(slot[k].start, slot[k].stop)
+            t[r, u, u, 0] = t[u, r, u, 0] = t[c, u, u, 0] = t[u, c, u, 0] = den
+            # e_u conj(e_v) + e_v conj(e_u) on E_r, conj(e_u) e_v + conj(e_v) e_u on E_c
+            for d, diag in ((r, sv * m + su * mt), (c, su * m + sv * mt)):
+                if diag[:, :, 1:].any():
+                    raise AssertionError("diagonal entry is not scalar")
+                t[slot[k], slot[k], d] = diag[:, :, 0]
+        for p, q, o, prod in ((0, 1, 2, su * m), (0, 2, 1, m), (1, 2, 0, sv * m)):
+            t[slot[p], slot[q], slot[o]] = prod
+            t[slot[q], slot[p], slot[o]] = prod.transpose(1, 0, 2, 3)
+    flat = t.reshape(n ** 3, -1)
+    keys = np.flatnonzero((flat != 0).any(axis=1))
+    g = gcd(2 * den, *flat[keys].ravel().tolist())
+    return StructureTensor.from_cells(n, 2 * den // g, keys, flat[keys] // g)
 
 
 class JordanAlgebra:
@@ -49,25 +81,19 @@ class JordanAlgebra:
         self.a = base.dim if base is not None else 0
         self.dim = 3 + 3 * self.a
         self.name = name or f"H3(a={self.a})"
-        self._table: Dict[Tuple[int, int], List[Scalar]] = {}
-        self._build_table()
-        self.tensor = StructureTensor(self.dim, (
-            (i, j, k, c) for (i, j), cell in self._table.items()
-            for k, c in enumerate(cell)
-        ))
-        self.trace_vec = [ONE, ONE, ONE] + [ZERO] * (3 * self.a)
-        # the trace form tr(e_i o e_j) is diagonal in this basis: 1 on the
-        # diagonal units, 2 n(e_t) on the off-diagonal slots
-        if any(self._trace(self._table[(i, j)])
-               for i in range(self.dim) for j in range(i + 1, self.dim)):
+        self.tensor = h3_tensor(base)
+        # tr(e_i o e_j) = sum_{k<3} c_ij^k is diagonal in this basis: 1 on
+        # the diagonal units, 2 n(e_t) on the off-diagonal slots
+        tr = self.tensor.dense()[:, :, :3].sum(axis=2)
+        if (tr[~np.eye(self.dim, dtype=bool)] != 0).any():
             raise AssertionError("trace form is not diagonal in the basis")
-        self.trace_weights = tuple(
-            self._trace(self._table[(i, i)]) for i in range(self.dim)
-        )
-        weights, self._weight_den = cleared_ints(self.trace_weights, (self.dim,))
-        if weights.ndim > 1:
+        weights = tr[range(self.dim), range(self.dim)]
+        if weights[:, 1:].any():
             raise ValueError("the trace weights must be rational")
-        self._weight_ints = weights.tolist()
+        weights, den = weights[:, 0].tolist(), self.tensor.den
+        self.trace_weights = tuple(vec_scalars(weights, None, den))
+        g = gcd(den, *weights)
+        self._weight_ints, self._weight_den = [w // g for w in weights], den // g
         self._basis_adjugates = None
         self._identity = self.from_parts([1, 1, 1])
 
@@ -76,74 +102,10 @@ class JordanAlgebra:
     def off_index(self, slot: int, t: int) -> int:
         return 3 + slot * self.a + t
 
-    def _to_full(self, coords: Sequence[Scalar]):
-        """3x3 matrix of algebra coordinate vectors (full Hermitian)."""
-        a = self.a
-        base = self.base
-        unit = unit_vec(max(a, 1), 0)
-        m = [[None] * 3 for _ in range(3)]
-        for d in range(3):
-            m[d][d] = vec_scale(coords[d], unit if a else [ONE])
-        if a == 0:
-            for (r, c) in _OFF_SLOTS:
-                m[r][c] = [ZERO]
-                m[c][r] = [ZERO]
-            return m
-        for s, (r, c) in enumerate(_OFF_SLOTS):
-            v = [coords[self.off_index(s, t)] for t in range(a)]
-            m[r][c] = v
-            m[c][r] = base.conj_coords(v)
-        return m
-
-    def _mul_entry(self, x, y):
-        if self.a == 0:
-            return [x[0] * y[0]]
-        return self.base.mul_coords(x, y)
-
-    def _from_full(self, m) -> List[Scalar]:
-        a = self.a
-        coords = zero_vec(self.dim)
-        for d in range(3):
-            entry = m[d][d]
-            coords[d] = entry[0]
-            if any(not c.is_zero() for c in entry[1:]):
-                raise AssertionError("diagonal entry is not scalar")
-        for s, (r, c) in enumerate(_OFF_SLOTS):
-            for t in range(a):
-                coords[self.off_index(s, t)] = m[r][c][t]
-        return coords
-
-    def _build_table(self):
-        dim = self.dim
-        for i in range(dim):
-            mi = self._to_full(unit_vec(dim, i))
-            for j in range(i, dim):
-                mj = self._to_full(unit_vec(dim, j))
-                prod = self._symmetrized(mi, mj)
-                coords = self._from_full(prod)
-                self._table[(i, j)] = coords
-                self._table[(j, i)] = coords
-
-    def _symmetrized(self, x, y):
-        """(xy + yx) / 2 for full 3x3 matrices; zero entries are skipped."""
-        out = [[None] * 3 for _ in range(3)]
-        for r in range(3):
-            for c in range(3):
-                acc = zero_vec(len(x[r][c]))
-                for k in range(3):
-                    for u, v in ((x[r][k], y[k][c]), (y[r][k], x[k][c])):
-                        if not (is_zero_vec(u) or is_zero_vec(v)):
-                            acc = vec_add(acc, self._mul_entry(u, v))
-                out[r][c] = [v * _HALF if v else ZERO for v in acc]
-        return out
-
-    def _trace(self, coords: Sequence[Scalar]) -> Scalar:
-        return coords[0] + coords[1] + coords[2]
-
     # -- public table access ---------------------------------------------------
 
     def basis_product(self, i: int, j: int) -> List[Scalar]:
-        return list(self._table[(i, j)])
+        return self.tensor.product(unit_vec(self.dim, i), unit_vec(self.dim, j))
 
     def product_coords(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
         return self.tensor.product(x, y)
@@ -343,7 +305,6 @@ def freudenthal_cross(x: JordanElement, e: int) -> JordanElement:
 @dataclass
 class CayleyHamiltonReport:
     passed: bool
-    residual_is_zero: bool
 
 
 def cayley_hamilton_check(x: JordanElement) -> CayleyHamiltonReport:
@@ -355,14 +316,8 @@ def cayley_hamilton_check(x: JordanElement) -> CayleyHamiltonReport:
     t1 = trace(x)
     sigma2 = (t1 * t1 - trace(m2)) / sc(2)
     det = det_cubic(x)
-    res = (
-        m3
-        - m2.scale(t1)
-        + x.scale(sigma2)
-        - alg.identity().scale(det)
-    )
-    ok = res.is_zero()
-    return CayleyHamiltonReport(ok, ok)
+    res = m3 - m2.scale(t1) + x.scale(sigma2) - alg.identity().scale(det)
+    return CayleyHamiltonReport(res.is_zero())
 
 
 def jordan_rank(x: JordanElement) -> int:

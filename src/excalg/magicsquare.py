@@ -167,9 +167,7 @@ def _dense(t: StructureTensor) -> np.ndarray:
     """The cells den * c of a rational tensor as a dense array [i, j, k]."""
     if not t.rational:
         raise ValueError("the square's bracket tables need rational constants")
-    out = np.zeros((t.dim,) * 3, dtype=t.val.dtype)
-    out.reshape(t.dim * t.dim, t.dim)[t.pair, t.out] = t.val[:, 0]
-    return out
+    return t.dense()[..., 0]
 
 
 def _skew_map(flat: np.ndarray, d: int) -> np.ndarray:

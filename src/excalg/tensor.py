@@ -73,6 +73,13 @@ class StructureTensor:
         self.dim, self.den, self.rational = dim, den, values.shape[1] == 1
         self.pair, self.out, self.val = keys // dim, keys % dim, values
 
+    def dense(self) -> np.ndarray:
+        """The cells as one dense array [i, j, k, c] = den * c_ij^k, c the
+        columns of `val`: (re,), or (re, im) over Q(i)."""
+        out = np.zeros((self.dim ** 2, self.dim, self.val.shape[1]), dtype=self.val.dtype)
+        out[self.pair, self.out] = self.val
+        return out.reshape((self.dim,) * 3 + self.val.shape[1:])
+
     @cached_property
     def cells(self) -> List[List[tuple]]:
         """cells[i][j] = ((k, re, im), ...): the nested view the product
@@ -294,8 +301,8 @@ def cleared_ints(values: Iterable[Scalar], shape: Tuple[int, ...]) -> Tuple[np.n
 
 
 def scalar_rows(x: np.ndarray, den: int) -> List[List[Scalar]]:
-    """The rows of x / den as Scalars: x an integer array [t, n], or [t, n, 2]
-    of (re, im) over Q(i)."""
+    """The rows of x / den as Scalars: x an integer array [t, n], or [t, n, c]
+    with c the columns (re,), or (re, im) over Q(i)."""
     if x.ndim == 3:
         return [[scalar_of(c, den) for c in row] for row in x.tolist()]
     return [vec_scalars(row, None, den) for row in x.tolist()]

@@ -96,6 +96,20 @@ class TestJordanPayloads:
         path.write_text("[1, 2, 3]")
         assert cli.main(["jordan", "--a", "1", "det", "--input", str(path)]) == 2
 
+    @pytest.mark.parametrize("where", ["inline", "file", "verify"])
+    def test_nested_too_deeply_exit_two(self, capsys, tmp_path, where):
+        # written as raw text: json.dumps of such a structure recurses too
+        depth = 5000 if where == "inline" else 100000
+        text = '{"a": ' + "[" * depth + "]" * depth + "}"
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        argv = {"inline": ["jordan", "--a", "1", "det", "--input", text],
+                "file": ["jordan", "--a", "1", "det", "--input", str(path)],
+                "verify": ["verify", str(path)]}[where]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "payload, det",
         [
@@ -166,9 +180,17 @@ class TestOutputPin:
              "b027a9b5896bb2bbfae022921ddda57f116082a7afb4dbc8357ccc9a5372c822"),
             (("jordan", "--a", "8", "rank", "--input", GAUSSIAN_H3O),
              "261066b72993f3f09d86a42a0d00a02a5124c667a6f19aa6b585e077f88c72c6"),
+            # recorded while the doubled tables were filled by Scalar products
+            (("mul-table", "--algebra", "sedenion"),
+             "9ac87b67e613436c9a45c0339e8bd0cbbf3684b5ef7f9565de685b3ec3a577cd"),
+            (("mul-table", "--algebra", "split-O"),
+             "241934893aa48d9dbd5228e296e3614b9f620215480ce81147ebee21052b827f"),
+            (("mul-table", "--algebra", "H"),
+             "c3ceebd03a9797f2c785c54326eff6f78644df9065946c3ba6519c697c02c3be"),
         ],
         ids=["derive-O", "magic-square-h-h", "derive-sedenion", "derive-split-O", "magic-square-r-o",
-             "jordan-adj", "jordan-det", "jordan-rank"],
+             "jordan-adj", "jordan-det", "jordan-rank", "mul-table-sedenion", "mul-table-split-O",
+             "mul-table-H"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         code, out = run_cli(capsys, *argv)

@@ -40,7 +40,40 @@ class TestFanoTable:
         assert octonions.gram == Matrix.identity(8)
 
 
+def doubled_reference(base, sign):
+    """The table of the double from the pair formula (a,b)(c,d) = (ac + eps
+    conj(d) b, b conj(c) + d a), in Scalar products over the base."""
+    d, eps = base.dim, sc(-1 if sign == co.STANDARD else 1)
+    pairs = [(unit_vec(d, i), zero_vec(d)) for i in range(d)] + [(zero_vec(d), unit_vec(d, i)) for i in range(d)]
+    mul, conj = base.mul_coords, base.conj_coords
+    return tuple(
+        tuple(tuple([p + eps * q for p, q in zip(mul(a, c), mul(conj(e), b))]
+                    + [p + q for p, q in zip(mul(b, conj(c)), mul(e, a))])
+              for c, e in pairs)
+        for a, b in pairs
+    )
+
+
 class TestCayleyDickson:
+    @pytest.mark.parametrize("sign", [co.STANDARD, co.SPLIT])
+    def test_table_matches_pair_formula(self, sign):
+        # every doubling up to dimension 16, and a base with a Gaussian constant
+        # (K[u], u^2 = -2i)
+        bases = [co.CompAlgebra([[[1, 0], [0, 1]], [[0, 1], [sc(-2) * I, 0]]], name="gaussian-C")]
+        base = co.ground_field_algebra()
+        while base.dim < 16:
+            bases.append(base)
+            base = co.cayley_dickson(base, sign)
+        for b in bases:
+            doubled = co.cayley_dickson(b, sign)
+            assert doubled.table == doubled_reference(b, sign)
+            assert doubled.name == f"CD({b.name})" + ("'" if sign == co.SPLIT else "")
+            # the Gram matrix read off the cells: (x conj(y) + y conj(x)) / 2
+            units = [unit_vec(doubled.dim, i) for i in range(doubled.dim)]
+            mul, conj = doubled.mul_coords, doubled.conj_coords
+            assert doubled.gram == Matrix([[(mul(u, conj(v))[0] + mul(v, conj(u))[0]) / 2 for v in units]
+                                           for u in units])
+
     def test_standard_doubling_complex(self):
         c = co.cayley_dickson(co.ground_field_algebra(), co.STANDARD)
         assert c.basis(1) * c.basis(1) == c.unit().scale(-1)

@@ -5,11 +5,86 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from excalg import jordan as jd
+from excalg import scalar
+from excalg.composition import CompAlgebra, named_algebra
 from excalg.linalg import Matrix, unit_vec, vec_dot
 from excalg.scalar import I, ONE, ZERO, Scalar, rand_scalar, sc
-from excalg.tensor import lattice
+from excalg.tensor import StructureTensor, lattice
 
 ALL_A = (0, 1, 2, 4, 8)
+SLOTS = ((0, 1), (0, 2), (1, 2))
+
+
+def hermitian(alg, coords):
+    """The full 3x3 Hermitian matrix of an H3 coordinate vector, each entry
+    a list of base coordinates (one coordinate when a = 0)."""
+    a, width = alg.a, max(alg.a, 1)
+    m = [[[ZERO] * width for _ in range(3)] for _ in range(3)]
+    for d in range(3):
+        m[d][d] = [coords[d]] + [ZERO] * (width - 1)
+    for s, (r, c) in enumerate(SLOTS if a else ()):
+        m[r][c] = list(coords[3 + s * a: 3 + (s + 1) * a])
+        m[c][r] = alg.base.conj_coords(m[r][c])
+    return m
+
+
+def reference_product(alg, x, y):
+    """(XY + YX) / 2 of the explicit Hermitian matrices, entry by entry in
+    Scalar arithmetic over the base, read back as H3 coordinates."""
+    mul = alg.base.mul_coords if alg.a else (lambda u, v: [u[0] * v[0]])
+    X, Y = hermitian(alg, x), hermitian(alg, y)
+    out = [[None] * 3 for _ in range(3)]
+    for r in range(3):
+        for c in range(3):
+            acc = [ZERO] * max(alg.a, 1)
+            for k in range(3):
+                for u, v in ((X[r][k], Y[k][c]), (Y[r][k], X[k][c])):
+                    if any(u) and any(v):
+                        acc = [p + q for p, q in zip(acc, mul(u, v))]
+            out[r][c] = [p / 2 for p in acc]
+    if any(any(out[d][d][1:]) for d in range(3)):
+        raise AssertionError("diagonal entry is not scalar")
+    return [out[d][d][0] for d in range(3)] + [v for r, c in (SLOTS if alg.a else ()) for v in out[r][c]]
+
+
+H3_BASES = {**{f"a={a}": (lambda a=a: jd.jordan_algebra(a).base) for a in ALL_A},
+            "split-O": lambda: named_algebra("split-o")}
+
+
+class TestTable:
+    @pytest.mark.parametrize("name", [*H3_BASES, "corrupted"])
+    def test_tensor_matches_hermitian_matrices(self, name, corrupted_octonions):
+        # the cells against the explicit matrix product: den, keys and values
+        alg = jd.JordanAlgebra(corrupted_octonions if name == "corrupted" else H3_BASES[name]())
+        d = alg.dim
+        reference = StructureTensor(d, (
+            (i, j, k, c) for i in range(d) for j in range(d)
+            for k, c in enumerate(reference_product(alg, unit_vec(d, i), unit_vec(d, j)))
+        ))
+        t = alg.tensor
+        assert (t.den, t.pair.tolist(), t.out.tolist(), t.val.tolist()) == (
+            reference.den, reference.pair.tolist(), reference.out.tolist(), reference.val.tolist())
+
+    def test_non_scalar_diagonal_rejected(self):
+        # e1 e1 = e1: F_s(e1) o F_s(e1) has -e1 on the diagonal
+        base = CompAlgebra([[[1, 0], [0, 1]], [[0, 1], [0, 1]]], check=False)
+        with pytest.raises(AssertionError, match="diagonal entry is not scalar"):
+            jd.JordanAlgebra(base)
+
+    def test_cells_builder_runs_no_scalar_arithmetic(self, monkeypatch):
+        base, reference = jd.jordan_algebra(8).base, jd.jordan_algebra(8).tensor
+
+        def forbidden(*args):
+            raise AssertionError("Scalar arithmetic in the H3 cells")
+
+        with monkeypatch.context() as m:
+            for name in ("__init__", "__add__", "__radd__", "__sub__", "__rsub__",
+                         "__mul__", "__rmul__", "__neg__", "__truediv__", "inverse"):
+                m.setattr(Scalar, name, forbidden)
+            m.setattr(scalar, "_make", forbidden)
+            t = jd.h3_tensor(base)
+        assert (t.den, t.pair.tolist(), t.out.tolist(), t.val.tolist()) == (
+            reference.den, reference.pair.tolist(), reference.out.tolist(), reference.val.tolist())
 
 
 class TestAlgebraStructure:
