@@ -104,26 +104,19 @@ class CompAlgebra:
             self._check_invariants()
 
     def _check_invariants(self):
-        d = self.dim
-        for i in range(d):
-            if list(self.table[0][i]) != unit_vec(d, i) or list(
-                self.table[i][0]
-            ) != unit_vec(d, i):
-                raise ValueError("basis element 0 must be a two-sided unit")
-        for i in range(d):
-            for j in range(d):
-                # conj(e_i e_j) == conj(e_j) conj(e_i)
-                lhs = [sc(self.conj_signs[k]) * c for k, c in enumerate(self.table[i][j])]
-                rhs = vec_scale(
-                    sc(self.conj_signs[i] * self.conj_signs[j]), self.table[j][i]
-                )
-                if lhs != rhs:
-                    raise ValueError("conjugation is not an antiautomorphism")
-        for i in range(d):
-            prod = self.mul_coords(unit_vec(d, i), self.conj_coords(unit_vec(d, i)))
-            expected = vec_scale(self.gram[i, i], unit_vec(d, 0))
-            if prod != expected:
-                raise ValueError("x * conj(x) != q(x) * 1 on the basis")
+        """On the cells T[i, j, k] = den c_ij^k, s the conjugation signs:
+        T[0, i] = T[i, 0] = den e_i; T[i, j, k] s_k = s_i s_j T[j, i, k];
+        T[i, i, k] = 0 for k > 0 (x conj(x) = q(x) 1, q read off T)."""
+        t, d = self.tensor.dense(), self.dim
+        unit = np.zeros_like(t[0])
+        unit.reshape(d * d, -1)[:: d + 1, 0] = self.tensor.den
+        if (t[0] != unit).any() or (t[:, 0] != unit).any():
+            raise ValueError("basis element 0 must be a two-sided unit")
+        s, tail = np.array(self.conj_signs), (1,) * (t.ndim - 3)
+        if (t * s.reshape((d,) + tail) != np.outer(s, s).reshape((d, d, 1) + tail) * t.swapaxes(0, 1)).any():
+            raise ValueError("conjugation is not an antiautomorphism")
+        if t[range(d), range(d), 1:].any():
+            raise ValueError("x * conj(x) != q(x) * 1 on the basis")
 
     # -- coordinate-level operations --------------------------------------
 

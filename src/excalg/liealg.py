@@ -174,13 +174,14 @@ class SCAlgebra:
 
     @staticmethod
     def from_json(data: dict) -> "SCAlgebra":
-        """Parse the to_json format; a payload that breaks its schema
-        raises ValueError."""
+        """Parse the to_json format; a payload that breaks its schema, or
+        whose dim exceeds 1024 (the Jacobi check counts cells per pair in
+        dim^2 slots; e8 has dim 248), raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError("structure constants must be a JSON object")
         d, entries = data.get("dim"), data.get("entries")
-        if type(d) is not int or d < 1 or not isinstance(entries, list):
-            raise ValueError("need a positive integer 'dim' and a list 'entries'")
+        if type(d) is not int or not 0 < d <= 1024 or not isinstance(entries, list):
+            raise ValueError("need an integer 'dim' from 1 to 1024 and a list 'entries'")
         bracket: BracketTable = {}
         for entry in entries:
             if not (isinstance(entry, list) and len(entry) == 3):

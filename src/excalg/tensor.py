@@ -14,18 +14,23 @@ vectors are then equal triples.  A Scalar is the same triple in dimension
 one, (x, y, d), so :func:`cleared` builds a vector from Scalars by scaling
 their integers to the lcm of their d, :func:`reduced` builds one from
 integer sums and :func:`vec_scalars` reads one back.
-The one product loop (:meth:`StructureTensor.sums`) adds up den c_ij^k x_i
-y_j in Python integers (exact at any size, so no overflow bound is
-needed); the product of two cleared vectors is those sums over den dx dy,
-reduced by one gcd.  The Scalar product clears its inputs and reads the
-sums back as the same canonical Scalars that Scalar arithmetic gives.
+The product (:meth:`StructureTensor.sums`) adds up den c_ij^k x_i y_j in
+Python integers (exact at any size, so no overflow bound is needed) in one
+of two loops over rational constants: the rational loop takes two rational
+vectors and visits their nonzero coordinates only, and the row loop takes
+every other pair of operands, reading their dense (re, im) tuples.  A
+Gaussian tensor runs both through its real and imaginary parts.  The
+product of two cleared vectors is those sums over den dx dy, reduced by
+one gcd.  The Scalar product clears its inputs and reads the sums back as
+the same canonical Scalars that Scalar arithmetic gives.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,8 +45,10 @@ class StructureTensor:
     order of (pair, out).  `val` holds den * c_ij^k, nonzero, as one column
     (re) for a rational tensor and two (re, im) over Q(i): int64 when every
     value fits, else Python integers.  `biggest` is the largest absolute
-    value.  The nested view ``cells[i][j]``, a tuple of (k, re, im), is built
-    from the arrays on first use, for the product loop."""
+    value.  The views the two product loops read are built from the arrays
+    on first use: the nested ``cells[i][j]`` of (k, c) for the rational
+    loop and the flat ``rows[i]`` of (j, k, c) for the row loop.  A Gaussian
+    tensor keeps them on its two rational ``parts``."""
 
     def __init__(self, dim: int, entries: Iterable[Tuple[int, int, int, Scalar]]):
         """Build from (i, j, k, c_ij^k) entries, at most one per (i, j, k);
@@ -81,50 +88,64 @@ class StructureTensor:
         return out.reshape((self.dim,) * 3 + self.val.shape[1:])
 
     @cached_property
+    def parts(self) -> List["StructureTensor"]:
+        """[A, B], the rational tensors over den with c_ij^k = A_ij^k + i B_ij^k."""
+        key = self.pair * self.dim + self.out
+        return [StructureTensor.from_cells(self.dim, self.den, key[v != 0], v[v != 0]) for v in self.val.T]
+
+    @cached_property
+    def rows(self) -> List[tuple]:
+        """rows[i] = ((j, k, c), ...) of a rational tensor, in key order: the
+        flat view the row loop reads."""
+        starts = np.searchsorted(self.pair // self.dim, np.arange(self.dim + 1)).tolist()
+        entries = list(zip((self.pair % self.dim).tolist(), self.out.tolist(), self.val[:, 0].tolist()))
+        return [tuple(entries[a:b]) for a, b in zip(starts, starts[1:])]
+
+    @cached_property
     def cells(self) -> List[List[tuple]]:
-        """cells[i][j] = ((k, re, im), ...): the nested view the product
-        loop reads."""
-        d, n = self.dim, len(self.out)
-        re = self.val[:, 0].tolist()
-        im = [0] * n if self.rational else self.val[:, 1].tolist()
-        entries = list(zip(self.out.tolist(), re, im))
-        pair = self.pair.tolist()
-        bounds = np.flatnonzero(np.diff(self.pair, prepend=-1)).tolist() + [n]
-        cells = [[()] * d for _ in range(d)]
-        for a, b in zip(bounds, bounds[1:]):
-            i, j = divmod(pair[a], d)
-            cells[i][j] = tuple(entries[a:b])
+        """cells[i][j] = ((k, c), ...) of a rational tensor, read off `rows`:
+        the nested view the rational loop reads."""
+        cells = [[()] * self.dim for _ in range(self.dim)]
+        for i, row in enumerate(self.rows):
+            for j, group in groupby(row, itemgetter(0)):
+                cells[i][j] = tuple(entry[1:] for entry in group)
         return cells
 
     def sums(self, x: Vec, y: Vec) -> Tuple[List[int], Optional[List[int]]]:
         """(re, im) of sum_ijk den c_ij^k x_i y_j e_k for the integer parts
         of two cleared vectors (their denominators are not read), im None
-        when the tensor and both vectors are rational."""
-        return self._sums(_nonzero(x), _nonzero(y), x[1] is None and y[1] is None)
-
-    def _sums(self, xs, ys, rational: bool):
-        """The product loop, over the nonzero coordinates (i, re, im) of two
-        integer vectors; rational when every im is zero."""
+        when the tensor and both vectors are rational.  A Gaussian tensor A
+        + iB sums its parts, A(x, y) + i B(x, y)."""
+        if not self.rational:
+            (ar, ai), (br, bi) = (t.sums(x, y) for t in self.parts)
+            if ai is None:
+                return ar, br
+            return [u - v for u, v in zip(ar, bi)], [u + v for u, v in zip(ai, br)]
         re = [0] * self.dim
-        cells = self.cells
-        if self.rational and rational:
-            for i, a, _ in xs:
-                row = cells[i]
-                for j, b, _ in ys:
-                    ab = a * b
-                    for k, c, _ in row[j]:
-                        re[k] += ab * c
+        (xr, xi, _), (yr, yi, _) = x, y
+        if xi is None and yi is None:
+            # the rational loop, over the nonzero coordinates only
+            cells = self.cells
+            ys = [(j, b) for j, b in enumerate(yr) if b]
+            for i, a in enumerate(xr):
+                if a:
+                    row = cells[i]
+                    for j, b in ys:
+                        ab = a * b
+                        for k, c in row[j]:
+                            re[k] += ab * c
             return re, None
-        im = [0] * self.dim
-        for i, a, b in xs:
-            row = cells[i]
-            for j, c, e in ys:
-                # (a + bi)(c + ei) = p + qi, then times each constant r + si
-                p = a * c - b * e
-                q = a * e + b * c
-                for k, r, s in row[j]:
-                    re[k] += p * r - q * s
-                    im[k] += p * s + q * r
+        # the row loop, over the dense (re, im) tuples
+        im, zero = [0] * self.dim, (0,) * self.dim
+        xi, yi = xi or zero, yi or zero
+        for row, a, b in zip(self.rows, xr, xi):
+            if a or b:
+                for j, k, c in row:
+                    # (a + bi)(p + qi) times the rational constant c
+                    p, q = yr[j], yi[j]
+                    if p or q:
+                        re[k] += c * (a * p - b * q)
+                        im[k] += c * (a * q + b * p)
         return re, im
 
     def vec_product(self, x: Vec, y: Vec) -> Vec:
@@ -134,9 +155,8 @@ class StructureTensor:
     def product(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
         """The coordinates of x * y, i.e. sum_ijk c_ij^k x_i y_j e_k, for
         Scalar coordinates: cleared, summed and read back."""
-        xs, dx, x_rat = _cleared(x)
-        ys, dy, y_rat = _cleared(y)
-        return vec_scalars(*self._sums(xs, ys, x_rat and y_rat), self.den * dx * dy)
+        x, y = cleared(x), cleared(y)
+        return vec_scalars(*self.sums(x, y), self.den * x[2] * y[2])
 
 
 Vec = Tuple[Tuple[int, ...], Optional[Tuple[int, ...]], int]
@@ -144,15 +164,13 @@ Vec = Tuple[Tuple[int, ...], Optional[Tuple[int, ...]], int]
 
 def cleared(values: Sequence[Scalar]) -> Vec:
     """The cleared vector (re, im, den) of Scalar coordinates: den the lcm
-    of their denominators, which leaves gcd(den, *re, *im) = 1."""
-    nz, den, rational = _cleared(values)
-    re = [0] * len(values)
-    im = None if rational else [0] * len(values)
-    for i, a, b in nz:
-        re[i] = a
-        if im is not None:
-            im[i] = b
-    return tuple(re), None if rational else tuple(im), den
+    of their denominators (a zero's is 1), which leaves gcd(den, *re, *im)
+    = 1."""
+    den = lcm(*(s.d for s in values))
+    re = tuple([s.x * (den // s.d) for s in values])
+    if any(s.y for s in values):
+        return re, tuple([s.y * (den // s.d) for s in values]), den
+    return re, None, den
 
 
 def reduced(re: Sequence[int], im: Optional[Sequence[int]], den: int) -> Vec:
@@ -172,14 +190,6 @@ def vec_scalars(re: Sequence[int], im: Optional[Sequence[int]], den: int) -> Lis
     if im is None:
         return [_make(v, 0, den) if v else ZERO for v in re]
     return [_make(u, v, den) if u or v else ZERO for u, v in zip(re, im)]
-
-
-def _nonzero(v: Vec) -> List[Tuple[int, int, int]]:
-    """(i, re_i, im_i) at the nonzero coordinates of a cleared vector."""
-    re, im = v[0], v[1]
-    if im is None:
-        return [(i, a, 0) for i, a in enumerate(re) if a]
-    return [(i, a, b) for i, (a, b) in enumerate(zip(re, im)) if a or b]
 
 
 class Element:

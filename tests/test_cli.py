@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from excalg import cli
@@ -400,6 +401,20 @@ class TestVerifyFile:
         code = cli.main(["verify", str(path)])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: ")
+
+
+    def test_huge_dim_refused_before_allocating(self, capsys, tmp_path, monkeypatch):
+        # the Jacobi check would ask np.bincount for dim^2 counts
+        def no_room(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "bincount", no_room)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 1000000, "entries": []}))
+        code = cli.main(["verify", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: need an integer 'dim' from 1 to 1024 and a list 'entries'\n"
 
 
 class TestGradingAndDims:

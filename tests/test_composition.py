@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +39,42 @@ class TestFanoTable:
 
     def test_orthonormal_gram(self, octonions):
         assert octonions.gram == Matrix.identity(8)
+
+
+COMPLEX = [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]]
+
+
+def corrupted(table, i, j, cell):
+    """A copy of a table with the product e_i e_j replaced by cell."""
+    table = [[list(c) for c in row] for row in table]
+    table[i][j] = cell
+    return table
+
+
+class TestInvariantChecks:
+    @pytest.mark.parametrize("table, signs, message", [
+        # e0 e1 = 2 e1, and over O e3 e0 = -e3
+        (corrupted(COMPLEX, 0, 1, [0, 2]), None, "two-sided unit"),
+        (lambda: corrupted(co.canonical_octonions().table, 3, 0, [0, 0, 0, -1, 0, 0, 0, 0]), None,
+         "two-sided unit"),
+        # e1 e1 = -e0 + e1 with conj e1 = -e1, and over O e1 e2 = -e3 (e2 e1 is -e3 too)
+        (corrupted(COMPLEX, 1, 1, [-1, 1]), None, "antiautomorphism"),
+        (lambda: corrupted(co.canonical_octonions().table, 1, 2, [0, 0, 0, -1, 0, 0, 0, 0]), None,
+         "antiautomorphism"),
+        # e1 e1 = -e0 + e1 with conj e1 = e1: commutative, so only the norm breaks
+        (corrupted(COMPLEX, 1, 1, [-1, 1]), [1, 1], "x * conj(x) != q(x) * 1"),
+        (corrupted(COMPLEX, 1, 1, [-1, I]), [1, 1], "x * conj(x) != q(x) * 1"),
+    ])
+    def test_corrupted_table_names_its_broken_property(self, table, signs, message):
+        table = table() if callable(table) else table
+        with pytest.raises(ValueError, match=re.escape(message)):
+            co.CompAlgebra(table, conj_signs=signs)
+        co.CompAlgebra(table, conj_signs=signs, check=False)
+
+    @pytest.mark.parametrize("name", ["o", "split-o", "sedenion", "sextonion"])
+    def test_named_tables_pass(self, name):
+        alg = co.named_algebra(name)
+        co.CompAlgebra(alg.table, alg.conj_signs)
 
 
 def doubled_reference(base, sign):

@@ -256,3 +256,57 @@ def test_jordan_element_matches_scalar_path(name, data):
     same_scalars(adj.coords, sharp)
     built = alg.element(sharp)
     assert built == adj and hash(built) == hash(adj)
+
+
+# -- the row loop: Gaussian operands, against the Scalar path ----------------------
+
+
+def rational_vectors(d):
+    return st.lists(st.one_of(st.just(ZERO), rationals, huge), min_size=d, max_size=d)
+
+
+def gaussian_vectors(d):
+    """Vectors with a Gaussian coordinate: i e_j (one nonzero coordinate),
+    or dense, rational parts and imaginary parts past 2^63 included."""
+    units = st.integers(0, d - 1).map(lambda j: [I if k == j else ZERO for k in range(d)])
+    parts = st.one_of(rationals, huge).filter(lambda s: not s.is_zero())
+    dense = st.tuples(st.lists(wide_coordinates, min_size=d, max_size=d), st.integers(0, d - 1), parts)
+    return st.one_of(units, dense.map(lambda t: [c + t[2] * I if k == t[1] else c for k, c in enumerate(t[0])]))
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENT_ALGEBRAS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_row_loop_matches_scalar_path(name, data):
+    # rational times Gaussian in both orders, Gaussian times Gaussian, and
+    # rational times rational; the sextonions and gaussian-C have Gaussian
+    # constants, so every case also runs through their re/im parts
+    alg = element_algebra(name)
+    r = data.draw(rational_vectors(alg.dim))
+    g, h = (data.draw(gaussian_vectors(alg.dim)) for _ in range(2))
+    R, G, H = (alg.element(v) for v in (r, g, h))
+    assert R.vec[1] is None and G.vec[1] is not None and H.vec[1] is not None
+    assert alg.tensor.rational == (name in ("O", "split-O", "sedenion"))
+    for (x, X), (y, Y) in (((r, R), (g, G)), ((g, G), (r, R)), ((g, G), (h, H)), ((r, R), (r, R))):
+        want = reference_product(alg, x, y)
+        same_scalars((X * Y).coords, want)
+        same_scalars(alg.mul_coords(x, y), want)
+
+
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_gaussian_cross_and_adjugate_match_scalar_path(data):
+    # H3(O) over Q(i): the cross product and the sharp map read the row loop
+    alg = jordan_algebra(8)
+    x, y = (data.draw(gaussian_vectors(alg.dim)) for _ in range(2))
+    X, Y = alg.element(x), alg.element(y)
+
+    def cross(x, y):
+        xy = reference_product(alg, x, y)
+        tx, ty, txy = (v[0] + v[1] + v[2] for v in (x, y, xy))
+        unit = tx * ty - txy
+        return [sc(2) * p - tx * b - ty * a + (unit if k < 3 else ZERO)
+                for k, (p, a, b) in enumerate(zip(xy, x, y))]
+
+    same_scalars(jd.JordanElement._of(alg, jd._cross(alg, X.vec, Y.vec)).coords, cross(x, y))
+    same_scalars(jd.adjugate(X).coords, [c / sc(2) for c in cross(x, x)])
