@@ -175,13 +175,14 @@ class SCAlgebra:
     @staticmethod
     def from_json(data: dict) -> "SCAlgebra":
         """Parse the to_json format; a payload that breaks its schema, or
-        whose dim exceeds 1024 (the Jacobi check counts cells per pair in
-        dim^2 slots; e8 has dim 248), raises ValueError."""
+        whose dim exceeds 2^16, raises ValueError.  The Jacobi check takes
+        O(dim) numpy steps (a second or so per 10^4), and a file that
+        lists no entries declares its dim for free."""
         if not isinstance(data, dict):
             raise ValueError("structure constants must be a JSON object")
         d, entries = data.get("dim"), data.get("entries")
-        if type(d) is not int or not 0 < d <= 1024 or not isinstance(entries, list):
-            raise ValueError("need an integer 'dim' from 1 to 1024 and a list 'entries'")
+        if type(d) is not int or not 0 < d <= 1 << 16 or not isinstance(entries, list):
+            raise ValueError("need an integer 'dim' from 1 to 65536 and a list 'entries'")
         bracket: BracketTable = {}
         for entry in entries:
             if not (isinstance(entry, list) and len(entry) == 3):
@@ -472,12 +473,15 @@ class _Cells:
         order = np.argsort(by_out)
         return self.upper[order], by_out[order]
 
+    def starts(self, a: int) -> np.ndarray:
+        """starts[b]: the position of the first cell with pair >= a*d + b,
+        for b <= d: the bounds of the pairs (a, b) of row a."""
+        return np.searchsorted(self.pair, a * self.d + np.arange(self.d + 1))
+
     @cached_property
-    def starts(self) -> np.ndarray:
-        """starts[p]: the position of the first cell with pair >= p, for
-        every p <= d*d."""
-        counts = np.bincount(self.pair, minlength=self.d * self.d)
-        return np.concatenate(([0], np.cumsum(counts)))
+    def row_starts(self) -> np.ndarray:
+        """row_starts[a]: the position of the first cell of row a, a <= d."""
+        return np.searchsorted(self.pair, np.arange(self.d + 1) * self.d)
 
     def generated(self, reached: np.ndarray) -> np.ndarray:
         """The indices reached from the mask reached by peeling.
@@ -506,11 +510,9 @@ class _Cells:
         """The number of join terms of :meth:`derivation_residual` for every
         s, from the cell counts alone: the upper cells with output m times
         the cells (s, m, l), and the cells of row m for each cell (s, x, m)."""
-        d = self.d
-        per_pair = np.diff(self.starts).reshape(d, d)
-        row = per_pair.sum(axis=1)
-        inner = per_pair @ np.bincount(self.out[self.upper], minlength=d)
-        return inner + np.bincount(self.pair // d, weights=row[self.out], minlength=d).astype(np.int64)
+        d, a, b = self.d, self.pair // self.d, self.pair % self.d
+        upper, row = np.bincount(self.out[self.upper], minlength=d), np.bincount(a, minlength=d)
+        return np.bincount(a, weights=upper[b] + row[self.out], minlength=d).astype(np.int64)
 
     @property
     def scan_terms(self) -> float:
@@ -530,14 +532,14 @@ class _Cells:
         -[[s, k], j] the product C[s,x,m] C[m,y,l] enters at (x, y, l)
         negated when x < y and at (y, x, l) when x > y; x = y contributes
         zero.  An entry sums at most 3d products, the scan's bound."""
-        d, pair, out, val, st = self.d, self.pair, self.out, self.val, self.starts
-        u = self.upper
-        sm = s * d + out[u]  # the pair (s, m) for each upper cell (j, k, m)
-        own, f = _ranges(st[sm], st[sm + 1])
+        d, pair, out, val, st = self.d, self.pair, self.out, self.val, self.starts(s)
+        u, rows = self.upper, self.row_starts
+        m = out[u]  # the pair (s, m) for each upper cell (j, k, m)
+        own, f = _ranges(st[m], st[m + 1])
         c = u[own]
-        e = np.arange(st[s * d], st[s * d + d])
+        e = np.arange(st[0], st[d])
         x, m = pair[e] % d, out[e]
-        own, g = _ranges(st[m * d], st[m * d + d])
+        own, g = _ranges(rows[m], rows[m + 1])
         x, y = x[own], pair[g] % d
         return (
             np.concatenate((pair[c] * d + out[f], (np.minimum(x, y) * d + np.maximum(x, y)) * d + out[g])),

@@ -15,22 +15,22 @@ one, (x, y, d), so :func:`cleared` builds a vector from Scalars by scaling
 their integers to the lcm of their d, :func:`reduced` builds one from
 integer sums and :func:`vec_scalars` reads one back.
 The product (:meth:`StructureTensor.sums`) adds up den c_ij^k x_i y_j in
-Python integers (exact at any size, so no overflow bound is needed) in one
-of two loops over rational constants: the rational loop takes two rational
-vectors and visits their nonzero coordinates only, and the row loop takes
-every other pair of operands, reading their dense (re, im) tuples.  A
-Gaussian tensor runs both through its real and imaginary parts.  The
-product of two cleared vectors is those sums over den dx dy, reduced by
-one gcd.  The Scalar product clears its inputs and reads the sums back as
-the same canonical Scalars that Scalar arithmetic gives.
+Python integers (exact at any size, so no overflow bound is needed).  Both
+of its loops walk the rows (j, k, c) of rational constants and read the
+dense coordinate tuples, skipping zeros: the rational loop takes two
+rational vectors, and the Gaussian loop every other pair of operands,
+(a + bi)(p + qi) per term.  A Gaussian tensor runs them on its real and
+imaginary parts.  The product of two cleared vectors is those sums over
+den dx dy, reduced by one gcd.  The Scalar product clears its inputs and
+reads the sums back as the same canonical Scalars that Scalar arithmetic
+gives.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement
 from math import gcd, lcm
-from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,10 +45,9 @@ class StructureTensor:
     order of (pair, out).  `val` holds den * c_ij^k, nonzero, as one column
     (re) for a rational tensor and two (re, im) over Q(i): int64 when every
     value fits, else Python integers.  `biggest` is the largest absolute
-    value.  The views the two product loops read are built from the arrays
-    on first use: the nested ``cells[i][j]`` of (k, c) for the rational
-    loop and the flat ``rows[i]`` of (j, k, c) for the row loop.  A Gaussian
-    tensor keeps them on its two rational ``parts``."""
+    value.  The view the product loops read, ``rows[i]`` of (j, k, c), is
+    built from the arrays on first use.  A Gaussian tensor keeps it on its
+    two rational ``parts``."""
 
     def __init__(self, dim: int, entries: Iterable[Tuple[int, int, int, Scalar]]):
         """Build from (i, j, k, c_ij^k) entries, at most one per (i, j, k);
@@ -96,20 +95,10 @@ class StructureTensor:
     @cached_property
     def rows(self) -> List[tuple]:
         """rows[i] = ((j, k, c), ...) of a rational tensor, in key order: the
-        flat view the row loop reads."""
+        view the product loops read."""
         starts = np.searchsorted(self.pair // self.dim, np.arange(self.dim + 1)).tolist()
         entries = list(zip((self.pair % self.dim).tolist(), self.out.tolist(), self.val[:, 0].tolist()))
         return [tuple(entries[a:b]) for a, b in zip(starts, starts[1:])]
-
-    @cached_property
-    def cells(self) -> List[List[tuple]]:
-        """cells[i][j] = ((k, c), ...) of a rational tensor, read off `rows`:
-        the nested view the rational loop reads."""
-        cells = [[()] * self.dim for _ in range(self.dim)]
-        for i, row in enumerate(self.rows):
-            for j, group in groupby(row, itemgetter(0)):
-                cells[i][j] = tuple(entry[1:] for entry in group)
-        return cells
 
     def sums(self, x: Vec, y: Vec) -> Tuple[List[int], Optional[List[int]]]:
         """(re, im) of sum_ijk den c_ij^k x_i y_j e_k for the integer parts
@@ -124,24 +113,21 @@ class StructureTensor:
         re = [0] * self.dim
         (xr, xi, _), (yr, yi, _) = x, y
         if xi is None and yi is None:
-            # the rational loop, over the nonzero coordinates only
-            cells = self.cells
-            ys = [(j, b) for j, b in enumerate(yr) if b]
-            for i, a in enumerate(xr):
+            # the rational loop; the Gaussian loop would spend four
+            # products on the zero imaginary parts of every term
+            for row, a in zip(self.rows, xr):
                 if a:
-                    row = cells[i]
-                    for j, b in ys:
-                        ab = a * b
-                        for k, c in row[j]:
-                            re[k] += ab * c
+                    for j, k, c in row:
+                        b = yr[j]
+                        if b:
+                            re[k] += c * a * b
             return re, None
-        # the row loop, over the dense (re, im) tuples
+        # the Gaussian loop: (a + bi)(p + qi) times the constant c
         im, zero = [0] * self.dim, (0,) * self.dim
         xi, yi = xi or zero, yi or zero
         for row, a, b in zip(self.rows, xr, xi):
             if a or b:
                 for j, k, c in row:
-                    # (a + bi)(p + qi) times the rational constant c
                     p, q = yr[j], yi[j]
                     if p or q:
                         re[k] += c * (a * p - b * q)
@@ -166,9 +152,12 @@ def cleared(values: Sequence[Scalar]) -> Vec:
     """The cleared vector (re, im, den) of Scalar coordinates: den the lcm
     of their denominators (a zero's is 1), which leaves gcd(den, *re, *im)
     = 1."""
-    den = lcm(*(s.d for s in values))
-    re = tuple([s.x * (den // s.d) for s in values])
-    if any(s.y for s in values):
+    den = lcm(*{s.d for s in values})
+    if den == 1:  # integer vectors (units, lattice points) need no division
+        re = tuple([s.x for s in values])
+    else:
+        re = tuple([s.x * (den // s.d) for s in values])
+    if any([s.y for s in values]):
         return re, tuple([s.y * (den // s.d) for s in values]), den
     return re, None, den
 

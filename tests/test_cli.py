@@ -404,7 +404,7 @@ class TestVerifyFile:
 
 
     def test_huge_dim_refused_before_allocating(self, capsys, tmp_path, monkeypatch):
-        # the Jacobi check would ask np.bincount for dim^2 counts
+        # refused by the reader, before the Jacobi check's O(dim) arrays
         def no_room(*args, **kwargs):
             raise MemoryError
 
@@ -414,7 +414,7 @@ class TestVerifyFile:
         code = cli.main(["verify", str(path)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err == "error: need an integer 'dim' from 1 to 1024 and a list 'entries'\n"
+        assert captured.err == "error: need an integer 'dim' from 1 to 65536 and a list 'entries'\n"
 
 
 class TestGradingAndDims:

@@ -71,11 +71,6 @@ class TestInvariantChecks:
             co.CompAlgebra(table, conj_signs=signs)
         co.CompAlgebra(table, conj_signs=signs, check=False)
 
-    @pytest.mark.parametrize("name", ["o", "split-o", "sedenion", "sextonion"])
-    def test_named_tables_pass(self, name):
-        alg = co.named_algebra(name)
-        co.CompAlgebra(alg.table, alg.conj_signs)
-
 
 def doubled_reference(base, sign):
     """The table of the double from the pair formula (a,b)(c,d) = (ac + eps

@@ -457,6 +457,23 @@ class TestJacobiCertificate:
         seeds[ll._generators(cells)] = True
         assert cells.generated(seeds).all()
 
+    @pytest.mark.parametrize("weight", [2, 3])
+    def test_sparse_large_dim_counts_only_its_cells(self, weight, monkeypatch):
+        # gl2 on the first four of 3000 indices: the joins are indexed by
+        # the pairs that occur, never by all dim^2 pairs
+        d, one = 3000, sc(1)
+        g = ll.SCAlgebra(d, {**gaussian_gl2(h_weight=weight).bracket, (4, 5): {6: one}, (5, 4): {6: -one}})
+        bincount = np.bincount
+
+        def small_bincount(x, weights=None, minlength=0):
+            assert minlength <= d
+            return bincount(x, weights, minlength)
+
+        monkeypatch.setattr(np, "bincount", small_bincount)
+        report = ll.jacobi_check(g)
+        assert report.passed == (weight == 2)
+        assert report.witness is None or max(report.witness[:3]) < 4
+
     def test_forced_cost_cap_takes_the_scan(self, octonions, monkeypatch):
         from excalg import magicsquare as ms
 

@@ -400,9 +400,7 @@ class TestVinberg:
             (i, j, k, v) for (i, j), comp in entry.algebra.bracket.items() for k, v in comp.items()
         ))
         assert g.tensor.den == reference.den
-        assert [[sorted(c) for c in row] for row in g.tensor.cells] == [
-            [sorted(c) for c in row] for row in reference.cells
-        ]
+        assert [sorted(row) for row in g.tensor.rows] == [sorted(row) for row in reference.rows]
 
     def test_e8_build_and_killing_read_only_flat_cells(self, monkeypatch):
         # the cached inputs (the composition algebras, tri(O) and its
@@ -412,9 +410,9 @@ class TestVinberg:
             ms.equivariant_pair_maps("o", slot)
 
         def nested(self):
-            raise AssertionError("the nested cells were read")
+            raise AssertionError("the Python row view was read")
 
-        monkeypatch.setattr(StructureTensor, "cells", property(nested))
+        monkeypatch.setattr(StructureTensor, "rows", property(nested))
         entry = ms.vinberg_build("o", "o")
         assert entry.dim == 248 and entry.checked == 248 ** 3
         assert killing_nondegenerate(entry.algebra)
