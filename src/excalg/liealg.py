@@ -21,6 +21,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from array import array
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -51,13 +55,13 @@ class SCAlgebra:
 
     With the skew flag the table must satisfy c(i,j) = -c(j,i); a designated
     Cartan family (coordinate vectors of commuting elements) may be attached
-    for weight decompositions.  A component dict whose values are already
-    nonzero Scalars is kept, not copied, so the caller hands it over.
+    for weight decompositions.
 
-    The integer structure tensor is the representation every check and
-    product reads.  An algebra built from a dict keeps the dict as its
-    Scalar ``bracket`` view; one built from a StructureTensor keeps the
-    tensor and builds that view from the cells the first time it is read.
+    The integer structure tensor is the one thing the algebra stores: every
+    check and product reads its cells.  A bracket given as a dict
+    {(i, j): {k: c_ij^k}} is turned into cells at construction and not
+    kept.  ``bracket`` is a read-only :class:`BracketView` of the cells,
+    which builds the Scalar dict of a pair when the pair is read.
     ``matrices``, the family of a commutator closure, is kept as given: a
     list of Matrix, or an integer array [n, r, c] ([n, r, c, 2] of (re, im)
     over Q(i)) with its denominator, whose Matrix view is built on first
@@ -75,16 +79,11 @@ class SCAlgebra:
         name: str = "",
     ):
         self.dim = dim
-        if isinstance(bracket, StructureTensor):
-            self.tensor = bracket
-        else:
-            table: BracketTable = {}
-            for ij, comp in bracket.items():
-                if not all(type(v) is Scalar and v for v in comp.values()):
-                    comp = {k: s for k, v in comp.items() if not (s := sc(v)).is_zero()}
-                if comp:
-                    table[ij] = comp
-            self.bracket = table
+        if not isinstance(bracket, StructureTensor):
+            bracket = StructureTensor(dim, (
+                (i, j, k, sc(v)) for (i, j), comp in bracket.items() for k, v in comp.items()
+            ))
+        self.tensor = bracket
         self.skew = skew
         self.unital = unital
         if isinstance(matrices, tuple):
@@ -128,14 +127,6 @@ class SCAlgebra:
         return out
 
     @cached_property
-    def tensor(self) -> StructureTensor:
-        """The sparse integer bracket tensor, built on first use."""
-        return StructureTensor(self.dim, (
-            (i, j, k, v) for (i, j), comp in self.bracket.items()
-            for k, v in comp.items()
-        ))
-
-    @cached_property
     def matrices(self) -> List[Matrix]:
         """The Matrix view of the integer matrix family, built on first read."""
         ints, den = self._matrix_ints
@@ -144,16 +135,9 @@ class SCAlgebra:
         return [Matrix([row[a * c:(a + 1) * c] for a in range(r)]) for row in rows]
 
     @cached_property
-    def bracket(self) -> BracketTable:
-        """The Scalar view {(i, j): {k: c_ij^k}} of the tensor, built on
-        first read from its flat cells; equal constants share one Scalar."""
-        t = self.tensor
-        rows = [tuple(v) for v in t.val.tolist()]
-        value = {v: scalar_of(v, t.den) for v in set(rows)}
-        table: BracketTable = {}
-        for p, k, v in zip(t.pair.tolist(), t.out.tolist(), rows):
-            table.setdefault(divmod(p, self.dim), {})[k] = value[v]
-        return table
+    def bracket(self) -> "BracketView":
+        """The Scalar view {(i, j): {k: c_ij^k}} of the tensor's cells."""
+        return BracketView(self.tensor)
 
     def bracket_coords(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
         return self.tensor.product(x, y)
@@ -165,40 +149,121 @@ class SCAlgebra:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        entries = []
-        for (i, j) in sorted(self.bracket):
-            comp = self.bracket[(i, j)]
-            coeffs = [str(comp.get(k, ZERO)) for k in range(self.dim)]
-            entries.append([i, j, coeffs])
-        return {"dim": self.dim, "skew": self.skew, "entries": entries}
+        """{"dim", "skew", "entries"}: one entry [i, j, coefficients] per
+        pair with a nonzero cell, in increasing order, with d "p/q" strings
+        read off the cells; the zeros are one shared "0/1"."""
+        d, zero, entries = self.dim, str(ZERO), []
+        (pairs, starts, _), (out, codes, constants) = self.bracket._pairs, self.bracket._cells
+        text = [str(c) for c in constants]
+        for n, p in enumerate(pairs):
+            row = [zero] * d
+            for c in range(starts[n], starts[n + 1]):
+                row[out[c]] = text[codes[c]]
+            entries.append([*divmod(p, d), row])
+        return {"dim": d, "skew": self.skew, "entries": entries}
 
     @staticmethod
     def from_json(data: dict) -> "SCAlgebra":
-        """Parse the to_json format; a payload that breaks its schema, or
-        whose dim exceeds 2^16, raises ValueError.  The Jacobi check takes
-        O(dim) numpy steps (a second or so per 10^4), and a file that
-        lists no entries declares its dim for free."""
+        """Parse the to_json format; a payload that breaks its schema, lists
+        a pair twice, or whose dim exceeds 2^16, raises ValueError.  Every
+        coefficient but the canonical zero "0/1" is parsed, and the nonzero
+        ones become the cells of the tensor.  The Jacobi check takes O(dim)
+        numpy steps (a second or so per 10^4), and a file that lists no
+        entries declares its dim for free."""
         if not isinstance(data, dict):
             raise ValueError("structure constants must be a JSON object")
         d, entries = data.get("dim"), data.get("entries")
         if type(d) is not int or not 0 < d <= 1 << 16 or not isinstance(entries, list):
             raise ValueError("need an integer 'dim' from 1 to 65536 and a list 'entries'")
-        bracket: BracketTable = {}
-        for entry in entries:
-            if not (isinstance(entry, list) and len(entry) == 3):
-                raise ValueError(f"entry {entry!r} is not [i, j, coefficients]")
-            i, j, coeffs = entry
-            if type(i) is not int or type(j) is not int or not (0 <= i < d and 0 <= j < d):
-                raise ValueError(f"index pair ({i!r}, {j!r}) is outside range({d})")
-            if not (isinstance(coeffs, list) and len(coeffs) == d
-                    and all(isinstance(c, str) for c in coeffs)):
-                raise ValueError(f"entry ({i}, {j}) needs {d} coefficient strings")
-            comp = {k: Scalar.parse(c) for k, c in enumerate(coeffs)}
-            bracket[(i, j)] = {k: v for k, v in comp.items() if not v.is_zero()}
-        return SCAlgebra(d, bracket, skew=data.get("skew", True))
+        zero, seen, parsed = str(ZERO), set(), {}
+
+        def cells():
+            for entry in entries:
+                if not (isinstance(entry, list) and len(entry) == 3):
+                    raise ValueError(f"entry {entry!r} is not [i, j, coefficients]")
+                i, j, coeffs = entry
+                if type(i) is not int or type(j) is not int or not (0 <= i < d and 0 <= j < d):
+                    raise ValueError(f"index pair ({i!r}, {j!r}) is outside range({d})")
+                if not (isinstance(coeffs, list) and len(coeffs) == d):
+                    raise ValueError(f"entry ({i}, {j}) needs {d} coefficient strings")
+                if i * d + j in seen:
+                    raise ValueError(f"entry ({i}, {j}) is listed twice")
+                seen.add(i * d + j)
+                # a coefficient equal to "0/1" is a string; the rest are checked
+                for k in itertools.compress(range(d), map(operator.ne, coeffs, itertools.repeat(zero))):
+                    c = coeffs[k]
+                    if not isinstance(c, str):
+                        raise ValueError(f"entry ({i}, {j}) needs {d} coefficient strings")
+                    if c not in parsed:
+                        parsed[c] = Scalar.parse(c)
+                    yield i, j, k, parsed[c]
+
+        return SCAlgebra(d, StructureTensor(d, cells()), skew=data.get("skew", True))
 
     def __repr__(self):
         return f"SCAlgebra({self.name or ''} dim={self.dim})"
+
+
+class BracketView(Mapping):
+    """The read-only Scalar view {(i, j): {k: c_ij^k}} of a structure tensor.
+
+    Its keys are the pairs (i, j) with a nonzero cell, in increasing order.
+    Reading a pair builds its {k: Scalar} dict from the pair's cells, and
+    the view keeps no dict.  It keeps 8-byte integer arrays, built on first
+    use: the pairs that occur, where their cells start and where each row
+    i starts among them, so that a lookup is one bisection within a row,
+    and for each cell its output and the number of its constant among the
+    distinct constants, which are the only Scalars kept."""
+
+    def __init__(self, tensor: StructureTensor):
+        self._t = tensor
+
+    @cached_property
+    def _pairs(self) -> Tuple[array, array, array]:
+        """(the pairs i*d + j that occur; the position of the first cell of
+        each, then the number of cells; the position among the pairs of
+        the first pair of each row i, then the number of pairs)."""
+        t = self._t
+        first = np.flatnonzero(np.diff(t.pair, prepend=-1))
+        pairs = t.pair[first]
+        rows = np.searchsorted(pairs, np.arange(t.dim + 1) * t.dim)
+        return _int64s(pairs), _int64s(np.append(first, len(t.pair))), _int64s(rows)
+
+    @cached_property
+    def _cells(self) -> Tuple[array, array, List[Scalar]]:
+        """(the output of each cell, the number of its constant, the
+        distinct constants)."""
+        t, number = self._t, {}
+        codes = array("q", [number.setdefault(v, len(number)) for v in zip(*t.val.T.tolist())])
+        return _int64s(t.out), codes, [scalar_of(v, t.den) for v in number]
+
+    def __getitem__(self, key) -> Dict[int, Scalar]:
+        (pairs, starts, rows), d = self._pairs, self._t.dim
+        try:
+            i, j = key
+            i, j = operator.index(i), operator.index(j)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        p = i * d + j
+        n = bisect_left(pairs, p, rows[i], rows[i + 1]) if 0 <= i < d and 0 <= j < d else len(pairs)
+        if n == len(pairs) or pairs[n] != p:
+            raise KeyError(key)
+        out, codes, constants = self._cells
+        lo, hi = starts[n], starts[n + 1]
+        if hi - lo == 1:  # most pairs: e8 has 49,440 cells on 44,064 pairs
+            return {out[lo]: constants[codes[lo]]}
+        return dict(zip(out[lo:hi], map(constants.__getitem__, codes[lo:hi])))
+
+    def __iter__(self):
+        d = self._t.dim
+        return (divmod(p, d) for p in self._pairs[0])
+
+    def __len__(self) -> int:
+        return len(self._pairs[0])
+
+
+def _int64s(x: np.ndarray) -> array:
+    return array("q", x.astype(np.int64).tobytes())
 
 
 def commutator_closure_algebra(

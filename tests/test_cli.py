@@ -174,6 +174,9 @@ class TestOutputPin:
             # f4, through tri(O)
             (("magic-square", "--build", "r", "o", "--constants"),
              "aa430375b36d32b3285d4056ab743e5949ee738eeaecce36dea3a25b81c83c18"),
+            # e7, recorded while SCAlgebra kept a Scalar copy of its cells
+            (("magic-square", "--build", "h", "o", "--constants"),
+             "f0b48b7a3f64fcb96f4ffd61be039355b7fefb1f114969431739d8ad78dd3c6b"),
             # recorded while the adjugate was the interpolated gradient of Det
             (("jordan", "--a", "8", "adj", "--input", GAUSSIAN_H3O),
              "83853c4f12b980bdde4f31a2c24a26152a6572769aaca9ca0b4e96d511fd0523"),
@@ -190,7 +193,7 @@ class TestOutputPin:
              "c3ceebd03a9797f2c785c54326eff6f78644df9065946c3ba6519c697c02c3be"),
         ],
         ids=["derive-O", "magic-square-h-h", "derive-sedenion", "derive-split-O", "magic-square-r-o",
-             "jordan-adj", "jordan-det", "jordan-rank", "mul-table-sedenion", "mul-table-split-O",
+             "magic-square-h-o", "jordan-adj", "jordan-det", "jordan-rank", "mul-table-sedenion", "mul-table-split-O",
              "mul-table-H"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
@@ -335,6 +338,16 @@ class TestAsciiDigits:
         assert code == 2 and capsys.readouterr().out == ""
 
 
+def so3_entries(zero="0/1"):
+    """The so(3) entries [i, j, coefficients], [e0, e1] = e2 and cyclic,
+    with zero written as given in every zero slot."""
+    entries = []
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        for a, b, sign in ((i, j, "1/1"), (j, i, "-1/1")):
+            entries.append([a, b, [sign if t == k else zero for t in range(3)]])
+    return sorted(entries)
+
+
 class TestVerifyFile:
     def test_roundtrip(self, capsys, tmp_path):
         code, out = run_cli(capsys, "derive", "--algebra", "H", "--constants")
@@ -402,6 +415,34 @@ class TestVerifyFile:
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: ")
 
+
+    def test_repeated_pair_exit_two(self, capsys, tmp_path):
+        # one cell per (i, j, k): a pair listed twice is refused, not merged
+        entries = so3_entries()
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({"dim": 3, "entries": entries + [entries[2]]}))
+        code = cli.main(["verify", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: entry (1, 0) is listed twice\n"
+
+    @pytest.mark.parametrize("spelling", ["0", "-0/1", "0/5"])
+    def test_zero_spellings_read_as_zero(self, capsys, tmp_path, spelling):
+        # every coefficient but the canonical "0/1" is parsed; zeros drop out
+        canonical, spelled = tmp_path / "canonical.json", tmp_path / "spelled.json"
+        canonical.write_text(json.dumps({"dim": 3, "entries": so3_entries()}))
+        spelled.write_text(json.dumps({"dim": 3, "entries": so3_entries(spelling)}))
+        _, want = run_cli(capsys, "verify", str(canonical))
+        code, out = run_cli(capsys, "verify", str(spelled))
+        assert code == 0 and out == want and json.loads(out)["checked"] == 27
+
+    @pytest.mark.parametrize("text", ["x", "1/0", ""])
+    def test_malformed_coefficient_in_zero_slot_exit_two(self, capsys, tmp_path, text):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({"dim": 3, "entries": so3_entries(text)}))
+        code = cli.main(["verify", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.startswith("error: ")
 
     def test_huge_dim_refused_before_allocating(self, capsys, tmp_path, monkeypatch):
         # refused by the reader, before the Jacobi check's O(dim) arrays

@@ -1,5 +1,7 @@
 import itertools
 import random
+import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -101,6 +103,72 @@ class TestSCAlgebra:
         assert h.basis_bracket(0, 1) == g.basis_bracket(0, 1)
         with pytest.raises(ValueError, match="not skew"):
             ll.SCAlgebra(g.dim, ll.SCAlgebra(g.dim, {(0, 1): {0: ONE}}, skew=False).tensor)
+
+
+def reference_bracket(g):
+    """{(i, j): {k: c_ij^k}} read off the tensor's cells one by one, in
+    Scalar arithmetic."""
+    t, d, table = g.tensor, g.dim, {}
+    for p, k, v in zip(t.pair.tolist(), t.out.tolist(), t.val.tolist()):
+        c = sc(v[0]) + (I * sc(v[1]) if len(v) > 1 else ZERO)
+        table.setdefault((p // d, p % d), {})[k] = c / sc(t.den)
+    return table
+
+
+def view_algebras():
+    from excalg.magicsquare import triality_algebra
+
+    return {"tri(H)": triality_algebra("h").algebra, "gaussian": gaussian_gl2()}
+
+
+class TestBracketView:
+    @pytest.mark.parametrize("name", ["tri(H)", "gaussian"])
+    def test_matches_scalar_reference(self, name):
+        g = view_algebras()[name]
+        want = reference_bracket(g)
+        assert list(g.bracket) == list(want) == sorted(want)
+        for key, comp in want.items():
+            got = g.bracket[key]
+            assert got == comp and list(got) == sorted(comp)
+            assert [str(v) for v in got.values()] == [str(comp[k]) for k in got]
+        assert dict(g.bracket.items()) == want and list(g.bracket.values()) == list(want.values())
+
+    @pytest.mark.parametrize("name", ["tri(H)", "gaussian"])
+    def test_mapping_protocol(self, name):
+        g = view_algebras()[name]
+        view, want = g.bracket, reference_bracket(g)
+        assert isinstance(view, Mapping) and len(view) == len(want)
+        assert list(view.keys()) == sorted(want)
+        key = next(iter(want))
+        absent = next((i, j) for i in range(g.dim) for j in range(g.dim) if (i, j) not in want)
+        assert key in view and absent not in view
+        for other in (-1, g.dim, "x", (0,), (0, 1, 2), None, 0.5):
+            assert other not in view and (other, 0) not in view
+        assert view.get(key) == want[key] and view.get(absent) is None and view.get(absent, {}) == {}
+        with pytest.raises(KeyError):
+            view[absent]
+        assert view == want and want == view and not view != want
+        assert view != {**want, absent: {0: ONE}} and {**want, absent: {0: ONE}} != view
+        assert {**view} == want and dict(view) == want
+        with pytest.raises(TypeError):
+            view[absent] = {0: ONE}
+        with pytest.raises(TypeError):
+            del view[key]
+        # a read builds a new dict: changing it leaves the cells as they were
+        view[key][absent[0]] = sc(7)
+        assert view[key] == want[key] and g.basis_bracket(*key) == want[key]
+
+    def test_length_of_e7_allocates_under_a_megabyte(self):
+        from excalg.magicsquare import vinberg_build
+
+        g = vinberg_build("h", "o").algebra
+        tracemalloc.start()
+        try:
+            n = len(g.bracket)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == len(set(g.tensor.pair.tolist())) and peak < 1 << 20
 
 
 class TestDerivations:

@@ -115,17 +115,16 @@ def test_zero_input_gives_shared_zero():
     assert all(c is ZERO for c in alg.mul_coords(unit_vec(8, 3), x))
 
 
-def test_sc_tensor_is_built_on_first_use():
-    # without the skew flag nothing is built before the first product
+def test_sc_tensor_is_built_at_construction():
+    # a dict is turned into cells at once, with or without the skew flag,
+    # and the algebra keeps the tensor only; products read that tensor
     g = gaussian_sc_algebra()
-    h = ll.SCAlgebra(4, g.bracket, skew=False)
-    assert "tensor" not in vars(h)
-    h.bracket_coords(unit_vec(4, 0), unit_vec(4, 1))
+    h = ll.SCAlgebra(4, dict(g.bracket), skew=False)
     assert vars(h)["tensor"].dim == 4 and not h.tensor.rational
-    # a skew bracket's first use is its skew check; products reuse that tensor
-    built = vars(g)["tensor"]
-    g.bracket_coords(unit_vec(4, 0), unit_vec(4, 1))
-    assert g.tensor is built
+    assert not any(isinstance(v, dict) for v in vars(h).values())
+    built = h.tensor
+    assert h.bracket_coords(unit_vec(4, 0), unit_vec(4, 1)) == g.bracket_coords(unit_vec(4, 0), unit_vec(4, 1))
+    assert h.tensor is built and h.bracket == g.bracket
 
 
 @pytest.mark.parametrize("dim, degree", [(1, 3), (7, 2), (8, 1), (16, 2), (27, 3)])
@@ -267,11 +266,15 @@ def rational_vectors(d):
 
 def gaussian_vectors(d):
     """Vectors with a Gaussian coordinate: i e_j (one nonzero coordinate),
-    or dense, rational parts and imaginary parts past 2^63 included."""
+    or dense, rational parts and imaginary parts past 2^63 included.  The
+    dense ones set a nonzero imaginary part on coordinate j, so that no
+    draw cancels it."""
     units = st.integers(0, d - 1).map(lambda j: [I if k == j else ZERO for k in range(d)])
     parts = st.one_of(rationals, huge).filter(lambda s: not s.is_zero())
     dense = st.tuples(st.lists(wide_coordinates, min_size=d, max_size=d), st.integers(0, d - 1), parts)
-    return st.one_of(units, dense.map(lambda t: [c + t[2] * I if k == t[1] else c for k, c in enumerate(t[0])]))
+    return st.one_of(units, dense.map(
+        lambda t: [Scalar(c.re, t[2].re) if k == t[1] else c for k, c in enumerate(t[0])]
+    ))
 
 
 @pytest.mark.parametrize("name", sorted(ELEMENT_ALGEBRAS))
