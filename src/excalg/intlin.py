@@ -364,17 +364,19 @@ def _certified_kernel(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[List[i
 def _lift(residues, modulus: int, pivots: List[int], free: List[int], ncols: int):
     """Integer kernel vectors, one row per free column, from residues[r, k]
     = -R[r][free[k]] mod modulus, each scaled by the lcm of its
-    denominators, or None when a reconstruction fails."""
+    denominators, or None when a reconstruction fails.  With L the lcm of
+    the denominators found so far in its vector, a residue v is read as (L
+    v mod modulus) / L, with no search, when that and L are within the
+    reconstruction bound."""
     at, k = np.nonzero(residues)
-    recs = []
-    for v in residues[at, k].tolist():
-        rec = _rational_reconstruct(v, modulus)
+    bound, scales, recs = math.isqrt(modulus // 2), [1] * len(free), []
+    for kk, v in zip(k.tolist(), residues[at, k].tolist()):
+        w = (v * scales[kk] + bound) % modulus - bound  # L v mod modulus, from -bound up
+        rec = (w, scales[kk]) if max(abs(w), scales[kk]) <= bound else _rational_reconstruct(v, modulus)
         if rec is None:
             return None
+        scales[kk] = math.lcm(scales[kk], rec[1])
         recs.append(rec)
-    scales = [1] * len(free)
-    for kk, (_, den) in zip(k.tolist(), recs):
-        scales[kk] = math.lcm(scales[kk], den)
     vals = int_array(scales + [num * (scales[kk] // den) for kk, (num, den) in zip(k.tolist(), recs)])
     basis = np.zeros((len(free), ncols), dtype=vals.dtype)
     basis[np.arange(len(free)), free] = vals[: len(free)]

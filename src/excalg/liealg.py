@@ -99,15 +99,15 @@ class SCAlgebra:
             self._check_cartan_commutes()
 
     def _check_skew(self):
-        """c(i,j) = -c(j,i): the cells (a, b, m, v) and (b, a, m, v) of the
-        tensor sum to zero on every key (a*d + b)*d + m.  The sums are
-        symmetric in (a, b), so the first key that fails has a <= b."""
+        """c(i,j) = -c(j,i): the cells (b, a, m, v), sorted once, cancel the
+        cells (a, b, m, v), summed in a dtype that holds 2 * biggest.  Where
+        that first fails, the smaller key (a*d + b)*d + m has a <= b."""
         t, d = self.tensor, self.dim
-        val = t.val.astype(intlin.int_dtype(2 * t.biggest), copy=False)
-        swapped = (t.pair % d * d + t.pair // d) * d + t.out
-        bad = _first_nonzero(np.concatenate((t.pair * d + t.out, swapped)), np.concatenate((val, val)))
-        if bad is not None:
-            key = bad[0]
+        keys, swapped = t.pair * d + t.out, (t.pair % d * d + t.pair // d) * d + t.out
+        val, order = t.val.astype(intlin.int_dtype(2 * t.biggest), copy=False), np.argsort(swapped)
+        bad = np.flatnonzero((keys != swapped[order]) | (val + val[order] != 0).any(axis=1))
+        if bad.size:
+            key = min(keys[bad[0]], swapped[order[bad[0]]])
             raise ValueError(f"bracket not skew at ({key // (d * d)},{key // d % d},{key % d})")
 
     def _check_cartan_commutes(self):
@@ -375,7 +375,7 @@ def leibniz_kernel(
     cleared = _cleared([x for mats in unknowns for m in mats for x in m.values()])[0]
     cells = _Cells(t, max([0] + [abs(x) for _, re, im in cleared for x in (re, im)]))
     dtype = cells.val.dtype
-    ci, cj, cm, cval = cells.pair // d, cells.pair % d, cells.out, cells.val
+    ci, cj, cm, cval = cells.pair // d, cells.col, cells.out, cells.val
     slot, u, p, q = np.array([at[k] for k, _, _ in cleared], dtype=np.int64).reshape(-1, 4).T
     val = np.array([f[1:] for f in cleared], dtype=dtype).reshape(-1, 2)
     keys, vals = [], []
@@ -485,16 +485,18 @@ def _generators(cells: "_Cells") -> Optional[List[int]]:
     """A set S of basis indices that generates the algebra, or None when the
     derivation joins of S would have more terms than the scan.
 
-    Indices are taken cheapest join first, skipping those already reached,
-    and the reached set grows by :meth:`_Cells.generated` after each one."""
+    Each step takes the unreached s that the next peel would reach from
+    most often (pairs (s, r), r reached, with one lone output neither
+    reached nor s), the cheapest join on ties, and then peels
+    (:meth:`_Cells.generated`)."""
     costs, budget, spent = cells.join_terms, cells.scan_terms, 0
-    reached = np.zeros(cells.d, dtype=bool)
-    chosen = []
-    for s in np.argsort(costs, kind="stable").tolist():
-        if reached.all():
-            break
-        if reached[s]:
-            continue
+    (a, b, group), m = cells.upper_pairs, cells.out[cells.upper]
+    reached, chosen = np.zeros(cells.d, dtype=bool), []
+    while not reached.all():
+        s = np.where(reached[a], b, a)  # in a pair with one index reached, the other
+        lone = np.bincount(group[~reached[m] & (m != s[group])], minlength=len(a)) == 1
+        score = np.bincount(s[lone & (reached[a] != reached[b])], minlength=cells.d)
+        s = int(np.lexsort((costs, -score, reached))[0])  # unreached first
         spent += costs[s]
         if spent > budget:
             return None
@@ -505,13 +507,12 @@ def _generators(cells: "_Cells") -> Optional[List[int]]:
 
 
 class _Cells:
-    """The flat cell arrays of a structure tensor, shared, not copied: pair
-    a*d + b, output m and the values C[a,b,m] (one column over Q, two over
-    Q(i)), cast to Python integers only when a join needs them.  The
-    indexes the Jacobi joins read (the cells with a < b, the start of each
-    pair, and for the scan those cells sorted by output) are built on
-    first use, so a check that the certificate settles never sorts the
-    cells by output.
+    """The flat cell arrays of a structure tensor, shared: pair a*d + b, its
+    b, output m and the values C[a,b,m] (numbers over Q, (re, im) rows over
+    Q(i)), Python integers only when a join needs them.  The indexes the
+    Jacobi joins read (the cells with a < b and their pairs, and for the
+    scan those cells sorted by output) are built on first use, so a check
+    that the certificate settles never sorts cells by output.
 
     With T[a,b,c,l] = sum_m C[a,b,m] C[m,c,l], the coefficient of e_l in
     [[e_a, e_b], e_c], the Jacobi residual of (a, b, c) is T[a,b,c] +
@@ -522,13 +523,20 @@ class _Cells:
 
     def __init__(self, t: StructureTensor, other: int = 0):
         d = self.d = t.dim
-        self.pair, self.out = t.pair, t.out
-        self.val = t.val.astype(intlin.int_dtype(6 * d * max(t.biggest, other) ** 2), copy=False)
+        self.pair, self.out, self.col, val = t.pair, t.out, t.pair % d, t.val[:, 0] if t.rational else t.val
+        self.val = val.astype(intlin.int_dtype(6 * d * max(t.biggest, other) ** 2), copy=False)
 
     @cached_property
     def upper(self) -> np.ndarray:
         """The positions of the cells (a, b, m) with a < b, in key order."""
         return np.flatnonzero(self.pair // self.d < self.pair % self.d)
+
+    @cached_property
+    def upper_pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """a and b of each pair a < b with a cell, and each upper cell's pair."""
+        p = self.pair[self.upper]
+        new = np.diff(p, prepend=-1) != 0
+        return p[new] // self.d, p[new] % self.d, np.cumsum(new) - 1
 
     @cached_property
     def upper_by_out(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -537,16 +545,6 @@ class _Cells:
         by_out = self.out[self.upper] * d * d + self.pair[self.upper]
         order = np.argsort(by_out)
         return self.upper[order], by_out[order]
-
-    def starts(self, a: int) -> np.ndarray:
-        """starts[b]: the position of the first cell with pair >= a*d + b,
-        for b <= d: the bounds of the pairs (a, b) of row a."""
-        return np.searchsorted(self.pair, a * self.d + np.arange(self.d + 1))
-
-    @cached_property
-    def row_starts(self) -> np.ndarray:
-        """row_starts[a]: the position of the first cell of row a, a <= d."""
-        return np.searchsorted(self.pair, np.arange(self.d + 1) * self.d)
 
     def generated(self, reached: np.ndarray) -> np.ndarray:
         """The indices reached from the mask reached by peeling.
@@ -559,13 +557,11 @@ class _Cells:
         the algebra.  The peel is exact over Q and Q(i) and needs no prime
         and no elimination; peeling from a mask that is already closed
         returns it unchanged."""
-        u, d = self.upper, self.d
-        a, b, m = self.pair[u] // d, self.pair[u] % d, self.out[u]
-        group = np.cumsum(np.diff(self.pair[u], prepend=-1) != 0) - 1
+        (a, b, group), m = self.upper_pairs, self.out[self.upper]
         reached = reached.copy()
         while True:
-            pending = reached[a] & reached[b] & ~reached[m]
-            lone = pending & (np.bincount(group[pending], minlength=len(u))[group] == 1)
+            pending = (reached[a] & reached[b])[group] & ~reached[m]
+            lone = pending & (np.bincount(group[pending], minlength=len(a))[group] == 1)
             if not lone.any():
                 return reached
             reached[m[lone]] = True
@@ -597,18 +593,18 @@ class _Cells:
         -[[s, k], j] the product C[s,x,m] C[m,y,l] enters at (x, y, l)
         negated when x < y and at (y, x, l) when x > y; x = y contributes
         zero.  An entry sums at most 3d products, the scan's bound."""
-        d, pair, out, val, st = self.d, self.pair, self.out, self.val, self.starts(s)
-        u, rows = self.upper, self.row_starts
-        m = out[u]  # the pair (s, m) for each upper cell (j, k, m)
+        d, col, out, val, u = self.d, self.col, self.out, self.val, self.upper
+        rows = np.searchsorted(self.pair, np.arange(d + 1) * d)  # the first cell of each row, then the end
+        st = np.searchsorted(self.pair, s * d + np.arange(d + 1))  # the bounds of the pairs (s, b)
+        jk, m, c = self.pair[u] * d, out[u], val[u]  # the pair (s, m) for each upper cell (j, k, m)
         own, f = _ranges(st[m], st[m + 1])
-        c = u[own]
-        e = np.arange(st[0], st[d])
-        x, m = pair[e] % d, out[e]
+        keys, vals = jk[own] + out[f], _mul(c[own], val[f])
+        x, m, c = (a[st[0]:st[d]] for a in (col, out, val))  # the cells (s, x, m)
         own, g = _ranges(rows[m], rows[m + 1])
-        x, y = x[own], pair[g] % d
+        x, y = x[own], col[g]
         return (
-            np.concatenate((pair[c] * d + out[f], (np.minimum(x, y) * d + np.maximum(x, y)) * d + out[g])),
-            np.concatenate((_mul(val[c], val[f]), np.sign(x - y)[:, None] * _mul(val[e[own]], val[g]))),
+            np.concatenate((keys, (np.minimum(x, y) * d + np.maximum(x, y)) * d + out[g])),
+            np.concatenate((vals, _mul(np.sign(x - y), _mul(c[own], val[g])))),
         )
 
     def is_derivation(self, s: int) -> bool:
@@ -629,13 +625,13 @@ class _Cells:
         d, pair, out, val = self.d, self.pair, self.out, self.val
         lo, mid, hi = np.searchsorted(pair, [i * d, i * d + i + 1, i * d + d])
         e = np.arange(mid, hi)
-        s, m = pair[e] % d, out[e]
+        s, m = self.col[e], out[e]
         own, f = _span(pair, m * d + i + 1, m * d + d)
-        s, t = s[own], pair[f] % d
+        s, t = s[own], self.col[f]
         keys = (np.minimum(s, t) * d + np.maximum(s, t)) * d + out[f]
-        vals = np.sign(t - s)[:, None] * _mul(val[e[own]], val[f])
+        vals = _mul(np.sign(t - s), _mul(val[e[own]], val[f]))
         e = np.arange(lo, hi)
-        m = pair[e] % d
+        m = self.col[e]
         upper, upper_key = self.upper_by_out
         own, f = _span(upper_key, m * d * d + (i + 1) * d, (m + 1) * d * d)
         c, e = upper[f], e[own]
@@ -666,11 +662,10 @@ def _ranges(lo: np.ndarray, hi: np.ndarray):
 
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise products of cell values: one column for rationals, (re, im)
-    rows for Gaussian integers.  A one-column factor is real and scales
-    both parts of the other."""
-    if x.shape[1] == 1 or y.shape[1] == 1:
-        return x * y
+    """Row-wise products of cell values: numbers (1-D) for rationals, (re,
+    im) rows for Gaussian integers.  A number scales both parts of a row."""
+    if x.ndim == 1 or y.ndim == 1:
+        return (x[:, None] if x.ndim < y.ndim else x) * (y[:, None] if y.ndim < x.ndim else y)
     return np.stack(
         (x[:, 0] * y[:, 0] - x[:, 1] * y[:, 1], x[:, 0] * y[:, 1] + x[:, 1] * y[:, 0]),
         axis=1,
@@ -678,9 +673,24 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _summed(keys: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct keys in increasing order and the sums of their values.
-    The join keys come out nearly sorted, which the stable sort (timsort)
-    takes in fewer steps than the default quicksort."""
+    """The distinct keys (>= 0) in increasing order and the sums of their
+    values (numbers or rows), one row per key.  int64 numbers in [lo, hi]
+    with (max key + 1) 2^b passing intlin.int_dtype, b the bits of hi - lo,
+    take one sort of key 2^b + value - lo (int32 below 2^31) and cumulative
+    sums at the key ends, exact modulo 2^64, so exact under the caller's
+    bound on each sum; other values a stable argsort and reduceat."""
+    vals = vals if vals.ndim == 2 else vals[:, None]
+    if vals.dtype == np.int64 and vals.shape[1] == 1 and len(keys):
+        lo = int(vals.min())
+        bits = (int(vals.max()) - lo).bit_length()
+        bound = (int(keys.max()) + 1) << bits
+        if intlin.int_dtype(bound) is np.int64:
+            packed = ((keys << bits) + (vals[:, 0] - lo)).astype(np.int32 if bound < 1 << 31 else np.int64)
+            packed.sort()
+            keys = packed >> bits
+            ends = np.append(np.flatnonzero(keys[1:] != keys[:-1]), len(keys) - 1)
+            sums = np.cumsum((packed & ((1 << bits) - 1)).astype(np.int64))[ends] + lo * (ends + 1)
+            return keys[ends].astype(np.int64), np.diff(sums, prepend=0)[:, None]
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
@@ -704,16 +714,18 @@ def _first_nonzero(keys: np.ndarray, vals: np.ndarray, d: int = 1, den: int = 1)
 def _killing_join(t: StructureTensor) -> np.ndarray:
     """K[i,j] = sum_ab C[i,a,b] C[j,b,a] for the integer-scaled bracket
     C = den * c, as a d x d array of value rows: the cells (i, a, b) joined
-    with the cells (j, b, a) on the key a*d + b.  The products are int64
-    when (columns) * max^2 < 2**63, and the sums when the most terms of one
-    entry times the largest |product| is below 2**63; otherwise they are
-    Python integers."""
-    d = t.dim
+    with the cells (j, b, a) on the key a*d + b, read off the counts and
+    starts of the latter's keys.  The products are int64 when (columns) *
+    max^2 < 2**63, and the sums when the most terms of one entry times the
+    largest |product| is below 2**63; otherwise they are Python integers."""
+    d, val = t.dim, t.val[:, 0] if t.rational else t.val
     left, right = t.pair % d * d + t.out, t.out * d + t.pair % d
-    order = np.argsort(right)
-    own, f = _span(right[order], left, left + 1)
+    order, count = np.argsort(right), np.bincount(right, minlength=d * d)
+    starts = np.cumsum(count) - count
+    own, f = _ranges(starts[left], starts[left] + count[left])
+    del left, right, count, starts  # so the sums below do not add to the peak
     f = order[f]
-    x, y = t.val[own], t.val[f]
+    x, y = val[own], val[f]
     if intlin.int_dtype(t.val.shape[1] * t.biggest ** 2) is object:
         x, y = x.astype(object), y.astype(object)
     products = _mul(x, y)

@@ -170,6 +170,14 @@ def _dense(t: StructureTensor) -> np.ndarray:
     return t.dense()[..., 0]
 
 
+def _outer(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The nonzero entries of the outer product x[...] y[...], formed from
+    those of x and of y: the indices into x, those into y, the products."""
+    at_x, at_y = np.nonzero(x), np.nonzero(y)
+    i, j = np.divmod(np.arange(len(at_x[0]) * len(at_y[0])), len(at_y[0]))
+    return (*(c[i] for c in at_x), *(c[j] for c in at_y), exact_product(x[at_x][i], y[at_y][j]))
+
+
 def _skew_map(flat: np.ndarray, d: int) -> np.ndarray:
     """Maps w[h, k] on the pairs e_a ^ e_c, a < c, one row k per pair, as
     one array W[h, a, c] extended by W[h, c, a] = -W[h, a, c]."""
@@ -289,15 +297,15 @@ class _SquareTables:
 
     The cells, both orientations of every pair, are held in three arrays:
     `pair` (p * dim + q), `out` (the coordinate k) and `val` (den times the
-    constant), with repeated (pair, out) cells adding up.  They are filled
-    block by block from dense integer arrays: (i) the tri(A) and tri(B)
-    tensors; (ii) tri acting on a slot through its projection, tri(A) on the
-    left factor and tri(B) on the right; (iii) the cross-slot products with
-    the conjugation pattern conj(e_a) = s_a e_a: (0,1) -> slot 2: e_a e_c (x)
-    e_b e_d, (0,2) -> slot 1: -conj(e_a) e_c (x) conj(e_b) e_d, (1,2) ->
-    slot 0: e_c conj(e_a) (x) e_d conj(e_b); (iv) in one slot, psi(e_a ^
-    e_c) <e_b, e_d> in tri(A) and psi(e_b ^ e_d) <e_a, e_c> in tri(B), each
-    map psi times its coupling in COUPLINGS.
+    constant), with repeated (pair, out) cells adding up.  The blocks hold
+    nonzero entries only, (ii)-(iv) as outer products (:func:`_outer`): (i)
+    the cells of the tri(A) and tri(B) tensors; (ii) tri acting on a slot
+    through its projection, tri(A) on the left factor and tri(B) on the
+    right; (iii) the cross-slot products with the conjugation pattern
+    conj(e_a) = s_a e_a: (0,1) -> slot 2: e_a e_c (x) e_b e_d, (0,2) -> slot
+    1: -conj(e_a) e_c (x) conj(e_b) e_d, (1,2) -> slot 0: e_c conj(e_a) (x)
+    e_d conj(e_b); (iv) in one slot, psi(e_a ^ e_c) <e_b, e_d> in tri(A) and
+    psi(e_b ^ e_d) <e_a, e_c> in tri(B), psi times its coupling in COUPLINGS.
     """
 
     def __init__(self, key_a: str, key_b: str):
@@ -309,35 +317,23 @@ class _SquareTables:
         self.slot = da * db
         self.dim = pa + pb + 3 * self.slot
         slot, blocks = self.slot_index, []
-
-        def add(value, den, index, mirror=False):
-            # index maps the positions of the nonzero entries to (p, q, k)
-            at = np.nonzero(value)
-            blocks.append((*index(*at), value[at], den, mirror))
-
-        for tri, off in ((tri_a, 0), (tri_b, pa)):
-            if tri.dim:
-                add(_dense(tri.algebra.tensor), tri.algebra.tensor.den,
-                    lambda p, q, k: (p + off, q + off, k + off))
+        for t, off in ((tri_a.algebra.tensor, 0), (tri_b.algebra.tensor, pa)):
+            blocks.append((t.pair // t.dim + off, t.pair % t.dim + off, t.out + off, t.val[:, 0], t.den, False))
         for i, proj in enumerate(SLOT_PROJ):
             # t_r . (e_a (x) e_b) = P_r e_a (x) e_b, resp. e_a (x) P_r e_b
-            if pa:
-                add(np.broadcast_to(tri_a.proj[proj - 1][..., None], (pa, da, da, db)), tri_a.den,
-                    lambda r, x, a, b: (r, slot(i, a, b), slot(i, x, b)), mirror=True)
-            if pb:
-                add(np.broadcast_to(tri_b.proj[proj - 1][:, :, None, :], (pb, db, da, db)), tri_b.den,
-                    lambda r, x, a, b: (pa + r, slot(i, a, b), slot(i, a, x)), mirror=True)
+            r, x, a, b, v = _outer(tri_a.proj[proj - 1], np.ones(db, dtype=np.int64))
+            blocks.append((r, slot(i, a, b), slot(i, x, b), v, tri_a.den, True))
+            a, r, x, b, v = _outer(np.ones(da, dtype=np.int64), tri_b.proj[proj - 1])
+            blocks.append((pa + r, slot(i, a, b), slot(i, a, x), v, tri_b.den, True))
         ca, cb = _dense(alg_a.tensor), _dense(alg_b.tensor)
-        conj = np.outer(alg_a.conj_signs, alg_b.conj_signs)[:, :, None, None, None, None]
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            # v[a, b, c, d, m, n]: the e_m (x) e_n coordinate of the product
+            # the e_m (x) e_n coordinate of (e_a (x) e_b)(e_c (x) e_d)
             xa, xb = (ca, cb) if i == 0 else (ca.transpose(1, 0, 2), cb.transpose(1, 0, 2))
-            v = exact_product(xa[:, None, :, None, :, None], xb[None, :, None, :, None, :])
+            a, c, m, b, d, n, v = _outer(xa, xb)
             if j == 2:
-                v = v * conj * (-1 if i == 0 else 1)
-            add(v, alg_a.tensor.den * alg_b.tensor.den,
-                lambda a, b, c, d, m, n: (slot(i, a, b), slot(j, c, d), slot(3 - i - j, m, n)),
-                mirror=True)
+                v = v * np.outer(alg_a.conj_signs, alg_b.conj_signs)[a, b] * (-1 if i == 0 else 1)
+            blocks.append((slot(i, a, b), slot(j, c, d), slot(3 - i - j, m, n), v,
+                           alg_a.tensor.den * alg_b.tensor.den, True))
         ga, den_a = cleared_ints((x for row in alg_a.gram.entries for x in row), (da, da))
         gb, den_b = cleared_ints((x for row in alg_b.gram.entries for x in row), (db, db))
         for i, proj in enumerate(SLOT_PROJ):
@@ -345,11 +341,11 @@ class _SquareTables:
             psi_a, psi_b = equivariant_pair_maps(key_a, proj), equivariant_pair_maps(key_b, proj)
             ua, ub = (np.array(COUPLINGS[key][i], dtype=np.int64)[:, None, None] for key in (key_a, key_b))
             for w in _skew_map(exact_product(psi_a.w, ua), da):
-                add(exact_product(w[:, None, :, None, :], gb[None, :, None, :, None]), psi_a.den * den_b,
-                    lambda a, b, c, d, s: (slot(i, a, b), slot(i, c, d), s))
+                a, c, s, b, d, v = _outer(w, gb)
+                blocks.append((slot(i, a, b), slot(i, c, d), s, v, psi_a.den * den_b, False))
             for w in _skew_map(exact_product(psi_b.w, ub), db):
-                add(exact_product(ga[:, None, :, None, None], w[None, :, None, :, :]), psi_b.den * den_a,
-                    lambda a, b, c, d, s: (slot(i, a, b), slot(i, c, d), pa + s))
+                a, c, b, d, s, v = _outer(ga, w)
+                blocks.append((slot(i, a, b), slot(i, c, d), pa + s, v, psi_b.den * den_a, False))
         self.den = lcm(1, *(b[4] for b in blocks))
         cells = []
         for p, q, k, v, den, mirror in blocks:
@@ -366,8 +362,8 @@ class _SquareTables:
         divided once."""
         vals = self.val.astype(int_dtype(biggest(self.val) * len(self.val)))
         keys, sums = _summed(self.pair * self.dim + self.out, vals)
-        keys, sums = keys[sums != 0], sums[sums != 0]
-        g = gcd(self.den, *sums.tolist())
+        keys, sums = keys[sums[:, 0] != 0], sums[sums[:, 0] != 0]
+        g = gcd(self.den, *sums.ravel().tolist())
         return StructureTensor.from_cells(self.dim, self.den // g, keys, sums // g)
 
 

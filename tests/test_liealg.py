@@ -89,6 +89,16 @@ class TestSCAlgebra:
         back = ll.SCAlgebra.from_json(g.to_json())
         assert back.bracket == g.bracket and back.dim == 3
 
+    def test_skew_check_sums_past_int64(self):
+        # c(0,1) = c(1,0) = -2**63 are int64 cells; negating one wraps to
+        # itself, but their sum -2**64 is not zero, so the bracket is not skew
+        low = str(-(1 << 63))
+        data = {"dim": 2, "entries": [[0, 1, [low, "0/1"]], [1, 0, [low, "0/1"]]]}
+        with pytest.raises(ValueError, match=r"^bracket not skew at \(0,1,0\)$"):
+            ll.SCAlgebra.from_json(data)
+        data["entries"][1][2][0] = str(1 << 63)
+        assert ll.SCAlgebra.from_json(data).tensor.biggest == 1 << 63
+
     @pytest.mark.parametrize("field", ["rational", "gaussian"])
     def test_tensor_constructor_and_lazy_view(self, field):
         # an algebra kept as its tensor reads like the dict-built one; its
@@ -435,7 +445,11 @@ class TestJacobiCertificate:
     def test_report_equals_the_scan(self, case, octonions, monkeypatch):
         g = der_o_variant(octonions, case)
         cells = ll._Cells(g.tensor)
-        assert ll._generators(cells) is not None
+        chosen = ll._generators(cells)
+        assert chosen is not None
+        seeds = np.zeros(g.dim, dtype=bool)
+        seeds[chosen] = True
+        assert cells.generated(seeds).all()
         assert cells.val.dtype == (object if "2^40" in case else np.int64)
         assert g.tensor.rational == ("gaussian" not in case)
         certified = full_report(g)
@@ -467,8 +481,7 @@ class TestJacobiCertificate:
     def test_square_entries_take_the_certificate(self, monkeypatch):
         from excalg import magicsquare as ms
 
-        entries = [ms.built_square_entry(a, b) for a in "rcho" for b in "rcho"]
-        entries = [e.algebra for e in entries if e.dim <= 133]
+        entries = [ms.built_square_entry(a, b).algebra for a in "rcho" for b in "rcho"]
         scans = []
         monkeypatch.setattr(ll, "_scan", lambda *args, scan=ll._scan: scans.append(1) or scan(*args))
         certified = [full_report(g) for g in entries]
@@ -521,8 +534,10 @@ class TestJacobiCertificate:
         cells, d = ll._Cells(entry.algebra.tensor), entry.dim
         tri = np.arange(d) < sum(entry.tri_dims)
         assert cells.generated(tri).tolist() == tri.tolist()
+        chosen = ll._generators(cells)
+        assert chosen is not None
         seeds = np.zeros(d, dtype=bool)
-        seeds[ll._generators(cells)] = True
+        seeds[chosen] = True
         assert cells.generated(seeds).all()
 
     @pytest.mark.parametrize("weight", [2, 3])
@@ -555,6 +570,104 @@ class TestJacobiCertificate:
         scan_only(monkeypatch)
         assert (full_report(f4), full_report(bad)) == certified
         assert rows[:52] == list(range(52)) and rows[52] == 0
+
+    def test_e8_takes_few_generators(self):
+        # the index the next peel reaches from most often first: 8
+        # generators joining 532,944 terms, where cheapest join first took
+        # 16 joining 860,760
+        from excalg import magicsquare as ms
+
+        cells = ll._Cells(ms.built_square_entry("o", "o").algebra.tensor)
+        chosen = ll._generators(cells)
+        assert len(chosen) <= 8 and cells.join_terms[chosen].sum() <= 550_000
+
+    def test_e8_corruption_outside_the_generators_fails(self, monkeypatch):
+        # a constant of e8 whose indices and output avoid every chosen
+        # generator, tripled with its mirror: some ad s is no longer a
+        # derivation, and the report is the scan's
+        from excalg import magicsquare as ms
+
+        g = ms.built_square_entry("o", "o").algebra
+        t, d = g.tensor, g.dim
+        chosen = ll._generators(ll._Cells(t))
+        i, j = divmod(t.pair, d)
+        n = np.flatnonzero((i < j) & ~np.isin(i, chosen) & ~np.isin(j, chosen) & ~np.isin(t.out, chosen))[0]
+        mirror = np.flatnonzero((t.pair == j[n] * d + i[n]) & (t.out == t.out[n]))
+        val = t.val.copy()
+        val[[n, *mirror]] *= 3
+        bad = ll.SCAlgebra(d, StructureTensor.from_cells(d, t.den, t.pair * d + t.out, val))
+        cells = ll._Cells(bad.tensor)
+        assert ll._generators(cells) == chosen
+        assert not all(cells.is_derivation(s) for s in chosen)
+        report = full_report(bad)
+        scan_only(monkeypatch)
+        assert not report[0] and report == full_report(bad)
+
+
+def dict_sums(keys, vals):
+    """{key: [sum of each column]} in Python integers."""
+    out = {}
+    rows = vals.reshape(len(vals), -1).tolist() if len(vals) else []
+    for k, row in zip(keys.tolist(), rows):
+        out[k] = [a + int(x) for a, x in zip(out.get(k, [0] * len(row)), row)]
+    return out
+
+
+class TestSummed:
+    def check(self, keys, vals):
+        got, sums = ll._summed(keys, vals)
+        ref = dict_sums(keys, vals)
+        assert got.dtype == np.int64 and sums.ndim == 2 and len(sums) == len(got)
+        assert got.tolist() == sorted(ref)
+        assert [[int(x) for x in row] for row in sums.tolist()] == [ref[k] for k in sorted(ref)]
+        return got, sums
+
+    def test_rational_int64_matches_dict_sums_and_the_fallback(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        keys = rng.integers(0, 3000, size=5000)
+        vals = rng.integers(-60, 60, size=5000)
+        packed = self.check(keys, vals)
+        assert np.array_equal(packed[1], self.check(keys, vals[:, None])[1])
+        # every dtype choice forced to Python integers: the argsort path
+        monkeypatch.setattr(intlin, "int_dtype", lambda bound: object)
+        fallback = self.check(keys, vals)
+        assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(packed, fallback))
+
+    def test_gaussian_and_object_values(self):
+        rng = np.random.default_rng(6)
+        keys = rng.integers(0, 50, size=400)
+        self.check(keys, rng.integers(-9, 9, size=(400, 2)))
+        big = np.array([(1 << 70) + int(x) for x in rng.integers(-5, 5, size=400)], dtype=object)
+        self.check(keys, big)
+        self.check(keys, np.stack([big, -big], axis=1))
+
+    @pytest.mark.parametrize("top, width", [
+        ((1 << 23) - 2, 40), ((1 << 23) - 1, 40), ((1 << 30) - 2, 1), ((1 << 30) - 1, 1),
+    ])
+    def test_values_at_the_edge_of_the_packing_bound(self, top, width, monkeypatch):
+        # values spanning `width` bits under keys up to top: the packed
+        # bound (top + 1) << width is just below or at 2**63 (packed in
+        # int64, or the argsort path), and just below or at 2**31 (packed
+        # in int32 or in int64)
+        bounds = []
+        monkeypatch.setattr(intlin, "int_dtype", lambda b, f=intlin.int_dtype: bounds.append(b) or f(b))
+        keys = np.array([top, 0, top, 5, 0, 5], dtype=np.int64)
+        lo = -(1 << (width - 1)) + 1 if width > 1 else 0
+        vals = np.array([lo + (1 << width) - 1, lo, lo, 1 + lo, lo + 1, -lo], dtype=np.int64)
+        self.check(keys, vals)
+        assert bounds == [(top + 1) << width]
+
+    def test_cumulative_sums_that_wrap(self):
+        # each key's sum fits int64, their running total passes 2**63
+        keys = np.repeat(np.arange(3), 6)
+        vals = np.tile([1 << 60, (1 << 60) - 1], 9)
+        assert sum(vals.tolist()) > 1 << 63
+        self.check(keys, vals)
+
+    @pytest.mark.parametrize("columns", [(), (1,), (2,)])
+    def test_empty_input(self, columns):
+        keys, sums = ll._summed(np.zeros(0, dtype=np.int64), np.zeros((0, *columns), dtype=np.int64))
+        assert keys.shape == (0,) and sums.shape == (0, max(columns, default=1))
 
 
 def _elementary(n, i, j):
