@@ -48,7 +48,7 @@ clock = time.perf_counter
 PRODUCT_LOOP = ("product", "vec_product")
 # (stage, module, attribute): the Scalar path calls forms.form_rank, q_of,
 # QuadForm.rank and linear_divisor_dim; the integer path calls _quad_form,
-# QuadForm.rank and, on a named table, _kernel (named _nullity before it
+# QuadForm.rank and, on a named table, _nullity (named _kernel while it
 # returned the kernel vectors)
 PULLBACK_STAGES = (
     ("pullback", "forms", "pullback"),

@@ -14,28 +14,26 @@ eliminates it once and checks that its free columns come in pairs, and
 :func:`span_coordinates` solves its family in it.  All read one certified
 kernel, which
 
-1. discovers the pivot/free structure modulo a word-sized prime, after
-   reducing the entries mod p when they are too large for the float bound
-   and an exact random row compression that keeps every product below 2**53
-   so the matmul can run through BLAS,
+1. discovers the pivot/free structure modulo a word-sized prime, on the
+   rows as they are, so that sparse rows stay sparse,
 2. lifts the modular kernel to Q by rational reconstruction (with CRT over
    several primes when single-prime reconstruction fails), and
 3. verifies A @ K == 0 exactly (in float64 when provably exact, in Python
    integers otherwise).
 
-The result is exact, not heuristic.  Row operations and reduction mod p
-never raise the rank of a prefix of columns, so a prime's pivots are never
-more, and never earlier, than the rational pivots; the verified kernel
-vectors, one per free column, then prove that the modular pivots are the
-rational ones.  A prime whose pivots are fewer or later is passed over, and
-failures at any stage retry with fresh randomness and more primes.
+The result is exact, not heuristic.  Reduction mod p never raises the rank
+of a prefix of columns, so a prime's pivots are never more, and never
+earlier, than the rational pivots; the verified kernel vectors, one per
+free column, then prove that the modular pivots are the rational ones.  A
+prime whose pivots are fewer or later is passed over, and a failed lift or
+check retries with more primes.  When only the size of the kernel is read
+(:func:`nullity`), a prime with min(m, n) pivots proves it without a lift.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,60 +88,37 @@ _BLOCKED_MADDS = 1 << 24
 
 
 def _mod_p_rref(a: np.ndarray, p: int):
-    """Reduced row echelon form mod p.
-
-    Per-pivot vectorized updates restricted to the columns right of the
-    pivot (the pivot column itself becomes a unit vector and is written
-    directly).  With p < 2**31 all int64 products stay in range.
-    """
-    a = a % p
+    """Reduced row echelon form mod p of integer rows a, of any size, as a
+    new int64 array, and its pivots.  A pivot updates the rows with an entry
+    in its column, only on its row's nonzero columns when those are under a
+    quarter (sparse systems).  With p < 2**31 no int64 overflows."""
+    # entries below p in absolute value are kept, and every entry written is in [0, p)
+    a = a.astype(np.int64, order="K") if a.dtype != object and biggest(a) < p else (a % p).astype(np.int64)
     m, n = a.shape
     pivots: List[int] = []
     r = 0
     for c in range(n):
         if r >= m:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        rows = a[:, c].nonzero()[0]
+        if not rows.size or rows[-1] < r:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
+        pr = int(rows[rows.searchsorted(r)])
+        if pr != r:  # row r has a zero in column c
             a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = (a[r, c:] * inv) % p
-        fac = a[:, c].copy()
-        fac[r] = 0
-        nzrows = np.nonzero(fac)[0]
-        if nzrows.size:
-            tail = a[nzrows, c + 1 :]
-            tail -= np.outer(fac[nzrows], a[r, c + 1 :])
-            tail %= p
-            a[nzrows, c + 1 :] = tail
-        a[:, c] = 0
-        a[r, c] = 1
+        row = a[r, c:]
+        row[:] = row * pow(int(row[0]), p - 2, p) % p
+        rows = rows[rows != pr]
+        if rows.size:
+            if 4 * np.count_nonzero(row) < row.size:
+                cols = row.nonzero()[0]
+                at, row = np.ix_(rows, c + cols), row[cols]
+            else:
+                at = rows, slice(c, None)
+            a[at] = (a[at] - a[rows, c, None] * row) % p
         pivots.append(c)
         r += 1
     return a, pivots
-
-
-def _compress(a: np.ndarray, rng: random.Random) -> np.ndarray:
-    """Exact random row compression to ~ncols + 40 rows.
-
-    Products stay below 2**53, so the float64 matmul is exact.
-    """
-    m, n = a.shape
-    target = min(m, n + 40)
-    if m <= target:
-        return a
-    amax = biggest(a)
-    # entry bound for R chosen so that m * rmax * amax < 2**53
-    rmax = min(max(2, int(_FLOAT_EXACT // (max(amax, 1) * m * 4))), 1 << 12)
-    # drawn from rng itself: importing numpy.random would cost memory
-    r = np.frombuffer(rng.randbytes(2 * target * m), np.uint16).reshape(target, m) % rmax
-    bound = float(m) * (rmax - 1) * max(amax, 1)
-    if bound >= _FLOAT_EXACT:
-        raise ValueError("entries too large for exact float compression")
-    return np.rint(_float_matmul(r.astype(np.float64), a.astype(np.float64))).astype(np.int64)
 
 
 def _rational_reconstruct(v: int, modulus: int) -> Optional[tuple[int, int]]:
@@ -243,6 +218,30 @@ def kernel_array(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[np.ndarray,
     return _certified_kernel(rows, ncols)[1:]
 
 
+def nullity(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """The number of vectors of :func:`kernel_array`.  Reduction never
+    raises the rank, so rank min(m, n) modulo the first prime (over Q(i):
+    of the real form, free columns paired) proves nullity max(n - m, 0)."""
+    a, gaussian = _system(rows, ncols)
+    pivots = set(_mod_p_rref(a, _PRIMES[0])[1])
+    free = [j for j in range(a.shape[1]) if j not in pivots]
+    if len(pivots) == min(a.shape) and (not gaussian or _paired(free)):
+        return len(free) // (1 + gaussian)
+    return len(kernel_array(rows, ncols)[0])
+
+
+def _system(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[np.ndarray, bool]:
+    """(A, gaussian): the rows as one array [m, ncols], Gaussian ones in real form."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 3:
+        return _realified(rows), True
+    return int_array(rows).reshape(len(rows), ncols), False
+
+
+def _paired(free: List[int]) -> bool:
+    """Whether the free columns of a real form come in pairs (2f, 2f + 1)."""
+    return free[1::2] == [f + 1 for f in free[0::2]] and not any(f % 2 for f in free[0::2])
+
+
 def span_coordinates(family: np.ndarray, targets: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
     """Coordinates of the target rows in the independent family rows: (X,
     den) with X @ family == den * targets, or None when a target lies
@@ -250,9 +249,9 @@ def span_coordinates(family: np.ndarray, targets: np.ndarray) -> Optional[Tuple[
 
     The n family rows are reduced modulo a prime for n pivot columns, on
     which the n x n block B is invertible over Q too (a minor that is
-    nonzero mod p is nonzero).  All targets are solved at once on those
-    columns by the certified kernel of [B^T | T^T], and the product is then
-    checked exactly on every column.
+    nonzero mod p is nonzero).  B is inverted once, by the certified kernel
+    of [B^T | I], the targets on those columns are multiplied by the
+    inverse, and the product is then checked exactly on every column.
 
     Gaussian integer arrays [n, m, 2] and [t, m, 2] of (re, im) are solved
     in their real form: row 2k of the realified family is phi(v_k) and row
@@ -268,17 +267,19 @@ def span_coordinates(family: np.ndarray, targets: np.ndarray) -> Optional[Tuple[
         return np.stack((x[:, 0::2], -x[:, 1::2]), axis=-1), den
     n = len(family)
     for tried, p in enumerate(_PRIMES):
-        pivots = _mod_p_rref((family % p).astype(np.int64), p)[1]
+        pivots = _mod_p_rref(family, p)[1]
         if len(pivots) == n:
             break
         if not tried and _certified_kernel(family.T, n)[0]:
             raise ValueError("the family is linearly dependent")
     else:
         raise ArithmeticError("no prime keeps the family independent")
-    k, den = kernel_array(np.concatenate((family[:, pivots], targets[:, pivots])).T, n + len(targets))
-    # B is invertible, so the free columns are the targets', in order, and
-    # kernel vector j is (-x_j, den e_j)
-    x = -k[:, :n]
+    k, den = kernel_array(np.concatenate((family[:, pivots].T, np.eye(n, dtype=np.int64)), axis=1), 2 * n)
+    # B is invertible, so the free columns are the identity's and kernel
+    # vector j is (-den B^-1[j], den e_j)
+    x = checked_int_matmul(targets[:, pivots], -k[:, :n])
+    g = math.gcd(den, *x.ravel().tolist())
+    x, den = x // g, den // g
     if not np.array_equal(checked_int_matmul(x, family), exact_product(targets, np.array(den))):
         return None
     return x, den
@@ -311,25 +312,21 @@ def _certified_kernel(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[List[i
     columns come in pairs (2f, 2f + 1); a lone free column raises.  The
     vector of column 2f, with x_2j + i x_2j+1 at j, is the Q(i) vector of
     free column f, returned as K[k, ncols, 2]."""
-    gaussian = isinstance(rows, np.ndarray) and rows.ndim == 3
-    a_full = _realified(rows) if gaussian else int_array(rows).reshape(len(rows), ncols)
+    a_full, gaussian = _system(rows, ncols)
     width = a_full.shape[1]
     amax = biggest(a_full)
-    # reduce mod p first when an entry is past the float bound of _compress
-    big = a_full.dtype == object or amax >= _PRIMES[-1]
     # Each number to lift is a ratio of minors below 2**height (Hadamard).
     # It takes about 2 * height / 29 primes with the right pivots, and the
     # primes with wrong ones divide a nonzero minor, so there are fewer.
     height = min(a_full.shape) * (amax * width).bit_length()
     primes = itertools.chain(_PRIMES, _primes_below(_PRIMES[-1]))
-    rng = random.Random(0xE8)
 
     residues = None  # -R[r][free[k]] modulo the product of the primes used
     modulus = 1
     pivots_ref: Optional[List[int]] = None
     for p in itertools.islice(primes, len(_PRIMES) + height // 7):
-        a = (a_full % p).astype(np.int64) if big else a_full
-        red, pivots = _mod_p_rref(_compress(a, rng) if a.size else a, p)
+        # every prime eliminates the rows as given, so sparse rows stay sparse
+        red, pivots = _mod_p_rref(a_full, p)
         # more pivots, then earlier ones, are closer to the rational pivots
         if pivots_ref is None or (-len(pivots), pivots) < (-len(pivots_ref), pivots_ref):
             pivots_ref, residues, modulus = pivots, None, 1
@@ -350,7 +347,7 @@ def _certified_kernel(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[List[i
     else:
         raise ArithmeticError("integer kernel lifting failed; system too ill-conditioned")
     if gaussian:
-        if free[1::2] != [f + 1 for f in free[0::2]] or any(f % 2 for f in free[0::2]):
+        if not _paired(free):
             raise ArithmeticError("real form of a Q(i) system has unpaired pivots")
         free, basis = free[0::2], basis[0::2]
     scales = basis[np.arange(len(free)), free].tolist()

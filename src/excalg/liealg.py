@@ -278,10 +278,10 @@ def commutator_closure_algebra(
     array [n, ..., r, c] of numerators over den whose middle axes index
     diagonal blocks, with a trailing (re, im) axis when gaussian.  The
     algebra keeps the family: the list, or an array without block axes
-    with den, for its ``matrices`` view.  The commutators are formed as
-    integer products, solved for at once and certified on every entry by
-    :func:`excalg.intlin.span_coordinates` (over Q or Q(i)), and the
-    bracket is built as integer cells."""
+    with den, for its ``matrices`` view.  The commutators are two stacked
+    integer products over the pairs i < j, solved for at once and certified
+    on every entry by :func:`excalg.intlin.span_coordinates` (over Q or
+    Q(i)), and the bracket is built as integer cells."""
     n = len(matrices)
     if n == 0:
         return SCAlgebra(0, {}, skew=True, matrices=[], name=name, cartan=cartan)
@@ -292,8 +292,9 @@ def commutator_closure_algebra(
         ints, den = cleared_ints(entries, (n, matrices[0].rows, matrices[0].cols))
         kept, tail = matrices, ints.shape[3:]
     family = ints.reshape((n, -1) + tail)
-    comms = [_product(ints[i], ints[i + 1:], tail) - _product(ints[i + 1:], ints[i], tail) for i in range(n)]
-    solved = intlin.span_coordinates(family, np.concatenate(comms).reshape((-1,) + family.shape[1:]))
+    i, j = np.triu_indices(n, 1)
+    comms = _product(ints[i], ints[j], tail) - _product(ints[j], ints[i], tail)
+    solved = intlin.span_coordinates(family, comms.reshape((-1,) + family.shape[1:]))
     if solved is None:
         raise ValueError("matrix family is not closed under commutators")
     # ints holds den * M_i and comms den^2 [M_i, M_j], so c_ij^k = x / (scale * den)
@@ -301,7 +302,6 @@ def commutator_closure_algebra(
     x = x if tail else x[..., None]
     if not x[..., 1:].any():  # a Q(i) family may still close over Q
         x = x[..., :1]
-    i, j = np.triu_indices(n, 1)
     r, k = np.nonzero(x.any(axis=2))
     keys = np.concatenate(((i[r] * n + j[r]) * n + k, (j[r] * n + i[r]) * n + k))
     order = np.argsort(keys)
@@ -397,7 +397,8 @@ def leibniz_kernel(
     rows = dict.fromkeys(
         (tuple(cols[a:b]), tuple(re[a:b]), tuple(im[a:b])) for a, b in zip(bounds, bounds[1:])
     )
-    a = np.zeros((len(rows), n, 2) if any(im) else (len(rows), n), dtype=dtype)
+    # column-major, so that the elimination reads each column contiguously
+    a = np.zeros((len(rows), n, 2) if any(im) else (len(rows), n), dtype=dtype, order="F")
     for r, (cs, xs, ys) in enumerate(rows):
         a[r, [n - 1 - c for c in cs]] = list(zip(xs, ys)) if a.ndim == 3 else xs
     k, den = intlin.kernel_array(a, n)
@@ -742,7 +743,7 @@ def killing_nondegenerate(g: SCAlgebra) -> bool:
     """True when the Killing form has an empty (verified) kernel, over Q or
     over Q(i)."""
     k = _killing_join(g.tensor)
-    return not len(intlin.kernel_array(k[:, :, 0] if g.tensor.rational else k, g.dim)[0])
+    return not intlin.nullity(k[:, :, 0] if g.tensor.rational else k, g.dim)
 
 
 def derived_dimension(g: SCAlgebra) -> int:
@@ -763,7 +764,7 @@ def derived_dimension(g: SCAlgebra) -> int:
     # a row divided by its gcd is at most t.biggest in absolute value
     m = np.zeros((len(rows), g.dim, t.val.shape[1]), dtype=intlin.int_dtype(t.biggest))
     m[at] = np.array([v for cell in rows for _, v in cell], dtype=object).reshape(-1, t.val.shape[1])
-    return g.dim - len(intlin.kernel_array(m[:, :, 0] if t.rational else m, g.dim)[0])
+    return g.dim - intlin.nullity(m[:, :, 0] if t.rational else m, g.dim)
 
 
 # -- stabilizers in gl_n ----------------------------------------------------------

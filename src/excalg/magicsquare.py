@@ -45,8 +45,8 @@ from .intlin import (
     checked_int_matmul,
     exact_product,
     int_dtype,
-    int_kernel,
     kernel_array,
+    nullity,
     span_coordinates,
 )
 from .linalg import Matrix, Subspace, unit_vec
@@ -127,7 +127,7 @@ class TrialityAlgebra:
 
     def projection_rank(self, i: int) -> int:
         rows = self.proj[i - 1].reshape(self.dim, self.base.dim ** 2).T
-        return self.dim - len(int_kernel(rows, self.dim))
+        return self.dim - nullity(rows, self.dim)
 
 
 @lru_cache(maxsize=None)
@@ -254,13 +254,16 @@ def _certify_equivariant(key: str, slot: int, maps: PairMaps) -> None:
     tri = triality_algebra(key)
     proj, den_p = tri.proj[slot - 1], tri.den
     ad, den_c = _dense(tri.algebra.tensor), tri.algebra.tensor.den
-    for w in _skew_map(maps.w, tri.base.dim):
-        w = w.astype(int_dtype(biggest(w) * max(biggest(proj) * 2 * tri.base.dim, biggest(ad) * tri.dim)))
-        lhs = np.einsum("txa,xco->taco", proj, w) + np.einsum("txc,axo->taco", proj, w)
-        rhs = np.einsum("acs,tso->taco", w, ad)
-        lhs, rhs = exact_product(lhs, np.array(den_c)), exact_product(rhs, np.array(den_p))
-        if not np.array_equal(lhs, rhs):
-            raise CalibrationFailed(f"a map Lambda^2 {key}_{slot} -> tri({key}) is not equivariant")
+    p, d = tri.dim, tri.base.dim
+    w = _skew_map(maps.w, d)  # [h, a, c, o]
+    h = len(w)
+    # each sum over x as one exact product stacked over t: [h, t, a, (c, o)], [h, t, (a, o), c]
+    xc = checked_int_matmul(proj.swapaxes(1, 2), w.reshape(h, 1, d, d * p)).reshape(h, p, d, d, p)
+    ax = checked_int_matmul(w.swapaxes(2, 3).reshape(h, 1, d * p, d), proj).reshape(h, p, d, p, d)
+    rhs = checked_int_matmul(w.reshape(h, 1, d * d, p), ad).reshape(h, p, d, d, p)
+    lhs = exact_product(xc + ax.swapaxes(3, 4), np.array(den_c))
+    if not np.array_equal(lhs, exact_product(rhs, np.array(den_p))):
+        raise CalibrationFailed(f"a map Lambda^2 {key}_{slot} -> tri({key}) is not equivariant")
 
 
 # -- the two-parameter construction ----------------------------------------------

@@ -72,7 +72,7 @@ class QuadForm:
 
     @property
     def rank(self) -> int:
-        return self.n - len(intlin.kernel_array(self.ints, self.n)[0])
+        return self.n - intlin.nullity(self.ints, self.n)
 
 
 @lru_cache(maxsize=None)
@@ -135,11 +135,10 @@ def _matrix(x: np.ndarray, n: int, k: int, name) -> np.ndarray:
     return out.reshape(shape + x.shape[1:])
 
 
-def _kernel(x: np.ndarray, n: int, k: int, name: str) -> np.ndarray:
-    """The kernel vectors, as rows over one denominator, of the matrix that
-    _table(n, k, name) reads off x, by the certified kernel."""
+def _nullity(x: np.ndarray, n: int, k: int, name: str) -> int:
+    """intlin.nullity of the matrix that _table(n, k, name) reads off x."""
     m = _matrix(x, n, k, name)
-    return intlin.kernel_array(m, m.shape[1])[0]
+    return intlin.nullity(m, m.shape[1])
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,12 +217,12 @@ def action_matrix(n: int, w: KForm) -> Matrix:
 
 def stabilizer_dim(w: KForm) -> int:
     """dim { X in gl_n : X . w = 0 } for the linearized pullback action."""
-    return len(_kernel(_cleared_form(w)[0], w.n, w.k, "action"))
+    return _nullity(_cleared_form(w)[0], w.n, w.k, "action")
 
 
 def linear_divisor_dim(w: KForm) -> int:
     """Dimension of { alpha in V* : alpha ^ w = 0 }."""
-    return len(_kernel(_cleared_form(w)[0], w.n, w.k, "divisor"))
+    return _nullity(_cleared_form(w)[0], w.n, w.k, "divisor")
 
 
 @dataclass
@@ -267,11 +266,10 @@ def classify(w: KForm, with_stabilizer: bool = False) -> OrbitLabel:
     if w.n > 7:
         raise ValueError("classification implemented for n <= 7 only")
     x, den = _cleared_form(w)
-    kern = _kernel(x, w.n, 3, "contraction")
-    r = w.n - len(kern)
+    r = w.n - _nullity(x, w.n, 3, "contraction")
     rec = OrbitRecord(r)
     if with_stabilizer:
-        rec.stab_dim = len(_kernel(x, w.n, 3, "action"))
+        rec.stab_dim = _nullity(x, w.n, 3, "action")
     if r in (0, 3, 5):
         return OrbitLabel(w.n, {0: ZERO_LABEL, 3: RANK3_DECOMPOSABLE, 5: RANK5}[r], rec)
     if r == 6:
@@ -279,6 +277,7 @@ def classify(w: KForm, with_stabilizer: bool = False) -> OrbitLabel:
             # v0 spans {v : v -| w = 0}; for the first i with v0_i != 0, w is
             # pulled back from its restriction to span{e_j : j != i} along
             # v0, so the six-variable form left by dropping e_i has w's type
+            kern = intlin.kernel_array(_matrix(x, 7, 3, "contraction"), 7)[0]
             i = 1 + int(np.flatnonzero((kern[0] != 0).reshape(7, -1).any(axis=1))[0])
             x = x[[i not in t for t in itertools.combinations(range(1, 8), 3)]]
         rec.lambda_is_zero = not np.any(_quartic(x))
@@ -297,7 +296,7 @@ def classify(w: KForm, with_stabilizer: bool = False) -> OrbitLabel:
         if qr == 1:
             # the closed rank-one orbit consists of forms with a linear
             # divisor; the stabilizer dimensions 28 vs 21 confirm the split
-            has_divisor = len(_kernel(x, 7, 3, "divisor")) > 0
+            has_divisor = _nullity(x, 7, 3, "divisor") > 0
             return OrbitLabel(w.n, W1 if has_divisor else W2, rec)
         raise AssertionError(f"unexpected q-rank {qr} at support rank 7")
     raise AssertionError(f"impossible support rank {r} for a trivector")

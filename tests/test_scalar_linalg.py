@@ -327,6 +327,12 @@ class TestSpanCoordinates:
             outside_seen += expected is None
             with pytest.raises(ValueError):
                 _coordinates(vectors + [inside], [inside])
+            # more targets than family rows, solved at once
+            many = [[sum((w * v[i] for w, v in zip(ws, vectors)), ZERO) for i in range(n)]
+                    for ws in ([rand_scalar(rng, 4, gaussian) for _ in range(k)] for _ in range(k + 3))]
+            assert _coordinates(vectors, many) == [la.solve(given_cols, t) for t in many]
+            if expected is None:
+                assert _coordinates(vectors, many + [other]) is None
             checked += 1
         assert checked >= 15 and outside_seen >= 10
 
@@ -401,9 +407,8 @@ class TestSpanCoordinates:
 
 class TestIntKernel:
     def test_int64_minimum_entry(self):
-        # -2^63 is past the float bound of the random row compression, so
-        # the rows are reduced modulo each prime first; the kernel is one
-        # vector, checked in Python integers
+        # -2^63, the int64 minimum, is reduced modulo each prime before the
+        # elimination; the kernel is one vector, checked in Python integers
         import numpy as np
 
         rows = [[-(1 << 63), 3]] * 2 + [[0, 0]] * 48
@@ -426,6 +431,15 @@ class TestIntKernel:
             systems.append(
                 [[sum(c * g[j] for c, g in zip(cs, gens)) for j in range(30)] for cs in combos]
             )
+        # tall and sparse, as the Leibniz systems are: 150 rows of at most
+        # three nonzeros, summing to zero and none in the last three
+        # columns, so the all-ones vector on the first 27 is in the kernel
+        sparse = [[0] * 30 for _ in range(150)]
+        for row in sparse:
+            a, b, c = rng.sample(range(27), 3)
+            row[a], row[b] = rng.choice((-2, -1, 1, 2)), rng.choice((-2, -1, 1, 2))
+            row[c] = -row[a] - row[b]
+        systems.append(sparse)
         for rows in systems:
             scalars = [[sc(x) for x in row] for row in rows]
             assert intlin.int_kernel(rows, 30) == _free_column_basis(scalars, 30)
@@ -434,6 +448,7 @@ class TestIntKernel:
             t = StructureTensor(len(rows), [(0, 0, 0, ONE)])
             assert ll.leibniz_kernel(t, unknowns) == la.kernel(la.Matrix(rows)).basis
         assert len(intlin.int_kernel(systems[2], 30)) == 23
+        assert len(intlin.int_kernel(systems[3], 30)) == 4
 
     @pytest.mark.parametrize("unit", [ONE, I], ids=["rational", "gaussian"])
     def test_kernel_is_one_elimination(self, unit, monkeypatch):

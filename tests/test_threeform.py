@@ -306,6 +306,23 @@ class TestStabilizers:
         for label in (tf.W1, tf.W2, tf.W3, tf.W4, tf.W5):
             assert 49 - tf.stabilizer_dim(tf.representative(label)) == by_label[label]
 
+    def test_full_rank_gaussian_nullity_lifts_nothing(self, monkeypatch):
+        # the 35 x 49 action matrix of a Gaussian W5 has rank 35 modulo the
+        # first prime, which proves nullity 14: nothing is lifted
+        from excalg import intlin
+
+        g = random_invertible(7, seed=11, height=2, field="gaussian")
+        w = fm.pullback(g, tf.representative(tf.W5))
+        assert tf._cleared_form(w)[0].shape == (35, 2)  # (re, im) coefficients
+
+        def refuse(*args):
+            raise AssertionError("a full-rank nullity was lifted")
+
+        monkeypatch.setattr(intlin, "_rational_reconstruct", refuse)
+        monkeypatch.setattr(intlin, "_lift", refuse)
+        assert tf.stabilizer_dim(w) == 14
+        assert tf.classify(w, with_stabilizer=True).record.stab_dim == 14
+
 
 class TestClassify:
     def test_representatives(self):
